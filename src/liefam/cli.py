@@ -34,7 +34,10 @@ from .suite import NAMED_COCYCLES, named_cocycle, run_suite
 
 def parse_window(text: str) -> range:
     lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    window = range(int(lo), int(hi) + 1)
+    if not window:
+        raise ValueError("the window is empty")
+    return window
 
 
 def parse_params(text: str | None) -> dict:
@@ -57,6 +60,38 @@ def parse_laurent(text: str) -> LaurentPoly | None:
         coeff, _, deg = piece.partition(":")
         items.append((int(deg) if deg else 0, rat(coeff)))
     return LaurentPoly.from_items((), items)
+
+
+def parse_pins(text: str | None) -> dict:
+    """Parse pinned map values "index=rational,..." (e.g. "1=0,2=-4/3")."""
+    pins = {}
+    for piece in text.split(",") if text else ():
+        key, _, value = piece.partition("=")
+        pins[int(key)] = rat(value)
+    return pins
+
+
+def parse_slope(text: str):
+    """A rational slope, or INFINITE_SLOPE for the line e1 = 0."""
+    return text if text == INFINITE_SLOPE else rat(text)
+
+
+def checked(parse, what: str):
+    """An argparse type that validates a value with `parse` and keeps its text.
+
+    Reports echo every input as typed, so the output of a valid call does
+    not depend on the validation; a malformed value exits 2 through
+    argparse before any handler runs.
+    """
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}: {exc}")
+        return text
+
+    return check
 
 
 def family_from_args(args) -> "FamilySpec":
@@ -219,11 +254,7 @@ def cmd_cohomology_check(args) -> int:
 
 
 def _ansatz_from_args(args) -> Ansatz:
-    pins = {}
-    if args.pin:
-        for piece in args.pin.split(","):
-            key, _, value = piece.partition("=")
-            pins[int(key)] = rat(value)
+    pins = parse_pins(args.pin)
     support = None
     if args.ansatz == "per-index":
         w = parse_window(args.window)
@@ -330,8 +361,7 @@ def cmd_moduli_classify(args) -> int:
 
 
 def cmd_moduli_jline(args) -> int:
-    slope = args.s if args.s == INFINITE_SLOPE else rat(args.s)
-    value = j_of_line(slope)
+    value = j_of_line(parse_slope(args.s))
     return _report(
         args, "moduli j-line", {"s": args.s}, {"j": rat_str(value)}, True
     )
@@ -387,6 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true", help="include wall-clock times")
     parser.set_defaults(json=False, seed=1)
     sub = parser.add_subparsers(dest="command", required=True)
+    window = checked(parse_window, "window")
+    rational = checked(rat, "rational")
+    laurent = checked(parse_laurent, "Laurent polynomial")
 
     fam = sub.add_parser("families", help="catalog access")
     fam_sub = fam.add_subparsers(dest="subcommand", required=True)
@@ -403,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vj = sub.add_parser("verify-jacobi", help="certify the Jacobi identity")
     _family_flags(vj)
-    vj.add_argument("--window", default="-8..8")
+    vj.add_argument("--window", default="-8..8", type=window)
     vj.set_defaults(handler=cmd_verify_jacobi)
 
     vg = sub.add_parser("verify-geometry", help="check rules against vector fields")
     _family_flags(vg)
-    vg.add_argument("--window", default="-6..6")
+    vg.add_argument("--window", default="-6..6", type=window)
     vg.add_argument("--samples", type=int, default=8)
     vg.add_argument("--seed", type=int, default=1, help="sample-point seed")
     vg.set_defaults(handler=cmd_verify_geometry)
@@ -421,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     gon.set_defaults(handler=cmd_cohomology_goncharova)
     chk = coh_sub.add_parser("check")
     chk.add_argument("--cocycle", required=True)
-    chk.add_argument("--window", default="-8..8")
+    chk.add_argument("--window", default="-8..8", type=window)
     chk.set_defaults(handler=cmd_cohomology_check)
     slv = coh_sub.add_parser("solve")
     _solve_flags(slv)
@@ -435,32 +468,39 @@ def build_parser() -> argparse.ArgumentParser:
     cen_sub = cen.add_subparsers(dest="subcommand", required=True)
     coc = cen_sub.add_parser("cocycle")
     coc.add_argument("--family", default="witt")
-    coc.add_argument("--R", default="0", help='Laurent terms "coeff:deg,..."; 0 for none')
-    coc.add_argument("--window", default="-10..10")
+    coc.add_argument(
+        "--R", default="0", type=laurent, help='Laurent terms "coeff:deg,..."; 0 for none'
+    )
+    coc.add_argument("--window", default="-10..10", type=window)
     coc.set_defaults(handler=cmd_central_cocycle)
     loc = cen_sub.add_parser("locality")
     loc.add_argument("--family", default="witt")
-    loc.add_argument("--R", default="0")
-    loc.add_argument("--window", default="-8..8")
+    loc.add_argument("--R", default="0", type=laurent)
+    loc.add_argument("--window", default="-8..8", type=window)
     loc.set_defaults(handler=cmd_central_locality)
     ind = cen_sub.add_parser("independence")
-    ind.add_argument("--r1", required=True)
-    ind.add_argument("--r2", required=True)
-    ind.add_argument("--window", default="-10..10")
+    ind.add_argument("--r1", required=True, type=laurent)
+    ind.add_argument("--r2", required=True, type=laurent)
+    ind.add_argument("--window", default="-10..10", type=window)
     ind.set_defaults(handler=cmd_central_independence)
 
     mod = sub.add_parser("moduli", help="parameter geometry")
     mod_sub = mod.add_subparsers(dest="subcommand", required=True)
     cla = mod_sub.add_parser("classify")
-    cla.add_argument("--e1", required=True)
-    cla.add_argument("--e2", required=True)
+    cla.add_argument("--e1", required=True, type=rational)
+    cla.add_argument("--e2", required=True, type=rational)
     cla.set_defaults(handler=cmd_moduli_classify)
     jl = mod_sub.add_parser("j-line")
-    jl.add_argument("--s", required=True, help='rational slope or "inf"')
+    jl.add_argument(
+        "--s",
+        required=True,
+        type=checked(parse_slope, "slope"),
+        help='rational slope or "inf"',
+    )
     jl.set_defaults(handler=cmd_moduli_jline)
     res = mod_sub.add_parser("rescale")
     _family_flags(res)
-    res.add_argument("--lambda2", required=True)
+    res.add_argument("--lambda2", required=True, type=rational)
     res.set_defaults(handler=cmd_moduli_rescale)
 
     ps = sub.add_parser("paper-suite", help="run the full verification suite")
@@ -473,8 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _family_flags(parser):
     parser.add_argument("--family", required=True, help="catalog family name")
-    parser.add_argument("--params", help='specialization "e1=1,e2=-1/2"')
-    parser.add_argument("--s", help="slope for d-line")
+    parser.add_argument(
+        "--params",
+        type=checked(parse_params, "parameters"),
+        help='specialization "e1=1,e2=-1/2"',
+    )
+    parser.add_argument("--s", type=checked(rat, "rational"), help="slope for d-line")
 
 
 def _solve_flags(parser):
@@ -483,8 +527,12 @@ def _solve_flags(parser):
         "--ansatz", choices=("parity-constant", "affine", "per-index"), default="affine"
     )
     parser.add_argument("--weight", type=int, required=True)
-    parser.add_argument("--window", default="-12..12")
-    parser.add_argument("--pin", help='pinned values "1=0,2=0"')
+    parser.add_argument(
+        "--window", default="-12..12", type=checked(parse_window, "window")
+    )
+    parser.add_argument(
+        "--pin", type=checked(parse_pins, "pins"), help='pinned values "1=0,2=0"'
+    )
 
 
 #: Flags whose values may start with "-" (windows, rationals, slopes).

@@ -29,7 +29,9 @@ from .errors import (
     AnsatzTooWeak,
     ArityUnsupported,
     MissingParameter,
+    OutOfDomainIndex,
     ParameterMismatch,
+    WindowTooSmall,
 )
 from .linalg import LinearSystem, rank_of_vectors
 from .poly import ParamPoly, rat, rat_str
@@ -476,7 +478,7 @@ class _AnsatzForms:
             value = Fraction(0)
         lb = self.algebra.lower_bound
         if lb is not None and i + self.ansatz.weight < lb and value != 0:
-            raise ValueError(
+            raise OutOfDomainIndex(
                 f"pin F(v_{i}) = {value} maps outside the basis domain"
             )
         return value
@@ -516,6 +518,10 @@ def _build_system(algebra, omega, beta, ansatz, window):
         unknowns = unknowns + [("scale",)]
     w = ansatz.weight
     indices = sorted(n for n in window if algebra.in_domain(n))
+    if not indices:
+        raise WindowTooSmall(
+            f"no index of the window lies in the domain of {algebra.name}"
+        )
     pairs_used = 0
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CheckReport, FamilySpec, evaluate_pair_rule, grading_bounds, specialize
-from .errors import DivisionByZeroFunction, ParameterMismatch, UnsupportedFamily
+from .errors import (
+    DivisionByZeroFunction,
+    ParameterMismatch,
+    TooFewSamples,
+    UnsupportedFamily,
+    WindowTooSmall,
+)
 from .poly import ParamPoly, rat
 
 # ---------------------------------------------------------------------------
@@ -694,6 +700,10 @@ def verify_against_geometry(
     base = family.name.split("|")[0]
     bounds = grading_bounds(family)
     indices = sorted(n for n in window if family.in_domain(n))
+    if not indices:
+        raise WindowTooSmall(
+            f"no index of the window lies in the domain of {family.name}"
+        )
     lo = 2 * indices[0] + bounds.lower
     hi = 2 * indices[-1] + bounds.upper
     full = [
@@ -719,7 +729,7 @@ def verify_against_geometry(
         if samples is None:
             samples = random_smooth_points(sample_count, seed)
         if len(samples) < 3:
-            raise ValueError("need at least 3 sample points off the degenerate lines")
+            raise TooFewSamples("need at least 3 sample points off the degenerate lines")
         for e1, e2 in samples:
             fam = specialize(family, {"e1": e1, "e2": e2})
             fields = {i: realize("elliptic", i, e1=e1, e2=e2) for i in full}

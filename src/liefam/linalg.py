@@ -1,61 +1,93 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals by fraction-free elimination.
 
-Everything here works on sparse rows (dicts keyed by arbitrary hashable
-unknown ids) with Fraction entries; matrices in this toolkit are tiny, so
-clarity beats asymptotics.
+Rows are sparse dicts keyed by arbitrary hashable unknown ids, with
+rational entries.  `LinearSystem` clears an equation's denominators once,
+when it is added, and then works on integer rows only.  A row is reduced
+against a stored row with pivot entry p by cross-multiplying,
+row = p*row - c*prow, where c is the row's entry at the pivot and p and c
+are first divided by their gcd.  A row is divided by its content when it
+is stored, so stored rows are primitive with a positive pivot entry.
+This is fraction-free elimination in the sense of Bareiss (1968), with
+one gcd per stored row in place of his exact division by the previous
+pivot.  The graded differentials of the cohomology module have small
+integer entries, so `rank_of_vectors` builds no Fraction for them, where
+Gauss-Jordan built one, with its own gcd, per arithmetic operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _rational(value):
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 class LinearSystem:
-    """Incremental Gauss-Jordan elimination with inconsistency tracking.
+    """Incremental echelon form with inconsistency tracking.
 
-    Equations are inserted one at a time; the first equation that reduces
-    to `0 = c` with `c != 0` is recorded as the inconsistency witness,
-    which makes infeasibility certificates point at a concrete equation.
+    Equations are inserted one at a time.  Each accepted equation is
+    stored as a primitive integer row under its pivot, the least key of
+    the reduced row by `repr`; stored rows vanish at the pivots of every
+    row stored before them, and nothing is back-substituted into them
+    later.  The first equation that reduces to `0 = c` with `c != 0` is
+    recorded with its residual c as the inconsistency witness, which
+    makes infeasibility certificates point at a concrete equation.
+
+    Certificates are those of Gauss-Jordan elimination with the same
+    pivot rule.  Walking the stored pivots in insertion order turns an
+    equation into the unique vector of (equation + span of the stored
+    rows) that vanishes at every stored pivot, times a positive integer
+    scale that `add` tracks exactly.  So the reduced support, and with
+    it the pivot, the rank and the residual of an inconsistent equation,
+    do not depend on the arithmetic, and neither does the solution once
+    its free unknowns are fixed.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot id -> (row dict without pivot, rhs, tag)
+        # pivot id -> (integer row without the pivot, pivot entry > 0, rhs)
+        self.rows = {}
         self.inconsistency = None  # (tag, residual) of first bad equation
 
     def add(self, coeffs: dict, rhs, tag=None) -> None:
-        row = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-        rhs = Fraction(rhs)
-        for pivot, (prow, prhs, _) in self.rows.items():
+        terms = [(k, _rational(v)) for k, v in coeffs.items() if v != 0]
+        rhs = _rational(rhs)
+        scale = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+        row = {k: v.numerator * (scale // v.denominator) for k, v in terms}
+        b = rhs.numerator * (scale // rhs.denominator)
+        # (row, b) is `scale` times the equation as reduced so far.
+        for pivot, (prow, p, pb) in self.rows.items():
             c = row.pop(pivot, None)
             if c is None:
                 continue
+            g = gcd(p, c)
+            a, c = p // g, c // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+                b *= a
+                scale *= a
             for k, v in prow.items():
-                s = row.get(k, Fraction(0)) - c * v
-                if s == 0:
-                    row.pop(k, None)
-                else:
+                s = row.get(k, 0) - c * v
+                if s:
                     row[k] = s
-            rhs -= c * prhs
-        if not row:
-            if rhs != 0 and self.inconsistency is None:
-                self.inconsistency = (tag, rhs)
-            return
-        pivot = sorted(row, key=repr)[0]
-        c = row.pop(pivot)
-        row = {k: v / c for k, v in row.items()}
-        rhs = rhs / c
-        for opivot, (orow, orhs, otag) in list(self.rows.items()):
-            oc = orow.pop(pivot, None)
-            if oc is None:
-                continue
-            for k, v in row.items():
-                s = orow.get(k, Fraction(0)) - oc * v
-                if s == 0:
-                    orow.pop(k, None)
                 else:
-                    orow[k] = s
-            self.rows[opivot] = (orow, orhs - oc * rhs, otag)
-        self.rows[pivot] = (row, rhs, tag)
+                    del row[k]
+            b -= c * pb
+        if not row:
+            if b and self.inconsistency is None:
+                self.inconsistency = (tag, Fraction(b, scale))
+            return
+        pivot = min(row, key=repr)
+        g = gcd(b, *row.values())
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+            b //= g
+        p = row.pop(pivot)
+        self.rows[pivot] = (row, p, b)
 
     @property
     def consistent(self) -> bool:
@@ -69,15 +101,20 @@ class LinearSystem:
         return [u for u in unknowns if u not in self.rows]
 
     def solution(self, unknowns, free_value=Fraction(0)) -> dict:
-        """Particular solution with free unknowns set to `free_value`."""
+        """Particular solution with free unknowns set to `free_value`.
+
+        Unknowns outside `unknowns` and off the pivots count as 0.  Keys
+        come in order: free unknowns, then pivots in insertion order.
+        """
         if not self.consistent:
             raise ValueError("system is inconsistent")
         values = {u: Fraction(free_value) for u in self.free_unknowns(unknowns)}
-        for pivot, (row, rhs, _) in self.rows.items():
-            values[pivot] = rhs - sum(
-                (v * values.get(k, Fraction(0)) for k, v in row.items()),
-                Fraction(0),
+        known = dict(values)
+        for pivot, (row, p, b) in reversed(self.rows.items()):
+            known[pivot] = Fraction(
+                b - sum(v * known.get(k, 0) for k, v in row.items()), p
             )
+        values.update((pivot, known[pivot]) for pivot in self.rows)
         return values
 
 

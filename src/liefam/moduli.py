@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FamilySpec, RuleTerm
-from .errors import DegenerateLine, OddShiftNotRescalable
+from .errors import DegenerateLine, LiefamError, OddShiftNotRescalable
 from .poly import ParamPoly, rat, rat_str
 
 #: Slope of the vertical line e1 = 0.
@@ -146,7 +146,7 @@ def rescale(family: FamilySpec, lam2) -> FamilySpec:
     """
     lam2 = rat(lam2)
     if lam2 == 0:
-        raise ValueError("rescaling factor must be nonzero")
+        raise LiefamError("rescaling factor must be nonzero")
 
     def conv(terms):
         out = []

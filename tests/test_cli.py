@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefam.cli import main, parse_laurent, parse_window
 
@@ -16,6 +18,10 @@ def run(capsys, *argv):
 def test_parse_helpers():
     assert parse_window("-6..6") == range(-6, 7)
     assert parse_window("1..16") == range(1, 17)
+    assert parse_window("3..3") == range(3, 4)
+    for bad in ("5..1", "abc", "3..x", "3", ""):
+        with pytest.raises(ValueError):
+            parse_window(bad)
     assert parse_laurent("0") is None
     lp = parse_laurent("1:-2,3:0")
     assert lp.coefficient(-2) == 1 and lp.coefficient(0) == 3
@@ -138,6 +144,121 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     code = main(["moduli", "j-line", "--s", "1"])  # degenerate line
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-geometry", "--family", "witt", "--window", "5..1"], "--window"),
+        (["verify-jacobi", "--family", "witt", "--window", "abc"], "--window"),
+        (["cohomology", "check", "--cocycle", "beta3", "--window", "3..x"], "--window"),
+        (["moduli", "classify", "--e1", "1/0", "--e2", "1"], "--e1"),
+        (["families", "dump", "--family", "d-line", "--s", "foo"], "--s"),
+        (["families", "dump", "--family", "elliptic", "--params", "e1=1/0"], "--params"),
+        (["moduli", "rescale", "--family", "witt", "--lambda2", "1/0"], "--lambda2"),
+        (["central", "cocycle", "--R", "1:x"], "--R"),
+        (["moduli", "j-line", "--s", "infinity"], "--s"),
+    ],
+)
+def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert f"error: argument {flag}: invalid" in line
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["cohomology", "compare", "--cocycle", "w1-order1", "--ansatz", "affine",
+             "--weight", "-2", "--window", "1..24", "--pin", "2=-4/3",
+             "--against", "beta3"],
+            "pin F(v_2) = -4/3 maps outside the basis domain",
+        ),
+        (
+            ["moduli", "rescale", "--family", "witt", "--lambda2", "0"],
+            "rescaling factor must be nonzero",
+        ),
+        (
+            ["verify-geometry", "--family", "elliptic", "--samples", "2"],
+            "need at least 3 sample points off the degenerate lines",
+        ),
+        (
+            ["verify-geometry", "--family", "l1", "--window", "-5..0"],
+            "no index of the window lies in the domain of l1",
+        ),
+        (
+            ["cohomology", "solve", "--cocycle", "beta3", "--weight", "-2",
+             "--window", "-5..0"],
+            "no index of the window lies in the domain of l1",
+        ),
+    ],
+)
+def test_inputs_the_toolkit_rejects_exit_2(capsys, argv, message):
+    assert main(["--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# Malformed and valid values for the fuzz below.  Window ends stay within
+# -4..4 (or a junk token), so every valid window is small.
+_JUNK = st.sampled_from(
+    ["", " ", "x", "1/0", "0/0", "1/", "/2", "1//2", "--1", "+2", "1.5", "1e3",
+     "inf", "nan", "1/-2", "1_0", "\u0663", "=", ",", ".."]
+)
+_RATIONAL = st.one_of(
+    _JUNK,
+    st.integers(-9, 9).map(str),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+    st.text(alphabet="-/.0123eE x", max_size=5),
+)
+_END = st.one_of(st.integers(-4, 4).map(str), _JUNK)
+_WINDOW = st.builds(
+    "{}{}{}".format, _END, st.sampled_from(["..", ".", "...", "", ":", ".. "]), _END
+)
+_PARAMS = st.lists(
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["e1", "e2", " e1 ", "s", "x", ""]),
+        st.sampled_from(["=", "", "=="]),
+        _RATIONAL,
+    ),
+    max_size=3,
+).map(",".join)
+_ARGV = st.one_of(
+    st.builds(lambda w: ["verify-geometry", "--family", "witt", "--samples", "2",
+                         "--window", w], _WINDOW),
+    st.builds(lambda w: ["cohomology", "check", "--cocycle", "ds-order1",
+                         "--window", w], _WINDOW),
+    st.builds(lambda w: ["central", "locality", "--window", w], _WINDOW),
+    st.builds(lambda a, b: ["moduli", "classify", "--e1", a, "--e2", b],
+              _RATIONAL, _RATIONAL),
+    st.builds(lambda s: ["families", "dump", "--family", "d-line", "--s", s], _RATIONAL),
+    st.builds(lambda s: ["moduli", "j-line", "--s", s], st.one_of(_RATIONAL, st.just("inf"))),
+    st.builds(
+        lambda fam, p: ["families", "dump", "--family", fam, "--s", "3", "--params", p],
+        st.sampled_from(["elliptic", "d-line", "witt"]),
+        _PARAMS,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_ARGV)
+def test_argv_fuzz_never_raises(argv):
+    """Any value of these flags ends in an exit code, never in a traceback."""
+    try:
+        code = main(["--json", *argv])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)
 
 
 def test_paper_suite_subset(capsys):
