@@ -11,7 +11,7 @@ is the only identity that needs certification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -68,12 +68,6 @@ def term(params, shift, a=0, b=0, d=0) -> RuleTerm:
         return x if isinstance(x, ParamPoly) else ParamPoly.const(params, x)
 
     return RuleTerm(shift, wrap(a), wrap(b), wrap(d))
-
-
-def scaled_terms(factor: ParamPoly, terms) -> tuple[RuleTerm, ...]:
-    return tuple(
-        RuleTerm(t.shift, t.a * factor, t.b * factor, t.d * factor) for t in terms
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +562,31 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _eval_poly(p: ParamPoly, assignment: dict, remaining: tuple[str, ...]) -> ParamPoly:
-    if not assignment:
-        return p
-    substituted = p.substitute(
-        {k: ParamPoly.const(p.params, v) for k, v in assignment.items()}
-    )
-    return substituted.drop_params(assignment).lift(remaining) if remaining else (
-        ParamPoly.const((), substituted.constant_value())
+def map_coefficients(family: FamilySpec, fn, params, name: str) -> FamilySpec:
+    """The family with each rule-term coefficient p replaced by fn(key, shift, p).
+
+    `key` is the parity class of a rule row or the first index of an
+    exceptional row, and `params` is the ring the images live in.  Terms
+    whose three coefficients all map to zero are dropped; the basis bound
+    and the central rule are kept.
+    """
+
+    def rows(table):
+        out = {}
+        for key, terms in table.items():
+            mapped = (
+                RuleTerm(t.shift, *(fn(key, t.shift, p) for p in (t.a, t.b, t.d)))
+                for t in terms
+            )
+            out[key] = tuple(t for t in mapped if not t.is_zero)
+        return out
+
+    return replace(
+        family,
+        name=name,
+        params=tuple(params),
+        rule=rows(family.rule),
+        exceptional=rows(family.exceptional),
     )
 
 
@@ -594,29 +605,13 @@ def specialize(
     missing = [p for p in family.params if p not in assignment]
     if missing and not partial:
         raise MissingParameter(f"no value for parameters {missing}")
-    remaining = tuple(p for p in family.params if p not in assignment)
-
-    def conv(terms):
-        done = []
-        for t in terms:
-            nt = RuleTerm(
-                t.shift,
-                _eval_poly(t.a, assignment, remaining),
-                _eval_poly(t.b, assignment, remaining),
-                _eval_poly(t.d, assignment, remaining),
-            )
-            if not nt.is_zero:
-                done.append(nt)
-        return tuple(done)
-
+    point = {k: ParamPoly.const(family.params, v) for k, v in assignment.items()}
     label = ",".join(f"{k}={rat_str(v)}" for k, v in sorted(assignment.items()))
-    return FamilySpec(
-        name=f"{family.name}|{label}",
-        params=remaining,
-        rule={cls: conv(ts) for cls, ts in family.rule.items()},
-        exceptional={n: conv(ts) for n, ts in family.exceptional.items()},
-        lower_bound=family.lower_bound,
-        central=family.central,
+    return map_coefficients(
+        family,
+        lambda key, shift, p: p.substitute(point).drop_params(assignment),
+        missing,
+        f"{family.name}|{label}",
     )
 
 
@@ -645,13 +640,8 @@ def grading_bounds(family: FamilySpec) -> GradingBounds:
 
 def restricted(family: FamilySpec, lower_bound: int, name: str | None = None) -> FamilySpec:
     """The subalgebra spanned by basis vectors with index >= lower_bound."""
-    return FamilySpec(
-        name=name or f"{family.name}[n>={lower_bound}]",
-        params=family.params,
-        rule=family.rule,
-        exceptional=family.exceptional,
-        lower_bound=lower_bound,
-        central=family.central,
+    return replace(
+        family, name=name or f"{family.name}[n>={lower_bound}]", lower_bound=lower_bound
     )
 
 

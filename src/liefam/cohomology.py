@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -19,11 +19,11 @@ from .algebra import (
     CheckReport,
     FamilySpec,
     LieElement,
-    RuleTerm,
     _require_window,
     basis_bracket,
     bracket,
     evaluate_pair_rule,
+    map_coefficients,
 )
 from .errors import (
     AnsatzTooWeak,
@@ -373,25 +373,14 @@ def deformation_differential(family: FamilySpec, param: str, order: int) -> Coch
         raise MissingParameter(f"{param!r} is not a parameter of {family.name}")
     reduced = tuple(p for p in family.params if p != param)
 
-    def extract(terms):
-        out = []
-        for t in terms:
-            nt = RuleTerm(
-                t.shift,
-                t.a.coefficient_of(param, order),
-                t.b.coefficient_of(param, order),
-                t.d.coefficient_of(param, order),
-            )
-            if not nt.is_zero:
-                out.append(nt)
-        return tuple(out)
-
-    spec = FamilySpec(
-        name=f"{family.name}:d[{param}^{order}]",
-        params=reduced,
-        rule={cls: extract(ts) for cls, ts in family.rule.items()},
-        exceptional={n: extract(ts) for n, ts in family.exceptional.items()},
-        lower_bound=family.lower_bound,
+    spec = replace(
+        map_coefficients(
+            family,
+            lambda key, shift, p: p.coefficient_of(param, order),
+            reduced,
+            f"{family.name}:d[{param}^{order}]",
+        ),
+        central=None,
     )
     shifts = set()
     for ts in list(spec.rule.values()) + list(spec.exceptional.values()):

@@ -6,13 +6,22 @@ exceptional rows for the two formal families whose deformation touches a
 single row.  Parameters enter only through the polynomial combinations
 that actually appear (alpha2 stands for the square of the double point
 coordinate; alpha never occurs alone).
+
+Most of the catalog is derived, not typed out.  witt, elliptic,
+three-point and nodal come from one builder over their (shift,
+coefficient) lists, as they share one rule shape; virasoro is witt with
+a central rule; d-line(s) and d-infinity substitute e2 = s*e1 resp.
+e1 = 0 into elliptic() through `algebra.map_coefficients`; l1 and w1
+restrict witt and three-point to the indices >= 1.  Only the formal
+families are written term by term.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import CentralDelta, FamilySpec, restricted, term
+from .algebra import CentralDelta, FamilySpec, map_coefficients, restricted, term
 from .errors import UnsupportedFamily
 from .poly import ParamPoly, rat
 
@@ -25,23 +34,33 @@ def _mn_terms(params, shifts_factors):
     return tuple(out)
 
 
+def _cubic_rule(name, params, shifted) -> FamilySpec:
+    """The rule of the cubic-curve families with shift-w coefficients f_w.
+
+    `shifted` lists (w, f_w) for the even shifts w < 0; shift 0 carries 1.
+    Same-parity pairs get f_w*(m - n) at every shift, the odd-even row
+    f_w*(m - n + w/2), and the odd-odd row only the shift-0 term.
+    """
+    terms = [(0, ParamPoly.const(params, 1)), *shifted]
+    same = _mn_terms(params, terms)
+    mixed = tuple(term(params, w, a=-f, b=f, d=f * (w // 2)) for w, f in terms)
+    return FamilySpec(
+        name=name,
+        params=params,
+        rule={"odd-odd": same[:1], "even-even": same, "odd-even": mixed},
+    )
+
+
 def witt() -> FamilySpec:
     """[v_n, v_m] = (m - n) v_{n+m} on all integer indices."""
-    t = _mn_terms((), [(0, ParamPoly.const((), 1))])
-    return FamilySpec(
-        name="witt",
-        params=(),
-        rule={"odd-odd": t, "even-even": t, "odd-even": t},
-    )
+    return _cubic_rule("witt", (), [])
 
 
 def virasoro() -> FamilySpec:
     """Witt rule plus the central pairing (1/12)(m^3 - m) on n + m = 0."""
-    base = witt()
-    return FamilySpec(
+    return replace(
+        witt(),
         name="virasoro",
-        params=(),
-        rule=base.rule,
         central=CentralDelta(
             (Fraction(0), Fraction(-1, 12), Fraction(0), Fraction(1, 12))
         ),
@@ -59,78 +78,43 @@ def elliptic() -> FamilySpec:
     params = ("e1", "e2")
     e1 = ParamPoly.var(params, "e1")
     e2 = ParamPoly.var(params, "e2")
-    one = ParamPoly.const(params, 1)
-    q = (e1 - e2) * (e1 * 2 + e2)
-    same = _mn_terms(params, [(0, one), (-2, e1 * 3), (-4, q)])
-    mixed = (
-        term(params, 0, a=-1, b=1, d=0),
-        term(params, -2, a=-(e1 * 3), b=e1 * 3, d=-(e1 * 3)),
-        term(params, -4, a=-q, b=q, d=q * -2),
+    return _cubic_rule(
+        "elliptic", params, [(-2, e1 * 3), (-4, (e1 - e2) * (e1 * 2 + e2))]
     )
-    return FamilySpec(
-        name="elliptic",
-        params=params,
-        rule={"odd-odd": _mn_terms(params, [(0, one)]), "even-even": same, "odd-even": mixed},
+
+
+def _restrict_elliptic(name, image, dropped) -> FamilySpec:
+    """elliptic() with the parameter `dropped` replaced by `image` in Q[e1, e2]."""
+    ell = elliptic()
+    kept = tuple(p for p in ell.params if p != dropped)
+    return map_coefficients(
+        ell,
+        lambda key, shift, p: p.substitute({dropped: image}).drop_params((dropped,)),
+        kept,
+        name,
     )
 
 
 def d_line(s) -> FamilySpec:
     """Restriction of the elliptic family to the line e2 = s*e1.
 
-    One parameter e1; the shift -4 coefficient becomes e1^2 (1-s)(2+s).
+    One parameter e1; the shift -4 coefficient becomes e1^2 (1-s)(2+s),
+    and its term drops out on the degenerate lines s = 1 and s = -2.
     """
     s = rat(s)
-    params = ("e1",)
-    e1 = ParamPoly.var(params, "e1")
-    one = ParamPoly.const(params, 1)
-    g = (1 - s) * (2 + s)
-    q = e1 * e1 * g
-    same = _mn_terms(params, [(0, one), (-2, e1 * 3), (-4, q)])
-    mixed = (
-        term(params, 0, a=-1, b=1, d=0),
-        term(params, -2, a=-(e1 * 3), b=e1 * 3, d=-(e1 * 3)),
-        term(params, -4, a=-q, b=q, d=q * -2),
-    )
-    return FamilySpec(
-        name=f"d-line(s={s})",
-        params=params,
-        rule={"odd-odd": _mn_terms(params, [(0, one)]), "even-even": same, "odd-even": mixed},
-    )
+    e1 = ParamPoly.var(("e1", "e2"), "e1")
+    return _restrict_elliptic(f"d-line(s={s})", e1 * s, "e2")
 
 
 def d_infinity() -> FamilySpec:
     """The vertical line e1 = 0: shift -4 coefficient -e2^2, no shift -2."""
-    params = ("e2",)
-    e2 = ParamPoly.var(params, "e2")
-    one = ParamPoly.const(params, 1)
-    q = -(e2 * e2)
-    same = _mn_terms(params, [(0, one), (-4, q)])
-    mixed = (
-        term(params, 0, a=-1, b=1, d=0),
-        term(params, -4, a=-q, b=q, d=q * -2),
-    )
-    return FamilySpec(
-        name="d-infinity",
-        params=params,
-        rule={"odd-odd": _mn_terms(params, [(0, one)]), "even-even": same, "odd-even": mixed},
-    )
+    return _restrict_elliptic("d-infinity", 0, "e1")
 
 
 def three_point() -> FamilySpec:
     """Genus-zero algebra with poles at two symmetric points and infinity."""
     params = ("alpha2",)
-    a2 = ParamPoly.var(params, "alpha2")
-    one = ParamPoly.const(params, 1)
-    same = _mn_terms(params, [(0, one), (-2, a2)])
-    mixed = (
-        term(params, 0, a=-1, b=1, d=0),
-        term(params, -2, a=-a2, b=a2, d=-a2),
-    )
-    return FamilySpec(
-        name="three-point",
-        params=params,
-        rule={"odd-odd": _mn_terms(params, [(0, one)]), "even-even": same, "odd-even": mixed},
-    )
+    return _cubic_rule("three-point", params, [(-2, ParamPoly.var(params, "alpha2"))])
 
 
 def nodal() -> FamilySpec:
@@ -142,20 +126,7 @@ def nodal() -> FamilySpec:
     """
     params = ("alpha2",)
     a2 = ParamPoly.var(params, "alpha2")
-    one = ParamPoly.const(params, 1)
-    c2 = a2 * -2
-    c4 = a2 * a2
-    same = _mn_terms(params, [(0, one), (-2, c2), (-4, c4)])
-    mixed = (
-        term(params, 0, a=-1, b=1, d=0),
-        term(params, -2, a=-c2, b=c2, d=-c2),
-        term(params, -4, a=-c4, b=c4, d=c4 * -2),
-    )
-    return FamilySpec(
-        name="nodal",
-        params=params,
-        rule={"odd-odd": _mn_terms(params, [(0, one)]), "even-even": same, "odd-even": mixed},
-    )
+    return _cubic_rule("nodal", params, [(-2, a2 * -2), (-4, a2 * a2)])
 
 
 def l1_subalgebra() -> FamilySpec:
@@ -174,37 +145,25 @@ def formal_family(i: int) -> FamilySpec:
     Family 1 shifts every row by t*(m-n) at degree -1; families 2 and 3
     deform only the row of index 1 resp. 2 by t*m at the matching shift.
     """
+    if i not in (1, 2, 3):
+        raise UnsupportedFamily(f"formal family index must be 1, 2 or 3, got {i}")
     params = ("t",)
     t_var = ParamPoly.var(params, "t")
     one = ParamPoly.const(params, 1)
-    plain = _mn_terms(params, [(0, one)])
     if i == 1:
         rule_terms = _mn_terms(params, [(0, one), (-1, t_var)])
-        return FamilySpec(
-            name="formal-1",
-            params=params,
-            rule={cls: rule_terms for cls in ("odd-odd", "even-even", "odd-even")},
-            lower_bound=1,
-        )
-    if i == 2:
-        row = (term(params, 0, a=-1, b=1, d=0), term(params, -1, b=t_var))
-        return FamilySpec(
-            name="formal-2",
-            params=params,
-            rule={cls: plain for cls in ("odd-odd", "even-even", "odd-even")},
-            exceptional={1: row},
-            lower_bound=1,
-        )
-    if i == 3:
-        row = (term(params, 0, a=-1, b=1, d=0), term(params, -2, b=t_var))
-        return FamilySpec(
-            name="formal-3",
-            params=params,
-            rule={cls: plain for cls in ("odd-odd", "even-even", "odd-even")},
-            exceptional={2: row},
-            lower_bound=1,
-        )
-    raise UnsupportedFamily(f"formal family index must be 1, 2 or 3, got {i}")
+        exceptional = {}
+    else:
+        rule_terms = _mn_terms(params, [(0, one)])
+        row = (term(params, 0, a=-1, b=1, d=0), term(params, 1 - i, b=t_var))
+        exceptional = {i - 1: row}
+    return FamilySpec(
+        name=f"formal-{i}",
+        params=params,
+        rule={cls: rule_terms for cls in ("odd-odd", "even-even", "odd-even")},
+        exceptional=exceptional,
+        lower_bound=1,
+    )
 
 
 #: Catalog: name -> (constructor, names of required constructor arguments).

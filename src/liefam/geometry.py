@@ -9,6 +9,7 @@ the finite marked point) and Y^2 reduced eagerly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .errors import (
     UnsupportedFamily,
     WindowTooSmall,
 )
+from .families import by_name
 from .poly import ParamPoly, rat
 
 # ---------------------------------------------------------------------------
@@ -73,9 +75,6 @@ class LaurentPoly:
 
     def max_degree(self) -> int:
         return max(self.coeffs)
-
-    def min_degree(self) -> int:
-        return min(self.coeffs)
 
     def _check(self, other: "LaurentPoly"):
         if other.params != self.params:
@@ -615,6 +614,20 @@ def expand_in_candidates(target: LaurentPoly, candidates):
     return coeffs, rest
 
 
+def _mismatch(family, n, m, coeffs, remainders):
+    """None when the bracket re-expands exactly to the rule, else a witness."""
+    if any(not rest.is_zero for rest in remainders):
+        return {"pair": [n, m], "unexpanded_remainder": " | ".join(map(str, remainders))}
+    expected = dict(evaluate_pair_rule(family, n, m))
+    if coeffs == expected:
+        return None
+    return {
+        "pair": [n, m],
+        "geometric": {str(i): c.to_json() for i, c in sorted(coeffs.items())},
+        "algebraic": {str(i): c.to_json() for i, c in sorted(expected.items())},
+    }
+
+
 def _pair_check_symbolic(family, n, m, fields, bounds):
     got = vf_bracket(fields[n], fields[m]).coeff
     cand = []
@@ -626,18 +639,7 @@ def _pair_check_symbolic(family, n, m, fields, bounds):
         floor = min(floor, fields[idx].coeff.exp)
     laurent_cands = [(idx, fl.as_laurent(floor)) for idx, fl in cand]
     coeffs, rest = expand_in_candidates(got.as_laurent(floor), laurent_cands)
-    if not rest.is_zero:
-        return {"pair": [n, m], "unexpanded_remainder": str(rest)}
-    expected = dict(evaluate_pair_rule(family, n, m))
-    if set(coeffs) != set(expected) or any(
-        coeffs[i] != expected[i] for i in coeffs
-    ):
-        return {
-            "pair": [n, m],
-            "geometric": {str(i): c.to_json() for i, c in sorted(coeffs.items())},
-            "algebraic": {str(i): c.to_json() for i, c in sorted(expected.items())},
-        }
-    return None
+    return _mismatch(family, n, m, coeffs, [rest])
 
 
 def _pair_check_elliptic(family, n, m, fields, bounds):
@@ -650,25 +652,22 @@ def _pair_check_elliptic(family, n, m, fields, bounds):
             even_cands.append((idx, fields[idx].coeff.a.to_laurent()))
     coeffs_a, rest_a = expand_in_candidates(got.a.to_laurent(), even_cands)
     coeffs_b, rest_b = expand_in_candidates(got.b.to_laurent(), odd_cands)
-    if not rest_a.is_zero or not rest_b.is_zero:
-        return {"pair": [n, m], "unexpanded_remainder": f"{rest_a} | {rest_b}"}
-    coeffs = {}
-    for idx, c in list(coeffs_a.items()) + list(coeffs_b.items()):
-        coeffs[idx] = c
-    expected = dict(evaluate_pair_rule(family, n, m))
-    if set(coeffs) != set(expected) or any(
-        coeffs[i] != expected[i] for i in coeffs
-    ):
-        return {
-            "pair": [n, m],
-            "geometric": {str(i): c.to_json() for i, c in sorted(coeffs.items())},
-            "algebraic": {str(i): c.to_json() for i, c in sorted(expected.items())},
-        }
-    return None
+    return _mismatch(family, n, m, {**coeffs_a, **coeffs_b}, [rest_a, rest_b])
+
+
+#: Distinct smooth (e1, e2) pairs on the draw grid of random_smooth_points:
+#: 51 distinct values p/q (p in -9..9, q in 1..4), 2,482 ordered pairs of
+#: them with e1, e2 and e3 = -(e1 + e2) pairwise distinct.
+SMOOTH_GRID_POINTS = 2482
 
 
 def random_smooth_points(count: int, seed: int):
     """Deterministic rational (e1, e2) samples with all three roots distinct."""
+    if count > SMOOTH_GRID_POINTS:
+        raise TooFewSamples(
+            f"asked for {count} sample points; the draw grid has only "
+            f"{SMOOTH_GRID_POINTS} smooth ones"
+        )
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -711,39 +710,45 @@ def verify_against_geometry(
         for i in range(min(lo, indices[0]), max(hi, indices[-1]) + 1)
         if family.in_domain(i)
     ]
+    if base not in GENUS0_FAMILIES and base != "elliptic":
+        raise UnsupportedFamily(f"no geometric oracle for {family.name!r}")
+    oracle_params = by_name(base).params
+    if family.params != oracle_params:
+        raise UnsupportedFamily(
+            f"the {base} oracle works over the parameters {list(oracle_params)}, "
+            f"but {family.name} is over {list(family.params)}; check the "
+            f"unspecialized family {base} instead"
+        )
     checked = 0
     witnesses = []
     pair_status = {}
 
     if base in GENUS0_FAMILIES:
         fields = {i: realize(base, i) for i in full}
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                n, m = indices[a], indices[b]
-                bad = _pair_check_symbolic(family, n, m, fields, bounds)
-                checked += 1
-                pair_status[(n, m)] = bad is None
-                if bad is not None:
-                    witnesses.append(bad)
-    elif base == "elliptic":
+        cases = [(family, fields, _pair_check_symbolic, None)]
+    else:
         if samples is None:
             samples = random_smooth_points(sample_count, seed)
         if len(samples) < 3:
             raise TooFewSamples("need at least 3 sample points off the degenerate lines")
-        for e1, e2 in samples:
-            fam = specialize(family, {"e1": e1, "e2": e2})
-            fields = {i: realize("elliptic", i, e1=e1, e2=e2) for i in full}
-            for a in range(len(indices)):
-                for b in range(a + 1, len(indices)):
-                    n, m = indices[a], indices[b]
-                    bad = _pair_check_elliptic(fam, n, m, fields, bounds)
-                    checked += 1
-                    pair_status[(n, m)] = pair_status.get((n, m), True) and bad is None
-                    if bad is not None:
-                        bad["sample"] = [str(e1), str(e2)]
-                        witnesses.append(bad)
-    else:
-        raise UnsupportedFamily(f"no geometric oracle for {family.name!r}")
+        cases = (
+            (
+                specialize(family, {"e1": e1, "e2": e2}),
+                {i: realize("elliptic", i, e1=e1, e2=e2) for i in full},
+                _pair_check_elliptic,
+                [str(e1), str(e2)],
+            )
+            for e1, e2 in samples
+        )
+    for fam, fields, check, sample in cases:
+        for n, m in itertools.combinations(indices, 2):
+            bad = check(fam, n, m, fields, bounds)
+            checked += 1
+            pair_status[(n, m)] = pair_status.get((n, m), True) and bad is None
+            if bad is not None:
+                if sample is not None:
+                    bad["sample"] = sample
+                witnesses.append(bad)
 
     status = "PASS" if not witnesses else "FAIL"
     return CheckReport(

@@ -7,15 +7,27 @@ with s in {1, -2, -1/2} (node) and at the origin (cusp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import FamilySpec, RuleTerm
+from .algebra import CentralTable, FamilySpec, map_coefficients
 from .errors import DegenerateLine, LiefamError, OddShiftNotRescalable
 from .poly import ParamPoly, rat, rat_str
 
 #: Slope of the vertical line e1 = 0.
 INFINITE_SLOPE = "inf"
+
+
+def _invariants(e1, e2):
+    """(g2, g3, discriminant) of Y^2 = 4(X-e1)(X-e2)(X-e3), e3 = -(e1+e2).
+
+    The same formula serves rational points and the polynomial ring Q[e1, e2].
+    """
+    e3 = -(e1 + e2)
+    g2 = (e1 * e2 + e1 * e3 + e2 * e3) * -4
+    g3 = e1 * e2 * e3 * 4
+    disc = ((e1 - e2) ** 2) * ((e1 - e3) ** 2) * ((e2 - e3) ** 2) * 16
+    return g2, g3, disc
 
 
 @dataclass(frozen=True)
@@ -35,17 +47,15 @@ class CurveParams:
 
     @property
     def g2(self) -> Fraction:
-        e1, e2, e3 = self.e1, self.e2, self.e3
-        return -4 * (e1 * e2 + e1 * e3 + e2 * e3)
+        return _invariants(self.e1, self.e2)[0]
 
     @property
     def g3(self) -> Fraction:
-        return 4 * self.e1 * self.e2 * self.e3
+        return _invariants(self.e1, self.e2)[1]
 
     @property
     def discriminant(self) -> Fraction:
-        e1, e2, e3 = self.e1, self.e2, self.e3
-        return 16 * (e1 - e2) ** 2 * (e1 - e3) ** 2 * (e2 - e3) ** 2
+        return _invariants(self.e1, self.e2)[2]
 
     @property
     def j(self) -> Fraction:
@@ -129,13 +139,7 @@ def line_partner(s):
 def symbolic_invariants() -> tuple[ParamPoly, ParamPoly, ParamPoly]:
     """(g2, g3, discriminant) as polynomials in (e1, e2), e3 eliminated."""
     params = ("e1", "e2")
-    e1 = ParamPoly.var(params, "e1")
-    e2 = ParamPoly.var(params, "e2")
-    e3 = -(e1 + e2)
-    g2 = (e1 * e2 + e1 * e3 + e2 * e3) * -4
-    g3 = e1 * e2 * e3 * 4
-    disc = ((e1 - e2) ** 2) * ((e1 - e3) ** 2) * ((e2 - e3) ** 2) * 16
-    return g2, g3, disc
+    return _invariants(ParamPoly.var(params, "e1"), ParamPoly.var(params, "e2"))
 
 
 def rescale(family: FamilySpec, lam2) -> FamilySpec:
@@ -148,37 +152,24 @@ def rescale(family: FamilySpec, lam2) -> FamilySpec:
     if lam2 == 0:
         raise LiefamError("rescaling factor must be nonzero")
 
-    def conv(terms):
-        out = []
-        for t in terms:
-            if t.shift % 2:
-                raise OddShiftNotRescalable(
-                    f"shift {t.shift} in {family.name} needs a square root"
-                )
-            factor = lam2 ** (-t.shift // 2)
-            out.append(RuleTerm(t.shift, t.a * factor, t.b * factor, t.d * factor))
-        return tuple(out)
+    def scale(key, shift, p):
+        if shift % 2:
+            raise OddShiftNotRescalable(
+                f"shift {shift} in {family.name} needs a square root"
+            )
+        return p * lam2 ** (-shift // 2)
 
     central = family.central
-    if central is not None and not central.is_zero:
-        from .algebra import CentralDelta, CentralTable
+    if isinstance(central, CentralTable) and not central.is_zero:
+        entries = {}
+        for (n, m), v in central.entries.items():
+            if (n + m) % 2:
+                raise OddShiftNotRescalable(
+                    f"central support at odd total degree {n + m}"
+                )
+            entries[(n, m)] = v * lam2 ** ((n + m) // 2)
+        central = CentralTable(entries, central.lo, central.hi)
+    # a delta rule sits at total degree 0 and is unchanged
 
-        if isinstance(central, CentralTable):
-            entries = {}
-            for (n, m), v in central.entries.items():
-                if (n + m) % 2:
-                    raise OddShiftNotRescalable(
-                        f"central support at odd total degree {n + m}"
-                    )
-                entries[(n, m)] = v * lam2 ** ((n + m) // 2)
-            central = CentralTable(entries, central.lo, central.hi)
-        # a delta rule sits at total degree 0 and is unchanged
-
-    return FamilySpec(
-        name=f"{family.name}~lam2={rat_str(lam2)}",
-        params=family.params,
-        rule={cls: conv(ts) for cls, ts in family.rule.items()},
-        exceptional={n: conv(ts) for n, ts in family.exceptional.items()},
-        lower_bound=family.lower_bound,
-        central=central,
-    )
+    name = f"{family.name}~lam2={rat_str(lam2)}"
+    return replace(map_coefficients(family, scale, family.params, name), central=central)

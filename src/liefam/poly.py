@@ -291,11 +291,3 @@ class ParamPoly:
         if isinstance(data, (str, int)):
             return cls.const(params, rat(data))
         return cls.from_terms(params, ((tuple(e), rat(c)) for c, e in data))
-
-
-def poly_const(params, value) -> ParamPoly:
-    return ParamPoly.const(tuple(params), value)
-
-
-def poly_var(params, name) -> ParamPoly:
-    return ParamPoly.var(tuple(params), name)

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .algebra import (
     FamilySpec,
     LieElement,
-    RuleTerm,
     abelianization_codim,
     bracket,
+    map_coefficients,
     specialize,
     verify_jacobi,
 )
@@ -124,31 +124,24 @@ NAMED_COCYCLES = ("ds-order1", "dinf-order2", "w1-order1", "beta1", "beta2", "be
 def corrupted_elliptic() -> FamilySpec:
     """Elliptic family with the even-even shift -2 coefficient 3e1 -> 2e1."""
     fam = elliptic()
-    factor = Fraction(2, 3)
-    terms = tuple(
-        RuleTerm(t.shift, t.a * factor, t.b * factor, t.d * factor)
-        if t.shift == -2
-        else t
-        for t in fam.rule["even-even"]
-    )
-    rule = dict(fam.rule)
-    rule["even-even"] = terms
-    return FamilySpec(name="elliptic|corrupted", params=fam.params, rule=rule)
+
+    def corrupt(key, shift, p):
+        return p * Fraction(2, 3) if (key, shift) == ("even-even", -2) else p
+
+    return map_coefficients(fam, corrupt, fam.params, "elliptic|corrupted")
 
 
 def sign_flipped(cochain: Cochain) -> Cochain:
     """Pair-rule cochain with the sign of its odd-even terms flipped."""
     spec = cochain.rule.spec
-    rule = dict(spec.rule)
-    rule["odd-even"] = tuple(
-        RuleTerm(t.shift, -t.a, -t.b, -t.d) for t in rule.get("odd-even", ())
-    )
-    flipped = FamilySpec(
-        name=spec.name + "|sign-flip",
-        params=spec.params,
-        rule=rule,
-        exceptional=spec.exceptional,
-        lower_bound=spec.lower_bound,
+    flipped = replace(
+        map_coefficients(
+            spec,
+            lambda key, shift, p: -p if key == "odd-even" else p,
+            spec.params,
+            spec.name + "|sign-flip",
+        ),
+        central=None,
     )
     return Cochain(
         2, "adjoint", cochain.weight, cochain.params, PairRule(flipped),

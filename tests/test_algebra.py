@@ -7,14 +7,13 @@ import pytest
 
 from liefam.algebra import (
     CENTRAL,
-    FamilySpec,
     LieElement,
-    RuleTerm,
     abelianization_codim,
     basis_bracket,
     bracket,
     grading_bounds,
     jacobiator,
+    map_coefficients,
     specialize,
     verify_jacobi,
 )
@@ -35,6 +34,7 @@ from liefam.families import (
     witt,
 )
 from liefam.poly import ParamPoly
+from liefam.suite import corrupted_elliptic
 
 
 def test_witt_brackets():
@@ -104,19 +104,6 @@ def test_jacobiator_examples():
     assert jacobiator(witt(), 1, 2, 3).is_zero
     assert jacobiator(elliptic(), 1, 2, 4).is_zero
     assert jacobiator(virasoro(), 2, -3, 1).is_zero
-
-
-def corrupted_elliptic():
-    fam = elliptic()
-    factor = Fraction(2, 3)  # turns the shift -2 coefficient 3*e1 into 2*e1
-    rule = dict(fam.rule)
-    rule["even-even"] = tuple(
-        RuleTerm(t.shift, t.a * factor, t.b * factor, t.d * factor)
-        if t.shift == -2
-        else t
-        for t in rule["even-even"]
-    )
-    return FamilySpec(name="elliptic|bad", params=fam.params, rule=rule)
 
 
 def test_corrupted_family_fails_jacobi():
@@ -192,6 +179,25 @@ def test_specialize_commutes_with_bracket():
             (), [(k, c.evaluate(point)) for k, c in symbolic.components.items()]
         )
         assert via_rule == evaluated
+
+
+def test_map_coefficients_keys_zero_terms_and_kept_fields():
+    f2 = formal_family(2)
+    copy = map_coefficients(f2, lambda key, shift, p: p, f2.params, "copy")
+    assert copy.name == "copy" and copy.rule_signature() == f2.rule_signature()
+    seen = set()
+
+    def cut_shift_1(key, shift, p):
+        seen.add(key)
+        return p * 0 if shift == -1 else p
+
+    cut = map_coefficients(f2, cut_shift_1, f2.params, "cut")
+    # rows are keyed by parity class or by the exceptional index
+    assert seen == {"odd-odd", "even-even", "odd-even", 1}
+    assert [t.shift for t in cut.exceptional[1]] == [0]
+    assert cut.lower_bound == 1
+    vir = virasoro()
+    assert map_coefficients(vir, lambda key, shift, p: p, (), "v").central == vir.central
 
 
 def test_out_of_domain_errors():

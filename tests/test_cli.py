@@ -197,6 +197,23 @@ def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
              "--window", "-5..0"],
             "no index of the window lies in the domain of l1",
         ),
+        (
+            ["verify-geometry", "--family", "three-point", "--params", "alpha2=1",
+             "--window", "1..4"],
+            "the three-point oracle works over the parameters ['alpha2'], but "
+            "three-point|alpha2=1 is over []; check the unspecialized family "
+            "three-point instead",
+        ),
+        (
+            ["verify-geometry", "--family", "elliptic", "--params", "e1=1,e2=2"],
+            "the elliptic oracle works over the parameters ['e1', 'e2'], but "
+            "elliptic|e1=1,e2=2 is over []; check the unspecialized family "
+            "elliptic instead",
+        ),
+        (
+            ["verify-geometry", "--family", "elliptic", "--samples", "2483"],
+            "asked for 2483 sample points; the draw grid has only 2482 smooth ones",
+        ),
     ],
 )
 def test_inputs_the_toolkit_rejects_exit_2(capsys, argv, message):

@@ -1,11 +1,13 @@
 """Catalog constructors reproduce the closed-form structure equations."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from liefam.algebra import basis_bracket, specialize, verify_jacobi
+from liefam.cli import main
 from liefam.errors import UnsupportedFamily
 from liefam.families import (
     CATALOG,
@@ -155,3 +157,34 @@ def test_virasoro_values_on_the_diagonal():
             assert got.is_zero
             continue
         assert got.coefficient("c") == expected
+
+
+#: SHA-256 of the stdout of `liefam --json families dump --family <entry>`
+#: for every catalog entry, recorded from the hand-typed constructors that
+#: the derived ones (one builder, substitution into elliptic) replaced.
+CATALOG_DUMP_SHA256 = {
+    "d-infinity": "d1dc6dda2d212627e92fe5dd3af823d6f0b868013b49fb78255139f4a87003d7",
+    "d-line --s 0": "f88a06d36488e734a557d9cfef510feb42938b8bd901bae6a707ac0b3719ec87",
+    "d-line --s 3": "661b59288eebdcb0856527a8ddd6e8589a796f400fed38f1f1cced2fff57b4f6",
+    "d-line --s -1/2": "829822993167b838d8c6fc176371a248e012f9590c21e8402db39e6a1eae7ed3",
+    "d-line --s 1": "eb2e5400c74ccb05dae9a7f035f556e206503c5f82e3104ca1b9fd4d880e7f43",
+    "d-line --s -2": "8fc6fa9b201694003c852d99d1ea1f822bad712dc2eef969352b996cf439447b",
+    "d-line --s 5/7": "f5dda523d2dc67505226a29fe7bb31729f40dcd91f557f8c78446b0f86553c51",
+    "elliptic": "87e1cc77c936f1958904d7fbc1c12db5bcb7f56d0440293b3774fa17ea046260",
+    "formal-1": "be3fea09526e07a2cb61044766f661b131e03853e934dbd88a662c20ddead17d",
+    "formal-2": "655155475e7587bc143372ecd5bc863e6f0107599a1d18902ee494ec03c20dc5",
+    "formal-3": "5c16d3958258e9d64ad30064b955d6a889484303c8fe423dc236309d044e7699",
+    "l1": "f748b8b147f67da0e9a56427191388817700efa41b18de7306b7c4ed813e5bcd",
+    "nodal": "ab4cb1014b7c6aa36ee0bd9cac1f207635ac680df570b4966c68071d554328d0",
+    "three-point": "eeab01117c96948867529f865b487a7fe11e335d6910ec71b04934f5c82a7dd6",
+    "virasoro": "23b05c3349dad748971a4d44496bb5d419e37d777a47531f4ca9fcee4a9f343c",
+    "w1": "6559497d1d52ab45c3b6d0d04a2decc83a906cb5200a067c717fb4f922ce9987",
+    "witt": "a4a2f8614abbc334215501d81fc18daf3fbc492477be632ed3e729ee08b4dec7",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CATALOG_DUMP_SHA256))
+def test_catalog_dump_is_pinned(capsys, entry):
+    assert main(["--json", "families", "dump", "--family", *entry.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DUMP_SHA256[entry]

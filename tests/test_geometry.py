@@ -9,6 +9,7 @@ from liefam.algebra import FamilySpec, RuleTerm, specialize
 from liefam.errors import UnsupportedFamily
 from liefam.families import elliptic, nodal, three_point, w1_subalgebra, witt
 from liefam.geometry import (
+    SMOOTH_GRID_POINTS,
     FactoredLaurent,
     LaurentPoly,
     Poly,
@@ -152,6 +153,9 @@ def test_random_smooth_points_are_distinct_roots():
     for a, b in random_smooth_points(12, 3):
         c = -a - b
         assert a != b and a != c and b != c
+    grid = {Fraction(p, q) for p in range(-9, 10) for q in range(1, 5)}
+    smooth = [(a, b) for a in grid for b in grid if len({a, b, -a - b}) == 3]
+    assert len(smooth) == SMOOTH_GRID_POINTS
 
 
 def test_realize_rejects_unknown():
