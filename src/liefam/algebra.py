@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     MissingParameter,
@@ -27,12 +28,6 @@ from .poly import ParamPoly, rat, rat_str
 CENTRAL = "c"
 
 PARITY_CLASSES = ("odd-odd", "even-even", "odd-even")
-
-
-def parity_class(n: int, m: int) -> str:
-    if n % 2:
-        return "odd-odd" if m % 2 else "odd-even"
-    return "odd-even" if m % 2 else "even-even"
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +241,26 @@ def family_from_json(data: dict) -> FamilySpec:
     )
 
 
+def _pair_row(family: FamilySpec, n, m, odd_n: bool, odd_m: bool, n_first: bool):
+    """(sign, terms, args): the rule row that states [v_n, v_m], and how.
+
+    The row of an exceptional first index wins, then that of an
+    exceptional second index; otherwise the parity class decides.  A row
+    is stated for one orientation of the pair, `args`: odd index first in
+    the odd-even class, the smaller index first (`n_first`) within a
+    parity class, and `sign` is -1 when that orientation swaps n and m.
+    """
+    if n in family.exceptional:
+        return 1, family.exceptional[n], (n, m)
+    if m in family.exceptional:
+        return -1, family.exceptional[m], (m, n)
+    if odd_n != odd_m:
+        terms = family.rule.get("odd-even", ())
+        return (1, terms, (n, m)) if odd_n else (-1, terms, (m, n))
+    terms = family.rule.get("odd-odd" if odd_n else "even-even", ())
+    return (1, terms, (n, m)) if n_first else (-1, terms, (m, n))
+
+
 def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
     """Vector components of [v_n, v_m] as a list of (index, coefficient).
 
@@ -255,17 +270,7 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
     """
     if n == m:
         return []
-    if n in family.exceptional:
-        sign, terms, args = 1, family.exceptional[n], (n, m)
-    elif m in family.exceptional:
-        sign, terms, args = -1, family.exceptional[m], (m, n)
-    else:
-        cls = parity_class(n, m)
-        terms = family.rule.get(cls, ())
-        if cls == "odd-even":
-            sign, args = (1, (n, m)) if n % 2 else (-1, (m, n))
-        else:
-            sign, args = (1, (n, m)) if n < m else (-1, (m, n))
+    sign, terms, args = _pair_row(family, n, m, n % 2 == 1, m % 2 == 1, n < m)
     out = {}
     for t in terms:
         coeff = t.coefficient(*args)
@@ -282,6 +287,175 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
         acc = out.get(idx)
         out[idx] = coeff if acc is None else acc + coeff
     return [(idx, c) for idx, c in out.items() if not c.is_zero]
+
+
+# ---------------------------------------------------------------------------
+# index-symbolic evaluation
+# ---------------------------------------------------------------------------
+
+#: Index variables of the symbolic proofs.  A basis key is then an index
+#: form (cn, cm, ck, c), standing for cn*n + cm*m + ck*k + c.
+INDEX_VARS = ("n", "m", "k")
+INDEX_FORMS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def _form_parity(form, parity) -> bool:
+    """Whether the form is odd when (n, m, k) has the parities `parity` (1 = odd)."""
+    return (sum(c * p for c, p in zip(form, parity)) + form[3]) % 2 == 1
+
+
+def _form_poly(ring, form) -> ParamPoly:
+    """The form as a polynomial over `ring`, whose last variables are n, m, k."""
+    base = len(ring) - len(INDEX_VARS)
+    terms = {}
+    for i, c in enumerate(form[:3]):
+        if c:
+            exps = [0] * len(ring)
+            exps[base + i] = 1
+            terms[tuple(exps)] = Fraction(c)
+    if form[3]:
+        terms[(0,) * len(ring)] = Fraction(form[3])
+    return ParamPoly(ring, terms)
+
+
+def _form_sum(x, y, shift=0):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3] + shift)
+
+
+def symbolic_pair_rule(family: FamilySpec, x, y, parity):
+    """[v_x, v_y] term by term, for index forms x and y of one parity pattern.
+
+    `family` must be over a ring that ends with INDEX_VARS (see
+    `index_family`), and `parity` gives the parities of (n, m, k), 1 for
+    odd.  The row and its orientation are chosen as `evaluate_pair_rule`
+    chooses them, with two differences that make the result the integer
+    one only at generic keys: a form is never an exceptional index, and a
+    same-parity row is taken in the orientation (x, y), which agrees with
+    the integer rule on both sides of x = y exactly when the row is
+    antisymmetric (a = -b, d = 0).  Returns one (x + y + shift,
+    coefficient in Q[params, n, m, k]) pair per term of the row, zero
+    coefficients included, so that a caller sees every index the row can
+    reach.
+    """
+    sign, terms, args = _pair_row(
+        family, x, y, _form_parity(x, parity), _form_parity(y, parity), True
+    )
+    first, second = (_form_poly(family.params, f) for f in args)
+    out = []
+    for t in terms:
+        coeff = t.coefficient(first, second)
+        out.append((_form_sum(x, y, t.shift), coeff if sign > 0 else -coeff))
+    return out
+
+
+def index_family(family: FamilySpec) -> FamilySpec | None:
+    """The family over Q[params, n, m, k], or None when no proof applies.
+
+    Index-symbolic proofs need every same-parity row to be antisymmetric
+    as a polynomial (a = -b, d = 0), parameter names apart from the
+    index variables, and no central table (its values are not polynomial
+    in the indices, and it raises outside its range).
+    """
+    if set(INDEX_VARS) & set(family.params) or isinstance(family.central, CentralTable):
+        return None
+    for cls in ("odd-odd", "even-even"):
+        for t in family.rule.get(cls, ()):
+            if not (t.d.is_zero and (t.a + t.b).is_zero):
+                return None
+    ring = family.params + INDEX_VARS
+    return map_coefficients(
+        family, lambda key, shift, p: p.lift(ring), ring, family.name
+    )
+
+
+class _Boundary:
+    """Where a triple of one parity pattern stops being generic.
+
+    Each entry (form, forbidden, lower) says that the symbolic evaluation
+    is the integer one only where the form's value avoids the set
+    `forbidden` and is at least `lower` (None: no bound).
+    """
+
+    def __init__(self):
+        self.entries = set()
+
+    def key(self, family: FamilySpec, form):
+        """The form is a basis key of `family`: not exceptional, in the domain."""
+        self.entries.add((form, frozenset(family.exceptional), family.lower_bound))
+
+    def nonzero(self, form):
+        self.entries.add((form, frozenset((0,)), None))
+
+    def pair(self, family: FamilySpec, x, y, parity):
+        """`symbolic_pair_rule` with its keys recorded and zero terms dropped."""
+        self.key(family, x)
+        self.key(family, y)
+        out = []
+        for key, coeff in symbolic_pair_rule(family, x, y, parity):
+            self.key(family, key)
+            if not coeff.is_zero:
+                out.append((key, coeff))
+        return out
+
+    def within(self, indices):
+        """The entries that some increasing triple of `indices` can violate."""
+        boxes = list(zip(indices[:3], indices[-3:]))  # ranges of n < m < k
+        kept = []
+        for form, forbidden, lower in self.entries:
+            lo = hi = form[3]
+            for c, (a, b) in zip(form, boxes):
+                lo += c * (a if c > 0 else b)
+                hi += c * (b if c > 0 else a)
+            if (lower is not None and lo < lower) or any(
+                lo <= v <= hi for v in forbidden
+            ):
+                kept.append((form, forbidden, lower))
+        return tuple(kept)
+
+
+def _accumulate(total: dict, key, coeff: ParamPoly):
+    acc = total.get(key)
+    total[key] = coeff if acc is None else acc + coeff
+
+
+def _generic(triple, entries) -> bool:
+    n, m, k = triple
+    for (cn, cm, ck, c), forbidden, lower in entries:
+        v = cn * n + cm * m + ck * k + c
+        if v in forbidden or (lower is not None and v < lower):
+            return False
+    return True
+
+
+def first_nonzero(indices, arity: int, prove, value):
+    """(checked, tuple, value) at the first nonzero value(*tuple).
+
+    Tuples run over `itertools.combinations(indices, arity)`.  With
+    `prove` given (arity 3 only), `prove(parity, boundary)` decides
+    whether the identity holds identically in (n, m, k) of a parity
+    pattern, recording in the `_Boundary` where its symbolic evaluation
+    stops being the integer one; it runs once per pattern, when the first
+    triple of that pattern comes up.  A triple of a settled pattern that
+    violates no boundary entry is counted but not evaluated.  The tuple
+    is None when every value vanishes.
+    """
+    settled = {}  # parity pattern -> boundary entries, or None if not settled
+    checked = 0
+    for tup in itertools.combinations(indices, arity):
+        checked += 1
+        if prove is not None:
+            parity = tuple(i % 2 for i in tup)
+            if parity not in settled:
+                boundary = _Boundary()
+                proved = prove(parity, boundary)
+                settled[parity] = boundary.within(indices) if proved else None
+            entries = settled[parity]
+            if entries is not None and _generic(tup, entries):
+                continue
+        v = value(*tup)
+        if not v.is_zero:
+            return checked, tup, v
+    return checked, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -520,28 +694,52 @@ def _require_window(family: FamilySpec, window, minimum=8):
     return sorted(window)
 
 
+def _jacobi_vanishes(family: FamilySpec, parity, boundary) -> bool:
+    """The Jacobiator of `_cached_jacobiator` at the index forms is zero."""
+    central = family.central is not None and not family.central.is_zero
+    total = {}
+    n, m, k = INDEX_FORMS
+    for a, b, c in ((n, m, k), (m, k, n), (k, n, m)):
+        for key, coeff in boundary.pair(family, a, b, parity):
+            if central:
+                boundary.nonzero(_form_sum(key, c))  # the central delta's support
+            for out, outer in boundary.pair(family, key, c, parity):
+                _accumulate(total, out, coeff * outer)
+    return all(p.is_zero for p in total.values())
+
+
 def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     """Certify the Jacobi identity on every index triple in the window.
 
-    Rule coefficients are affine in the pair indices, so each Jacobiator
-    component is, per parity class of (n, m, k), a polynomial of total
-    degree <= 2 in the indices; vanishing on a grid with >= 3 distinct
-    values per variable and class then certifies identical vanishing.
-    The window is required to supply >= 8 values per parity class.
+    Rule coefficients are affine in the pair indices, so for each of the
+    8 parity patterns of (n, m, k) the Jacobiator is one polynomial in
+    index variables n, m, k over Q[params].  It is computed once per
+    pattern with `symbolic_pair_rule`; where it vanishes identically,
+    Jacobi holds at every generic triple of that pattern, and only the
+    other triples of the window are evaluated: those where an index, or
+    an index a bracket of two of them produces, is exceptional or below
+    the basis bound, and those on a hyperplane n + m + k = -shift where a
+    central delta can contribute.  A pattern whose polynomial is not zero
+    is enumerated triple by triple, as is every triple when a same-parity
+    row is not antisymmetric or the central rule is a table; the first
+    witness is the first failing triple in `itertools.combinations`
+    order either way.  The window is required to supply >= 8 values per
+    parity class.
     """
     indices = _require_window(family, window)
+    lifted = index_family(family)
+    prove = None if lifted is None else partial(_jacobi_vanishes, lifted)
     cache = _PairCache(family)
-    checked = 0
-    for n, m, k in itertools.combinations(indices, 3):
-        value = _cached_jacobiator(cache, n, m, k)
-        checked += 1
-        if not value.is_zero:
-            return CheckReport(
-                name=f"jacobi:{family.name}",
-                status="FAIL",
-                checked=checked,
-                witness={"triple": [n, m, k], "value": value.to_json()},
-            )
+    checked, triple, value = first_nonzero(
+        indices, 3, prove, lambda n, m, k: _cached_jacobiator(cache, n, m, k)
+    )
+    if triple is not None:
+        return CheckReport(
+            name=f"jacobi:{family.name}",
+            status="FAIL",
+            checked=checked,
+            witness={"triple": list(triple), "value": value.to_json()},
+        )
     return CheckReport(
         name=f"jacobi:{family.name}",
         status="PASS",

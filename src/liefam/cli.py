@@ -29,7 +29,7 @@ from .geometry import LaurentPoly, verify_against_geometry
 from .central import class_independence, locality_bound, pairing_table
 from .moduli import INFINITE_SLOPE, classify_fiber, CurveParams, j_of_line, rescale
 from .poly import rat, rat_str
-from .suite import NAMED_COCYCLES, named_cocycle, run_suite
+from .suite import CRITERIA, NAMED_COCYCLES, named_cocycle, run_suite
 
 
 def parse_window(text: str) -> range:
@@ -504,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     res.set_defaults(handler=cmd_moduli_rescale)
 
     ps = sub.add_parser("paper-suite", help="run the full verification suite")
-    ps.add_argument("--only", type=int, nargs="*", help="criterion numbers")
+    ps.add_argument(
+        "--only", type=int, nargs="*", choices=sorted(CRITERIA), help="criterion numbers"
+    )
     ps.add_argument("--seed", type=int, default=1, help="sample-point seed")
     ps.set_defaults(handler=cmd_paper_suite)
 

@@ -669,15 +669,16 @@ def random_smooth_points(count: int, seed: int):
             f"{SMOOTH_GRID_POINTS} smooth ones"
         )
     rng = random.Random(seed)
-    out = []
+    out, seen = [], set()
     while len(out) < count:
         e1 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         e2 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         e3 = -e1 - e2
         if e1 == e2 or e1 == e3 or e2 == e3:
             continue
-        if (e1, e2) in out:
+        if (e1, e2) in seen:
             continue
+        seen.add((e1, e2))
         out.append((e1, e2))
     return out
 

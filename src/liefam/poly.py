@@ -155,14 +155,15 @@ class ParamPoly:
     def __pow__(self, exponent: int) -> "ParamPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers")
-        result = ParamPoly.const(self.params, 1)
+        result = None
         base = self
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if exponent:
+                base = base * base
+        return ParamPoly.const(self.params, 1) if result is None else result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
@@ -207,7 +208,9 @@ class ParamPoly:
             for name, e in zip(self.params, exps):
                 if not e:
                     continue
-                factor = images.get(name, ParamPoly.var(self.params, name))
+                factor = images.get(name)
+                if factor is None:
+                    factor = ParamPoly.var(self.params, name)
                 term = term * factor**e
             result = result + term
         return result

@@ -1,22 +1,36 @@
 """Bracket engine: antisymmetry, Jacobi certification, specialization."""
 
+import hashlib
+import itertools
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefam.algebra import (
     CENTRAL,
+    PARITY_CLASSES,
+    CentralDelta,
+    CentralTable,
+    FamilySpec,
     LieElement,
+    RuleTerm,
     abelianization_codim,
     basis_bracket,
     bracket,
     grading_bounds,
+    index_family,
     jacobiator,
     map_coefficients,
+    restricted,
     specialize,
     verify_jacobi,
 )
+from liefam.cohomology import Cochain, PairRule, differential, is_cocycle
 from liefam.errors import (
     MissingParameter,
     OutOfDomainIndex,
@@ -24,17 +38,19 @@ from liefam.errors import (
     WindowTooSmall,
 )
 from liefam.families import (
+    d_infinity,
     d_line,
     elliptic,
     formal_family,
     l1_subalgebra,
+    nodal,
     three_point,
     virasoro,
     w1_subalgebra,
     witt,
 )
 from liefam.poly import ParamPoly
-from liefam.suite import corrupted_elliptic
+from liefam.suite import NAMED_COCYCLES, corrupted_elliptic, named_cocycle, sign_flipped
 
 
 def test_witt_brackets():
@@ -262,3 +278,315 @@ def test_family_json_round_trip():
     for n in range(-6, 7):
         for m in range(-6, 7):
             assert back.central.value(n, m) == extended.central.value(n, m)
+
+
+# ---------------------------------------------------------------------------
+# the index-symbolic proofs against plain enumeration
+# ---------------------------------------------------------------------------
+
+
+def enumerated_jacobi(family, window):
+    """verify_jacobi's report JSON by plain enumeration with the uncached jacobiator."""
+    indices = sorted(n for n in window if family.in_domain(n))
+    name = f"jacobi:{family.name}"
+    checked = 0
+    for n, m, k in itertools.combinations(indices, 3):
+        checked += 1
+        value = jacobiator(family, n, m, k)
+        if not value.is_zero:
+            witness = {"triple": [n, m, k], "value": value.to_json()}
+            return {"check": name, "status": "FAIL", "checked": checked, "witness": witness}
+    grid = {"odd": sum(n % 2 for n in indices), "even": sum(1 - n % 2 for n in indices)}
+    certificate = {
+        "window": [indices[0], indices[-1]], "degree_bound": 2, "grid_per_parity": grid
+    }
+    return {"check": name, "status": "PASS", "checked": checked, "certificate": certificate}
+
+
+def enumerated_cocycle(algebra, cochain, window):
+    """is_cocycle's report JSON by plain enumeration of the differential."""
+    indices = sorted(n for n in window if algebra.in_domain(n))
+    d = differential(algebra, cochain)
+    name = f"cocycle:{cochain.label or 'cochain'}"
+    checked = 0
+    for tup in itertools.combinations(indices, 3):
+        checked += 1
+        value = d.value(*tup)
+        if not value.is_zero:
+            witness = {"tuple": list(tup), "value": value.to_json()}
+            return {"check": name, "status": "FAIL", "checked": checked, "witness": witness}
+    certificate = {"window": [indices[0], indices[-1]], "degree_bound": 2}
+    return {"check": name, "status": "PASS", "checked": checked, "certificate": certificate}
+
+
+def outcome(report, *args):
+    """The report's JSON, or the out-of-domain error it raises."""
+    try:
+        got = report(*args)
+    except OutOfDomainIndex as exc:
+        return ("OutOfDomainIndex", str(exc))
+    return got if isinstance(got, dict) else got.to_json()
+
+
+_RATIONALS = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 2, 3)] + [Fraction(1, 2)])
+
+
+@st.composite
+def coefficients(draw, params):
+    """A nonzero rational, or a rational plus a rational multiple of the parameter."""
+    c = ParamPoly.const(params, draw(_RATIONALS))
+    if params and draw(st.booleans()):
+        c = c + ParamPoly.var(params, params[0]) * draw(_RATIONALS)
+    return c
+
+
+@st.composite
+def rows(draw, params, same_parity):
+    """Terms at one or two shifts; same-parity rows mostly antisymmetric."""
+    zero = ParamPoly.const(params, 0)
+    out = []
+    shifts = st.lists(st.sampled_from([0, -1, -2, -3]), min_size=1, max_size=2, unique=True)
+    for shift in draw(shifts):
+        f = draw(coefficients(params))
+        if same_parity and draw(st.integers(0, 2)):
+            out.append(RuleTerm(shift, -f, f, zero))
+        else:
+            b, d = draw(coefficients(params)), draw(coefficients(params))
+            out.append(RuleTerm(shift, -f, b, d))
+    return tuple(out)
+
+
+def _scale_one_term(draw, fam):
+    rows_by_key = {**fam.rule, **fam.exceptional}
+    keys = [(key, t.shift) for key, ts in rows_by_key.items() for t in ts]
+    if not keys:
+        return fam
+    target = draw(st.sampled_from(keys))
+    factor = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-1, 2)]))
+    return map_coefficients(
+        fam, lambda key, shift, p: p * factor if (key, shift) == target else p,
+        fam.params, fam.name + "|scaled",
+    )
+
+
+def _shift_constant(draw, fam):
+    """Add a constant d to a same-parity term: the row stops being antisymmetric."""
+    cls = draw(st.sampled_from(["odd-odd", "even-even"]))
+    terms = fam.rule.get(cls, ())
+    if not terms:
+        return fam
+    t = terms[0]
+    bumped = RuleTerm(t.shift, t.a, t.b, t.d + draw(coefficients(fam.params)))
+    rule = {**fam.rule, cls: (bumped,) + terms[1:]}
+    return replace(fam, rule=rule, name=fam.name + "|d")
+
+
+def _random_row(draw, fam):
+    cls = draw(st.sampled_from(["odd-odd", "even-even", "odd-even"]))
+    rule = {**fam.rule, cls: draw(rows(fam.params, cls != "odd-even"))}
+    return replace(fam, rule=rule, name=fam.name + "|row")
+
+
+def _exceptional_row(draw, fam):
+    lo = fam.lower_bound if fam.lower_bound is not None else -3
+    index = draw(st.integers(lo, lo + 4))
+    zero, one = ParamPoly.const(fam.params, 0), ParamPoly.const(fam.params, 1)
+    row = (RuleTerm(0, -one, one, zero),)  # the Witt row, (m - n) v_{n+m}
+    if draw(st.booleans()):
+        row += (RuleTerm(-1, zero, draw(coefficients(fam.params)), zero),)
+    exceptional = {**fam.exceptional, index: row}
+    return replace(fam, exceptional=exceptional, name=fam.name + "|exc")
+
+
+def _lower_bound_1(draw, fam):
+    return restricted(fam, 1)
+
+
+def _central_delta(draw, fam):
+    # a m^3 + b m is a 2-cocycle of the Witt algebra; an m^2 term is not
+    a, b, c = draw(_RATIONALS), draw(_RATIONALS), draw(st.sampled_from([0, 0, 1]))
+    central = CentralDelta((Fraction(0), b, Fraction(c), a))
+    return replace(fam, central=central, name=fam.name + "|c")
+
+
+def _central_table(draw, fam):
+    """A table off the central delta's support, over a range that may be too short."""
+    lo, hi = draw(st.sampled_from([(-60, 60), (-4, 20)]))
+    pairs = st.tuples(st.integers(-3, 6), st.integers(1, 4)).map(lambda p: (p[0], sum(p)))
+    entries = {pair: draw(_RATIONALS) for pair in draw(st.lists(pairs, max_size=2))}
+    return replace(fam, central=CentralTable(entries, lo, hi), name=fam.name + "|table")
+
+
+def shifted_witt(shift):
+    """(m - n)(v_{n+m} + t v_{n+m+shift}): the fields z^(n+1) (1 + t z^shift) d/dz."""
+    params = ("t",)
+    zero, one, t = (ParamPoly.const(params, 0), ParamPoly.const(params, 1),
+                    ParamPoly.var(params, "t"))
+    row = (RuleTerm(0, -one, one, zero), RuleTerm(shift, -t, t, zero))
+    rule = {cls: row for cls in PARITY_CLASSES}
+    return FamilySpec(f"shifted-witt({shift})", params, rule)
+
+
+EDITS = (_scale_one_term, _shift_constant, _random_row, _exceptional_row, _lower_bound_1,
+         _central_delta, _central_table)
+BASES = (witt, virasoro, three_point, nodal, l1_subalgebra, w1_subalgebra,
+         lambda: formal_family(2), lambda: formal_family(3), lambda: shifted_witt(-3))
+
+
+def edited(draw, fam, edits=EDITS):
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=2)):
+        fam = edit(draw, fam)
+    return fam
+
+
+def windows(draw, fam):
+    if fam.lower_bound is not None:
+        return range(fam.lower_bound, fam.lower_bound + draw(st.sampled_from([16, 17])))
+    lo = draw(st.integers(-9, -7))
+    return range(lo, lo + 16)
+
+
+def test_index_family_preconditions():
+    assert index_family(elliptic()).params == ("e1", "e2", "n", "m", "k")
+    # odd-even rows may be anything; a same-parity row must be antisymmetric
+    assert index_family(three_point()) is not None
+    w = witt()
+    (t,) = w.rule["even-even"]
+    bumped = replace(w, rule={**w.rule, "even-even": (RuleTerm(0, t.a, t.b, t.d + 1),)})
+    assert index_family(bumped) is None
+    skewed = replace(w, rule={**w.rule, "odd-odd": (RuleTerm(t.shift, t.a, t.b * 2, t.d),)})
+    assert index_family(skewed) is None
+    table = CentralTable({(1, 2): Fraction(1)}, -9, 9)
+    assert index_family(replace(w, central=table)) is None
+    clash = FamilySpec("clash", ("n",), {cls: () for cls in PARITY_CLASSES})
+    assert index_family(clash) is None
+    assert verify_jacobi(shifted_witt(-3), range(-8, 9)).passed
+    with pytest.raises(OutOfDomainIndex):  # [v_1, v_2] = v_3 + t v_0 leaves n >= 1
+        verify_jacobi(restricted(shifted_witt(-3), 1), range(1, 17))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_verify_jacobi_equals_plain_enumeration(data):
+    fam = edited(data.draw, data.draw(st.sampled_from(BASES))())
+    window = windows(data.draw, fam)
+    assert outcome(verify_jacobi, fam, window) == outcome(enumerated_jacobi, fam, window)
+
+
+def test_boundary_triples_are_evaluated():
+    # p(m) = m^2 is not a 2-cocycle: Jacobi fails only on n + m + k = 0
+    skew = replace(witt(), central=CentralDelta((Fraction(0), Fraction(0), Fraction(1))),
+                   name="witt|m^2")
+    report = verify_jacobi(skew, range(-8, 8))
+    assert report.status == "FAIL" and sum(report.witness["triple"]) == 0
+    assert report.to_json() == enumerated_jacobi(skew, range(-8, 8))
+    # the central delta of the virasoro algebra also touches d2 there
+    _, omega = named_cocycle("ds-order1")
+    report = is_cocycle(virasoro(), omega, range(-8, 8))
+    assert report.to_json() == enumerated_cocycle(virasoro(), omega, range(-8, 8))
+
+
+@st.composite
+def pair_rule_cocycles(draw):
+    """(algebra, adjoint PairRule 2-cochain): a named cocycle or the bracket, edited."""
+    if draw(st.booleans()):
+        algebra, cochain = named_cocycle(draw(st.sampled_from(NAMED_COCYCLES)))
+        spec = cochain.rule.spec
+        if algebra.lower_bound is None and draw(st.booleans()):
+            algebra = virasoro()  # its central delta touches d2
+    else:
+        algebra = draw(st.sampled_from((witt, virasoro, three_point, l1_subalgebra,
+                                        w1_subalgebra, lambda: formal_family(2))))()
+        spec = replace(algebra, central=None, name=algebra.name + "|bracket")
+    edits = (_scale_one_term, _shift_constant, _random_row, _exceptional_row)
+    spec = edited(draw, spec, edits)
+    cochain = Cochain(2, "adjoint", None, algebra.params, PairRule(spec), label=spec.name)
+    return algebra, cochain
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_rule_cocycles(), st.data())
+def test_is_cocycle_equals_plain_enumeration(case, data):
+    algebra, cochain = case
+    window = windows(data.draw, algebra)
+    assert outcome(is_cocycle, algebra, cochain, window) == outcome(
+        enumerated_cocycle, algebra, cochain, window
+    )
+
+
+#: SHA-256 of the sorted report JSON, recorded when every triple was
+#: enumerated; window "a" is -8..8 (1..16 with an index bound), "b" is
+#: -9..12 (1..23).
+REPORT_PINS = {
+    "jacobi witt a": "5d6790f188ad542934cd490a4de82cff6ba11e4797ccc4f78509c5e59a137337",
+    "jacobi virasoro a": "93b438ec8d06d9eb2f43828c8cd1d58a883ebff0d2836e88c4098fed5c1b3d74",
+    "jacobi elliptic a": "452ca196b3e28da300e0bfc8be59354d7c6afcb22a643b6363d9f638e8b4907e",
+    "jacobi d-infinity a": "edbdf19914b7e48c20cf5005cd4e2cdd6d79b7acf7df131f5d7fd1874be0f1ad",
+    "jacobi three-point a": "6f920d670b15d2a738466f05746715a3ee7b389e3a85726ef554ab2f9a89aa96",
+    "jacobi nodal a": "5af376b38819ac7cb13223cddd1052680d596846440c46b3562e74427fbbf221",
+    "jacobi l1 a": "117aec880049b444d73ac7b66c517e54a330b563fafe611151e1b2d398824cc6",
+    "jacobi w1 a": "60703bc927d57957ad200389b62ec3d19934f1b9e69add62d6687769a96b2947",
+    "jacobi formal-1 a": "a844f870d6588ff6406cd3c525fe1a7bacf6f7fcd19a4746713d204e9742e9ec",
+    "jacobi formal-2 a": "35b485360985a84ab9714bf47e96d950b783537de30ecc9ad8669c989cc8266d",
+    "jacobi formal-3 a": "d056971b60a27a8c21c2716a8aeb535f12fa92e1ea7c664c25bf5f131e158c80",
+    "jacobi d-line(s=0) a": "76c9f0c59fe436a86b017a5c79e3a14468750f76aa426d79bc529e4c5a6a7865",
+    "jacobi d-line(s=1) a": "9a828aedecf68b57c541bf07ce19c7a2f9fe78b7957b682b4fb6b43151ae1e4b",
+    "jacobi d-line(s=-2) a": "51781e1129a78cbe300c783b65091127c6060d0bb4cb3c13c02df07c101c96fb",
+    "jacobi d-line(s=-1/2) a": "4ee918821fc7a2a477e0e37d8f1bef101d52368b9b20b2c3f8a0ac74c83edeb5",
+    "jacobi d-line(s=3) a": "76421f796b3c2a2d7db0132af7106bbf88e3497a60208494e5b2d941f1c81c73",
+    "jacobi elliptic|corrupted a": "5037b3330606cae6a86b95417f8e6995c70c6d67abc135e71993848fc53ac049",
+    "cocycle ds-order1 a": "da5ff87243282c9bd408db618d977bf736b25b319d7c0629af60a850259ef369",
+    "cocycle dinf-order2 a": "d1ee1122722aec134dcd543af502a08f7d11ae91d1faea47b5d6b72c15268c2a",
+    "cocycle w1-order1 a": "c51d8fede453ba333dc369794c597670526348fcaea5665defb6ecfb243f6547",
+    "cocycle beta1 a": "14cea574c3e19341c0c4105cd5a55db9b19fd0054fddb11594e8295ecec94628",
+    "cocycle beta2 a": "b835de2e33bae3b65a54e4ecd5bc3dddf90c64398bc9567e03284f7caff303ff",
+    "cocycle beta3 a": "475917ff92d5cf26be49d466af973f0571ea4bdd8a48b0d159db5a984f8ac6d0",
+    "cocycle sign-flipped ds-order1 a": "de912db99ecd98ae675e41e2601da6a04964026445cd5eedae40571ec3e3c4de",
+    "jacobi witt b": "9de3d08557c09fb8eae42e043325c60e9ed58cdb0ef9636adc6f232f07a9005e",
+    "jacobi virasoro b": "02f8006c21a5db7b365eb6d875d8b0e051a236cef889c0ac9ab71c682a8609ba",
+    "jacobi elliptic b": "1d2efd7b1b5ed3d4ba3ddd2f6bb14cb095f9e9802cb1b75b44c46f1402e49009",
+    "jacobi d-infinity b": "bbf42b40ce82f66d60d173523b6a5aab6c17f7430ce44085b0b4eeeabc7cb868",
+    "jacobi three-point b": "b5f54930505ad37d89b88bc9ea3a06a427b847cc31b9ac9010adee93d37f4223",
+    "jacobi nodal b": "817180bb2848f3825583d5794b2536643b52bd08c4598cbc473e17a7d62bc074",
+    "jacobi l1 b": "ce11e8979208f9fd7439eb4d27a4d2767ea25442e997695c0174e7818c8d4246",
+    "jacobi w1 b": "3798e1f70c37b9945e7c61ffa7d517e1387a10c4ddadecab0bdf285ca909be38",
+    "jacobi formal-1 b": "38904b6579c4eec77fe1b485510872971930977640efebac66c57393f02ad3b2",
+    "jacobi formal-2 b": "f9f6844bb9a9b6f9de407ad1c9f700008bf92ea4f21671ae88a7ff98833b9071",
+    "jacobi formal-3 b": "676b00e01ff526c8e677e1edba0d6913db2cf67cd8ac2fbfb05efff7bad389b2",
+    "jacobi d-line(s=0) b": "0ef1df6a8d5f43c5ff2477d6dde37ee4f3b485f170508305aef6ab215d260483",
+    "jacobi d-line(s=1) b": "016835acbc66ddcdc288836d6272d980188ced2f7ae8d0ae55b494f4309f6eb8",
+    "jacobi d-line(s=-2) b": "1ccf7b23ffa0b718db6f9c5e1339da7298548abecca4e5a976e3a81ebce4db33",
+    "jacobi d-line(s=-1/2) b": "eecc27764a65d18b18f2123b2b481c176e8941567d8f60630c12ec7263bb3bb2",
+    "jacobi d-line(s=3) b": "9771209245f414ba48f7e9dd0c898613ea20cf5d7a7e35c367fb6e962574b948",
+    "jacobi elliptic|corrupted b": "a7422d4297267179b68417ba9c640a4972b2b7221875fc0a727a280fdd52fea9",
+    "cocycle ds-order1 b": "79b611d4836aeffcf19483c9c49fe65763fd7bea1c590371fcaf622e08c6e622",
+    "cocycle dinf-order2 b": "a62a5ac62983ee4d7d49399dcb7d25b7b4f02ba80b46c3f2fe0efc372b867cde",
+    "cocycle w1-order1 b": "dd40fe84d9a1b588ad0108103754c2bfcdb0e68d3e67d40c706cfe8600884c7a",
+    "cocycle beta1 b": "d326c33f910aad8331b716251d896a443dd3138fc406ec11a895b6a6c1d18c17",
+    "cocycle beta2 b": "9cc1af6da57547fc8f66469b8fc11bd59344bbb8c35db48d72a12c2ffad70789",
+    "cocycle beta3 b": "aad0ee6ca709b0068c8cae60002c2d429d6308f47374d714fc0238d636b7226b",
+    "cocycle sign-flipped ds-order1 b": "da542ab3172592080992f2cfc64b5afaf1a5f905dbea3137d955d43988bd62d0",
+}
+PIN_WINDOWS = {"a": (range(-8, 9), range(1, 17)), "b": (range(-9, 13), range(1, 24))}
+
+
+def _digest(report):
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def test_reports_are_pinned():
+    fams = [witt(), virasoro(), elliptic(), d_infinity(), three_point(), nodal(),
+            l1_subalgebra(), w1_subalgebra(), *(formal_family(i) for i in (1, 2, 3)),
+            *(d_line(s) for s in (0, 1, -2, Fraction(-1, 2), 3)), corrupted_elliptic()]
+    cocycles = [(name, *named_cocycle(name)) for name in NAMED_COCYCLES]
+    w, omega = named_cocycle("ds-order1")
+    cocycles.append(("sign-flipped ds-order1", w, sign_flipped(omega)))
+    got = {}
+    for key, (full, low) in PIN_WINDOWS.items():
+        for fam in fams:
+            window = low if fam.lower_bound else full
+            got[f"jacobi {fam.name} {key}"] = _digest(verify_jacobi(fam, window))
+        for name, algebra, cochain in cocycles:
+            window = low if algebra.lower_bound else full
+            got[f"cocycle {name} {key}"] = _digest(is_cocycle(algebra, cochain, window))
+    assert got == REPORT_PINS

@@ -158,6 +158,9 @@ def test_usage_errors_exit_2(capsys):
         (["moduli", "rescale", "--family", "witt", "--lambda2", "1/0"], "--lambda2"),
         (["central", "cocycle", "--R", "1:x"], "--R"),
         (["moduli", "j-line", "--s", "infinity"], "--s"),
+        (["paper-suite", "--only", "0"], "--only"),
+        (["paper-suite", "--only", "7", "12"], "--only"),
+        (["paper-suite", "--only", "x"], "--only"),
     ],
 )
 def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
@@ -248,9 +251,40 @@ _PARAMS = st.lists(
     ),
     max_size=3,
 ).map(",".join)
+# Integer flags: small values, extremes and junk.  Sample counts and the
+# graded-table ends stay small, so every valid call is fast.
+_INT = st.one_of(
+    _JUNK, st.integers(-30, 30).map(str), st.sampled_from(["-1000000", "10**6"])
+)
+_SMALL = st.one_of(_JUNK, st.integers(-3, 4).map(str))
 _ARGV = st.one_of(
     st.builds(lambda w: ["verify-geometry", "--family", "witt", "--samples", "2",
                          "--window", w], _WINDOW),
+    st.builds(
+        lambda fam, n, m: ["bracket", "--family", fam, "--n", n, "--m", m],
+        st.sampled_from(["witt", "virasoro", "elliptic", "l1", "w1", "formal-2"]),
+        _INT,
+        _INT,
+    ),
+    st.builds(
+        lambda fam, k, seed: ["verify-geometry", "--family", fam, "--window", "-2..2",
+                              "--samples", k, "--seed", seed],
+        st.sampled_from(["elliptic", "three-point", "witt"]),
+        _SMALL,
+        _INT,
+    ),
+    st.builds(
+        lambda q, s: ["cohomology", "goncharova", "--qmax", q, "--smax", s],
+        _SMALL,
+        st.one_of(_JUNK, st.integers(-3, 12).map(str)),
+    ),
+    st.builds(
+        lambda c, ansatz, w: ["cohomology", "solve", "--cocycle", c, "--ansatz", ansatz,
+                              "--weight", w, "--window", "1..6"],
+        st.sampled_from(["ds-order1", "beta3", "w1-order1"]),
+        st.sampled_from(["parity-constant", "affine", "per-index"]),
+        _INT,
+    ),
     st.builds(lambda w: ["cohomology", "check", "--cocycle", "ds-order1",
                          "--window", w], _WINDOW),
     st.builds(lambda w: ["central", "locality", "--window", w], _WINDOW),
@@ -266,7 +300,7 @@ _ARGV = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=5000)
+@settings(max_examples=250, deadline=5000)
 @given(_ARGV)
 def test_argv_fuzz_never_raises(argv):
     """Any value of these flags ends in an exit code, never in a traceback."""

@@ -1,5 +1,7 @@
 """The vector-field oracle: realizations, brackets, basis re-expansion."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from liefam.geometry import (
     verify_against_geometry,
     vf_bracket,
 )
-from liefam.poly import ParamPoly
+from liefam.poly import ParamPoly, rat_str
 
 
 def laurent(fl: FactoredLaurent) -> LaurentPoly:
@@ -156,6 +158,18 @@ def test_random_smooth_points_are_distinct_roots():
     grid = {Fraction(p, q) for p in range(-9, 10) for q in range(1, 5)}
     smooth = [(a, b) for a in grid for b in grid if len({a, b, -a - b}) == 3]
     assert len(smooth) == SMOOTH_GRID_POINTS
+
+
+def test_random_smooth_points_draws_the_whole_grid_in_a_pinned_order():
+    # SHA-256 of the draw sequence as recorded when repeats were found by
+    # scanning the list; the set lookup must not change which points come
+    # out, nor their order
+    points = random_smooth_points(SMOOTH_GRID_POINTS, 1)
+    assert len(set(points)) == SMOOTH_GRID_POINTS
+    text = json.dumps([[rat_str(a), rat_str(b)] for a, b in points])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ec41ea605e04ae3d4ac6257358316e46bb0400e61b1dc4ea339b706d24f1a669"
+    )
 
 
 def test_realize_rejects_unknown():

@@ -91,11 +91,27 @@ def test_coefficient_extraction():
     assert p.coefficient_of("e1", 5).is_zero
 
 
+@given(polys())
+@settings(max_examples=60, deadline=None)
+def test_power_is_repeated_multiplication(p):
+    expected = ParamPoly.const(PARAMS, 1)
+    for e in range(7):
+        assert p**e == expected, e
+        expected = expected * p
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_substitute_composition():
     s = ParamPoly.var(("s",), "s")
     g = (1 - s) * (2 + s)
     image = g.substitute({"s": -1 - s})
     assert image == g  # (1-s)(2+s) is invariant under s -> -1-s
+    e1, e2 = (ParamPoly.var(PARAMS, name) for name in PARAMS)
+    p = e1 * e1 * e2 * 3 - e2 + 5
+    # a parameter without an image stays itself
+    assert p.substitute({"e2": e1 * 2}) == e1 * e1 * e1 * 6 - e1 * 2 + 5
+    assert p.substitute({}) == p
 
 
 def test_lift_and_drop():
