@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every requested check passes, 1 on a failing check,
 2 on usage errors.  Rationals are written "p/q" everywhere; JSON output
-uses sorted keys so reruns are byte-identical for a fixed seed (timings
-are only included on request).
+uses sorted keys so reruns are byte-identical (timings are only included
+on request).
 """
 
 from __future__ import annotations
@@ -29,7 +29,14 @@ from .geometry import LaurentPoly, verify_against_geometry
 from .central import class_independence, locality_bound, pairing_table
 from .moduli import INFINITE_SLOPE, classify_fiber, CurveParams, j_of_line, rescale
 from .poly import rat, rat_str
-from .suite import CRITERIA, NAMED_COCYCLES, named_cocycle, run_suite
+from .suite import (
+    CRITERIA,
+    FULL_WINDOW,
+    LOW_WINDOW,
+    NAMED_COCYCLES,
+    named_cocycle,
+    run_suite,
+)
 
 
 def parse_window(text: str) -> range:
@@ -92,6 +99,14 @@ def checked(parse, what: str):
         return text
 
     return check
+
+
+def window_text(args, family) -> str:
+    """The --window text, or the suite's window for the family's index bound."""
+    if args.window is not None:
+        return args.window
+    window = LOW_WINDOW if (family.lower_bound or 0) >= 1 else FULL_WINDOW
+    return f"{window.start}..{window.stop - 1}"
 
 
 def family_from_args(args) -> "FamilySpec":
@@ -185,11 +200,12 @@ def cmd_bracket(args) -> int:
 
 def cmd_verify_jacobi(args) -> int:
     fam = family_from_args(args)
-    report = verify_jacobi(fam, parse_window(args.window))
+    window = window_text(args, fam)
+    report = verify_jacobi(fam, parse_window(window))
     return _report(
         args,
         "verify-jacobi",
-        {"family": fam.name, "window": args.window},
+        {"family": fam.name, "window": window},
         {"report": report.to_json()},
         report.passed,
     )
@@ -197,18 +213,11 @@ def cmd_verify_jacobi(args) -> int:
 
 def cmd_verify_geometry(args) -> int:
     fam = family_from_args(args)
-    report = verify_against_geometry(
-        fam, parse_window(args.window), seed=args.seed, sample_count=args.samples
-    )
+    report = verify_against_geometry(fam, parse_window(args.window))
     return _report(
         args,
         "verify-geometry",
-        {
-            "family": fam.name,
-            "window": args.window,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
+        {"family": fam.name, "window": args.window},
         {"report": report.to_json()},
         report.passed,
     )
@@ -243,11 +252,12 @@ def _load_cocycle(args):
 
 def cmd_cohomology_check(args) -> int:
     algebra, cochain = _load_cocycle(args)
-    report = is_cocycle(algebra, cochain, parse_window(args.window))
+    window = window_text(args, algebra)
+    report = is_cocycle(algebra, cochain, parse_window(window))
     return _report(
         args,
         "cohomology check",
-        {"cocycle": args.cocycle, "window": args.window},
+        {"cocycle": args.cocycle, "window": window},
         {"report": report.to_json(), "cochain": cochain.to_json()},
         report.passed,
     )
@@ -381,7 +391,7 @@ def cmd_moduli_rescale(args) -> int:
 
 def cmd_paper_suite(args) -> int:
     only = set(args.only) if args.only else None
-    results = run_suite(only=only, seed=args.seed)
+    results = run_suite(only=only)
     ok = all(r.passed for r in results)
     if not args.json:
         for r in results:
@@ -415,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--text", dest="json", action="store_false")
     parser.add_argument("--timings", action="store_true", help="include wall-clock times")
-    parser.set_defaults(json=False, seed=1)
+    parser.set_defaults(json=False)
     sub = parser.add_subparsers(dest="command", required=True)
     window = checked(parse_window, "window")
     rational = checked(rat, "rational")
@@ -436,14 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     vj = sub.add_parser("verify-jacobi", help="certify the Jacobi identity")
     _family_flags(vj)
-    vj.add_argument("--window", default="-8..8", type=window)
+    vj.add_argument(
+        "--window", type=window, help="default -8..8, or 1..16 when the basis starts at 1"
+    )
     vj.set_defaults(handler=cmd_verify_jacobi)
 
-    vg = sub.add_parser("verify-geometry", help="check rules against vector fields")
+    vg = sub.add_parser(
+        "verify-geometry",
+        help="check rules against vector fields; genus one as one identity over Q[e1, e2]",
+    )
     _family_flags(vg)
     vg.add_argument("--window", default="-6..6", type=window)
-    vg.add_argument("--samples", type=int, default=8)
-    vg.add_argument("--seed", type=int, default=1, help="sample-point seed")
     vg.set_defaults(handler=cmd_verify_geometry)
 
     coh = sub.add_parser("cohomology", help="cochain computations")
@@ -454,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     gon.set_defaults(handler=cmd_cohomology_goncharova)
     chk = coh_sub.add_parser("check")
     chk.add_argument("--cocycle", required=True)
-    chk.add_argument("--window", default="-8..8", type=window)
+    chk.add_argument(
+        "--window", type=window, help="default -8..8, or 1..16 when the basis starts at 1"
+    )
     chk.set_defaults(handler=cmd_cohomology_check)
     slv = coh_sub.add_parser("solve")
     _solve_flags(slv)
@@ -507,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--only", type=int, nargs="*", choices=sorted(CRITERIA), help="criterion numbers"
     )
-    ps.add_argument("--seed", type=int, default=1, help="sample-point seed")
+    ps.add_argument(
+        "--seed", type=int, default=1, help="recorded in the inputs; no criterion uses it"
+    )
     ps.set_defaults(handler=cmd_paper_suite)
 
     return parser

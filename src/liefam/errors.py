@@ -21,10 +21,6 @@ class WindowTooSmall(LiefamError):
     """The index window cannot certify the stated degree bound."""
 
 
-class TooFewSamples(LiefamError):
-    """Too few sample points to check a family against its curves."""
-
-
 class UnsupportedFamily(LiefamError):
     """No geometric realization is available for this family."""
 

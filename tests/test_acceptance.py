@@ -48,10 +48,10 @@ from liefam.families import (
     w1_subalgebra,
     witt,
 )
-from liefam.geometry import random_smooth_points, verify_against_geometry
+from liefam.geometry import verify_against_geometry
 from liefam.moduli import INFINITE_SLOPE, classify_fiber, j_of_line, symbolic_invariants
 from liefam.poly import ParamPoly
-from liefam.suite import corrupted_elliptic, named_cocycle, sign_flipped
+from liefam.suite import SMOOTH_POINTS, corrupted_elliptic, named_cocycle, sign_flipped
 
 
 def announce(number: int, ok: bool, note: str = ""):
@@ -81,8 +81,7 @@ def test_criterion_1_jacobi_catalog():
 def test_criterion_2_geometric_oracle():
     start = time.monotonic()
     three = verify_against_geometry(three_point(), range(-6, 7))
-    samples = random_smooth_points(8, seed=1)
-    ell = verify_against_geometry(elliptic(), range(-6, 7), samples=samples)
+    ell = verify_against_geometry(elliptic(), range(-6, 7))
     elapsed = time.monotonic() - start
     ok = three.passed and ell.passed and elapsed < 60.0
     assert announce(2, ok, f"({three.checked + ell.checked} pairs, {elapsed:.2f}s)")
@@ -227,9 +226,9 @@ def test_criterion_7_moduli():
     ok = ok and classify_fiber(1, 1).subcase == "IIb"
     ok = ok and classify_fiber(3, -6).subcase == "IIb"
     ok = ok and classify_fiber(1, Fraction(-1, 2)).subcase == "IIa"
-    ok = ok and all(
-        classify_fiber(a, b).kind == "smooth"
-        for a, b in random_smooth_points(10, seed=7)
+    ok = ok and len(SMOOTH_POINTS) == 10 and all(
+        len({a, b, -a - b}) == 3 and classify_fiber(a, b).kind == "smooth"
+        for a, b in SMOOTH_POINTS
     )
     g2, g3, disc = symbolic_invariants()
     ok = ok and g2**3 - g3 * g3 * 27 == disc
@@ -256,9 +255,7 @@ def test_criterion_9_negative_controls():
     bad = corrupted_elliptic()
     jac = verify_jacobi(bad, range(-8, 9))
     ok = (not jac.passed) and jac.witness is not None
-    geo = verify_against_geometry(
-        bad, range(-4, 5), samples=random_smooth_points(3, seed=1)
-    )
+    geo = verify_against_geometry(bad, range(-4, 5))
     ok = ok and (not geo.passed) and geo.witness is not None
     w, omega1 = named_cocycle("ds-order1")
     coc = is_cocycle(w, sign_flipped(omega1), range(-8, 9))

@@ -47,6 +47,25 @@ def test_verify_jacobi_exit_codes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, window",
+    [
+        (["verify-jacobi", "--family", "l1"], "1..16"),
+        (["verify-jacobi", "--family", "formal-2"], "1..16"),
+        (["verify-jacobi", "--family", "witt"], "-8..8"),
+        (["cohomology", "check", "--cocycle", "beta1"], "1..16"),
+        (["cohomology", "check", "--cocycle", "w1-order1"], "1..16"),
+        (["cohomology", "check", "--cocycle", "ds-order1"], "-8..8"),
+    ],
+)
+def test_default_window_follows_the_index_bound(capsys, argv, window):
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["inputs"]["window"] == window
+    assert data["report"]["status"] == "PASS"
+
+
 def test_verify_geometry(capsys):
     code, out = run(
         capsys, "--json", "verify-geometry", "--family", "three-point",
@@ -131,8 +150,7 @@ def test_moduli_commands(capsys):
 
 
 def test_json_reruns_are_byte_identical(capsys):
-    args = ("--json", "verify-geometry", "--family", "elliptic",
-            "--window", "-3..3", "--samples", "4", "--seed", "11")
+    args = ("--json", "verify-geometry", "--family", "elliptic", "--window", "-3..3")
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
@@ -188,8 +206,8 @@ def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
             "rescaling factor must be nonzero",
         ),
         (
-            ["verify-geometry", "--family", "elliptic", "--samples", "2"],
-            "need at least 3 sample points off the degenerate lines",
+            ["verify-jacobi", "--family", "l1", "--window", "-8..8"],
+            "need at least 8 indices per parity class, got 4 odd / 4 even",
         ),
         (
             ["verify-geometry", "--family", "l1", "--window", "-5..0"],
@@ -214,8 +232,8 @@ def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
             "elliptic instead",
         ),
         (
-            ["verify-geometry", "--family", "elliptic", "--samples", "2483"],
-            "asked for 2483 sample points; the draw grid has only 2482 smooth ones",
+            ["central", "cocycle", "--family", "elliptic"],
+            "the residue pairing works on genus-zero fields",
         ),
     ],
 )
@@ -224,6 +242,24 @@ def test_inputs_the_toolkit_rejects_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-geometry", "--family", "elliptic", "--samples", "2"],
+        ["verify-geometry", "--family", "elliptic", "--samples", "2483"],
+        ["verify-geometry", "--family", "elliptic", "--seed", "11"],
+    ],
+)
+def test_sampling_flags_are_gone(capsys, argv):
+    """The elliptic oracle checks one identity over Q[e1, e2]; it draws no samples."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[3:])}\n" in captured.err
 
 
 # Malformed and valid values for the fuzz below.  Window ends stay within
@@ -258,8 +294,7 @@ _INT = st.one_of(
 )
 _SMALL = st.one_of(_JUNK, st.integers(-3, 4).map(str))
 _ARGV = st.one_of(
-    st.builds(lambda w: ["verify-geometry", "--family", "witt", "--samples", "2",
-                         "--window", w], _WINDOW),
+    st.builds(lambda w: ["verify-geometry", "--family", "witt", "--window", w], _WINDOW),
     st.builds(
         lambda fam, n, m: ["bracket", "--family", fam, "--n", n, "--m", m],
         st.sampled_from(["witt", "virasoro", "elliptic", "l1", "w1", "formal-2"]),
@@ -267,12 +302,12 @@ _ARGV = st.one_of(
         _INT,
     ),
     st.builds(
-        lambda fam, k, seed: ["verify-geometry", "--family", fam, "--window", "-2..2",
-                              "--samples", k, "--seed", seed],
+        lambda fam, w, p: ["verify-geometry", "--family", fam, "--window", w, "--params", p],
         st.sampled_from(["elliptic", "three-point", "witt"]),
-        _SMALL,
-        _INT,
+        _WINDOW,
+        _PARAMS,
     ),
+    st.builds(lambda seed: ["paper-suite", "--only", "7", "--seed", seed], _INT),
     st.builds(
         lambda q, s: ["cohomology", "goncharova", "--qmax", q, "--smax", s],
         _SMALL,
@@ -346,6 +381,19 @@ def test_paper_suite_reruns_are_byte_identical(capsys):
     _, first = run(capsys, "--json", "paper-suite", "--only", "3", "6", "7", "8")
     _, second = run(capsys, "--json", "paper-suite", "--only", "3", "6", "7", "8")
     assert first == second
+
+
+def test_paper_suite_seed_changes_only_the_inputs(capsys):
+    # criteria 2 and 9 check identities over Q[e1, e2]; no criterion draws samples
+    _, first = run(capsys, "--json", "paper-suite", "--only", "2", "7", "9", "--seed", "1")
+    _, second = run(capsys, "--json", "paper-suite", "--only", "2", "7", "9", "--seed", "5")
+    a, b = json.loads(first), json.loads(second)
+    assert (a["inputs"], b["inputs"]) == ({"seed": 1}, {"seed": 5})
+    assert a["criteria"] == b["criteria"]
+    assert [c["status"] for c in a["criteria"]] == ["PASS", "PASS", "PASS"]
+    assert sorted(a["criteria"][0]["details"]) == [
+        "budget_seconds", "elliptic", "three-point", "within_budget"
+    ]
 
 
 def test_cocycle_from_json_file(tmp_path, capsys):

@@ -1,28 +1,25 @@
 """The vector-field oracle: realizations, brackets, basis re-expansion."""
 
-import hashlib
-import json
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from liefam.algebra import FamilySpec, RuleTerm, specialize
 from liefam.errors import UnsupportedFamily
 from liefam.families import elliptic, nodal, three_point, w1_subalgebra, witt
 from liefam.geometry import (
-    SMOOTH_GRID_POINTS,
     FactoredLaurent,
     LaurentPoly,
-    Poly,
-    RationalFunc,
+    divide_laurent,
     expand_in_candidates,
-    random_smooth_points,
     realize,
     verify_against_geometry,
     vf_bracket,
+    vf_bracket_cubic,
 )
-from liefam.poly import ParamPoly, rat_str
+from liefam.poly import ParamPoly
 
 
 def laurent(fl: FactoredLaurent) -> LaurentPoly:
@@ -74,20 +71,6 @@ def test_vf_bracket_jacobi_random_fields():
         assert total.is_zero
 
 
-def test_curve_function_field_arithmetic():
-    # (a + bY)(a - bY) = a^2 - b^2 f on Y^2 = f
-    from liefam.geometry import CurveFunction
-
-    f = Poly([0, 1]) * Poly([-2, 1]) * Poly([3, 1]) * 4
-    a = RationalFunc(Poly([1, 2]), Poly([0, 1]))
-    b = RationalFunc(Poly([5]), Poly([1, 1]))
-    u = CurveFunction(a, b, f)
-    v = CurveFunction(a, -b, f)
-    prod = u * v
-    assert prod.b.is_zero
-    assert prod.a == a * a - b * b * RationalFunc(f)
-
-
 def test_elliptic_pair_matches_rule_at_sample():
     # [V_1, V_2] = V_3 - (e1-e2)(2e1+e2) V_-1, checked in the function field
     e1, e2 = Fraction(1), Fraction(2)
@@ -110,14 +93,7 @@ def test_symbolic_oracle_passes(family):
 
 
 def test_elliptic_oracle_at_fixed_samples():
-    samples = [
-        (Fraction(1), Fraction(2)),
-        (Fraction(1), Fraction(-3)),
-        (Fraction(2), Fraction(5)),
-        (Fraction(3), Fraction(-1)),
-        (Fraction(5), Fraction(7)),
-    ]
-    report = verify_against_geometry(elliptic(), range(-4, 5), samples=samples)
+    report = verify_against_geometry(elliptic(), range(-4, 5))
     assert report.passed, report.witness
 
 
@@ -129,9 +105,7 @@ def test_corrupted_rule_fails_with_witness():
         for t in rule["even-even"]
     )
     bad = FamilySpec(name="elliptic|bad", params=fam.params, rule=rule)
-    report = verify_against_geometry(
-        bad, range(-4, 5), samples=random_smooth_points(3, 1)
-    )
+    report = verify_against_geometry(bad, range(-4, 5))
     assert not report.passed
     assert report.witness["mismatches"]
 
@@ -151,29 +125,114 @@ def test_expansion_is_triangular_and_unique():
         expand_in_candidates(target, cands + [(9, cands[0][1])])
 
 
-def test_random_smooth_points_are_distinct_roots():
-    for a, b in random_smooth_points(12, 3):
-        c = -a - b
-        assert a != b and a != c and b != c
-    grid = {Fraction(p, q) for p in range(-9, 10) for q in range(1, 5)}
-    smooth = [(a, b) for a in grid for b in grid if len({a, b, -a - b}) == 3]
-    assert len(smooth) == SMOOTH_GRID_POINTS
+def test_division_by_f_is_exact_or_leaves_a_remainder():
+    f = realize("elliptic", 1).coeff.f
+    q = LaurentPoly.from_items(f.params, [(-2, 3), (1, ParamPoly.var(f.params, "e1"))])
+    quotient, rest = divide_laurent(q * f, f)
+    assert rest.is_zero and quotient == q
+    u = LaurentPoly.monomial(f.params, 1)
+    quotient, rest = divide_laurent(q * f + u, f)
+    assert not rest.is_zero and rest.max_degree() < min(q.coeffs) + f.max_degree()
 
 
-def test_random_smooth_points_draws_the_whole_grid_in_a_pinned_order():
-    # SHA-256 of the draw sequence as recorded when repeats were found by
-    # scanning the list; the set lookup must not change which points come
-    # out, nor their order
-    points = random_smooth_points(SMOOTH_GRID_POINTS, 1)
-    assert len(set(points)) == SMOOTH_GRID_POINTS
-    text = json.dumps([[rat_str(a), rat_str(b)] for a, b in points])
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ec41ea605e04ae3d4ac6257358316e46bb0400e61b1dc4ea339b706d24f1a669"
-    )
+def test_division_remainder_is_reported_as_witness(monkeypatch):
+    # a bracket whose division by f leaves a remainder fails with it
+    import liefam.geometry as geometry
+
+    real = geometry.vf_bracket_cubic
+
+    def off_by_u(e, g):
+        got, rest = real(e, g)
+        return got, rest + LaurentPoly.monomial(rest.params, 1)
+
+    monkeypatch.setattr(geometry, "vf_bracket_cubic", off_by_u)
+    report = verify_against_geometry(elliptic(), range(0, 3))
+    assert not report.passed
+    assert "unexpanded_remainder" in report.witness["mismatches"][0]
 
 
 def test_realize_rejects_unknown():
+    # the elliptic field is symbolic without e1, e2 and constant with both
+    assert realize("elliptic", 1).coeff.f.params == ("e1", "e2")
+    assert realize("elliptic", 1, e1=1, e2=2).coeff.f.params == ()
     with pytest.raises(UnsupportedFamily):
-        realize("elliptic", 1)  # missing parameters
+        realize("elliptic", 1, e1=1)  # only one of the two parameters
     with pytest.raises(UnsupportedFamily):
         realize("nope", 1)
+
+
+# ---------------------------------------------------------------------------
+# sympy reference for the genus-one bracket
+# ---------------------------------------------------------------------------
+
+U, Y = sympy.symbols("u Y")
+
+#: (e1, e2): three smooth fibres, a nodal one and the cusp.
+FIBRES = [
+    (Fraction(1), Fraction(2)),
+    (Fraction(1), Fraction(-3)),
+    (Fraction(-1, 2), Fraction(3, 4)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+def _sympy_laurent(poly: LaurentPoly, point) -> sympy.Expr:
+    return sum(
+        (sympy.Rational(str(c.evaluate(point))) * U**d for d, c in poly.coeffs.items()),
+        sympy.Integer(0),
+    )
+
+
+def _sympy_bracket(x, y, f):
+    """[x d/du, y d/du] with x, y polynomial in Y, reduced by Y^2 = f.
+
+    d/du acts by the chain rule with Y' = f'/(2Y) = f' Y / (2f).
+    """
+
+    def d(g):
+        return sympy.diff(g, U) + sympy.diff(g, Y) * sympy.diff(f, U) * Y / (2 * f)
+
+    coeffs = sympy.Poly(sympy.expand(x * d(y) - y * d(x)), Y).all_coeffs()[::-1]
+    free = sum((c * f**j for j, c in enumerate(coeffs[0::2])), sympy.Integer(0))
+    with_y = sum((c * f**j for j, c in enumerate(coeffs[1::2])), sympy.Integer(0))
+    return free, with_y
+
+
+@pytest.mark.parametrize(
+    "e1, e2", FIBRES, ids=["smooth-1,2", "smooth-1,-3", "smooth--1/2,3/4", "nodal", "cusp"]
+)
+def test_cubic_bracket_matches_sympy_reference(e1, e2):
+    point = {"e1": e1, "e2": e2}
+    a, b = sympy.Rational(str(e2 - e1)), sympy.Rational(str(-2 * e1 - e2))
+    f = 4 * U * (U - a) * (U - b)
+    window = range(-3, 4)
+
+    def field(n):
+        k, odd = divmod(n, 2)
+        return U**k * Y if odd else 2 * U ** (k - 1) * (U - a) * (U - b)
+
+    fields = {n: realize("elliptic", n).coeff for n in window}
+    for n in window:
+        got = fields[n]
+        assert sympy.cancel(
+            _sympy_laurent(got.a, point) + _sympy_laurent(got.b, point) * Y - field(n)
+        ) == 0
+    parities = set()
+    for n in window:
+        for m in window:
+            if n == m:
+                continue
+            parities.add((n % 2, m % 2))
+            got, rest = vf_bracket_cubic(fields[n], fields[m])
+            assert rest.is_zero
+            free, with_y = _sympy_bracket(field(n), field(m), f)
+            assert sympy.cancel(free - _sympy_laurent(got.a, point)) == 0, (n, m)
+            assert sympy.cancel(with_y - _sympy_laurent(got.b, point)) == 0, (n, m)
+            # the constant realization at the fibre gives the same bracket
+            fixed = vf_bracket(
+                realize("elliptic", n, e1=e1, e2=e2), realize("elliptic", m, e1=e1, e2=e2)
+            ).coeff
+            assert sympy.cancel(free - _sympy_laurent(fixed.a, {})) == 0
+            assert sympy.cancel(with_y - _sympy_laurent(fixed.b, {})) == 0
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
