@@ -682,16 +682,30 @@ class CheckReport:
         return data
 
 
-def _require_window(family: FamilySpec, window, minimum=8):
-    window = [n for n in window if family.in_domain(n)]
-    odd = sum(1 for n in window if n % 2)
-    even = len(window) - odd
-    if odd < minimum or even < minimum:
+def domain_indices(family: FamilySpec, window) -> list:
+    """The window's indices in the family's basis domain, ascending; never empty."""
+    indices = sorted(n for n in window if family.in_domain(n))
+    if not indices:
         raise WindowTooSmall(
-            f"need at least {minimum} indices per parity class, "
+            f"no index of the window lies in the domain of {family.name}"
+        )
+    return indices
+
+
+#: Values per parity class that `verify_jacobi` and `is_cocycle` require.
+MIN_PER_PARITY = 8
+
+
+def _require_window(family: FamilySpec, window):
+    indices = domain_indices(family, window)
+    odd = sum(1 for n in indices if n % 2)
+    even = len(indices) - odd
+    if odd < MIN_PER_PARITY or even < MIN_PER_PARITY:
+        raise WindowTooSmall(
+            f"need at least {MIN_PER_PARITY} indices per parity class, "
             f"got {odd} odd / {even} even"
         )
-    return sorted(window)
+    return indices
 
 
 def _jacobi_vanishes(family: FamilySpec, parity, boundary) -> bool:

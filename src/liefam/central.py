@@ -1,41 +1,33 @@
 """Residue-based pairings on genus-zero vector fields.
 
 The pairing of two fields e, f (written as functions of the quasi-global
-coordinate) is the residue sum over the in-points of
+coordinate) is the sum of the residues at all finite poles of
     (1/2)(e''' f - e f''') - R (e' f - e f')
 with R a Laurent-polynomial quadratic-differential representative.  The
-integration cycle separating the in-points from infinity is
-operationalized as "sum of residues at all finite poles", i.e. minus the
-residue at infinity, which stays exact even with a symbolic double-point
-parameter.  No normalization factor is applied; proportionality constants
-against closed-form central rules are reported, not fixed.
+integration cycle separates the finite poles from infinity, so the sum is
+computed as minus the residue at infinity, which stays exact even with a
+symbolic double-point parameter.  No normalization factor is applied;
+proportionality constants against closed-form central rules are
+reported, not fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import CentralTable, CheckReport, FamilySpec
-from .errors import (
-    DivisionByZeroFunction,
-    EssentialOrUndefined,
-    ParameterMismatch,
-    UpperBoundViolated,
+from .algebra import (
+    CentralTable,
+    CheckReport,
+    FamilySpec,
+    domain_indices,
+    evaluate_pair_rule,
 )
-from .geometry import (
-    FactoredLaurent,
-    LaurentPoly,
-    Poly,
-    RationalFunc,
-    VectorField,
-    realize,
-)
+from .errors import ParameterMismatch, UpperBoundViolated
+from .families import by_name, witt
+from .geometry import FactoredLaurent, LaurentPoly, realize
 from .linalg import LinearSystem
-from .poly import ParamPoly, rat, rat_str
-
-#: Sentinel: take residues at every finite pole (minus the residue at infinity).
-ALL_FINITE = "all-finite"
+from .poly import ParamPoly, rat_str
 
 
 def _binomial(e: int, i: int) -> Fraction:
@@ -66,113 +58,41 @@ def finite_residue_sum(field: FactoredLaurent) -> ParamPoly:
     return total
 
 
-def factored_to_rational(field: FactoredLaurent) -> RationalFunc:
-    """Constant-parameter factored field as a reduced rational function."""
-    if any(not c.is_constant for c in field.poly.coeffs.values()) or (
-        not field.beta.is_constant
-    ):
-        raise ParameterMismatch("pointwise residues need rational coefficients")
-    shift = min(0, min(field.poly.coeffs, default=0))
-    dense = {d - shift: c.constant_value() for d, c in field.poly.coeffs.items()}
-    num = Poly([dense.get(k, Fraction(0)) for k in range(max(dense, default=0) + 1)])
-    den = Poly.x_power(-shift)
-    beta = field.beta.constant_value()
-    base = Poly([-beta, 0, 1])
-    if field.exp >= 0:
-        for _ in range(field.exp):
-            num = num * base
-    else:
-        for _ in range(-field.exp):
-            den = den * base
-    return RationalFunc(num, den)
-
-
-def residue_rational(func: RationalFunc, point) -> Fraction:
-    """Residue of `func dz` at a finite rational point (Taylor division)."""
-    point = rat(point)
-    if func.den.is_zero:
-        raise DivisionByZeroFunction("zero denominator")
-    den_shifted = func.den.shift_origin(point)
-    order = 0
-    while order < len(den_shifted.coeffs) and den_shifted.coeffs[order] == 0:
-        order += 1
-    if order == 0:
-        return Fraction(0)
-    if order >= len(den_shifted.coeffs):
-        raise EssentialOrUndefined("denominator vanishes identically")
-    num_shifted = func.num.shift_origin(point)
-    q = den_shifted.coeffs[order:]
-    n = list(num_shifted.coeffs) + [Fraction(0)] * order
-    series = []
-    for i in range(order):
-        value = (n[i] if i < len(n) else Fraction(0)) - sum(
-            (series[j] * q[i - j] for j in range(i) if i - j < len(q)), Fraction(0)
-        )
-        series.append(value / q[0])
-    return series[order - 1]
-
-
-def residue(func, point) -> Fraction | ParamPoly:
-    """Coefficient of 1/(z - point) in the local expansion of `func`."""
-    if isinstance(func, LaurentPoly):
-        point = rat(point)
-        if point == 0:
-            return func.coefficient(-1)
-        return ParamPoly.const(func.params, 0)
-    if isinstance(func, RationalFunc):
-        return residue_rational(func, point)
-    if isinstance(func, FactoredLaurent):
-        return residue_rational(factored_to_rational(func), point)
-    raise EssentialOrUndefined(f"no residue for {type(func).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # the pairing
 # ---------------------------------------------------------------------------
 
 
 def kn_cocycle(
-    e: VectorField,
-    f: VectorField,
-    connection: LaurentPoly | None = None,
-    in_points=ALL_FINITE,
+    e: FactoredLaurent, f: FactoredLaurent, connection: LaurentPoly | None = None
 ):
     """Residue pairing of two genus-zero fields, with connection term R."""
-    ef, ff = e.coeff, f.coeff
-    if not isinstance(ef, FactoredLaurent) or not isinstance(ff, FactoredLaurent):
+    if not isinstance(e, FactoredLaurent) or not isinstance(f, FactoredLaurent):
         raise ParameterMismatch("the residue pairing works on genus-zero fields")
-    e3 = ef.derivative().derivative().derivative()
-    f3 = ff.derivative().derivative().derivative()
-    integrand = (e3 * ff - ef * f3).scale(Fraction(1, 2))
+    e3 = e.derivative().derivative().derivative()
+    f3 = f.derivative().derivative().derivative()
+    integrand = (e3 * f - e * f3).scale(Fraction(1, 2))
     if connection is not None and not connection.is_zero:
-        first = ef.derivative() * ff - ef * ff.derivative()
+        first = e.derivative() * f - e * f.derivative()
         rterm = FactoredLaurent(
-            connection.lift_params(ef.poly.params), ef.beta, 0
+            connection.lift_params(e.poly.params), e.beta, 0
         ) * first
         integrand = integrand - rterm
-    if in_points == ALL_FINITE:
-        return finite_residue_sum(integrand)
-    rf = factored_to_rational(integrand)
-    total = Fraction(0)
-    for p in in_points:
-        total += residue_rational(rf, p)
-    return ParamPoly.const((), total)
+    return finite_residue_sum(integrand)
 
 
-def pairing_table(
-    family: str,
-    window,
-    connection: LaurentPoly | None = None,
-    alpha2=None,
-    in_points=ALL_FINITE,
-) -> dict:
-    """gamma(v_n, v_m) for all n < m in the window (zeros omitted)."""
-    indices = sorted(window)
-    fields = {n: realize(family, n, alpha2=alpha2) for n in indices}
+def pairing_table(family: str, window, connection: LaurentPoly | None = None) -> dict:
+    """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
+
+    Zero values are omitted; a window with no index in the domain raises
+    WindowTooSmall.
+    """
+    indices = domain_indices(by_name(family), window)
+    fields = {n: realize(family, n) for n in indices}
     table = {}
     for i, n in enumerate(indices):
         for m in indices[i + 1 :]:
-            value = kn_cocycle(fields[n], fields[m], connection, in_points)
+            value = kn_cocycle(fields[n], fields[m], connection)
             if not value.is_zero:
                 table[(n, m)] = value
     return table
@@ -198,14 +118,13 @@ def locality_bound(
     family: str,
     window,
     connection: LaurentPoly | None = None,
-    alpha2=None,
 ) -> LocalityReport:
     """Minimal M with gamma(v_n, v_m) != 0 implying M <= n+m <= 0.
 
     Raises UpperBoundViolated if a nonzero value sits above n+m = 0,
     which would signal an implementation bug rather than a geometry fact.
     """
-    table = pairing_table(family, window, connection, alpha2)
+    table = pairing_table(family, window, connection)
     lower = 0
     for (n, m), value in table.items():
         if n + m > 0:
@@ -217,23 +136,17 @@ def locality_bound(
 
 
 def class_independence(
-    r1: LaurentPoly,
-    r2: LaurentPoly,
-    window,
-    family: str = "witt",
+    r1: LaurentPoly, r2: LaurentPoly, window
 ) -> tuple[dict | None, CheckReport]:
     """Witness that two connection choices differ by a scalar coboundary.
 
     Solves (gamma_{R1} - gamma_{R2})(e_n, e_m) = lam([e_n, e_m]) for a
-    linear functional lam on the window; inconsistency is reported as a
-    failing check (it would contradict connection independence).
+    linear functional lam on the Witt window; inconsistency is reported
+    as a failing check (it would contradict connection independence).
     """
-    from .algebra import evaluate_pair_rule
-    from .families import by_name
-
-    spec = by_name(family)
+    spec = witt()
     indices = sorted(window)
-    fields = {n: realize(family, n) for n in indices}
+    fields = {n: realize(spec.name, n) for n in indices}
     system = LinearSystem()
     pairs = 0
     for i, n in enumerate(indices):
@@ -250,7 +163,7 @@ def class_independence(
     if not system.consistent:
         tag, residual = system.inconsistency
         return None, CheckReport(
-            name=f"class-independence:{family}",
+            name=f"class-independence:{spec.name}",
             status="FAIL",
             checked=pairs,
             witness={"contradiction_at": tag, "residual": rat_str(residual)},
@@ -259,7 +172,7 @@ def class_independence(
     values = system.solution(unknowns)
     lam = {key[1]: v for key, v in values.items() if v != 0}
     return lam, CheckReport(
-        name=f"class-independence:{family}",
+        name=f"class-independence:{spec.name}",
         status="PASS",
         checked=pairs,
         certificate={"lambda_support": sorted(lam)},
@@ -271,10 +184,9 @@ def central_table_from_residues(
     lo: int,
     hi: int,
     connection: LaurentPoly | None = None,
-    alpha2=None,
 ) -> CentralTable:
     """Explicit central rule computed from the residue pairing."""
-    table = pairing_table(family, range(lo, hi + 1), connection, alpha2)
+    table = pairing_table(family, range(lo, hi + 1), connection)
     entries = {}
     for (n, m), value in table.items():
         entries[(n, m)] = (
@@ -285,11 +197,4 @@ def central_table_from_residues(
 
 def attach_central(spec: FamilySpec, table: CentralTable, name=None) -> FamilySpec:
     """Extend a family by a one-dimensional center with the given pairing."""
-    return FamilySpec(
-        name=name or f"{spec.name}+center",
-        params=spec.params,
-        rule=spec.rule,
-        exceptional=spec.exceptional,
-        lower_bound=spec.lower_bound,
-        central=table,
-    )
+    return replace(spec, name=name or f"{spec.name}+center", central=table)

@@ -26,6 +26,7 @@ from .algebra import (
     _require_window,
     basis_bracket,
     bracket,
+    domain_indices,
     evaluate_pair_rule,
     first_nonzero,
     index_family,
@@ -37,7 +38,6 @@ from .errors import (
     MissingParameter,
     OutOfDomainIndex,
     ParameterMismatch,
-    WindowTooSmall,
 )
 from .linalg import LinearSystem, rank_of_vectors
 from .poly import ParamPoly, rat, rat_str
@@ -245,8 +245,8 @@ def cochain_from_json(data: dict) -> Cochain:
     )
 
 
-def apply_map(c: Cochain, elem: LieElement):
-    """Linear extension of an arity-1 cochain over an element.
+def value_on(c: Cochain, elem: LieElement, *rest):
+    """c(elem, v_rest...), extended linearly over the first argument.
 
     Central components are annihilated (maps are defined on the vector
     part; the central generator pairs to zero).
@@ -255,21 +255,7 @@ def apply_map(c: Cochain, elem: LieElement):
     for key, coeff in elem.components.items():
         if key == CENTRAL:
             continue
-        v = c.value(key)
-        if isinstance(v, ParamPoly):
-            total = total + v * coeff
-        else:
-            total = total + v.scale(coeff)
-    return total
-
-
-def pair_value_on(c: Cochain, elem: LieElement, k: int):
-    """Bilinear extension omega(elem, v_k) for an arity-2 cochain."""
-    total = c._zero()
-    for key, coeff in elem.components.items():
-        if key == CENTRAL:
-            continue
-        v = c.value(key, k)
+        v = c.value(key, *rest)
         if isinstance(v, ParamPoly):
             total = total + v * coeff
         else:
@@ -292,7 +278,7 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
         if c.arity == 1:
 
             def d1(n, m):
-                inner = apply_map(c, basis_bracket(algebra, n, m))
+                inner = value_on(c, basis_bracket(algebra, n, m))
                 left = bracket(algebra, c.value(n), LieElement.basis(m, c.params))
                 right = bracket(algebra, LieElement.basis(n, c.params), c.value(m))
                 return inner - left - right
@@ -311,9 +297,7 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
                     total = total + (acted if i % 2 == 0 else -acted)
                 for i, j in itertools.combinations(range(3), 2):
                     rest = tuple(xs[t] for t in range(3) if t not in (i, j))
-                    term_val = pair_value_on(
-                        c, basis_bracket(algebra, xs[i], xs[j]), rest[0]
-                    )
+                    term_val = value_on(c, basis_bracket(algebra, xs[i], xs[j]), *rest)
                     sign = (-1) ** (i + j + 2)
                     total = total + (term_val if sign > 0 else -term_val)
                 return total
@@ -563,11 +547,7 @@ def _build_system(algebra, omega, beta, ansatz, window):
     if beta is not None:
         unknowns = unknowns + [("scale",)]
     w = ansatz.weight
-    indices = sorted(n for n in window if algebra.in_domain(n))
-    if not indices:
-        raise WindowTooSmall(
-            f"no index of the window lies in the domain of {algebra.name}"
-        )
+    indices = domain_indices(algebra, window)
     pairs_used = 0
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
@@ -657,7 +637,7 @@ def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
     that fails to extend is exactly the AnsatzTooWeak situation.
     """
     d1 = differential(algebra, phi)
-    indices = sorted(n for n in window if algebra.in_domain(n))
+    indices = domain_indices(algebra, window)
     if forms.ansatz.shape != "per-index":
         lo, hi = indices[0], indices[-1]
         indices = [

@@ -25,14 +25,6 @@ class UnsupportedFamily(LiefamError):
     """No geometric realization is available for this family."""
 
 
-class DivisionByZeroFunction(LiefamError):
-    """A denominator is the zero polynomial."""
-
-
-class EssentialOrUndefined(LiefamError):
-    """Residue requested at a point where no finite-order expansion exists."""
-
-
 class AnsatzTooWeak(LiefamError):
     """The window system is consistent but the closed form cannot be certified."""
 

@@ -6,8 +6,7 @@ on Y^2 = f(u) = 4u(u-a)(u-b) with a = e2 - e1 and b = e3 - e1 (u the
 coordinate recentered at the finite marked point): a field is
 (A + B*Y) d/du with A, B in Q[e1, e2][u, 1/u], so each bracket is checked
 once as an identity over Q[e1, e2], which holds on every fibre, the
-nodal and cuspidal ones included.  Poly and RationalFunc serve the
-pointwise residues of `central`.
+nodal and cuspidal ones included.
 """
 
 from __future__ import annotations
@@ -16,13 +15,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CheckReport, FamilySpec, evaluate_pair_rule, grading_bounds
-from .errors import (
-    DivisionByZeroFunction,
-    ParameterMismatch,
-    UnsupportedFamily,
-    WindowTooSmall,
+from .algebra import (
+    CheckReport,
+    FamilySpec,
+    domain_indices,
+    evaluate_pair_rule,
+    grading_bounds,
 )
+from .errors import ParameterMismatch, UnsupportedFamily
 from .families import by_name
 from .poly import ParamPoly, rat
 
@@ -240,137 +240,6 @@ def vf_bracket_factored(e: FactoredLaurent, f: FactoredLaurent) -> FactoredLaure
 
 
 # ---------------------------------------------------------------------------
-# univariate rational functions over Q (pointwise residues, see central)
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Dense univariate polynomial over Fraction (ascending coefficients)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def x_power(cls, k: int, c=1) -> "Poly":
-        return cls([0] * k + [rat(c)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise DivisionByZeroFunction("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[k] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= factor * b
-            rem.pop()
-        return Poly(q), Poly(rem)
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a * (1 / a.leading())
-
-    def shift_origin(self, p: Fraction) -> "Poly":
-        """Coefficients of self(p + t) as a polynomial in t."""
-        out = Poly([])
-        base = Poly([1])
-        shift = Poly([p, 1])
-        for c in self.coeffs:
-            out = out + base * c
-            base = base * shift
-        return out
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(
-            f"{c}*u^{i}" for i, c in enumerate(self.coeffs) if c != 0
-        )
-
-    __repr__ = __str__
-
-
-class RationalFunc:
-    """Reduced fraction of univariate polynomials over Q, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None):
-        den = Poly([1]) if den is None else den
-        if den.is_zero:
-            raise DivisionByZeroFunction("zero denominator")
-        if num.is_zero:
-            self.num, self.den = Poly([]), Poly([1])
-            return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading()
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num, self.den = num, den
-
-    def __str__(self) -> str:
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
 # fields (A + B*Y) d/du on the cubic Y^2 = f(u)  (genus one)
 # ---------------------------------------------------------------------------
 
@@ -433,35 +302,19 @@ def vf_bracket_cubic(e: CubicField, g: CubicField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Coefficient function of a field written as coeff * d/dz (or d/du)."""
-
-    coeff: object  # FactoredLaurent | CubicField
-    coordinate: str = "z"
-
-
-def vf_bracket(e: VectorField, f: VectorField) -> VectorField:
-    """[e, f] = (e f' - f e') d/dz, exact in the realization's ring."""
-    if isinstance(e.coeff, FactoredLaurent) and isinstance(f.coeff, FactoredLaurent):
-        return VectorField(vf_bracket_factored(e.coeff, f.coeff), e.coordinate)
-    if isinstance(e.coeff, CubicField) and isinstance(f.coeff, CubicField):
-        got, rest = vf_bracket_cubic(e.coeff, f.coeff)
+def vf_bracket(e, f):
+    """Coefficient of [e, f] = (e f' - f e') d/dz, exact in the realization's ring."""
+    if isinstance(e, FactoredLaurent) and isinstance(f, FactoredLaurent):
+        return vf_bracket_factored(e, f)
+    if isinstance(e, CubicField) and isinstance(f, CubicField):
+        got, rest = vf_bracket_cubic(e, f)
         if not rest.is_zero:
             raise ValueError(f"the bracket leaves the Laurent ring: remainder {rest}")
-        return VectorField(got, e.coordinate)
+        return got
     raise ParameterMismatch("fields over different coordinate rings")
 
 
 GENUS0_FAMILIES = ("witt", "l1", "three-point", "w1", "nodal")
-
-
-def _symbolic_alpha2(value):
-    if value is None:
-        return ParamPoly.var(("alpha2",), "alpha2")
-    if isinstance(value, ParamPoly):
-        return value
-    return ParamPoly.const((), rat(value))
 
 
 def _symbolic_roots(e1, e2):
@@ -476,9 +329,11 @@ def _symbolic_roots(e1, e2):
     return e2 - e1, -e1 * 2 - e2
 
 
-def realize(family: str, n: int, alpha2=None, e1=None, e2=None) -> VectorField:
-    """The explicit vector field carrying basis index n.
+def realize(family: str, n: int, e1=None, e2=None):
+    """The coefficient of the explicit vector field carrying basis index n.
 
+    A FactoredLaurent in z for the genus-zero families (always symbolic
+    in alpha2 for three-point, w1 and nodal); a CubicField in u for elliptic.
     witt: l_n = z^(n+1) d/dz.  three-point even/odd:
     z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) times d/dz.  nodal:
     z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) times d/dz.
@@ -486,46 +341,25 @@ def realize(family: str, n: int, alpha2=None, e1=None, e2=None) -> VectorField:
     b = e3 - e1:  u^k Y d/du for index 2k+1 and 2 u^(k-1) (u-a) (u-b) d/du
     for index 2k; symbolic in e1, e2 unless both are given.
     """
-    base = family.split("|")[0]
-    if base in ("witt", "l1"):
-        params = () if alpha2 is None else _symbolic_alpha2(alpha2).params
-        return VectorField(
-            FactoredLaurent(
-                LaurentPoly.monomial(params, n + 1),
-                ParamPoly.const(params, 0),
-                0,
-            )
-        )
-    if base in ("three-point", "w1"):
-        beta = _symbolic_alpha2(alpha2)
-        k, odd = divmod(n, 2)
-        if odd:
-            return VectorField(
-                FactoredLaurent(LaurentPoly.monomial(beta.params, 0), beta, k + 1)
-            )
-        return VectorField(
-            FactoredLaurent(LaurentPoly.monomial(beta.params, 1), beta, k)
-        )
-    if base == "nodal":
-        beta = _symbolic_alpha2(alpha2)
-        k, odd = divmod(n, 2)
-        if odd:
-            return VectorField(
-                FactoredLaurent(LaurentPoly.monomial(beta.params, 2 * k), beta, 1)
-            )
-        return VectorField(
-            FactoredLaurent(LaurentPoly.monomial(beta.params, 2 * k - 3), beta, 2)
-        )
-    if base == "elliptic":
+    if family in ("witt", "l1"):
+        return FactoredLaurent(LaurentPoly.monomial((), n + 1), ParamPoly.const((), 0), 0)
+    k, odd = divmod(n, 2)
+    if family in ("three-point", "w1", "nodal"):
+        beta = ParamPoly.var(("alpha2",), "alpha2")
+        if family == "nodal":
+            degree, exp = (2 * k, 1) if odd else (2 * k - 3, 2)
+        else:
+            degree, exp = (0, k + 1) if odd else (1, k)
+        return FactoredLaurent(LaurentPoly.monomial(beta.params, degree), beta, exp)
+    if family == "elliptic":
         a, b = _symbolic_roots(e1, e2)
         params = a.params
         quad = LaurentPoly.from_items(params, [(2, 1), (1, -(a + b)), (0, a * b)])
         f = quad.shift(1).scale(4)
         zero = LaurentPoly.zero(params)
-        k, odd = divmod(n, 2)
         if odd:
-            return VectorField(CubicField(zero, LaurentPoly.monomial(params, k), f), "u")
-        return VectorField(CubicField(quad.shift(k - 1).scale(2), zero, f), "u")
+            return CubicField(zero, LaurentPoly.monomial(params, k), f)
+        return CubicField(quad.shift(k - 1).scale(2), zero, f)
     raise UnsupportedFamily(f"no realization for family {family!r}")
 
 
@@ -578,14 +412,14 @@ def _mismatch(family, n, m, coeffs, remainders):
 
 
 def _pair_check_symbolic(family, n, m, fields, bounds):
-    got = vf_bracket(fields[n], fields[m]).coeff
+    got = vf_bracket(fields[n], fields[m])
     cand = []
     floor = got.exp
     for idx in range(n + m + bounds.lower, n + m + bounds.upper + 1):
         if idx not in fields:
             continue
-        cand.append((idx, fields[idx].coeff))
-        floor = min(floor, fields[idx].coeff.exp)
+        cand.append((idx, fields[idx]))
+        floor = min(floor, fields[idx].exp)
     laurent_cands = [(idx, fl.as_laurent(floor)) for idx, fl in cand]
     coeffs, rest = expand_in_candidates(got.as_laurent(floor), laurent_cands)
     return _mismatch(family, n, m, coeffs, [rest])
@@ -593,13 +427,13 @@ def _pair_check_symbolic(family, n, m, fields, bounds):
 
 def _pair_check_cubic(family, n, m, fields, bounds):
     """The Y-free part re-expands in the even fields, the Y part in the odd ones."""
-    got, rest = vf_bracket_cubic(fields[n].coeff, fields[m].coeff)
+    got, rest = vf_bracket_cubic(fields[n], fields[m])
     even_cands, odd_cands = [], []
     for idx in range(n + m + bounds.lower, n + m + bounds.upper + 1):
         if idx % 2:
-            odd_cands.append((idx, fields[idx].coeff.b))
+            odd_cands.append((idx, fields[idx].b))
         else:
-            even_cands.append((idx, fields[idx].coeff.a))
+            even_cands.append((idx, fields[idx].a))
     coeffs_a, rest_a = expand_in_candidates(got.a, even_cands)
     coeffs_b, rest_b = expand_in_candidates(got.b, odd_cands)
     return _mismatch(family, n, m, {**coeffs_a, **coeffs_b}, [rest_a, rest_b, rest])
@@ -617,11 +451,7 @@ def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     """
     base = family.name.split("|")[0]
     bounds = grading_bounds(family)
-    indices = sorted(n for n in window if family.in_domain(n))
-    if not indices:
-        raise WindowTooSmall(
-            f"no index of the window lies in the domain of {family.name}"
-        )
+    indices = domain_indices(family, window)
     lo = 2 * indices[0] + bounds.lower
     hi = 2 * indices[-1] + bounds.upper
     full = [

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from liefam.algebra import verify_jacobi
 from liefam.central import (
@@ -14,34 +15,23 @@ from liefam.central import (
     kn_cocycle,
     locality_bound,
     pairing_table,
-    residue,
-    residue_rational,
 )
 from liefam.errors import UpperBoundViolated
 from liefam.families import three_point, virasoro, witt
-from liefam.geometry import (
-    FactoredLaurent,
-    LaurentPoly,
-    Poly,
-    RationalFunc,
-    VectorField,
-    realize,
-)
+from liefam.geometry import FactoredLaurent, LaurentPoly, realize
 from liefam.poly import ParamPoly
 
+Z = sympy.Symbol("z")
 
-def test_residue_basics():
-    assert residue(LaurentPoly.monomial((), -1), 0) == 1
-    assert residue(LaurentPoly.monomial((), 3), 0) == 0
-    assert residue(LaurentPoly.monomial((), -1), 5) == 0
-    # 1/(z^2-1) = (1/2)/(z-1) - (1/2)/(z+1)  (partial fractions oracle)
-    rf = RationalFunc(Poly([1]), Poly([-1, 0, 1]))
-    assert residue_rational(rf, 1) == Fraction(1, 2)
-    assert residue_rational(rf, -1) == Fraction(-1, 2)
-    assert residue_rational(rf, 3) == 0
-    # double pole: z/(z-2)^2 has residue 1 at 2
-    rf = RationalFunc(Poly([0, 1]), Poly([4, -4, 1]))
-    assert residue_rational(rf, 2) == 1
+
+def _sympy_finite_residues(fl: FactoredLaurent):
+    """Sum of sympy.residue of `fl dz` at 0 and at the roots of z^2 - beta."""
+    beta = sympy.Rational(str(fl.beta.constant_value()))
+    expr = sum(
+        sympy.Rational(str(c.constant_value())) * Z**d for d, c in fl.poly.coeffs.items()
+    ) * (Z**2 - beta) ** fl.exp
+    poles = {sympy.Integer(0), sympy.sqrt(beta), -sympy.sqrt(beta)}
+    return sum(sympy.residue(expr, Z, p) for p in poles)
 
 
 def test_finite_residue_sum_cross_check():
@@ -53,12 +43,20 @@ def test_finite_residue_sum_cross_check():
         )
         fl = FactoredLaurent(poly, ParamPoly.const((), 0), 0)
         assert finite_residue_sum(fl) == poly.coefficient(-1)
-    # against pointwise residues for a factored field with rational beta
-    beta = ParamPoly.const((), 4)
-    fl = FactoredLaurent(LaurentPoly.monomial((), 1), beta, -2)
-    total = finite_residue_sum(fl)
-    by_points = residue(fl, 2) + residue(fl, -2) + residue(fl, 0)
-    assert total == by_points
+    # against sympy's residues at every finite pole, for rational, irrational
+    # and imaginary roots of z^2 - beta; odd degrees give nonzero sums
+    cases = [(beta, exp) for beta in (4, 2, -1, Fraction(1, 9)) for exp in (-2, -1)]
+    nonzero = 0
+    for beta, exp in cases + [(4, -3)]:
+        poly = LaurentPoly.from_items(
+            (), [(rng.randrange(-3, 7, 2), rng.randint(-5, 5)) for _ in range(3)]
+        )
+        fl = FactoredLaurent(poly, ParamPoly.const((), beta), exp)
+        got = finite_residue_sum(fl).constant_value()
+        want = sympy.expand(_sympy_finite_residues(fl))
+        assert want == sympy.Rational(got.numerator, got.denominator), (beta, exp)
+        nonzero += got != 0
+    assert nonzero >= 5
 
 
 def test_witt_pairing_values():
@@ -114,11 +112,11 @@ def test_pairing_bilinearity_and_antisymmetry():
         assert (gnm + gmn).is_zero
     # bilinearity over a random combination
     comb = FactoredLaurent(
-        fields[2].coeff.poly.scale(3) + fields[-4].coeff.as_laurent(0).scale(-2),
-        fields[2].coeff.beta,
+        fields[2].poly.scale(3) + fields[-4].as_laurent(0).scale(-2),
+        fields[2].beta,
         0,
     )
-    lhs = kn_cocycle(VectorField(comb), fields[-2])
+    lhs = kn_cocycle(comb, fields[-2])
     rhs = kn_cocycle(fields[2], fields[-2]) * 3 + kn_cocycle(fields[-4], fields[-2]) * -2
     assert lhs == rhs
 

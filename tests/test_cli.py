@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic JSON."""
 
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,50 @@ def test_central_commands(capsys):
     )
     assert code == 0
     assert json.loads(out)["lambda"] == {"-2": "1"}
+    # the window is cut to the family's domain: l1 has no index below 1
+    for family in ("l1", "w1"):
+        code, out = run(
+            capsys, "--json", "central", "cocycle", "--family", family, "--window", "-3..3"
+        )
+        assert code == 0
+        assert json.loads(out)["support"] == []
+
+
+#: SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <entry>`,
+#: recorded before the pointwise residue path, the field wrapper class and the
+#: alpha2 argument of the realizations were removed.
+OUTPUT_SHA256 = {
+    "central cocycle --family witt": "ecb8e9038ef8b127033b65ec8f5f9d790c4d1bd63f311c014b5a4ac8028a1920",
+    "central cocycle --family witt --R 1:-2": "7ac7ec493c0d3b6d599cfb32d1248e8599f4bdb560913d7042f13d247982afcf",
+    "central cocycle --family three-point": "6f6e37cef2ed06c6b48d5533e6a3696db422a1fd5cd8f60c318ad0f102d909c5",
+    "central cocycle --family three-point --R 1:-2": "2c663ed139bc132fb56ee2adf55e6d826cc2b6b7fa209bd1cc8447ae09360a8d",
+    "central cocycle --family nodal": "bbea6de91dcb35f13378c2981817efdfc830fe5fa6bb163959a16892d8917f6e",
+    "central cocycle --family nodal --R 1:-2": "6dcf925e66c5dea7f540d2a7e47f906fda208c1615e14314292ebdb49a4cbbbf",
+    "central cocycle --family w1 --window 1..10": "84c81a0848ff7b214b38545f9d29a69ebb7bf0e7ccf97f7007266cd9100f5752",
+    "central cocycle --family w1 --window 1..10 --R 1:-2": "b930a0b690503b163984090adcc7243b86d03abb111f9b7aa06aefd0249c6b1a",
+    "central cocycle --family l1 --window 1..10": "e29f5e05d3b3ee62f3c79e8578212fd414b5ca9a2a9970f1a72b5e142445ae72",
+    "central cocycle --family l1 --window 1..10 --R 1:-2": "368f3f7b8e2c92c8e28f7808d6c998131ef8e3d2b7922351baed186faebd80d7",
+    "central locality --family witt": "57fdf23490e98ed758e97d1c88edecc25f6e3058a97043b230c2acf310ec07d7",
+    "central locality --family witt --R 1:0": "05ab40f13beddfea3a46d85174e4babeda2eae7587be265668e5422a6a18d608",
+    "central locality --family three-point": "469ca69526e21d1be8be4f605f74b8db9184aba32ca26115238deca13ae074be",
+    "central independence --r1 1:0 --r2 0": "53039b5fe42ea4a9e0ecbbf86a597c07a4b193983637997c9d51ac2c2edf50c8",
+    "central independence --r1 1:-1 --r2 1:0": "93b79ea42c4a3e2a949f38df975dece692bb9e271ddccfe8f6fa0e264bbf9cea",
+    "verify-geometry --family witt": "da199ff61a623ed8cf75ca63daf43ea8ac48eb6c907710dd6b78486641ffd1fc",
+    "verify-geometry --family l1": "c77efa81318046ab8f07bd33b4384ba0f65af4e537dd16edf1f382c25ae5ac66",
+    "verify-geometry --family three-point": "7560c005870aa58478b0ddbe73ba3c18c13f7614c7d8c96ceaf0c1943eea4a16",
+    "verify-geometry --family w1": "e54804093d798b7c6fc526fb5f8531ce6bf8c0e711d9cd81159b5036ab3c2e13",
+    "verify-geometry --family nodal": "bcb6d9550b20a3ea6db33840f7d7402f14b218316c8da8ef5f8aedd9368aee9c",
+    "verify-geometry --family elliptic": "40234507617e915051db5031e7e429ca8eab8ce5c1db343df9f8784c6ab7b1d2",
+    "verify-geometry --family elliptic --params e1=1,e2=2": "1baf0c4caebeec2c22013f92bde8bdcb39b7579607bfbf5bd49735831d3f71b8",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OUTPUT_SHA256))
+def test_central_and_geometry_outputs_are_pinned(capsys, entry):
+    code = main(["--json", *entry.split()])
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == OUTPUT_SHA256[entry]
 
 
 def test_moduli_commands(capsys):
@@ -234,6 +279,15 @@ def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
         (
             ["central", "cocycle", "--family", "elliptic"],
             "the residue pairing works on genus-zero fields",
+        ),
+        (
+            ["central", "cocycle", "--family", "witt|x"],
+            "unknown family 'witt|x'; known: d-infinity, d-line, elliptic, formal-1, "
+            "formal-2, formal-3, l1, nodal, three-point, virasoro, w1, witt",
+        ),
+        (
+            ["central", "cocycle", "--family", "l1", "--window", "-5..0"],
+            "no index of the window lies in the domain of l1",
         ),
     ],
 )
