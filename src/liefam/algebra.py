@@ -11,6 +11,7 @@ is the only identity that needs certification.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -369,22 +370,27 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
 
 
 class _Boundary:
-    """Where a triple of one parity pattern stops being generic.
+    """Where a tuple of one parity pattern stops being generic.
 
     Each entry (form, forbidden, lower) says that the symbolic evaluation
     is the integer one only where the form's value avoids the set
-    `forbidden` and is at least `lower` (None: no bound).
+    `forbidden` and is at least `lower` (None: no bound).  A form is
+    (cn, cm, ck, c) over the index variables n, m, k; a pair uses n and m
+    and leaves ck = 0.
     """
 
     def __init__(self):
         self.entries = set()
 
+    def add(self, form, forbidden=(), lower=None):
+        self.entries.add((form, frozenset(forbidden), lower))
+
     def key(self, family: FamilySpec, form):
         """The form is a basis key of `family`: not exceptional, in the domain."""
-        self.entries.add((form, frozenset(family.exceptional), family.lower_bound))
+        self.add(form, family.exceptional, family.lower_bound)
 
     def nonzero(self, form):
-        self.entries.add((form, frozenset((0,)), None))
+        self.add(form, (0,))
 
     def pair(self, family: FamilySpec, x, y, parity):
         """`symbolic_pair_rule` with its keys recorded and zero terms dropped."""
@@ -397,9 +403,9 @@ class _Boundary:
                 out.append((key, coeff))
         return out
 
-    def within(self, indices):
-        """The entries that some increasing triple of `indices` can violate."""
-        boxes = list(zip(indices[:3], indices[-3:]))  # ranges of n < m < k
+    def within(self, indices, arity: int):
+        """The entries that some increasing `arity`-tuple of `indices` can violate."""
+        boxes = list(zip(indices[:arity], indices[-arity:]))  # range of each slot
         kept = []
         for form, forbidden, lower in self.entries:
             lo = hi = form[3]
@@ -418,8 +424,8 @@ def _accumulate(total: dict, key, coeff: ParamPoly):
     total[key] = coeff if acc is None else acc + coeff
 
 
-def _generic(triple, entries) -> bool:
-    n, m, k = triple
+def _generic(tup, entries) -> bool:
+    n, m, k = tup if len(tup) == 3 else (*tup, 0, 0)[:3]
     for (cn, cm, ck, c), forbidden, lower in entries:
         v = cn * n + cm * m + ck * k + c
         if v in forbidden or (lower is not None and v < lower):
@@ -427,35 +433,45 @@ def _generic(triple, entries) -> bool:
     return True
 
 
-def first_nonzero(indices, arity: int, prove, value):
-    """(checked, tuple, value) at the first nonzero value(*tuple).
+def nonzero_tuples(indices, arity: int, prove, value):
+    """Yield (checked, tuple, value) at each nonzero value(*tuple).
 
-    Tuples run over `itertools.combinations(indices, arity)`.  With
-    `prove` given (arity 3 only), `prove(parity, boundary)` decides
-    whether the identity holds identically in (n, m, k) of a parity
-    pattern, recording in the `_Boundary` where its symbolic evaluation
-    stops being the integer one; it runs once per pattern, when the first
-    triple of that pattern comes up.  A triple of a settled pattern that
-    violates no boundary entry is counted but not evaluated.  The tuple
-    is None when every value vanishes.
+    Tuples run over `itertools.combinations(indices, arity)`, and
+    `checked` counts the tuples up to and including the one yielded.
+    With `prove` given, `prove(parity, boundary)` decides whether the
+    identity holds identically in the index variables (n, m for pairs,
+    n, m, k for triples) of a parity pattern, recording in the
+    `_Boundary` where its symbolic evaluation stops being the integer
+    one; it runs once per pattern, when the first tuple of that pattern
+    comes up.  A tuple of a proved pattern that violates no boundary
+    entry is counted but not evaluated.
     """
-    settled = {}  # parity pattern -> boundary entries, or None if not settled
-    checked = 0
-    for tup in itertools.combinations(indices, arity):
-        checked += 1
+    settled = {}  # parity pattern -> boundary entries, or None if not proved
+    for checked, tup in enumerate(itertools.combinations(indices, arity), 1):
         if prove is not None:
             parity = tuple(i % 2 for i in tup)
             if parity not in settled:
                 boundary = _Boundary()
                 proved = prove(parity, boundary)
-                settled[parity] = boundary.within(indices) if proved else None
+                settled[parity] = boundary.within(indices, arity) if proved else None
             entries = settled[parity]
             if entries is not None and _generic(tup, entries):
                 continue
         v = value(*tup)
         if not v.is_zero:
-            return checked, tup, v
-    return checked, None, None
+            yield checked, tup, v
+
+
+def first_nonzero(indices, arity: int, prove, value):
+    """(checked, tuple, value) at the first tuple of `nonzero_tuples`.
+
+    When every value vanishes the tuple and value are None and `checked`
+    is the number of `arity`-tuples of `indices`.
+    """
+    return next(
+        nonzero_tuples(indices, arity, prove, value),
+        (math.comb(len(indices), arity), None, None),
+    )
 
 
 # ---------------------------------------------------------------------------

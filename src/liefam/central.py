@@ -23,8 +23,8 @@ from .algebra import (
     domain_indices,
     evaluate_pair_rule,
 )
-from .errors import ParameterMismatch, UpperBoundViolated
-from .families import by_name, witt
+from .errors import ParameterMismatch, UnsupportedFamily, UpperBoundViolated
+from .families import CATALOG, by_name, witt
 from .geometry import FactoredLaurent, LaurentPoly, realize
 from .linalg import LinearSystem
 from .poly import ParamPoly, rat_str
@@ -85,8 +85,11 @@ def pairing_table(family: str, window, connection: LaurentPoly | None = None) ->
     """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
 
     Zero values are omitted; a window with no index in the domain raises
-    WindowTooSmall.
+    WindowTooSmall.  `realize` takes a family by name alone, so a family
+    built from arguments (d-line) has no realization.
     """
+    if CATALOG.get(family, (None, ()))[1]:
+        raise UnsupportedFamily(f"no realization for family {family!r}")
     indices = domain_indices(by_name(family), window)
     fields = {n: realize(family, n) for n in indices}
     table = {}

@@ -293,7 +293,16 @@ def cmd_cohomology_solve(args) -> int:
 
 def cmd_cohomology_compare(args) -> int:
     algebra, omega = _load_cocycle(args)
-    _, beta = named_cocycle(args.against)
+    if args.against not in NAMED_COCYCLES:
+        raise LiefamError(
+            f"unknown cocycle {args.against!r}; choose from {', '.join(NAMED_COCYCLES)}"
+        )
+    against, beta = named_cocycle(args.against)
+    if against != algebra:
+        raise LiefamError(
+            f"{args.cocycle} is a cocycle of {algebra.name} but {args.against} "
+            f"is one of {against.name}; compare needs both on one algebra"
+        )
     result = compare_classes(
         algebra, omega, beta, _ansatz_from_args(args), parse_window(args.window)
     )
@@ -570,12 +579,16 @@ _VALUE_FLAGS = {
 
 
 def _merge_negative_values(argv):
-    """Join "--flag -value" into "--flag=-value" so argparse accepts it."""
+    """Join "--flag -value" into "--flag=-value" so argparse accepts it.
+
+    A bare "--" is never joined: argparse strips it from "--flag=--" and
+    would hand the handler an empty list instead of a checked value.
+    """
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
+        if token in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1] != "--":
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:

@@ -21,7 +21,10 @@ from .algebra import (
     CheckReport,
     FamilySpec,
     LieElement,
+    _PairCache,
     _accumulate,
+    _form_parity,
+    _form_poly,
     _form_sum,
     _require_window,
     basis_bracket,
@@ -31,6 +34,7 @@ from .algebra import (
     first_nonzero,
     index_family,
     map_coefficients,
+    nonzero_tuples,
 )
 from .errors import (
     AnsatzTooWeak,
@@ -285,19 +289,32 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
 
             return Cochain(2, "adjoint", None, c.params, DerivedRule(d1, "d1"))
         if c.arity == 2:
+            # memoized over the triples one is_cocycle evaluates
+            brackets = _PairCache(algebra)
+            values = {}
+
+            def value(*idx):
+                got = values.get(idx)
+                if got is None:
+                    got = values[idx] = c.value(*idx)
+                return got
 
             def d2(n, m, k):
                 xs = (n, m, k)
                 total = LieElement.zero(c.params)
                 for i in range(3):
                     rest = tuple(xs[j] for j in range(3) if j != i)
-                    acted = bracket(
-                        algebra, LieElement.basis(xs[i], c.params), c.value(*rest)
-                    )
+                    acted = LieElement.zero(c.params)
+                    for key, coeff in value(*rest).components.items():
+                        if key != CENTRAL:
+                            acted = acted + brackets.get(xs[i], key).scale(coeff)
                     total = total + (acted if i % 2 == 0 else -acted)
                 for i, j in itertools.combinations(range(3), 2):
                     rest = tuple(xs[t] for t in range(3) if t not in (i, j))
-                    term_val = value_on(c, basis_bracket(algebra, xs[i], xs[j]), *rest)
+                    term_val = LieElement.zero(c.params)
+                    for key, coeff in brackets.get(xs[i], xs[j]).components.items():
+                        if key != CENTRAL:
+                            term_val = term_val + value(key, *rest).scale(coeff)
                     sign = (-1) ** (i + j + 2)
                     total = total + (term_val if sign > 0 else -term_val)
                 return total
@@ -353,15 +370,20 @@ def _d2_vanishes(algebra: FamilySpec, spec: FamilySpec, parity, boundary) -> boo
     return all(p.is_zero for p in total.values())
 
 
-def _d2_prover(algebra: FamilySpec, c: Cochain):
-    """The `prove` of `first_nonzero` for d2 c = 0, or None when none applies.
+def _lifted_pair_rule(c: Cochain) -> FamilySpec | None:
+    """The family of an adjoint pair-rule 2-cochain over Q[params, n, m, k], or None.
 
     Only adjoint pair-rule 2-cochains have a symbolic form.
     """
     if not (c.mode == "adjoint" and c.arity == 2 and isinstance(c.rule, PairRule)):
         return None
+    return index_family(c.rule.spec) if c.rule.spec.params == c.params else None
+
+
+def _d2_prover(algebra: FamilySpec, c: Cochain):
+    """The `prove` of `first_nonzero` for d2 c = 0, or None when none applies."""
     lifted = index_family(algebra)
-    spec = index_family(c.rule.spec) if c.rule.spec.params == c.params else None
+    spec = _lifted_pair_rule(c)
     if lifted is None or spec is None:
         return None
     return partial(_d2_vanishes, lifted, spec)
@@ -629,33 +651,126 @@ def _phi_from_solution(forms: _AnsatzForms, values: dict, params) -> Cochain:
     return Cochain(1, "adjoint", ansatz.weight, params, rule, label="solved-map")
 
 
-def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
-    """Exhaustive re-check of d1 F (+ c*beta) = omega beyond the window.
+def _d1_vanishes(algebra, rule, others, parity, boundary) -> bool:
+    """d1 F plus the terms `others` at the index forms (n, m) is zero.
 
-    Closed ansatz shapes define F everywhere, so the check runs on the
-    window extended by a 4-index margin on each side; a window solution
-    that fails to extend is exactly the AnsatzTooWeak situation.
+    `algebra` and the pair-rule families of `others`, (family, scale)
+    pairs, are over Q[params, n, m, k], and F is the affine map `rule`:
+    F(form) = (a * form + d) v_{form + weight}, (a, d) chosen by the
+    form's parity.  The terms follow d1 in `differential`:
+    F([v_n, v_m]) - [F(v_n), v_m] - [v_n, F(v_m)].  Each argument of F is
+    recorded with the pinned indices as forbidden values and the bound
+    that keeps its image in the basis domain.
+    """
+    ring = algebra.params
+    w = rule.weight
+    lower = None if algebra.lower_bound is None else algebra.lower_bound - w
+
+    def image(form):
+        """(form + weight, coefficient of F at the form), recorded."""
+        boundary.add(form, rule.pins, lower)
+        a, d = rule.odd if _form_parity(form, parity) else rule.even
+        return _form_sum(form, (0, 0, 0, w)), _form_poly(ring, form) * a + d
+
+    n, m = INDEX_FORMS[:2]
+    total = {}
+    for key, coeff in boundary.pair(algebra, n, m, parity):
+        out, f = image(key)
+        _accumulate(total, out, coeff * f)
+    for x, y, left in ((n, m, True), (m, n, False)):
+        target, f = image(x)
+        if f.is_zero:
+            continue
+        args = (target, y) if left else (y, target)
+        for out, coeff in boundary.pair(algebra, *args, parity):
+            _accumulate(total, out, -(coeff * f))
+    for spec, scale in others:
+        for out, coeff in boundary.pair(spec, n, m, parity):
+            _accumulate(total, out, coeff * scale)
+    return all(p.is_zero for p in total.values())
+
+
+def _d1_prover(algebra: FamilySpec, phi: Cochain, omega: Cochain, beta, scalar):
+    """The `prove` of `nonzero_tuples` for d1 F = omega - scalar * beta, or None.
+
+    Only an affine map F against adjoint pair-rule cochains over a
+    central-free algebra has a symbolic form.
+    """
+    if not (phi.mode == "adjoint" and isinstance(phi.rule, AffineMapRule)):
+        return None
+    terms = [(omega, -1)] + ([] if beta is None else [(beta, scalar)])
+    if algebra.central is not None or any(c.params != algebra.params for c, _ in terms):
+        return None
+    lifted = index_family(algebra)
+    others = tuple((_lifted_pair_rule(c), scale) for c, scale in terms)
+    if lifted is None or any(spec is None for spec, _ in others):
+        return None
+    return partial(_d1_vanishes, lifted, phi.rule, others)
+
+
+def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=None):
+    """Yield ((n, m), d1 F - omega + scalar * beta) where it is not zero.
+
+    Pairs n < m of `indices` run in `itertools.combinations` order; a pair
+    that `covered` rejects counts as zero, and beta None drops its term.
+    For an affine map F against adjoint pair-rule cochains over a
+    central-free algebra, the difference is computed once per parity
+    pattern of (n, m) as a polynomial in index variables n, m (see
+    `algebra.verify_jacobi`); where it vanishes identically only the
+    pairs that are not generic are evaluated: those where an index, a
+    bracket output or an argument of F is exceptional, below a basis
+    bound, pinned, or maps outside the basis domain.  Every other map
+    and every pattern whose polynomial is not zero are evaluated pair by
+    pair.
     """
     d1 = differential(algebra, phi)
-    indices = domain_indices(algebra, window)
-    if forms.ansatz.shape != "per-index":
-        lo, hi = indices[0], indices[-1]
-        indices = [
-            n
-            for n in range(lo - 4, hi + 5)
-            if algebra.in_domain(n)
-        ]
-    for n, m in itertools.combinations(indices, 2):
-        needed = [n, m] + [i for i, _ in evaluate_pair_rule(algebra, n, m)]
-        if any(forms.form(i) is None for i in needed):
-            continue  # pair not covered by a per-index support window
+    zero = LieElement.zero(algebra.params)
+
+    def difference(n, m):
+        if covered is not None and not covered(n, m):
+            return zero
         lhs = d1.value(n, m)
         rhs = omega.value(n, m)
         if beta is not None:
             rhs = rhs - beta.value(n, m).scale(scalar)
-        if not (lhs - rhs).is_zero:
-            return {"pair": [n, m], "difference": (lhs - rhs).to_json()}
-    return None
+        return lhs - rhs
+
+    prove = _d1_prover(algebra, phi, omega, beta, scalar)
+    for _, pair, value in nonzero_tuples(indices, 2, prove, difference):
+        yield pair, value
+
+
+def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
+    """Re-check d1 F (+ c*beta) = omega beyond the window.
+
+    Closed ansatz shapes define F everywhere, so the check runs on the
+    window extended by a 4-index margin on each side; a window solution
+    that fails to extend is exactly the AnsatzTooWeak situation.  The
+    affine map of a closed shape is checked once per parity pattern of
+    (n, m) in index variables, and only the pairs at exceptional, pinned
+    or bounded indices are evaluated (`coboundary_mismatches`); the
+    per-index map table is evaluated pair by pair on its support.
+    Returns the first mismatch in `itertools.combinations` order, or None.
+    """
+    indices = domain_indices(algebra, window)
+    if forms.ansatz.shape == "per-index":
+
+        def covered(n, m):
+            needed = [n, m] + [i for i, _ in evaluate_pair_rule(algebra, n, m)]
+            return all(forms.form(i) is not None for i in needed)
+
+    else:
+        covered = None
+        lo, hi = indices[0], indices[-1]
+        indices = [n for n in range(lo - 4, hi + 5) if algebra.in_domain(n)]
+    first = next(
+        coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered),
+        None,
+    )
+    if first is None:
+        return None
+    pair, difference = first
+    return {"pair": list(pair), "difference": difference.to_json()}
 
 
 def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
@@ -702,7 +817,12 @@ def solve_coboundary(
 
     An inconsistent window subsystem is a global non-coboundary
     certificate for the ansatz shape, since any global solution would
-    restrict to a solution of the window system.
+    restrict to a solution of the window system.  A solution is then
+    re-checked on the window extended by four indices on each side: for
+    the affine map of a closed shape, d1 F - omega is proved zero once
+    per parity pattern of (n, m) in index variables, and only the pairs
+    at exceptional, pinned or bounded indices are evaluated; a per-index
+    map is evaluated pair by pair on its support (`_verify_coboundary`).
     """
     return _solve(algebra, omega, None, ansatz, window)
 

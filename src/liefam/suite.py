@@ -14,7 +14,6 @@ F(v_2) = -(4/3) v_0 replaces the formula's -(5/3) v_0.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -34,9 +33,9 @@ from .cohomology import (
     Ansatz,
     Cochain,
     PairRule,
+    coboundary_mismatches,
     compare_classes,
     deformation_differential,
-    differential,
     expected_goncharova,
     goncharova_table,
     is_cocycle,
@@ -284,15 +283,12 @@ def _residuals(phi: Cochain, omega, beta, scalar, window) -> dict:
     """{(n, m): omega - d1 F - scalar * beta} on the window pairs where nonzero.
 
     d1 is taken over the Witt algebra W: on pairs of indices >= 1 its
-    bracket is the action of L1 on W, so F may take values in W.
+    bracket is the action of L1 on W, so F may take values in W.  The
+    pairs come from `coboundary_mismatches`, which proves the identity
+    per parity pattern and evaluates only the pinned and bounded pairs.
     """
-    d1 = differential(witt(), phi)
-    out = {}
-    for n, m in itertools.combinations(window, 2):
-        r = omega.value(n, m) - d1.value(n, m) - beta.value(n, m).scale(scalar)
-        if not r.is_zero:
-            out[(n, m)] = r
-    return out
+    mismatches = coboundary_mismatches(witt(), phi, omega, beta, scalar, list(window))
+    return {pair: -difference for pair, difference in mismatches}
 
 
 def _erratum(omega, beta3, computed: Cochain, window) -> dict:

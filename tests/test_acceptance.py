@@ -182,6 +182,20 @@ def test_criterion_5_identity_stated_witness():
     assert verbatim[(1, 3)] == LieElement.basis(2, coeff=4), verbatim[(1, 3)].to_json()
 
 
+def test_suite_residuals_equal_enumeration():
+    """The suite's residuals (proved per parity pattern) equal the enumerated ones."""
+    from liefam import suite
+
+    _, omega = named_cocycle("w1-order1")
+    _, beta3 = named_cocycle("beta3")
+    window, third = range(1, 25), Fraction(1, 3)
+    for pins, failing in (({1: 0, 2: 0}, 45), ({2: Fraction(-4, 3)}, 0)):
+        want = _residuals(_stated_map(pins), omega, beta3, third, window)
+        got = suite._residuals(suite._stated_map(pins), omega, beta3, third, window)
+        assert len(want) == failing
+        assert got == want
+
+
 def test_criterion_5_noncoboundary_certificate():
     l1, beta3 = named_cocycle("beta3")
     ok = True

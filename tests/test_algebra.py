@@ -17,6 +17,7 @@ from liefam.algebra import (
     CentralDelta,
     CentralTable,
     FamilySpec,
+    _Boundary,
     LieElement,
     RuleTerm,
     abelianization_codim,
@@ -30,7 +31,18 @@ from liefam.algebra import (
     specialize,
     verify_jacobi,
 )
-from liefam.cohomology import Cochain, PairRule, differential, is_cocycle
+from liefam.cohomology import (
+    AffineMapRule,
+    Ansatz,
+    Cochain,
+    PairRule,
+    PairTableRule,
+    _AnsatzForms,
+    _d1_prover,
+    _verify_coboundary,
+    differential,
+    is_cocycle,
+)
 from liefam.errors import (
     MissingParameter,
     OutOfDomainIndex,
@@ -325,7 +337,7 @@ def outcome(report, *args):
         got = report(*args)
     except OutOfDomainIndex as exc:
         return ("OutOfDomainIndex", str(exc))
-    return got if isinstance(got, dict) else got.to_json()
+    return got if got is None or isinstance(got, dict) else got.to_json()
 
 
 _RATIONALS = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 2, 3)] + [Fraction(1, 2)])
@@ -512,6 +524,92 @@ def test_is_cocycle_equals_plain_enumeration(case, data):
     assert outcome(is_cocycle, algebra, cochain, window) == outcome(
         enumerated_cocycle, algebra, cochain, window
     )
+
+
+def enumerated_coboundary(algebra, phi, omega, beta, scalar, window):
+    """_verify_coboundary's result for an affine map, by plain enumeration of d1."""
+    indices = sorted(n for n in window if algebra.in_domain(n))
+    extended = [n for n in range(indices[0] - 4, indices[-1] + 5) if algebra.in_domain(n)]
+    d1 = differential(algebra, phi)
+    for n, m in itertools.combinations(extended, 2):
+        lhs = d1.value(n, m)
+        rhs = omega.value(n, m)
+        if beta is not None:
+            rhs = rhs - beta.value(n, m).scale(scalar)
+        if not (lhs - rhs).is_zero:
+            return {"pair": [n, m], "difference": (lhs - rhs).to_json()}
+    return None
+
+
+_HALF = Fraction(1, 2)
+#: (omega, beta, scalar, weight, even (a, d), odd (a, d), pins): coboundary
+#: witnesses, so that most parity patterns are proved and only boundary
+#: pairs are evaluated.
+WITNESSES = (
+    ("ds-order1", None, None, -2, (0, -3), (0, -3 * _HALF), {}),
+    ("dinf-order2", None, None, -4, (0, 1), (0, _HALF), {}),
+    ("beta2", None, None, -1, (_HALF, _HALF), (_HALF, _HALF), {1: 0}),
+    ("w1-order1", "beta3", Fraction(1, 3), -2, (Fraction(1, 6), Fraction(-2, 3)),
+     (Fraction(1, 6), Fraction(-1, 6)), {1: 0, 2: 0}),
+    ("beta3", "beta3", Fraction(1), -2, (0, 0), (0, 0), {}),
+)
+_SMALL = st.sampled_from([Fraction(v) for v in (-2, -1, 0, 1, 2)] + [_HALF, Fraction(-4, 3)])
+
+
+@st.composite
+def coboundary_cases(draw):
+    """(algebra, F, omega, beta, scalar): a witness, perturbed or not, or a random map."""
+    omega_name, beta_name, scalar, weight, even, odd, pins = draw(st.sampled_from(WITNESSES))
+    algebra, omega = named_cocycle(omega_name)
+    low = 1 if algebra.lower_bound else -3
+    pins = dict(pins)
+    kind = draw(st.sampled_from(["witness", "pinned", "random"]))
+    if kind == "random":  # weight in -4..2, a and d per parity
+        weight = draw(st.integers(-4, 2))
+        even = (draw(_SMALL), draw(_SMALL))
+        odd = (draw(_SMALL), draw(_SMALL))
+        pins = draw(st.dictionaries(st.integers(low, 5), _SMALL, max_size=3))
+    elif kind == "pinned":  # one pin moved off the map: a mismatch at a boundary pair
+        index = draw(st.integers(low, 5))
+        a, d = odd if index % 2 else even
+        pins[index] = pins.get(index, a * index + d) + draw(st.sampled_from([-1, _HALF, 2]))
+    beta = None
+    if beta_name is not None:
+        beta = named_cocycle(beta_name)[1]
+        if draw(st.booleans()):
+            scalar = draw(_SMALL)
+    rule = AffineMapRule(weight, tuple(map(Fraction, even)), tuple(map(Fraction, odd)),
+                         {n: Fraction(v) for n, v in pins.items()})
+    phi = Cochain(1, "adjoint", weight, algebra.params, rule, label="map")
+    return algebra, phi, omega, beta, scalar
+
+
+@settings(max_examples=30, deadline=None)
+@given(coboundary_cases(), st.data())
+def test_verify_coboundary_equals_plain_enumeration(case, data):
+    algebra, phi, omega, beta, scalar = case
+    window = windows(data.draw, algebra)
+    forms = _AnsatzForms(algebra, Ansatz("affine", phi.weight))
+    args = (algebra, phi, omega, beta, scalar, window)
+    assert outcome(lambda *a: _verify_coboundary(a[0], forms, *a[1:]), *args) == outcome(
+        enumerated_coboundary, *args
+    )
+
+
+def test_coboundary_witnesses_are_proved_per_parity_pattern():
+    """Each witness of WITNESSES settles all four parity patterns of (n, m) symbolically."""
+    for omega_name, beta_name, scalar, weight, even, odd, pins in WITNESSES:
+        algebra, omega = named_cocycle(omega_name)
+        beta = None if beta_name is None else named_cocycle(beta_name)[1]
+        rule = AffineMapRule(weight, even, odd, pins)
+        phi = Cochain(1, "adjoint", weight, algebra.params, rule)
+        prove = _d1_prover(algebra, phi, omega, beta, scalar)
+        assert all(prove(p, _Boundary()) for p in itertools.product((0, 1), repeat=2))
+    # a table-valued beta or a central algebra has no symbolic form
+    _, omega = named_cocycle("ds-order1")
+    table = Cochain(2, "adjoint", -2, (), PairTableRule({}))
+    assert _d1_prover(witt(), phi, omega, table, Fraction(1)) is None
+    assert _d1_prover(virasoro(), phi, omega, None, None) is None
 
 
 #: SHA-256 of the sorted report JSON, recorded when every triple was

@@ -238,6 +238,22 @@ def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["families", "dump", "--family", "d-line", "--s", "--"], "--s"),
+        (["verify-geometry", "--family", "witt", "--window", "--"], "--window"),
+    ],
+)
+def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: expected one argument" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (
@@ -288,6 +304,25 @@ def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
         (
             ["central", "cocycle", "--family", "l1", "--window", "-5..0"],
             "no index of the window lies in the domain of l1",
+        ),
+        (["central", "cocycle", "--family", "d-line"], "no realization for family 'd-line'"),
+        (
+            ["cohomology", "compare", "--cocycle", "ds-order1", "--against", "beta3",
+             "--ansatz", "affine", "--weight", "-2"],
+            "ds-order1 is a cocycle of witt but beta3 is one of l1; compare needs "
+            "both on one algebra",
+        ),
+        (
+            ["cohomology", "compare", "--cocycle", "beta3", "--against", "ds-order1",
+             "--weight", "-2"],
+            "beta3 is a cocycle of l1 but ds-order1 is one of witt; compare needs "
+            "both on one algebra",
+        ),
+        (
+            ["cohomology", "compare", "--cocycle", "beta3", "--against", "nope",
+             "--weight", "-2"],
+            "unknown cocycle 'nope'; choose from ds-order1, dinf-order2, w1-order1, "
+            "beta1, beta2, beta3",
         ),
     ],
 )
