@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     MissingParameter,
@@ -389,9 +389,6 @@ class _Boundary:
         """The form is a basis key of `family`: not exceptional, in the domain."""
         self.add(form, family.exceptional, family.lower_bound)
 
-    def nonzero(self, form):
-        self.add(form, (0,))
-
     def pair(self, family: FamilySpec, x, y, parity):
         """`symbolic_pair_rule` with its keys recorded and zero terms dropped."""
         self.key(family, x)
@@ -402,6 +399,24 @@ class _Boundary:
             if not coeff.is_zero:
                 out.append((key, coeff))
         return out
+
+    def brackets(self, family: FamilySpec, parity):
+        """(inner, outer): `pair` of `family` as callables of two index forms.
+
+        `outer`, for brackets whose central term a walk keeps, also records
+        that the forms avoid the support of a nonzero central delta.
+        """
+        central = family.central is not None and not family.central.is_zero
+
+        def inner(x, y):
+            return self.pair(family, x, y, parity)
+
+        def outer(x, y):
+            if central:
+                self.add(_form_sum(x, y), (0,))
+            return self.pair(family, x, y, parity)
+
+        return inner, outer
 
     def within(self, indices, arity: int):
         """The entries that some increasing `arity`-tuple of `indices` can violate."""
@@ -419,9 +434,13 @@ class _Boundary:
         return tuple(kept)
 
 
-def _accumulate(total: dict, key, coeff: ParamPoly):
-    acc = total.get(key)
-    total[key] = coeff if acc is None else acc + coeff
+def _vanishes(terms) -> bool:
+    """Whether the (key, coefficient) terms sum to zero at every key."""
+    total = {}
+    for key, coeff in terms:
+        acc = total.get(key)
+        total[key] = coeff if acc is None else acc + coeff
+    return all(p.is_zero for p in total.values())
 
 
 def _generic(tup, entries) -> bool:
@@ -647,32 +666,29 @@ def jacobiator(family: FamilySpec, n: int, m: int, k: int) -> LieElement:
     return total
 
 
-class _PairCache:
-    """Memoized basis brackets for a fixed family."""
-
-    def __init__(self, family: FamilySpec):
-        self.family = family
-        self.cache = {}
-
-    def get(self, n: int, m: int) -> LieElement:
-        key = (n, m)
-        elem = self.cache.get(key)
-        if elem is None:
-            elem = basis_bracket(self.family, n, m)
-            self.cache[key] = elem
-        return elem
+def _bracket_terms(family: FamilySpec):
+    """(x, y) -> the (key, coefficient) terms of `basis_bracket`, computed once."""
+    return cache(lambda x, y: basis_bracket(family, x, y).components.items())
 
 
-def _cached_jacobiator(cache: _PairCache, n: int, m: int, k: int) -> LieElement:
-    family = cache.family
-    total = LieElement.zero(family.params)
+def _jacobi_terms(inner, outer, n, m, k):
+    """The terms of [[v_n, v_m], v_k] + [[v_m, v_k], v_n] + [[v_k, v_n], v_m].
+
+    `inner(x, y)` and `outer(x, y)` give the (key, coefficient) terms of
+    [v_x, v_y]; keys are integers or index forms.  The central term of an
+    inner bracket is skipped, since the central element brackets to zero.
+    """
     for a, b, c in ((n, m, k), (m, k, n), (k, n, m)):
-        inner = cache.get(a, b)
-        for idx, coeff in inner.components.items():
-            if idx == CENTRAL:
-                continue
-            total = total + cache.get(idx, c).scale(coeff)
-    return total
+        for key, coeff in inner(a, b):
+            if key != CENTRAL:
+                for out, value in outer(key, c):
+                    yield out, coeff * value
+
+
+def _jacobi_vanishes(family: FamilySpec, parity, boundary) -> bool:
+    """The Jacobiator at the index forms of one parity pattern is zero."""
+    inner, outer = boundary.brackets(family, parity)
+    return _vanishes(_jacobi_terms(inner, outer, *INDEX_FORMS))
 
 
 @dataclass
@@ -724,20 +740,6 @@ def _require_window(family: FamilySpec, window):
     return indices
 
 
-def _jacobi_vanishes(family: FamilySpec, parity, boundary) -> bool:
-    """The Jacobiator of `_cached_jacobiator` at the index forms is zero."""
-    central = family.central is not None and not family.central.is_zero
-    total = {}
-    n, m, k = INDEX_FORMS
-    for a, b, c in ((n, m, k), (m, k, n), (k, n, m)):
-        for key, coeff in boundary.pair(family, a, b, parity):
-            if central:
-                boundary.nonzero(_form_sum(key, c))  # the central delta's support
-            for out, outer in boundary.pair(family, key, c, parity):
-                _accumulate(total, out, coeff * outer)
-    return all(p.is_zero for p in total.values())
-
-
 def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     """Certify the Jacobi identity on every index triple in the window.
 
@@ -759,10 +761,12 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     indices = _require_window(family, window)
     lifted = index_family(family)
     prove = None if lifted is None else partial(_jacobi_vanishes, lifted)
-    cache = _PairCache(family)
-    checked, triple, value = first_nonzero(
-        indices, 3, prove, lambda n, m, k: _cached_jacobiator(cache, n, m, k)
-    )
+    pair = _bracket_terms(family)
+
+    def jacobiator_at(*xs):
+        return LieElement.from_components(family.params, _jacobi_terms(pair, pair, *xs))
+
+    checked, triple, value = first_nonzero(indices, 3, prove, jacobiator_at)
     if triple is not None:
         return CheckReport(
             name=f"jacobi:{family.name}",

@@ -241,13 +241,20 @@ def _load_cocycle(args):
     if args.cocycle in NAMED_COCYCLES:
         return named_cocycle(args.cocycle)
     path = Path(args.cocycle)
-    if path.is_file():
+    if not path.is_file():
+        raise LiefamError(
+            f"unknown cocycle {args.cocycle!r}; choose from "
+            f"{', '.join(NAMED_COCYCLES)} or pass a JSON file path"
+        )
+    try:
         data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise LiefamError(f"cocycle file {path} holds no JSON object")
         return by_name(data["algebra"]), cochain_from_json(data["cochain"])
-    raise LiefamError(
-        f"unknown cocycle {args.cocycle!r}; choose from "
-        f"{', '.join(NAMED_COCYCLES)} or pass a JSON file path"
-    )
+    except KeyError as exc:
+        raise LiefamError(f"cocycle file {path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # not JSON, or wrongly typed values
+        raise LiefamError(f"cocycle file {path} is malformed: {exc}") from None
 
 
 def cmd_cohomology_check(args) -> int:

@@ -5,6 +5,10 @@ adjoint differential uses the deformation-theory coboundary convention
     (d1 F)(x, y) = F([x, y]) - [F(x), y] - [x, F(y)],
 all other arities use the standard alternating-sum convention; every
 composite of two consecutive differentials vanishes either way.
+
+`_d1_terms` is the one place the d1 convention lives (`_d2_terms` that
+of d2): `differential` walks it on integers, the provers on index forms
+and `_build_system` on the linear forms of the coboundary ansatz.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .algebra import (
     CENTRAL,
@@ -21,14 +25,13 @@ from .algebra import (
     CheckReport,
     FamilySpec,
     LieElement,
-    _PairCache,
-    _accumulate,
+    _bracket_terms,
     _form_parity,
     _form_poly,
     _form_sum,
     _require_window,
-    basis_bracket,
-    bracket,
+    _vanishes,
+    bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
     domain_indices,
     evaluate_pair_rule,
     first_nonzero,
@@ -39,6 +42,7 @@ from .algebra import (
 from .errors import (
     AnsatzTooWeak,
     ArityUnsupported,
+    LiefamError,
     MissingParameter,
     OutOfDomainIndex,
     ParameterMismatch,
@@ -213,12 +217,22 @@ class Cochain:
 
 
 def cochain_from_json(data: dict) -> Cochain:
-    """Rebuild a serialized cochain (pair-rule, affine-map, or map-table)."""
+    """Rebuild a serialized cochain (pair-rule, affine-map, or map-table).
+
+    A rule kind that does not fit the arity and mode raises LiefamError.
+    """
     from .algebra import family_from_json
 
     params = tuple(data["params"])
+    arity, mode = int(data["arity"]), data["mode"]
     payload = data["rule"]
     kind = payload["kind"]
+    shapes = {"pair-rule": (2, "adjoint"), "affine-map": (1, "adjoint")}
+    shapes["map-table"] = (1, mode)
+    if kind in shapes and shapes[kind] != (arity, mode):
+        raise LiefamError(
+            f"a {kind} cochain has (arity, mode) {shapes[kind]}, not {(arity, mode)}"
+        )
     if kind == "pair-rule":
         rule = PairRule(family_from_json(payload))
     elif kind == "affine-map":
@@ -231,6 +245,8 @@ def cochain_from_json(data: dict) -> Cochain:
     elif kind == "map-table":
         entries = {}
         for k, v in payload["entries"].items():
+            if isinstance(v, dict) != (mode == "adjoint"):  # element or scalar
+                raise LiefamError(f"map-table value {v!r} does not fit {mode} mode")
             entries[int(k)] = (
                 LieElement.from_json(params, v)
                 if isinstance(v, dict)
@@ -240,8 +256,8 @@ def cochain_from_json(data: dict) -> Cochain:
     else:
         raise ArityUnsupported(f"cannot deserialize cochain rule kind {kind!r}")
     return Cochain(
-        arity=int(data["arity"]),
-        mode=data["mode"],
+        arity=arity,
+        mode=mode,
         weight=data.get("weight"),
         params=params,
         rule=rule,
@@ -249,27 +265,53 @@ def cochain_from_json(data: dict) -> Cochain:
     )
 
 
-def value_on(c: Cochain, elem: LieElement, *rest):
-    """c(elem, v_rest...), extended linearly over the first argument.
-
-    Central components are annihilated (maps are defined on the vector
-    part; the central generator pairs to zero).
-    """
-    total = c._zero()
-    for key, coeff in elem.components.items():
-        if key == CENTRAL:
-            continue
-        v = c.value(key, *rest)
-        if isinstance(v, ParamPoly):
-            total = total + v * coeff
-        else:
-            total = total + v.scale(coeff)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # differentials
 # ---------------------------------------------------------------------------
+
+
+def _d1_terms(pair, image, n, m):
+    """The terms of (d1 F)(v_n, v_m) = F([v_n, v_m]) - [F(v_n), v_m] - [v_n, F(v_m)].
+
+    This is the one statement of the deformation-theory convention of d1.
+    `pair(x, y)` gives the (key, coefficient) terms of [v_x, v_y] and
+    `image(x)` those of F(v_x); keys are integers or index forms, and
+    image coefficients may be linear forms, so they are multiplied on the
+    left.  Central keys are skipped before F or a bracket acts on them.
+    """
+    for key, coeff in pair(n, m):
+        if key != CENTRAL:
+            for out, f in image(key):
+                yield out, f * coeff
+    for x, y, left in ((n, m, True), (m, n, False)):
+        for key, f in image(x):
+            if key != CENTRAL:
+                for out, coeff in pair(key, y) if left else pair(y, key):
+                    yield out, f * -coeff
+
+
+def _d2_terms(value, inner, outer, xs):
+    """The terms of (d2 c)(v_x0, v_x1, v_x2) for an adjoint 2-cochain c.
+
+    The action of each index on c of the other two, then c on each
+    bracket of two indices and the third, with alternating signs.
+    `value(x, y)` gives the (key, coefficient) terms of c(v_x, v_y), and
+    `inner`, `outer` those of brackets as in `algebra._jacobi_terms`.
+    """
+    for i in range(3):
+        rest = [xs[j] for j in range(3) if j != i]
+        for key, coeff in value(*rest):
+            if key != CENTRAL:
+                for out, acted in outer(xs[i], key):
+                    term = coeff * acted
+                    yield out, term if i % 2 == 0 else -term
+    for i, j in itertools.combinations(range(3), 2):
+        (rest,) = [xs[t] for t in range(3) if t not in (i, j)]
+        for key, coeff in inner(xs[i], xs[j]):
+            if key != CENTRAL:
+                for out, paired in value(key, rest):
+                    term = coeff * paired
+                    yield out, term if (i + j) % 2 == 0 else -term
 
 
 def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
@@ -279,45 +321,22 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
             f"cochain over {c.params} vs algebra over {algebra.params}"
         )
     if c.mode == "adjoint":
+        # basis brackets and cochain values are memoized over the tuples
+        # one check evaluates
+        pair = _bracket_terms(algebra)
+        value = cache(lambda *idx: c.value(*idx).components.items())
         if c.arity == 1:
 
             def d1(n, m):
-                inner = value_on(c, basis_bracket(algebra, n, m))
-                left = bracket(algebra, c.value(n), LieElement.basis(m, c.params))
-                right = bracket(algebra, LieElement.basis(n, c.params), c.value(m))
-                return inner - left - right
+                terms = _d1_terms(pair, value, n, m)
+                return LieElement.from_components(c.params, terms)
 
             return Cochain(2, "adjoint", None, c.params, DerivedRule(d1, "d1"))
         if c.arity == 2:
-            # memoized over the triples one is_cocycle evaluates
-            brackets = _PairCache(algebra)
-            values = {}
 
-            def value(*idx):
-                got = values.get(idx)
-                if got is None:
-                    got = values[idx] = c.value(*idx)
-                return got
-
-            def d2(n, m, k):
-                xs = (n, m, k)
-                total = LieElement.zero(c.params)
-                for i in range(3):
-                    rest = tuple(xs[j] for j in range(3) if j != i)
-                    acted = LieElement.zero(c.params)
-                    for key, coeff in value(*rest).components.items():
-                        if key != CENTRAL:
-                            acted = acted + brackets.get(xs[i], key).scale(coeff)
-                    total = total + (acted if i % 2 == 0 else -acted)
-                for i, j in itertools.combinations(range(3), 2):
-                    rest = tuple(xs[t] for t in range(3) if t not in (i, j))
-                    term_val = LieElement.zero(c.params)
-                    for key, coeff in brackets.get(xs[i], xs[j]).components.items():
-                        if key != CENTRAL:
-                            term_val = term_val + value(key, *rest).scale(coeff)
-                    sign = (-1) ** (i + j + 2)
-                    total = total + (term_val if sign > 0 else -term_val)
-                return total
+            def d2(*xs):
+                terms = _d2_terms(value, pair, pair, xs)
+                return LieElement.from_components(c.params, terms)
 
             return Cochain(3, "adjoint", None, c.params, DerivedRule(d2, "d2"))
         raise ArityUnsupported("adjoint differential implemented for arity <= 2")
@@ -343,31 +362,13 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
 
 
 def _d2_vanishes(algebra: FamilySpec, spec: FamilySpec, parity, boundary) -> bool:
-    """The adjoint d2 of `differential` at the index forms is zero.
+    """`_d2_terms` at the index forms sum to zero; `spec` is the cochain's family.
 
-    `spec` is the pair-rule cochain's family; both are over Q[params, n,
-    m, k].  The terms follow d2 in `differential`: the action of each
-    index on the cochain of the other two, then the cochain on each
-    bracket of two indices and the third.
+    Both families are over Q[params, n, m, k].
     """
-    central = algebra.central is not None and not algebra.central.is_zero
-    xs = INDEX_FORMS
-    total = {}
-    for i in range(3):
-        rest = [xs[j] for j in range(3) if j != i]
-        for key, coeff in boundary.pair(spec, *rest, parity):
-            if central:
-                boundary.nonzero(_form_sum(xs[i], key))
-            for out, acted in boundary.pair(algebra, xs[i], key, parity):
-                value = coeff * acted
-                _accumulate(total, out, value if i % 2 == 0 else -value)
-    for i, j in itertools.combinations(range(3), 2):
-        (rest,) = [xs[t] for t in range(3) if t not in (i, j)]
-        for key, coeff in boundary.pair(algebra, xs[i], xs[j], parity):
-            for out, paired in boundary.pair(spec, key, rest, parity):
-                value = coeff * paired
-                _accumulate(total, out, value if (i + j) % 2 == 0 else -value)
-    return all(p.is_zero for p in total.values())
+    inner, outer = boundary.brackets(algebra, parity)
+    value, _ = boundary.brackets(spec, parity)
+    return _vanishes(_d2_terms(value, inner, outer, INDEX_FORMS))
 
 
 def _lifted_pair_rule(c: Cochain) -> FamilySpec | None:
@@ -501,8 +502,15 @@ class SolveResult:
         return data
 
 
+class _Linear(dict):
+    """Linear form over the ansatz unknowns: unknown -> Fraction; () keys the constant."""
+
+    def __mul__(self, scale):
+        return _Linear((u, v * scale) for u, v in self.items())
+
+
 class _AnsatzForms:
-    """Linear forms (dict unknown -> Fraction, const) for the map coefficients."""
+    """Linear forms (`_Linear`) for the map coefficients."""
 
     def __init__(self, algebra: FamilySpec, ansatz: Ansatz):
         self.algebra = algebra
@@ -538,16 +546,27 @@ class _AnsatzForms:
     def form(self, i: int):
         """Linear form of the coefficient of v_{i+weight} in F(v_i), or None."""
         if self._pinned(i):
-            return {}, self.pinned_value(i)
+            value = self.pinned_value(i)
+            return _Linear({(): value} if value else {})
         if self.ansatz.shape == "per-index":
             lo, hi = self.ansatz.support
             if not (lo <= i <= hi):
                 return None  # outside the modeled support
-            return {("idx", i): Fraction(1)}, Fraction(0)
+            return _Linear({("idx", i): Fraction(1)})
         parity = "odd" if i % 2 else "even"
         if self.ansatz.shape == "parity-constant":
-            return {(parity, "d"): Fraction(1)}, Fraction(0)
-        return {(parity, "a"): Fraction(i), (parity, "d"): Fraction(1)}, Fraction(0)
+            return _Linear({(parity, "d"): Fraction(1)})
+        return _Linear({(parity, "a"): Fraction(i), (parity, "d"): Fraction(1)})
+
+    def image(self, i: int):
+        """F(v_i) as its terms for `_d1_terms`: none where the coefficient is zero."""
+        form = self.form(i)
+        return [(i + self.ansatz.weight, form)] if form else []
+
+    def covers(self, n: int, m: int) -> bool:
+        """Whether F is modeled at v_n, v_m and every index of [v_n, v_m]."""
+        needed = [n, m] + [i for i, _ in evaluate_pair_rule(self.algebra, n, m)]
+        return all(self.form(i) is not None for i in needed)
 
 
 def _const_components(elem: LieElement) -> dict:
@@ -560,7 +579,11 @@ def _const_components(elem: LieElement) -> dict:
 
 
 def _build_system(algebra, omega, beta, ansatz, window):
-    """Assemble the exact linear system for d1 F (+ c*beta) = omega."""
+    """Assemble the exact linear system for d1 F (+ c*beta) = omega.
+
+    Each window pair that the ansatz covers gives one equation per output
+    index of `_d1_terms`, with F's image given as linear forms.
+    """
     if algebra.params:
         raise MissingParameter("coboundary solving needs a parameter-free algebra")
     forms = _AnsatzForms(algebra, ansatz)
@@ -568,52 +591,34 @@ def _build_system(algebra, omega, beta, ansatz, window):
     unknowns = forms.unknowns()
     if beta is not None:
         unknowns = unknowns + [("scale",)]
-    w = ansatz.weight
-    indices = domain_indices(algebra, window)
+    pair = cache(
+        lambda x, y: [
+            (idx, coeff.constant_value())
+            for idx, coeff in evaluate_pair_rule(algebra, x, y)
+        ]
+    )
     pairs_used = 0
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            n, m = indices[a], indices[b]
-            cb = evaluate_pair_rule(algebra, n, m)
-            needed = [n, m] + [idx for idx, _ in cb]
-            if any(forms.form(i) is None for i in needed):
-                continue  # outside a per-index support window
-            pairs_used += 1
-            # d1 F(v_n, v_m) accumulated as output index -> linear form
-            rows = {}
-
-            def add(idx, coeffs, const, scale):
-                row, c0 = rows.setdefault(idx, ({}, Fraction(0)))
-                for u, v in coeffs.items():
-                    row[u] = row.get(u, Fraction(0)) + v * scale
-                rows[idx] = (row, c0 + const * scale)
-
-            for idx, coeff in cb:
-                fcoeffs, fconst = forms.form(idx)
-                add(idx + w, fcoeffs, fconst, coeff.constant_value())
-            for first, other, sign in ((n, m, -1), (m, n, 1)):
-                fcoeffs, fconst = forms.form(first)
-                if not fcoeffs and fconst == 0:
-                    continue
-                target = first + w
-                if not algebra.in_domain(target):
-                    continue  # coefficient is pinned to zero here
-                for idx, coeff in evaluate_pair_rule(algebra, target, other):
-                    add(idx, fcoeffs, fconst, coeff.constant_value() * sign)
-            rhs_all = _const_components(omega.value(n, m))
-            beta_all = _const_components(beta.value(n, m)) if beta is not None else {}
-            for idx in sorted(set(rows) | set(rhs_all) | set(beta_all)):
-                row, const = rows.get(idx, ({}, Fraction(0)))
-                coeffs = dict(row)
-                if idx in beta_all:
-                    coeffs[("scale",)] = (
-                        coeffs.get(("scale",), Fraction(0)) + beta_all[idx]
-                    )
-                system.add(
-                    coeffs,
-                    rhs_all.get(idx, Fraction(0)) - const,
-                    tag={"pair": [n, m], "index": idx},
-                )
+    for n, m in itertools.combinations(domain_indices(algebra, window), 2):
+        if not forms.covers(n, m):
+            continue  # outside a per-index support window
+        pairs_used += 1
+        rows = {}  # output index -> linear form of d1 F there
+        for idx, form in _d1_terms(pair, forms.image, n, m):
+            row = rows.setdefault(idx, {})
+            for u, v in form.items():
+                row[u] = row.get(u, 0) + v
+        rhs_all = _const_components(omega.value(n, m))
+        beta_all = _const_components(beta.value(n, m)) if beta is not None else {}
+        for idx in sorted(set(rows) | set(rhs_all) | set(beta_all)):
+            coeffs = rows.get(idx, {})
+            const = coeffs.pop((), 0)
+            if idx in beta_all:
+                coeffs[("scale",)] = coeffs.get(("scale",), 0) + beta_all[idx]
+            system.add(
+                coeffs,
+                rhs_all.get(idx, Fraction(0)) - const,
+                tag={"pair": [n, m], "index": idx},
+            )
     return system, forms, unknowns, pairs_used
 
 
@@ -657,37 +662,28 @@ def _d1_vanishes(algebra, rule, others, parity, boundary) -> bool:
     `algebra` and the pair-rule families of `others`, (family, scale)
     pairs, are over Q[params, n, m, k], and F is the affine map `rule`:
     F(form) = (a * form + d) v_{form + weight}, (a, d) chosen by the
-    form's parity.  The terms follow d1 in `differential`:
-    F([v_n, v_m]) - [F(v_n), v_m] - [v_n, F(v_m)].  Each argument of F is
+    form's parity.  The terms are `_d1_terms`.  Each argument of F is
     recorded with the pinned indices as forbidden values and the bound
     that keeps its image in the basis domain.
     """
-    ring = algebra.params
     w = rule.weight
     lower = None if algebra.lower_bound is None else algebra.lower_bound - w
 
     def image(form):
-        """(form + weight, coefficient of F at the form), recorded."""
+        """F(v_form) as its terms, with the form recorded."""
         boundary.add(form, rule.pins, lower)
         a, d = rule.odd if _form_parity(form, parity) else rule.even
-        return _form_sum(form, (0, 0, 0, w)), _form_poly(ring, form) * a + d
+        f = _form_poly(algebra.params, form) * a + d
+        return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
 
     n, m = INDEX_FORMS[:2]
-    total = {}
-    for key, coeff in boundary.pair(algebra, n, m, parity):
-        out, f = image(key)
-        _accumulate(total, out, coeff * f)
-    for x, y, left in ((n, m, True), (m, n, False)):
-        target, f = image(x)
-        if f.is_zero:
-            continue
-        args = (target, y) if left else (y, target)
-        for out, coeff in boundary.pair(algebra, *args, parity):
-            _accumulate(total, out, -(coeff * f))
-    for spec, scale in others:
-        for out, coeff in boundary.pair(spec, n, m, parity):
-            _accumulate(total, out, coeff * scale)
-    return all(p.is_zero for p in total.values())
+    _, outer = boundary.brackets(algebra, parity)
+    rest = (
+        (out, coeff * scale)
+        for spec, scale in others
+        for out, coeff in boundary.pair(spec, n, m, parity)
+    )
+    return _vanishes(itertools.chain(_d1_terms(outer, image, n, m), rest))
 
 
 def _d1_prover(algebra: FamilySpec, phi: Cochain, omega: Cochain, beta, scalar):
@@ -754,11 +750,7 @@ def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
     """
     indices = domain_indices(algebra, window)
     if forms.ansatz.shape == "per-index":
-
-        def covered(n, m):
-            needed = [n, m] + [i for i, _ in evaluate_pair_rule(algebra, n, m)]
-            return all(forms.form(i) is not None for i in needed)
-
+        covered = forms.covers
     else:
         covered = None
         lo, hi = indices[0], indices[-1]

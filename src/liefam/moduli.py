@@ -125,17 +125,6 @@ def j_of_line(s) -> Fraction:
     return num / den
 
 
-def line_partner(s):
-    """The unique partner slope with the same shift -4 coefficient.
-
-    (1-s)(2+s) is invariant under s -> -1-s; the vertical line and
-    s = -1/2 are the fixed points.
-    """
-    if s == INFINITE_SLOPE:
-        return INFINITE_SLOPE
-    return -1 - rat(s)
-
-
 def symbolic_invariants() -> tuple[ParamPoly, ParamPoly, ParamPoly]:
     """(g2, g3, discriminant) as polynomials in (e1, e2), e3 eliminated."""
     params = ("e1", "e2")

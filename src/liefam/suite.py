@@ -260,7 +260,8 @@ def criterion_4() -> CriterionResult:
             r.even == (Fraction(0), Fraction(1))
             and r.odd == (Fraction(0), Fraction(1, 2))
         )
-    # round-trip d1(Phi) = omega is re-verified exhaustively by the solver
+    # the solver re-checks d1(Phi) = omega on the window widened by four
+    # indices a side, proved once per parity pattern of (n, m)
     return CriterionResult(
         4,
         "Order-1 and order-2 cocycles with exact coboundary witnesses",

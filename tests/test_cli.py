@@ -494,3 +494,41 @@ def test_cocycle_from_json_file(tmp_path, capsys):
     code, out = run(capsys, "--json", "cohomology", "check", "--cocycle", str(path))
     assert code == 0
     assert json.loads(out)["report"]["status"] == "PASS"
+
+
+_PAIR_RULE = {"arity": 2, "mode": "adjoint", "weight": -2, "params": [], "rule": {
+    "kind": "pair-rule", "family": "x", "params": [], "domain": "all-integers",
+    "rule": {"odd-odd": [], "even-even": [], "odd-even": []}}}
+_AFFINE_MAP = {"arity": 1, "mode": "adjoint", "weight": -2, "params": [], "rule": {
+    "kind": "affine-map", "weight": -2, "even": ["0", "1"], "odd": ["0", "1"], "pins": {}}}
+_ELEMENT_TABLE = {"arity": 1, "mode": "trivial", "weight": None, "params": [], "rule": {
+    "kind": "map-table", "entries": {"1": {"components": [[-1, [["1", []]]]]}}}}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"algebra": "witt"}),
+        json.dumps([{"algebra": "witt", "cochain": _PAIR_RULE}]),
+        json.dumps({"algebra": "witt", "cochain": {**_ELEMENT_TABLE, "arity": 2,
+                                                   "mode": "adjoint"}}),
+        json.dumps({"algebra": "witt", "cochain": {**_AFFINE_MAP, "arity": 2}}),
+        json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "arity": 1}}),
+        json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "mode": "trivial"}}),
+        json.dumps({"algebra": "witt", "cochain": _ELEMENT_TABLE}),
+    ],
+    ids=["not-json", "no-cochain", "top-level-list", "map-table-arity-2",
+         "affine-map-arity-2", "pair-rule-arity-1", "trivial-pair-rule",
+         "trivial-element-table"],
+)
+@pytest.mark.parametrize("command", [["check"], ["solve", "--weight", "-2"],
+                                     ["compare", "--weight", "-2", "--against", "ds-order1"]])
+def test_malformed_cocycle_files_exit_2(tmp_path, capsys, text, command):
+    path = tmp_path / "cocycle.json"
+    path.write_text(text)
+    assert main(["--json", "cohomology", command[0], "--cocycle", str(path),
+                 *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

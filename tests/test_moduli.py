@@ -13,7 +13,6 @@ from liefam.moduli import (
     CurveParams,
     classify_fiber,
     j_of_line,
-    line_partner,
     rescale,
     symbolic_invariants,
 )
@@ -55,9 +54,6 @@ def test_j_line_matches_curve_params():
 
 
 def test_line_partner():
-    assert line_partner(0) == -1
-    assert line_partner(Fraction(-1, 2)) == Fraction(-1, 2)
-    assert line_partner(INFINITE_SLOPE) == INFINITE_SLOPE
     s = ParamPoly.var(("s",), "s")
     assert ((1 - s) * (2 + s)).substitute({"s": -1 - s}) == (1 - s) * (2 + s)
 
