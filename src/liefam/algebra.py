@@ -23,7 +23,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .linalg import rank_of_vectors
-from .poly import ParamPoly, rat, rat_str
+from .poly import KeyedSum, ParamPoly, accumulate, rat, rat_str
 
 #: Basis key of the central element (degree 0 by convention).
 CENTRAL = "c"
@@ -272,7 +272,7 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
     if n == m:
         return []
     sign, terms, args = _pair_row(family, n, m, n % 2 == 1, m % 2 == 1, n < m)
-    out = {}
+    items = []
     for t in terms:
         coeff = t.coefficient(*args)
         if coeff.is_zero:
@@ -285,9 +285,8 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
                 f"[v_{n}, v_{m}] in {family.name} hits v_{idx} below the "
                 f"basis bound {family.lower_bound} with coefficient {coeff}"
             )
-        acc = out.get(idx)
-        out[idx] = coeff if acc is None else acc + coeff
-    return [(idx, c) for idx, c in out.items() if not c.is_zero]
+        items.append((idx, coeff))
+    return list(accumulate(items).items())
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +435,7 @@ class _Boundary:
 
 def _vanishes(terms) -> bool:
     """Whether the (key, coefficient) terms sum to zero at every key."""
-    total = {}
-    for key, coeff in terms:
-        acc = total.get(key)
-        total[key] = coeff if acc is None else acc + coeff
-    return all(p.is_zero for p in total.values())
+    return not accumulate(terms)
 
 
 def _generic(tup, entries) -> bool:
@@ -498,91 +493,19 @@ def first_nonzero(indices, arity: int, prove, value):
 # ---------------------------------------------------------------------------
 
 
-class LieElement:
+class LieElement(KeyedSum):
     """Finite linear combination of basis vectors v_n and the central c."""
 
-    __slots__ = ("params", "components")
-
-    def __init__(self, params: tuple[str, ...], components: dict):
-        self.params = params
-        self.components = components
-
-    @classmethod
-    def zero(cls, params=()) -> "LieElement":
-        return cls(tuple(params), {})
+    __slots__ = ()
 
     @classmethod
     def basis(cls, n, params=(), coeff=1) -> "LieElement":
-        params = tuple(params)
-        c = coeff if isinstance(coeff, ParamPoly) else ParamPoly.const(params, coeff)
-        if c.is_zero:
-            return cls(params, {})
-        return cls(params, {n: c})
-
-    @classmethod
-    def from_components(cls, params, items) -> "LieElement":
-        params = tuple(params)
-        comps = {}
-        for key, coeff in items:
-            if not isinstance(coeff, ParamPoly):
-                coeff = ParamPoly.const(params, coeff)
-            s = comps.get(key)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                comps.pop(key, None)
-            else:
-                comps[key] = s
-        return cls(params, comps)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
+        return cls.monomial(params, n, coeff)
 
     def support(self):
         return sorted(
             (k for k in self.components if k != CENTRAL)
         ) + ([CENTRAL] if CENTRAL in self.components else [])
-
-    def coefficient(self, key) -> ParamPoly:
-        return self.components.get(key, ParamPoly.const(self.params, 0))
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        if other.params != self.params:
-            raise ParameterMismatch(
-                f"elements over different rings: {self.params} vs {other.params}"
-            )
-        comps = dict(self.components)
-        for key, coeff in other.components.items():
-            s = comps.get(key)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                comps.pop(key, None)
-            else:
-                comps[key] = s
-        return LieElement(self.params, comps)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.params, {k: -c for k, c in self.components.items()})
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "LieElement":
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.params, factor)
-        if factor.is_zero:
-            return LieElement(self.params, {})
-        comps = {}
-        for key, coeff in self.components.items():
-            s = coeff * factor
-            if not s.is_zero:
-                comps[key] = s
-        return LieElement(self.params, comps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.params == other.params and self.components == other.components
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -592,8 +515,6 @@ class LieElement:
             name = "c" if key == CENTRAL else f"v_{key}"
             parts.append(f"({self.components[key]})*{name}")
         return " + ".join(parts)
-
-    __repr__ = __str__
 
     def to_json(self):
         return {
@@ -606,7 +527,7 @@ class LieElement:
     @classmethod
     def from_json(cls, params, data) -> "LieElement":
         params = tuple(params)
-        return cls.from_components(
+        return cls.from_items(
             params,
             (
                 (CENTRAL if k == "c" else int(k), ParamPoly.from_json(params, v))
@@ -634,7 +555,7 @@ def basis_bracket(family: FamilySpec, n: int, m: int) -> LieElement:
             v = ParamPoly.const(family.params, v)
         if not v.is_zero:
             items.append((CENTRAL, v))
-    return LieElement.from_components(family.params, items)
+    return LieElement.from_items(family.params, items)
 
 
 def bracket(family: FamilySpec, x: LieElement, y: LieElement) -> LieElement:
@@ -645,15 +566,17 @@ def bracket(family: FamilySpec, x: LieElement, y: LieElement) -> LieElement:
                 f"element parameters {elem.params} differ from family "
                 f"parameters {family.params}"
             )
-    out = LieElement.zero(family.params)
-    for nk, nc in x.components.items():
-        if nk == CENTRAL:
-            continue
-        for mk, mc in y.components.items():
-            if mk == CENTRAL:
-                continue
-            out = out + basis_bracket(family, nk, mk).scale(nc * mc)
-    return out
+    return LieElement.from_items(
+        family.params,
+        (
+            (key, coeff * (nc * mc))
+            for nk, nc in x.components.items()
+            if nk != CENTRAL
+            for mk, mc in y.components.items()
+            if mk != CENTRAL
+            for key, coeff in basis_bracket(family, nk, mk).components.items()
+        ),
+    )
 
 
 def jacobiator(family: FamilySpec, n: int, m: int, k: int) -> LieElement:
@@ -764,7 +687,7 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     pair = _bracket_terms(family)
 
     def jacobiator_at(*xs):
-        return LieElement.from_components(family.params, _jacobi_terms(pair, pair, *xs))
+        return LieElement.from_items(family.params, _jacobi_terms(pair, pair, *xs))
 
     checked, triple, value = first_nonzero(indices, 3, prove, jacobiator_at)
     if triple is not None:

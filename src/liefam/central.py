@@ -49,7 +49,7 @@ def finite_residue_sum(field: FactoredLaurent) -> ParamPoly:
     params = field.poly.params
     total = ParamPoly.const(params, 0)
     e = field.exp
-    for d, coeff in field.poly.coeffs.items():
+    for d, coeff in field.poly.components.items():
         num = d + 2 * e + 1
         if num % 2 or num < 0:
             continue

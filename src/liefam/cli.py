@@ -29,14 +29,7 @@ from .geometry import LaurentPoly, verify_against_geometry
 from .central import class_independence, locality_bound, pairing_table
 from .moduli import INFINITE_SLOPE, classify_fiber, CurveParams, j_of_line, rescale
 from .poly import rat, rat_str
-from .suite import (
-    CRITERIA,
-    FULL_WINDOW,
-    LOW_WINDOW,
-    NAMED_COCYCLES,
-    named_cocycle,
-    run_suite,
-)
+from .suite import CRITERIA, NAMED_COCYCLES, default_window, named_cocycle, run_suite
 
 
 def parse_window(text: str) -> range:
@@ -53,7 +46,10 @@ def parse_params(text: str | None) -> dict:
     out = {}
     for piece in text.split(","):
         key, _, value = piece.partition("=")
-        out[key.strip()] = rat(value.strip())
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"parameter {key!r} is given twice")
+        out[key] = rat(value.strip())
     return out
 
 
@@ -74,6 +70,8 @@ def parse_pins(text: str | None) -> dict:
     pins = {}
     for piece in text.split(",") if text else ():
         key, _, value = piece.partition("=")
+        if int(key) in pins:
+            raise ValueError(f"index {int(key)} is pinned twice")
         pins[int(key)] = rat(value)
     return pins
 
@@ -105,7 +103,7 @@ def window_text(args, family) -> str:
     """The --window text, or the suite's window for the family's index bound."""
     if args.window is not None:
         return args.window
-    window = LOW_WINDOW if (family.lower_bound or 0) >= 1 else FULL_WINDOW
+    window = default_window(family)
     return f"{window.start}..{window.stop - 1}"
 
 
@@ -253,7 +251,8 @@ def _load_cocycle(args):
         return by_name(data["algebra"]), cochain_from_json(data["cochain"])
     except KeyError as exc:
         raise LiefamError(f"cocycle file {path} lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:  # not JSON, or wrongly typed values
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        # not JSON, wrongly typed values, or lists too short
         raise LiefamError(f"cocycle file {path} is malformed: {exc}") from None
 
 

@@ -192,7 +192,7 @@ class Cochain:
             return got
         if isinstance(rule, PairRule):
             n, m = idx
-            return LieElement.from_components(
+            return LieElement.from_items(
                 self.params, evaluate_pair_rule(rule.spec, n, m)
             )
         if isinstance(rule, PairTableRule):
@@ -329,14 +329,14 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
 
             def d1(n, m):
                 terms = _d1_terms(pair, value, n, m)
-                return LieElement.from_components(c.params, terms)
+                return LieElement.from_items(c.params, terms)
 
             return Cochain(2, "adjoint", None, c.params, DerivedRule(d1, "d1"))
         if c.arity == 2:
 
             def d2(*xs):
                 terms = _d2_terms(value, pair, pair, xs)
-                return LieElement.from_components(c.params, terms)
+                return LieElement.from_items(c.params, terms)
 
             return Cochain(3, "adjoint", None, c.params, DerivedRule(d2, "d2"))
         raise ArityUnsupported("adjoint differential implemented for arity <= 2")
@@ -525,19 +525,17 @@ class _AnsatzForms:
         lo, hi = self.ansatz.support
         return [("idx", i) for i in range(lo, hi + 1) if not self._pinned(i)]
 
-    def _pinned(self, i: int) -> bool:
-        if i in self.pins:
-            return True
+    def maps_outside(self, i: int) -> bool:
+        """Whether v_{i+weight} is below the basis bound, which pins F(v_i) = 0."""
         lb = self.algebra.lower_bound
         return lb is not None and i + self.ansatz.weight < lb
 
+    def _pinned(self, i: int) -> bool:
+        return i in self.pins or self.maps_outside(i)
+
     def pinned_value(self, i: int) -> Fraction:
-        if i in self.pins:
-            value = Fraction(self.pins[i])
-        else:
-            value = Fraction(0)
-        lb = self.algebra.lower_bound
-        if lb is not None and i + self.ansatz.weight < lb and value != 0:
+        value = Fraction(self.pins.get(i, 0))
+        if value != 0 and self.maps_outside(i):
             raise OutOfDomainIndex(
                 f"pin F(v_{i}) = {value} maps outside the basis domain"
             )
@@ -645,13 +643,11 @@ def _phi_from_solution(forms: _AnsatzForms, values: dict, params) -> Cochain:
         values.get(("odd", "a"), Fraction(0)),
         values.get(("odd", "d"), Fraction(0)),
     )
-    pins = {i: forms.pinned_value(i) for i in ansatz.pins}
-    lb = forms.algebra.lower_bound
-    if lb is not None:
-        i = lb
-        while i + ansatz.weight < lb:
-            pins.setdefault(i, Fraction(0))
-            i += 1
+    # the lowest basis indices, while F maps them below the basis (none unbounded)
+    outside = itertools.takewhile(
+        forms.maps_outside, itertools.count(forms.algebra.lower_bound or 0)
+    )
+    pins = {i: forms.pinned_value(i) for i in (*ansatz.pins, *outside)}
     rule = AffineMapRule(ansatz.weight, even, odd, pins)
     return Cochain(1, "adjoint", ansatz.weight, params, rule, label="solved-map")
 

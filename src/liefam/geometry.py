@@ -24,137 +24,53 @@ from .algebra import (
 )
 from .errors import ParameterMismatch, UnsupportedFamily
 from .families import by_name
-from .poly import ParamPoly, rat
+from .poly import KeyedSum, ParamPoly, accumulate, rat
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials with polynomial parameter coefficients
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
+class LaurentPoly(KeyedSum):
     """Finitely supported integer-power series sum c_d * z^d."""
 
-    __slots__ = ("params", "coeffs")
-
-    def __init__(self, params: tuple[str, ...], coeffs: dict):
-        self.params = params
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, params=()) -> "LaurentPoly":
-        return cls(tuple(params), {})
-
-    @classmethod
-    def monomial(cls, params, degree: int, coeff=1) -> "LaurentPoly":
-        params = tuple(params)
-        c = coeff if isinstance(coeff, ParamPoly) else ParamPoly.const(params, coeff)
-        if c.is_zero:
-            return cls(params, {})
-        return cls(params, {degree: c})
-
-    @classmethod
-    def from_items(cls, params, items) -> "LaurentPoly":
-        params = tuple(params)
-        coeffs = {}
-        for degree, c in items:
-            if not isinstance(c, ParamPoly):
-                c = ParamPoly.const(params, c)
-            s = coeffs.get(degree)
-            s = c if s is None else s + c
-            if s.is_zero:
-                coeffs.pop(degree, None)
-            else:
-                coeffs[degree] = s
-        return cls(params, coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, degree: int) -> ParamPoly:
-        return self.coeffs.get(degree, ParamPoly.const(self.params, 0))
+    __slots__ = ()
 
     def max_degree(self) -> int:
-        return max(self.coeffs)
-
-    def _check(self, other: "LaurentPoly"):
-        if other.params != self.params:
-            raise ParameterMismatch(
-                f"Laurent rings differ: {self.params} vs {other.params}"
-            )
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = coeffs.get(d)
-            s = c if s is None else s + c
-            if s.is_zero:
-                coeffs.pop(d, None)
-            else:
-                coeffs[d] = s
-        return LaurentPoly(self.params, coeffs)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.params, {d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return max(self.components)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            self._check(other)
-            coeffs = {}
-            for d1, c1 in self.coeffs.items():
-                for d2, c2 in other.coeffs.items():
-                    d = d1 + d2
-                    s = coeffs.get(d)
-                    p = c1 * c2
-                    s = p if s is None else s + p
-                    if s.is_zero:
-                        coeffs.pop(d, None)
-                    else:
-                        coeffs[d] = s
-            return LaurentPoly(self.params, coeffs)
-        return self.scale(other)
-
-    def scale(self, factor) -> "LaurentPoly":
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.const(self.params, factor)
-        if factor.is_zero:
-            return LaurentPoly(self.params, {})
+        if not isinstance(other, LaurentPoly):
+            return self.scale(other)
+        self._check(other)
         return LaurentPoly(
-            self.params, {d: c * factor for d, c in self.coeffs.items()}
+            self.params,
+            accumulate(
+                (d1 + d2, c1 * c2)
+                for d1, c1 in self.components.items()
+                for d2, c2 in other.components.items()
+            ),
         )
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.params, {d + k: c for d, c in self.coeffs.items()})
+        return LaurentPoly(self.params, {d + k: c for d, c in self.components.items()})
 
     def lift_params(self, params: tuple[str, ...]) -> "LaurentPoly":
         if self.params == params:
             return self
-        return LaurentPoly(params, {d: c.lift(params) for d, c in self.coeffs.items()})
+        return LaurentPoly(params, {d: c.lift(params) for d, c in self.components.items()})
 
     def derivative(self) -> "LaurentPoly":
-        coeffs = {}
-        for d, c in self.coeffs.items():
-            if d != 0:
-                coeffs[d - 1] = c * d
-        return LaurentPoly(self.params, coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.params == other.params and self.coeffs == other.coeffs
+        return LaurentPoly(
+            self.params, {d - 1: c * d for d, c in self.components.items() if d != 0}
+        )
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         return " + ".join(
-            f"({c})*z^{d}" for d, c in sorted(self.coeffs.items(), reverse=True)
+            f"({c})*z^{d}" for d, c in sorted(self.components.items(), reverse=True)
         )
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +172,17 @@ class CubicField:
 def divide_laurent(num: LaurentPoly, den: LaurentPoly):
     """(quotient, remainder) of num / den, peeled from the top degree.
 
-    den needs a constant leading coefficient.  A Laurent quotient starts
-    no lower than min(num) - min(den), so peeling stops there; num / den
-    is Laurent exactly when the remainder is zero.
+    den needs a constant leading coefficient.  A Laurent quotient has
+    degrees from min(num) - min(den) to max(num) - max(den), so num is
+    re-expanded in those shifts of den; num / den is Laurent exactly
+    when the remainder is zero.
     """
-    quotient, rest = LaurentPoly.zero(num.params), num
     if num.is_zero:
-        return quotient, rest
-    top = den.max_degree()
-    lead = den.coefficient(top)
-    if not lead.is_constant:
-        raise ValueError(f"divisor {den} has a non-constant leading term")
-    inverse = Fraction(1) / lead.constant_value()
-    floor = min(num.coeffs) - min(den.coeffs)
-    while not rest.is_zero and rest.max_degree() - top >= floor:
-        d = rest.max_degree() - top
-        c = rest.coefficient(d + top) * inverse
-        quotient = quotient + LaurentPoly.monomial(num.params, d, c)
-        rest = rest - den.shift(d).scale(c)
-    return quotient, rest
+        return LaurentPoly.zero(num.params), num
+    low = min(num.components) - min(den.components)
+    shifts = range(low, num.max_degree() - den.max_degree() + 1)
+    coeffs, rest = expand_in_candidates(num, [(d, den.shift(d)) for d in shifts])
+    return LaurentPoly(num.params, coeffs), rest
 
 
 def vf_bracket_cubic(e: CubicField, g: CubicField):

@@ -1,9 +1,13 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, and sums keyed over them.
 
-This is the coefficient ring of every structure constant in the toolkit.
-A polynomial is a finite sum of monomials in a fixed, ordered tuple of
-named parameters; coefficients are `fractions.Fraction` and zero
-coefficients are never stored.
+`ParamPoly` is the coefficient ring of every structure constant in the
+toolkit.  A polynomial is a finite sum of monomials in a fixed, ordered
+tuple of named parameters; coefficients are `fractions.Fraction` and
+zero coefficients are never stored.
+
+`KeyedSum` is a finite sum of keyed terms with `ParamPoly` coefficients,
+with `accumulate` its one zero-dropping summation: `algebra.LieElement`
+keys basis vectors, `geometry.LaurentPoly` powers of the coordinate.
 """
 
 from __future__ import annotations
@@ -294,3 +298,99 @@ class ParamPoly:
         if isinstance(data, (str, int)):
             return cls.const(params, rat(data))
         return cls.from_terms(params, ((tuple(e), rat(c)) for c, e in data))
+
+
+# ---------------------------------------------------------------------------
+# keyed sums over the parameter ring
+# ---------------------------------------------------------------------------
+
+
+def accumulate(items, out=None) -> dict:
+    """Sum (key, ParamPoly) items into the dict `out` by key, dropping zero sums."""
+    if out is None:
+        out = {}
+    for key, coeff in items:
+        acc = out.get(key)
+        if acc is not None:
+            coeff = acc + coeff
+        if coeff.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = coeff
+    return out
+
+
+class KeyedSum:
+    """Finite sum of keyed terms with ParamPoly coefficients over one ring.
+
+    `components` maps each key to its nonzero coefficient; a subclass
+    says what the keys name.  Instances are treated as immutable.
+    """
+
+    __slots__ = ("params", "components")
+
+    def __init__(self, params: tuple[str, ...], components: dict):
+        self.params = params
+        self.components = components
+
+    @classmethod
+    def zero(cls, params=()):
+        return cls(tuple(params), {})
+
+    @classmethod
+    def from_items(cls, params, items):
+        """The sum of (key, coefficient) items; scalars are coerced into the ring."""
+        params = tuple(params)
+        return cls(
+            params,
+            accumulate(
+                (key, c if isinstance(c, ParamPoly) else ParamPoly.const(params, c))
+                for key, c in items
+            ),
+        )
+
+    @classmethod
+    def monomial(cls, params, key, coeff=1):
+        return cls.from_items(params, [(key, coeff)])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def coefficient(self, key) -> ParamPoly:
+        return self.components.get(key, ParamPoly.const(self.params, 0))
+
+    def _check(self, other):
+        if other.params != self.params:
+            raise ParameterMismatch(
+                f"{type(self).__name__} rings differ: {self.params} vs {other.params}"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(
+            self.params, accumulate(other.components.items(), dict(self.components))
+        )
+
+    def __neg__(self):
+        return type(self)(self.params, {k: -c for k, c in self.components.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        if not isinstance(factor, ParamPoly):
+            factor = ParamPoly.const(self.params, factor)
+        if factor.is_zero:
+            return type(self)(self.params, {})
+        return type(self)(
+            self.params, {k: c * factor for k, c in self.components.items()}
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.params == other.params and self.components == other.components
+
+    def __repr__(self) -> str:
+        return str(self)

@@ -156,6 +156,11 @@ FULL_WINDOW = range(-8, 9)
 LOW_WINDOW = range(1, 17)
 
 
+def default_window(family: FamilySpec) -> range:
+    """LOW_WINDOW for a basis that starts at index 1 or above, else FULL_WINDOW."""
+    return LOW_WINDOW if (family.lower_bound or 0) >= 1 else FULL_WINDOW
+
+
 def criterion_1() -> CriterionResult:
     """Jacobi certification for the whole catalog."""
     cases = [
@@ -177,8 +182,7 @@ def criterion_1() -> CriterionResult:
     start = time.monotonic()
     reports = {}
     for fam in cases:
-        window = LOW_WINDOW if fam.lower_bound == 1 else FULL_WINDOW
-        reports[fam.name] = verify_jacobi(fam, window)
+        reports[fam.name] = verify_jacobi(fam, default_window(fam))
     elapsed = time.monotonic() - start
     passed = all(r.passed for r in reports.values()) and elapsed < 10.0
     return CriterionResult(

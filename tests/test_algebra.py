@@ -79,9 +79,9 @@ def test_virasoro_central_terms():
     got = basis_bracket(v, 2, -2)
     assert got.coefficient(0) == -4
     assert got.coefficient(CENTRAL) == Fraction(-1, 2)
-    assert basis_bracket(v, 1, -1) == LieElement.from_components((), [(0, -2)])
+    assert basis_bracket(v, 1, -1) == LieElement.from_items((), [(0, -2)])
     # the central element is annihilated by everything
-    x = LieElement.from_components((), [(CENTRAL, 1)])
+    x = LieElement.from_items((), [(CENTRAL, 1)])
     assert bracket(v, x, LieElement.basis(5)).is_zero
 
 
@@ -99,8 +99,8 @@ def test_elliptic_bracket_example():
 
 def test_bilinearity():
     w = witt()
-    x = LieElement.from_components((), [(1, 2), (3, Fraction(1, 2))])
-    y = LieElement.from_components((), [(-2, 1), (0, 5)])
+    x = LieElement.from_items((), [(1, 2), (3, Fraction(1, 2))])
+    y = LieElement.from_items((), [(-2, 1), (0, 5)])
     direct = bracket(w, x, y)
     expanded = LieElement.zero()
     for n, cn in x.components.items():
@@ -204,7 +204,7 @@ def test_specialize_commutes_with_bracket():
         sp = specialize(e, point)
         via_rule = basis_bracket(sp, n, m)
         symbolic = basis_bracket(e, n, m)
-        evaluated = LieElement.from_components(
+        evaluated = LieElement.from_items(
             (), [(k, c.evaluate(point)) for k, c in symbolic.components.items()]
         )
         assert via_rule == evaluated
@@ -581,7 +581,7 @@ def test_differential_equals_reference():
     cocycles = [named_cocycle(name) for name in NAMED_COCYCLES]
     cocycles += [(w, sign_flipped(ds1)), (virasoro(), ds1)]
     table = MapTableRule({
-        n: LieElement.from_components((), [(n - 2, n), (n + 1, Fraction(1, 2)), (CENTRAL, 1)])
+        n: LieElement.from_items((), [(n - 2, n), (n + 1, Fraction(1, 2)), (CENTRAL, 1)])
         for n in range(-4, 6)
     })
     affine = AffineMapRule(-2, (Fraction(0), Fraction(-3)), (Fraction(0), Fraction(-3, 2)),

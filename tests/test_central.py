@@ -28,7 +28,7 @@ def _sympy_finite_residues(fl: FactoredLaurent):
     """Sum of sympy.residue of `fl dz` at 0 and at the roots of z^2 - beta."""
     beta = sympy.Rational(str(fl.beta.constant_value()))
     expr = sum(
-        sympy.Rational(str(c.constant_value())) * Z**d for d, c in fl.poly.coeffs.items()
+        sympy.Rational(str(c.constant_value())) * Z**d for d, c in fl.poly.components.items()
     ) * (Z**2 - beta) ** fl.exp
     poles = {sympy.Integer(0), sympy.sqrt(beta), -sympy.sqrt(beta)}
     return sum(sympy.residue(expr, Z, p) for p in poles)

@@ -224,6 +224,9 @@ def test_usage_errors_exit_2(capsys):
         (["paper-suite", "--only", "0"], "--only"),
         (["paper-suite", "--only", "7", "12"], "--only"),
         (["paper-suite", "--only", "x"], "--only"),
+        (["verify-jacobi", "--family", "elliptic", "--params", "e1=1,e1=2"], "--params"),
+        (["cohomology", "solve", "--cocycle", "ds-order1", "--weight", "-2",
+          "--pin", "1=0,1=2"], "--pin"),
     ],
 )
 def test_malformed_values_exit_2_at_parse(capsys, argv, flag):
@@ -517,10 +520,17 @@ _ELEMENT_TABLE = {"arity": 1, "mode": "trivial", "weight": None, "params": [], "
         json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "arity": 1}}),
         json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "mode": "trivial"}}),
         json.dumps({"algebra": "witt", "cochain": _ELEMENT_TABLE}),
+        json.dumps({"algebra": "witt", "cochain": {
+            **_PAIR_RULE, "rule": {**_PAIR_RULE["rule"], "rule": "x"}}}),
+        json.dumps({"algebra": "witt", "cochain": {
+            **_AFFINE_MAP, "rule": {**_AFFINE_MAP["rule"], "even": ["1"]}}}),
+        json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "rule": {
+            **_PAIR_RULE["rule"], "central": {"kind": "table", "range": [0], "entries": []}}}}),
     ],
     ids=["not-json", "no-cochain", "top-level-list", "map-table-arity-2",
          "affine-map-arity-2", "pair-rule-arity-1", "trivial-pair-rule",
-         "trivial-element-table"],
+         "trivial-element-table", "pair-rule-rule-string", "affine-map-short-even",
+         "pair-rule-short-central-range"],
 )
 @pytest.mark.parametrize("command", [["check"], ["solve", "--weight", "-2"],
                                      ["compare", "--weight", "-2", "--against", "ds-order1"]])

@@ -132,7 +132,7 @@ def test_division_by_f_is_exact_or_leaves_a_remainder():
     assert rest.is_zero and quotient == q
     u = LaurentPoly.monomial(f.params, 1)
     quotient, rest = divide_laurent(q * f + u, f)
-    assert not rest.is_zero and rest.max_degree() < min(q.coeffs) + f.max_degree()
+    assert not rest.is_zero and rest.max_degree() < min(q.components) + f.max_degree()
 
 
 def test_division_remainder_is_reported_as_witness(monkeypatch):
@@ -179,7 +179,7 @@ FIBRES = [
 
 def _sympy_laurent(poly: LaurentPoly, point) -> sympy.Expr:
     return sum(
-        (sympy.Rational(str(c.evaluate(point))) * U**d for d, c in poly.coeffs.items()),
+        (sympy.Rational(str(c.evaluate(point))) * U**d for d, c in poly.components.items()),
         sympy.Integer(0),
     )
 

@@ -1,4 +1,4 @@
-"""Ring axioms and exact serialization of the polynomial kernel."""
+"""Ring axioms and exact serialization of the polynomial kernel and its keyed sums."""
 
 from fractions import Fraction
 
@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefam.algebra import CENTRAL, LieElement
 from liefam.errors import MissingParameter, ParameterMismatch
+from liefam.geometry import LaurentPoly, divide_laurent
 from liefam.poly import ParamPoly, rat, rat_str
 
 PARAMS = ("e1", "e2")
@@ -129,3 +131,95 @@ def test_json_round_trip():
     data = p.to_json()
     assert ParamPoly.from_json(PARAMS, data) == p
     assert ParamPoly.const(PARAMS, Fraction(5, 3)).to_json() == "5/3"
+
+
+# ---------------------------------------------------------------------------
+# keyed sums: LaurentPoly over Q[a] and LieElement
+# ---------------------------------------------------------------------------
+
+RING = ("a",)
+
+
+def a_polys():
+    term = st.tuples(st.tuples(st.integers(0, 2)), coefficients())
+    return st.lists(term, max_size=3).map(lambda items: ParamPoly.from_terms(RING, items))
+
+
+def laurents(degrees=st.integers(-3, 3)):
+    return st.lists(st.tuples(degrees, a_polys()), max_size=4).map(
+        lambda items: LaurentPoly.from_items(RING, items)
+    )
+
+
+@given(laurents(), laurents(), laurents())
+@settings(max_examples=80, deadline=None)
+def test_laurent_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (q + r) * p == q * p + r * p
+
+
+@given(laurents(), a_polys())
+@settings(max_examples=60, deadline=None)
+def test_keyed_sums_store_no_zeros_and_cancel(p, c):
+    x = LieElement(RING, dict(p.components))
+    for elem in (p, p.scale(c), p * p, x, x.scale(c)):
+        assert all(not v.is_zero for v in elem.components.values())
+        assert (elem + (-elem)).is_zero
+        assert (elem - elem).is_zero
+
+
+KEYS = st.sampled_from([-2, -1, 0, 1, 3, CENTRAL])
+ELEMENT_ITEMS = st.lists(st.tuples(KEYS, coefficients()), max_size=6)
+
+
+def reference_sum(*item_lists):
+    """Plain-dict sum of (key, Fraction) items, zero sums dropped."""
+    total = {}
+    for items in item_lists:
+        for key, value in items:
+            total[key] = total.get(key, Fraction(0)) + value
+    return {key: value for key, value in total.items() if value != 0}
+
+
+def as_element(ref: dict) -> LieElement:
+    return LieElement((), {k: ParamPoly.const((), v) for k, v in ref.items()})
+
+
+@given(ELEMENT_ITEMS, ELEMENT_ITEMS, coefficients())
+@settings(max_examples=100, deadline=None)
+def test_lie_element_matches_a_dict_reference(xs, ys, factor):
+    x, y = LieElement.from_items((), xs), LieElement.from_items((), ys)
+    assert x == as_element(reference_sum(xs))
+    assert x + y == as_element(reference_sum(xs, ys))
+    assert -x == as_element(reference_sum([(k, -v) for k, v in xs]))
+    assert x - y == as_element(reference_sum(xs, [(k, -v) for k, v in ys]))
+    assert x.scale(factor) == as_element(reference_sum([(k, v * factor) for k, v in xs]))
+    for key in (-2, 0, CENTRAL, 7):
+        assert x.coefficient(key) == ParamPoly.const((), reference_sum(xs).get(key, 0))
+
+
+def test_keyed_sums_refuse_mixed_rings():
+    a = ParamPoly.var(RING, "a")
+    with pytest.raises(ParameterMismatch):
+        LieElement.basis(1, RING, a) + LieElement.basis(1)
+    with pytest.raises(ParameterMismatch):
+        LaurentPoly.monomial(RING, 1, a) + LaurentPoly.monomial((), 1)
+    with pytest.raises(ParameterMismatch):
+        LaurentPoly.monomial(RING, 1, a) * LaurentPoly.monomial((), 1)
+    assert LieElement.basis(1) != LaurentPoly.monomial((), 1)
+
+
+@given(laurents(), laurents(st.integers(-2, 1)), st.integers(0, 3), coefficients())
+@settings(max_examples=80, deadline=None)
+def test_division_peels_to_the_remainder(num, low, top, lead):
+    # a divisor with the constant leading coefficient `lead` at degree top
+    lead = lead or Fraction(1)
+    den = low + LaurentPoly.monomial(RING, top + 2, lead)
+    quotient, rest = divide_laurent(num, den)
+    assert quotient * den + rest == num
+    quotient, rest = divide_laurent(num * den, den)
+    assert rest.is_zero and quotient == num
