@@ -476,18 +476,6 @@ def nonzero_tuples(indices, arity: int, prove, value):
             yield checked, tup, v
 
 
-def first_nonzero(indices, arity: int, prove, value):
-    """(checked, tuple, value) at the first tuple of `nonzero_tuples`.
-
-    When every value vanishes the tuple and value are None and `checked`
-    is the number of `arity`-tuples of `indices`.
-    """
-    return next(
-        nonzero_tuples(indices, arity, prove, value),
-        (math.comb(len(indices), arity), None, None),
-    )
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -637,6 +625,20 @@ class CheckReport:
         return data
 
 
+def certify(name, indices, arity: int, prove, value, key, certificate) -> CheckReport:
+    """The report that value(*tuple) is zero on every `arity`-tuple of `indices`.
+
+    FAIL carries the first tuple of `nonzero_tuples` under `key`, with
+    its value, and counts the tuples up to it as checked; PASS carries
+    `certificate` and counts every tuple.
+    """
+    for checked, tup, v in nonzero_tuples(indices, arity, prove, value):
+        witness = {key: list(tup), "value": v.to_json()}
+        return CheckReport(name, "FAIL", checked, witness=witness)
+    checked = math.comb(len(indices), arity)
+    return CheckReport(name, "PASS", checked, certificate=certificate)
+
+
 def domain_indices(family: FamilySpec, window) -> list:
     """The window's indices in the family's basis domain, ascending; never empty."""
     indices = sorted(n for n in window if family.in_domain(n))
@@ -689,26 +691,16 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     def jacobiator_at(*xs):
         return LieElement.from_items(family.params, _jacobi_terms(pair, pair, *xs))
 
-    checked, triple, value = first_nonzero(indices, 3, prove, jacobiator_at)
-    if triple is not None:
-        return CheckReport(
-            name=f"jacobi:{family.name}",
-            status="FAIL",
-            checked=checked,
-            witness={"triple": list(triple), "value": value.to_json()},
-        )
-    return CheckReport(
-        name=f"jacobi:{family.name}",
-        status="PASS",
-        checked=checked,
-        certificate={
-            "window": [indices[0], indices[-1]],
-            "degree_bound": 2,
-            "grid_per_parity": {
-                "odd": sum(1 for n in indices if n % 2),
-                "even": sum(1 for n in indices if not n % 2),
-            },
+    certificate = {
+        "window": [indices[0], indices[-1]],
+        "degree_bound": 2,
+        "grid_per_parity": {
+            "odd": sum(1 for n in indices if n % 2),
+            "even": sum(1 for n in indices if not n % 2),
         },
+    }
+    return certify(
+        f"jacobi:{family.name}", indices, 3, prove, jacobiator_at, "triple", certificate
     )
 
 

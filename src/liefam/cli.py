@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import bracket, grading_bounds, LieElement, specialize, verify_jacobi
 from .cohomology import (
+    ANSATZ_SHAPES,
     Ansatz,
     cochain_from_json,
     compare_classes,
@@ -270,12 +271,7 @@ def cmd_cohomology_check(args) -> int:
 
 
 def _ansatz_from_args(args) -> Ansatz:
-    pins = parse_pins(args.pin)
-    support = None
-    if args.ansatz == "per-index":
-        w = parse_window(args.window)
-        support = (w.start, w.stop - 1)
-    return Ansatz(args.ansatz, args.weight, pins=pins, support=support)
+    return Ansatz(args.ansatz, args.weight, pins=parse_pins(args.pin))
 
 
 def cmd_cohomology_solve(args) -> int:
@@ -557,12 +553,14 @@ def _family_flags(parser):
 
 def _solve_flags(parser):
     parser.add_argument("--cocycle", required=True)
-    parser.add_argument(
-        "--ansatz", choices=("parity-constant", "affine", "per-index"), default="affine"
-    )
+    parser.add_argument("--ansatz", choices=ANSATZ_SHAPES, default="affine")
     parser.add_argument("--weight", type=int, required=True)
     parser.add_argument(
-        "--window", default="-12..12", type=checked(parse_window, "window")
+        "--window",
+        default="-12..12",
+        type=checked(parse_window, "window"),
+        help="the pairs that give equations; a per-index ansatz has one unknown "
+        "per index of the window",
     )
     parser.add_argument(
         "--pin", type=checked(parse_pins, "pins"), help='pinned values "1=0,2=0"'

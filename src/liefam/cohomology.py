@@ -7,8 +7,11 @@ all other arities use the standard alternating-sum convention; every
 composite of two consecutive differentials vanishes either way.
 
 `_d1_terms` is the one place the d1 convention lives (`_d2_terms` that
-of d2): `differential` walks it on integers, the provers on index forms
-and `_build_system` on the linear forms of the coboundary ansatz.
+of d2), and `_coboundary_terms`, which extends it, the one statement of
+d1 F + c * beta = omega: `differential` walks `_d1_terms` on integers,
+`coboundary_mismatches` walks `_coboundary_terms` on integers, the
+provers on index forms and `_build_system` on the linear forms of the
+coboundary ansatz.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .algebra import (
     _require_window,
     _vanishes,
     bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
+    certify,
     domain_indices,
     evaluate_pair_rule,
-    first_nonzero,
     index_family,
     map_coefficients,
     nonzero_tuples,
@@ -46,6 +49,7 @@ from .errors import (
     MissingParameter,
     OutOfDomainIndex,
     ParameterMismatch,
+    WindowTooSmall,
 )
 from .linalg import LinearSystem, rank_of_vectors
 from .poly import ParamPoly, rat, rat_str
@@ -290,6 +294,27 @@ def _d1_terms(pair, image, n, m):
                     yield out, f * -coeff
 
 
+def _coboundary_terms(pair, image, others, n, m):
+    """The terms of (d1 F + c * beta - omega)(v_n, v_m).
+
+    This is the one statement of the coboundary identity
+    d1 F + c * beta = omega.  It walks `_d1_terms(pair, image, n, m)`
+    and then, for each (value, scale) of `others`, normally
+    ((omega, -1), (beta, c)) or ((omega, -1),), the terms `value(n, m)`
+    gives times scale.  The scale multiplies on the left, so that it
+    may be a linear form over the ansatz unknowns.
+    """
+    yield from _d1_terms(pair, image, n, m)
+    for value, scale in others:
+        for out, coeff in value(n, m):
+            yield out, scale * coeff
+
+
+def _value_terms(c: Cochain):
+    """(*indices) -> the (key, coefficient) terms of c there, computed once."""
+    return cache(lambda *idx: c.value(*idx).components.items())
+
+
 def _d2_terms(value, inner, outer, xs):
     """The terms of (d2 c)(v_x0, v_x1, v_x2) for an adjoint 2-cochain c.
 
@@ -324,7 +349,7 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
         # basis brackets and cochain values are memoized over the tuples
         # one check evaluates
         pair = _bracket_terms(algebra)
-        value = cache(lambda *idx: c.value(*idx).components.items())
+        value = _value_terms(c)
         if c.arity == 1:
 
             def d1(n, m):
@@ -382,7 +407,7 @@ def _lifted_pair_rule(c: Cochain) -> FamilySpec | None:
 
 
 def _d2_prover(algebra: FamilySpec, c: Cochain):
-    """The `prove` of `first_nonzero` for d2 c = 0, or None when none applies."""
+    """The `prove` of `nonzero_tuples` for d2 c = 0, or None when none applies."""
     lifted = index_family(algebra)
     spec = _lifted_pair_rule(c)
     if lifted is None or spec is None:
@@ -407,23 +432,10 @@ def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
     """
     indices = _require_window(algebra, window)
     d = differential(algebra, c)
-    checked, tup, v = first_nonzero(indices, d.arity, _d2_prover(algebra, c), d.value)
-    if tup is not None:
-        return CheckReport(
-            name=f"cocycle:{c.label or 'cochain'}",
-            status="FAIL",
-            checked=checked,
-            witness={
-                "tuple": list(tup),
-                "value": v.to_json() if hasattr(v, "to_json") else str(v),
-            },
-        )
-    return CheckReport(
-        name=f"cocycle:{c.label or 'cochain'}",
-        status="PASS",
-        checked=checked,
-        certificate={"window": [indices[0], indices[-1]], "degree_bound": 2},
-    )
+    name = f"cocycle:{c.label or 'cochain'}"
+    certificate = {"window": [indices[0], indices[-1]], "degree_bound": 2}
+    prove = _d2_prover(algebra, c)
+    return certify(name, indices, d.arity, prove, d.value, "tuple", certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +476,17 @@ ANSATZ_SHAPES = ("parity-constant", "affine", "per-index")
 
 @dataclass(frozen=True)
 class Ansatz:
-    """Shape of the unknown linear map in d1 F = omega.
+    """Shape of the unknown linear map F in d1 F (+ c * beta) = omega.
 
     parity-constant: one unknown per parity; affine: (a*n + d) per parity;
-    per-index: one unknown per index inside `support`.  `pins` forces
-    stated coefficients; indices whose image would leave the basis domain
-    are pinned to zero automatically.
+    per-index: one unknown per index of the solve window, and F is not
+    modeled outside it.  `pins` forces stated coefficients; indices whose
+    image would leave the basis domain are pinned to zero automatically.
     """
 
     shape: str
     weight: int
     pins: dict = field(default_factory=dict)
-    support: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.shape not in ANSATZ_SHAPES:
@@ -509,21 +520,33 @@ class _Linear(dict):
         return _Linear((u, v * scale) for u, v in self.items())
 
 
-class _AnsatzForms:
-    """Linear forms (`_Linear`) for the map coefficients."""
+def _constant_terms(items):
+    """Parameter-free (key, coefficient) terms as constants, the central key dropped."""
+    return [(key, coeff.constant_value()) for key, coeff in items if key != CENTRAL]
 
-    def __init__(self, algebra: FamilySpec, ansatz: Ansatz):
+
+class _AnsatzForms:
+    """Linear forms (`_Linear`) for the map coefficients on the solve window.
+
+    `indices` are the window's indices in the basis domain, and `pair` the
+    rule-only bracket cache that `_build_system` and `covers` share.
+    """
+
+    def __init__(self, algebra: FamilySpec, ansatz: Ansatz, indices):
         self.algebra = algebra
         self.ansatz = ansatz
+        self.indices = indices
         self.pins = dict(ansatz.pins)
+        self.pair = cache(
+            lambda x, y: _constant_terms(evaluate_pair_rule(algebra, x, y))
+        )
 
     def unknowns(self):
         if self.ansatz.shape == "parity-constant":
             return [("even", "d"), ("odd", "d")]
         if self.ansatz.shape == "affine":
             return [("even", "a"), ("even", "d"), ("odd", "a"), ("odd", "d")]
-        lo, hi = self.ansatz.support
-        return [("idx", i) for i in range(lo, hi + 1) if not self._pinned(i)]
+        return [("idx", i) for i in self.indices if not self._pinned(i)]
 
     def maps_outside(self, i: int) -> bool:
         """Whether v_{i+weight} is below the basis bound, which pins F(v_i) = 0."""
@@ -547,9 +570,8 @@ class _AnsatzForms:
             value = self.pinned_value(i)
             return _Linear({(): value} if value else {})
         if self.ansatz.shape == "per-index":
-            lo, hi = self.ansatz.support
-            if not (lo <= i <= hi):
-                return None  # outside the modeled support
+            if not (self.indices[0] <= i <= self.indices[-1]):
+                return None  # outside the window, where F is not modeled
             return _Linear({("idx", i): Fraction(1)})
         parity = "odd" if i % 2 else "even"
         if self.ansatz.shape == "parity-constant":
@@ -563,69 +585,52 @@ class _AnsatzForms:
 
     def covers(self, n: int, m: int) -> bool:
         """Whether F is modeled at v_n, v_m and every index of [v_n, v_m]."""
-        needed = [n, m] + [i for i, _ in evaluate_pair_rule(self.algebra, n, m)]
+        needed = [n, m] + [i for i, _ in self.pair(n, m)]
         return all(self.form(i) is not None for i in needed)
 
 
-def _const_components(elem: LieElement) -> dict:
-    out = {}
-    for key, coeff in elem.components.items():
-        if key == CENTRAL:
-            continue
-        out[key] = coeff.constant_value()
-    return out
-
-
 def _build_system(algebra, omega, beta, ansatz, window):
-    """Assemble the exact linear system for d1 F (+ c*beta) = omega.
+    """Assemble the exact linear system for d1 F (+ c * beta) = omega.
 
-    Each window pair that the ansatz covers gives one equation per output
-    index of `_d1_terms`, with F's image given as linear forms.
+    Each window pair that the ansatz covers gives one equation L = 0 per
+    output index of `_coboundary_terms`, walked with F's image and c as
+    linear forms and the brackets, omega and beta as constants; L is the
+    linear form of the unknowns at that index.
     """
     if algebra.params:
         raise MissingParameter("coboundary solving needs a parameter-free algebra")
-    forms = _AnsatzForms(algebra, ansatz)
+    forms = _AnsatzForms(algebra, ansatz, domain_indices(algebra, window))
     system = LinearSystem()
     unknowns = forms.unknowns()
+    cochains = [(omega, _Linear({(): Fraction(-1)}))]
     if beta is not None:
         unknowns = unknowns + [("scale",)]
-    pair = cache(
-        lambda x, y: [
-            (idx, coeff.constant_value())
-            for idx, coeff in evaluate_pair_rule(algebra, x, y)
-        ]
-    )
+        cochains.append((beta, _Linear({("scale",): Fraction(1)})))
+    others = [
+        (lambda x, y, c=c: _constant_terms(c.value(x, y).components.items()), scale)
+        for c, scale in cochains
+    ]
     pairs_used = 0
-    for n, m in itertools.combinations(domain_indices(algebra, window), 2):
+    for n, m in itertools.combinations(forms.indices, 2):
         if not forms.covers(n, m):
-            continue  # outside a per-index support window
+            continue  # F is not modeled at every index the pair reaches
         pairs_used += 1
-        rows = {}  # output index -> linear form of d1 F there
-        for idx, form in _d1_terms(pair, forms.image, n, m):
+        rows = {}  # output index -> linear form of d1 F + c * beta - omega
+        for idx, form in _coboundary_terms(forms.pair, forms.image, others, n, m):
             row = rows.setdefault(idx, {})
             for u, v in form.items():
                 row[u] = row.get(u, 0) + v
-        rhs_all = _const_components(omega.value(n, m))
-        beta_all = _const_components(beta.value(n, m)) if beta is not None else {}
-        for idx in sorted(set(rows) | set(rhs_all) | set(beta_all)):
-            coeffs = rows.get(idx, {})
+        for idx, coeffs in sorted(rows.items()):
             const = coeffs.pop((), 0)
-            if idx in beta_all:
-                coeffs[("scale",)] = coeffs.get(("scale",), 0) + beta_all[idx]
-            system.add(
-                coeffs,
-                rhs_all.get(idx, Fraction(0)) - const,
-                tag={"pair": [n, m], "index": idx},
-            )
+            system.add(coeffs, -const, tag={"pair": [n, m], "index": idx})
     return system, forms, unknowns, pairs_used
 
 
 def _phi_from_solution(forms: _AnsatzForms, values: dict, params) -> Cochain:
     ansatz = forms.ansatz
     if ansatz.shape == "per-index":
-        lo, hi = ansatz.support
         entries = {}
-        for i in range(lo, hi + 1):
+        for i in forms.indices:
             c = (
                 forms.pinned_value(i)
                 if forms._pinned(i)
@@ -635,13 +640,9 @@ def _phi_from_solution(forms: _AnsatzForms, values: dict, params) -> Cochain:
                 entries[i] = LieElement.basis(i + ansatz.weight, params, c)
         rule = MapTableRule(entries)
         return Cochain(1, "adjoint", ansatz.weight, params, rule, label="solved-map")
-    even = (
-        values.get(("even", "a"), Fraction(0)),
-        values.get(("even", "d"), Fraction(0)),
-    )
-    odd = (
-        values.get(("odd", "a"), Fraction(0)),
-        values.get(("odd", "d"), Fraction(0)),
+    even, odd = (
+        tuple(values.get((parity, u), Fraction(0)) for u in ("a", "d"))
+        for parity in ("even", "odd")
     )
     # the lowest basis indices, while F maps them below the basis (none unbounded)
     outside = itertools.takewhile(
@@ -653,14 +654,14 @@ def _phi_from_solution(forms: _AnsatzForms, values: dict, params) -> Cochain:
 
 
 def _d1_vanishes(algebra, rule, others, parity, boundary) -> bool:
-    """d1 F plus the terms `others` at the index forms (n, m) is zero.
+    """`_coboundary_terms` at the index forms (n, m) sum to zero.
 
     `algebra` and the pair-rule families of `others`, (family, scale)
     pairs, are over Q[params, n, m, k], and F is the affine map `rule`:
     F(form) = (a * form + d) v_{form + weight}, (a, d) chosen by the
-    form's parity.  The terms are `_d1_terms`.  Each argument of F is
-    recorded with the pinned indices as forbidden values and the bound
-    that keeps its image in the basis domain.
+    form's parity.  Each argument of F is recorded with the pinned
+    indices as forbidden values and the bound that keeps its image in
+    the basis domain.
     """
     w = rule.weight
     lower = None if algebra.lower_bound is None else algebra.lower_bound - w
@@ -672,14 +673,11 @@ def _d1_vanishes(algebra, rule, others, parity, boundary) -> bool:
         f = _form_poly(algebra.params, form) * a + d
         return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
 
-    n, m = INDEX_FORMS[:2]
     _, outer = boundary.brackets(algebra, parity)
-    rest = (
-        (out, coeff * scale)
-        for spec, scale in others
-        for out, coeff in boundary.pair(spec, n, m, parity)
-    )
-    return _vanishes(itertools.chain(_d1_terms(outer, image, n, m), rest))
+    values = [
+        (partial(boundary.pair, spec, parity=parity), scale) for spec, scale in others
+    ]
+    return _vanishes(_coboundary_terms(outer, image, values, *INDEX_FORMS[:2]))
 
 
 def _d1_prover(algebra: FamilySpec, phi: Cochain, omega: Cochain, beta, scalar):
@@ -705,31 +703,32 @@ def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=No
 
     Pairs n < m of `indices` run in `itertools.combinations` order; a pair
     that `covered` rejects counts as zero, and beta None drops its term.
-    For an affine map F against adjoint pair-rule cochains over a
-    central-free algebra, the difference is computed once per parity
-    pattern of (n, m) as a polynomial in index variables n, m (see
-    `algebra.verify_jacobi`); where it vanishes identically only the
-    pairs that are not generic are evaluated: those where an index, a
-    bracket output or an argument of F is exceptional, below a basis
-    bound, pinned, or maps outside the basis domain.  Every other map
-    and every pattern whose polynomial is not zero are evaluated pair by
-    pair.
+    A value is `_coboundary_terms` over memoized basis brackets and
+    cochain values.  For an affine map F against adjoint pair-rule
+    cochains over a central-free algebra, the difference is computed
+    once per parity pattern of (n, m) as a polynomial in index variables
+    n, m (see `algebra.verify_jacobi`); where it vanishes identically
+    only the pairs that are not generic are evaluated: those where an
+    index, a bracket output or an argument of F is exceptional, below a
+    basis bound, pinned, or maps outside the basis domain.  Every other
+    map and every pattern whose polynomial is not zero are evaluated
+    pair by pair.
     """
-    d1 = differential(algebra, phi)
+    pair, image = _bracket_terms(algebra), _value_terms(phi)
+    others = [(_value_terms(omega), -1)]
+    if beta is not None:
+        others.append((_value_terms(beta), scalar))
     zero = LieElement.zero(algebra.params)
 
     def difference(n, m):
         if covered is not None and not covered(n, m):
             return zero
-        lhs = d1.value(n, m)
-        rhs = omega.value(n, m)
-        if beta is not None:
-            rhs = rhs - beta.value(n, m).scale(scalar)
-        return lhs - rhs
+        terms = _coboundary_terms(pair, image, others, n, m)
+        return LieElement.from_items(algebra.params, terms)
 
     prove = _d1_prover(algebra, phi, omega, beta, scalar)
-    for _, pair, value in nonzero_tuples(indices, 2, prove, difference):
-        yield pair, value
+    for _, tup, value in nonzero_tuples(indices, 2, prove, difference):
+        yield tup, value
 
 
 def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
@@ -741,8 +740,9 @@ def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
     affine map of a closed shape is checked once per parity pattern of
     (n, m) in index variables, and only the pairs at exceptional, pinned
     or bounded indices are evaluated (`coboundary_mismatches`); the
-    per-index map table is evaluated pair by pair on its support.
-    Returns the first mismatch in `itertools.combinations` order, or None.
+    per-index map table is evaluated pair by pair on the pairs the
+    ansatz covers.  Returns the first mismatch in
+    `itertools.combinations` order, or None.
     """
     indices = domain_indices(algebra, window)
     if forms.ansatz.shape == "per-index":
@@ -751,20 +751,23 @@ def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
         covered = None
         lo, hi = indices[0], indices[-1]
         indices = [n for n in range(lo - 4, hi + 5) if algebra.in_domain(n)]
-    first = next(
-        coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered),
-        None,
+    mismatches = coboundary_mismatches(
+        algebra, phi, omega, beta, scalar, indices, covered
     )
-    if first is None:
-        return None
-    pair, difference = first
-    return {"pair": list(pair), "difference": difference.to_json()}
+    for pair, difference in mismatches:
+        return {"pair": list(pair), "difference": difference.to_json()}
+    return None
 
 
 def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
     system, forms, unknowns, pairs_used = _build_system(
         algebra, omega, beta, ansatz, window
     )
+    if pairs_used == 0:
+        raise WindowTooSmall(
+            "the window gives no equation: no pair of its indices has F modeled "
+            "at both and at every index of their bracket"
+        )
     if not system.consistent:
         tag, residual = system.inconsistency
         return SolveResult(
@@ -803,14 +806,17 @@ def solve_coboundary(
 ) -> SolveResult:
     """Solve d1 F = omega within the ansatz shape, or certify infeasibility.
 
-    An inconsistent window subsystem is a global non-coboundary
-    certificate for the ansatz shape, since any global solution would
-    restrict to a solution of the window system.  A solution is then
-    re-checked on the window extended by four indices on each side: for
-    the affine map of a closed shape, d1 F - omega is proved zero once
-    per parity pattern of (n, m) in index variables, and only the pairs
-    at exceptional, pinned or bounded indices are evaluated; a per-index
-    map is evaluated pair by pair on its support (`_verify_coboundary`).
+    The window pairs the ansatz covers give the equations (`_build_system`);
+    a window with none raises WindowTooSmall.  An inconsistent window
+    subsystem is a global non-coboundary certificate for the ansatz shape,
+    since any global solution would restrict to a solution of the window
+    system.  A solution is then re-checked on the window extended by four
+    indices on each side: for the affine map of a closed shape, d1 F -
+    omega is proved zero once per parity pattern of (n, m) in index
+    variables, and only the pairs at exceptional, pinned or bounded
+    indices are evaluated; a per-index map, with one unknown per window
+    index, is evaluated pair by pair on the pairs it covers
+    (`_verify_coboundary`).
     """
     return _solve(algebra, omega, None, ansatz, window)
 

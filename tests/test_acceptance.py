@@ -201,7 +201,7 @@ def test_criterion_5_noncoboundary_certificate():
     ok = True
     for weight in (-2, 0):
         sol = solve_coboundary(
-            l1, beta3, Ansatz("per-index", weight, support=(1, 24)), range(1, 25)
+            l1, beta3, Ansatz("per-index", weight), range(1, 25)
         )
         ok = ok and sol.status == "infeasible" and "contradiction_at" in sol.certificate
     assert announce(5, ok, "(non-coboundary certificate)")

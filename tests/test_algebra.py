@@ -659,7 +659,7 @@ def coboundary_cases(draw):
 def test_verify_coboundary_equals_plain_enumeration(case, data):
     algebra, phi, omega, beta, scalar = case
     window = windows(data.draw, algebra)
-    forms = _AnsatzForms(algebra, Ansatz("affine", phi.weight))
+    forms = _AnsatzForms(algebra, Ansatz("affine", phi.weight), list(window))
     args = (algebra, phi, omega, beta, scalar, window)
     assert outcome(lambda *a: _verify_coboundary(a[0], forms, *a[1:]), *args) == outcome(
         enumerated_coboundary, *args

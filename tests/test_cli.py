@@ -180,6 +180,35 @@ def test_central_and_geometry_outputs_are_pinned(capsys, entry):
     assert hashlib.sha256(blob).hexdigest() == OUTPUT_SHA256[entry]
 
 
+#: SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <entry>`
+#: for coboundary solves and class comparisons, recorded before d1 F + c·beta
+#: = omega was written as one term walk for the solver and the re-check.
+SOLVE_SHA256 = {
+    "cohomology solve --cocycle ds-order1 --ansatz parity-constant --weight -2": "58976c6d151b84302b6af85380b114a7f8350a33b14b0ece2eaacbf786a08342",
+    "cohomology solve --cocycle dinf-order2 --ansatz parity-constant --weight -4": "18702e3bc631947dc6bc554904cc088129ab6d5e32cd3cc4d11bd3d97e6c8db1",
+    "cohomology solve --cocycle ds-order1 --ansatz affine --weight -2": "20b5b8a724ff01ecbb223ab9a8bfb0a40fb405f1640375f6ce3e471b7a5c1cb8",
+    "cohomology solve --cocycle beta1 --ansatz affine --weight -1 --window 1..20": "5ec01ffec94fb388be988731782cb6fb1eaa88f132776b72587d4e7374621529",
+    "cohomology solve --cocycle beta2 --ansatz affine --weight -1 --window 1..20": "fc9a9d985dbab7ab66ce52f5db7e5e99b4e038dc25c9b5bbe033d35713f42b59",
+    "cohomology solve --cocycle beta3 --ansatz per-index --weight -2 --window 1..20": "ce6fb8cf00b78df278ff13a7300379d1fb60a71129d7da7f7417f6a2ad2f82e6",
+    "cohomology solve --cocycle beta3 --ansatz affine --weight -2 --window 3..24": "3df63b8786392dbe9249d5665616d2a6cf95c806ddd80da56330432d2108e582",
+    "cohomology solve --cocycle w1-order1 --ansatz affine --weight -2 --window 1..24": "b8d33e1936edd9060262db08334ac6f8c1ada766a9febfb9c9cf8c35e65d0c60",
+    "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6": "0238cc4ea0845a9f3da1e3b7fdaf9b337158ff070c104a5e154463cabbbacc71",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 1=0,2=0": "486a5b5a48edadc403bf8b5d84071fdd34dbd4ffdc0c26b1f838e4675961d075",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz parity-constant --weight -2 --window 1..24": "41e58a986ab631ee38309b13fcde1bd3a4596c6d87d229447d0bba2250cf1fdd",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 2=-4/3": "564f57f0018675b351989b4551f07ae07cf78af2dcd232529d2586cd420b9fbc",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz per-index --weight -2 --window 1..16": "1d2a48a52e1e7f87afe747035a78ed681e27e4c9ed13794f3b9b75726c9f90d3",
+    "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz affine --weight -2": "70c3121b186f5797ae7195c82a1899ebe9745828c198dfdd1bd7b197fc44f3b2",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOLVE_SHA256))
+def test_solve_and_compare_outputs_are_pinned(capsys, entry):
+    code = main(["--json", *entry.split()])
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == SOLVE_SHA256[entry]
+
+
 def test_moduli_commands(capsys):
     code, out = run(capsys, "--json", "moduli", "classify", "--e1", "1", "--e2", "-1/2")
     assert code == 0
@@ -326,6 +355,18 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
              "--weight", "-2"],
             "unknown cocycle 'nope'; choose from ds-order1, dinf-order2, w1-order1, "
             "beta1, beta2, beta3",
+        ),
+        (
+            ["cohomology", "solve", "--cocycle", "beta3", "--ansatz", "per-index",
+             "--weight", "-2", "--window", "5..6"],
+            "the window gives no equation: no pair of its indices has F modeled "
+            "at both and at every index of their bracket",
+        ),
+        (
+            ["cohomology", "compare", "--cocycle", "w1-order1", "--against", "beta3",
+             "--ansatz", "per-index", "--weight", "-2", "--window", "7..8"],
+            "the window gives no equation: no pair of its indices has F modeled "
+            "at both and at every index of their bracket",
         ),
     ],
 )

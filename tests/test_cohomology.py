@@ -167,7 +167,7 @@ def test_solved_witness_round_trips_through_d1():
 def test_gamma1_witness_for_beta1():
     l1, beta1 = named_cocycle("beta1")
     sol = solve_coboundary(
-        l1, beta1, Ansatz("per-index", -1, support=(1, 20)), range(1, 21)
+        l1, beta1, Ansatz("per-index", -1), range(1, 21)
     )
     assert sol.solved
     for n in range(2, 18):
@@ -192,7 +192,7 @@ def test_beta3_is_not_a_coboundary():
     l1, beta3 = named_cocycle("beta3")
     for weight in (-2, 0):
         sol = solve_coboundary(
-            l1, beta3, Ansatz("per-index", weight, support=(1, 24)), range(1, 25)
+            l1, beta3, Ansatz("per-index", weight), range(1, 25)
         )
         assert sol.status == "infeasible"
         assert "contradiction_at" in sol.certificate

@@ -48,3 +48,41 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """(module, name) of each private top-level def or class that no source reads.
+
+    `sources` maps module names to source text.  A name counts as read
+    where it appears as a loaded name or as a loaded attribute in any of
+    the sources; being imported is not a read.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_the_check_finds_an_unread_private_definition():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _left():\n    pass\n\nclass _Shape:\n    pass\n",
+        "b": "from a import _used, _Shape\n_used()\nimport a\na._Shape\n",
+    }
+    assert unread_private_definitions(sources) == [("a", "_left")]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unread_private_definitions(sources) == []

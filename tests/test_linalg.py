@@ -203,7 +203,7 @@ def test_compare_classes_certificates_pinned():
         },
     }
     res = compare_classes(
-        l1, omega, beta3, Ansatz("per-index", -2, support=(3, 10)), range(3, 11)
+        l1, omega, beta3, Ansatz("per-index", -2), range(3, 11)
     )
     assert res.solved and res.scalar == 0
     assert res.certificate == {
