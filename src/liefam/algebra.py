@@ -362,10 +362,7 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
         for t in family.rule.get(cls, ()):
             if not (t.d.is_zero and (t.a + t.b).is_zero):
                 return None
-    ring = family.params + INDEX_VARS
-    return map_coefficients(
-        family, lambda key, shift, p: p.lift(ring), ring, family.name
-    )
+    return pullback(family, family.params + INDEX_VARS, None, family.name)
 
 
 class _Boundary:
@@ -737,13 +734,25 @@ def map_coefficients(family: FamilySpec, fn, params, name: str) -> FamilySpec:
     )
 
 
+def pullback(family: FamilySpec, params, images, name: str) -> FamilySpec:
+    """The family with every coefficient mapped by `ParamPoly.map_params`.
+
+    A parameter named in `images` goes to its image in Q[params], any
+    other to its namesake; terms that map to zero are dropped.
+    """
+    return map_coefficients(
+        family, lambda key, shift, p: p.map_params(params, images), params, name
+    )
+
+
 def specialize(
     family: FamilySpec, assignment: dict, partial: bool = False
 ) -> FamilySpec:
-    """Evaluate the rule at a rational parameter point.
+    """The pullback of the family to a rational parameter point.
 
     Evaluation commutes with the bracket.  With `partial=False` the
-    assignment must cover every parameter.
+    assignment must cover every parameter; with `partial=True` the
+    parameters it leaves out stay, in their order.
     """
     assignment = {k: rat(v) for k, v in assignment.items()}
     unknown = [k for k in assignment if k not in family.params]
@@ -752,14 +761,8 @@ def specialize(
     missing = [p for p in family.params if p not in assignment]
     if missing and not partial:
         raise MissingParameter(f"no value for parameters {missing}")
-    point = {k: ParamPoly.const(family.params, v) for k, v in assignment.items()}
     label = ",".join(f"{k}={rat_str(v)}" for k, v in sorted(assignment.items()))
-    return map_coefficients(
-        family,
-        lambda key, shift, p: p.substitute(point).drop_params(assignment),
-        missing,
-        f"{family.name}|{label}",
-    )
+    return pullback(family, missing, assignment, f"{family.name}|{label}")
 
 
 @dataclass(frozen=True)

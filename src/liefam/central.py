@@ -74,9 +74,7 @@ def kn_cocycle(
     integrand = (e3 * f - e * f3).scale(Fraction(1, 2))
     if connection is not None and not connection.is_zero:
         first = e.derivative() * f - e * f.derivative()
-        rterm = FactoredLaurent(
-            connection.lift_params(e.poly.params), e.beta, 0
-        ) * first
+        rterm = FactoredLaurent(connection.map_params(e.poly.params), e.beta, 0) * first
         integrand = integrand - rterm
     return finite_residue_sum(integrand)
 

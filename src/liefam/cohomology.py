@@ -34,6 +34,7 @@ from .algebra import (
     _form_sum,
     _require_window,
     _vanishes,
+    basis_bracket,
     bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
     certify,
     domain_indices,
@@ -521,15 +522,16 @@ class _Linear(dict):
 
 
 def _constant_terms(items):
-    """Parameter-free (key, coefficient) terms as constants, the central key dropped."""
-    return [(key, coeff.constant_value()) for key, coeff in items if key != CENTRAL]
+    """Parameter-free (key, coefficient) terms as constants."""
+    return [(key, coeff.constant_value()) for key, coeff in items]
 
 
 class _AnsatzForms:
     """Linear forms (`_Linear`) for the map coefficients on the solve window.
 
     `indices` are the window's indices in the basis domain, and `pair` the
-    rule-only bracket cache that `_build_system` and `covers` share.
+    constant bracket cache, central term included, that `_build_system`
+    and `covers` share.
     """
 
     def __init__(self, algebra: FamilySpec, ansatz: Ansatz, indices):
@@ -538,7 +540,7 @@ class _AnsatzForms:
         self.indices = indices
         self.pins = dict(ansatz.pins)
         self.pair = cache(
-            lambda x, y: _constant_terms(evaluate_pair_rule(algebra, x, y))
+            lambda x, y: _constant_terms(basis_bracket(algebra, x, y).components.items())
         )
 
     def unknowns(self):
@@ -585,7 +587,7 @@ class _AnsatzForms:
 
     def covers(self, n: int, m: int) -> bool:
         """Whether F is modeled at v_n, v_m and every index of [v_n, v_m]."""
-        needed = [n, m] + [i for i, _ in self.pair(n, m)]
+        needed = [n, m] + [i for i, _ in self.pair(n, m) if i != CENTRAL]
         return all(self.form(i) is not None for i in needed)
 
 
@@ -595,7 +597,8 @@ def _build_system(algebra, omega, beta, ansatz, window):
     Each window pair that the ansatz covers gives one equation L = 0 per
     output index of `_coboundary_terms`, walked with F's image and c as
     linear forms and the brackets, omega and beta as constants; L is the
-    linear form of the unknowns at that index.
+    linear form of the unknowns at that index.  The central component of
+    an algebra with a central rule is one more output index, put last.
     """
     if algebra.params:
         raise MissingParameter("coboundary solving needs a parameter-free algebra")
@@ -620,7 +623,8 @@ def _build_system(algebra, omega, beta, ansatz, window):
             row = rows.setdefault(idx, {})
             for u, v in form.items():
                 row[u] = row.get(u, 0) + v
-        for idx, coeffs in sorted(rows.items()):
+        central = [(CENTRAL, rows.pop(CENTRAL))] if CENTRAL in rows else []
+        for idx, coeffs in sorted(rows.items()) + central:
             const = coeffs.pop((), 0)
             system.add(coeffs, -const, tag={"pair": [n, m], "index": idx})
     return system, forms, unknowns, pairs_used
@@ -731,26 +735,31 @@ def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=No
         yield tup, value
 
 
+def _recheck_indices(algebra, ansatz: Ansatz, window):
+    """The indices a solution is re-checked on.
+
+    The window's indices in the basis domain, widened by a 4-index margin
+    on each side for the closed shapes, which define F everywhere.
+    """
+    indices = domain_indices(algebra, window)
+    if ansatz.shape == "per-index":
+        return indices
+    return [n for n in range(indices[0] - 4, indices[-1] + 5) if algebra.in_domain(n)]
+
+
 def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
     """Re-check d1 F (+ c*beta) = omega beyond the window.
 
-    Closed ansatz shapes define F everywhere, so the check runs on the
-    window extended by a 4-index margin on each side; a window solution
-    that fails to extend is exactly the AnsatzTooWeak situation.  The
-    affine map of a closed shape is checked once per parity pattern of
-    (n, m) in index variables, and only the pairs at exceptional, pinned
-    or bounded indices are evaluated (`coboundary_mismatches`); the
-    per-index map table is evaluated pair by pair on the pairs the
-    ansatz covers.  Returns the first mismatch in
-    `itertools.combinations` order, or None.
+    The check runs on `_recheck_indices`; a window solution that fails
+    to extend is exactly the AnsatzTooWeak situation.  The affine map of
+    a closed shape is checked once per parity pattern of (n, m) in index
+    variables, and only the pairs at exceptional, pinned or bounded
+    indices are evaluated (`coboundary_mismatches`); the per-index map
+    table is evaluated pair by pair on the pairs the ansatz covers.
+    Returns the first mismatch in `itertools.combinations` order, or None.
     """
-    indices = domain_indices(algebra, window)
-    if forms.ansatz.shape == "per-index":
-        covered = forms.covers
-    else:
-        covered = None
-        lo, hi = indices[0], indices[-1]
-        indices = [n for n in range(lo - 4, hi + 5) if algebra.in_domain(n)]
+    covered = forms.covers if forms.ansatz.shape == "per-index" else None
+    indices = _recheck_indices(algebra, forms.ansatz, window)
     mismatches = coboundary_mismatches(
         algebra, phi, omega, beta, scalar, indices, covered
     )
@@ -789,6 +798,7 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
             "the window system is consistent but its solution does not "
             f"extend: mismatch at pair {mismatch['pair']}"
         )
+    checked = _recheck_indices(algebra, ansatz, window)
     return SolveResult(
         status="solved",
         phi=phi,
@@ -796,7 +806,7 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
         certificate={
             "pairs": pairs_used,
             "free_unknowns": [repr(u) for u in system.free_unknowns(unknowns)],
-            "verified_window": [min(window), max(window)],
+            "verified_window": [checked[0], checked[-1]],
         },
     )
 

@@ -7,13 +7,15 @@ single row.  Parameters enter only through the polynomial combinations
 that actually appear (alpha2 stands for the square of the double point
 coordinate; alpha never occurs alone).
 
-Most of the catalog is derived, not typed out.  witt, elliptic,
-three-point and nodal come from one builder over their (shift,
-coefficient) lists, as they share one rule shape; virasoro is witt with
-a central rule; d-line(s) and d-infinity substitute e2 = s*e1 resp.
-e1 = 0 into elliptic() through `algebra.map_coefficients`; l1 and w1
-restrict witt and three-point to the indices >= 1.  Only the formal
-families are written term by term.
+Most of the catalog is derived, not typed out.  elliptic() is the
+Krichever-Novikov family over Q[e1, e2] on the degenerating cubic, and
+witt, three-point, nodal, d-line(s) and d-infinity are its pullbacks
+(`algebra.pullback`) along (e1, e2) = (0, 0), (alpha2/3, alpha2/3),
+(-2*alpha2/3, alpha2/3), (e1, s*e1) and (0, e2): the cusp, the nodal
+lines s = 1 (IIb) and s = -1/2 (IIa), a line through the origin and the
+vertical line.  virasoro is witt with a central rule; l1 and w1 restrict
+witt and three-point to the indices >= 1.  Only the formal families are
+written term by term.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import CentralDelta, FamilySpec, map_coefficients, restricted, term
+from .algebra import CentralDelta, FamilySpec, pullback, restricted, term
 from .errors import UnsupportedFamily
 from .poly import ParamPoly, rat
 
@@ -34,26 +36,32 @@ def _mn_terms(params, shifts_factors):
     return tuple(out)
 
 
-def _cubic_rule(name, params, shifted) -> FamilySpec:
-    """The rule of the cubic-curve families with shift-w coefficients f_w.
+def elliptic() -> FamilySpec:
+    """Two-parameter family of vector fields on the plane cubic.
 
-    `shifted` lists (w, f_w) for the even shifts w < 0; shift 0 carries 1.
-    Same-parity pairs get f_w*(m - n) at every shift, the odd-even row
-    f_w*(m - n + w/2), and the odd-odd row only the shift-0 term.
+    Shifts 0, -2, -4 with coefficients f_w = 1, 3*e1, (e1-e2)(2*e1+e2);
+    the third root is eliminated via e3 = -(e1+e2) so the coefficient
+    ring is Q[e1, e2].  Same-parity pairs get f_w*(m - n) at every shift,
+    the odd-even row f_w*(m - n + w/2), and the odd-odd row only the
+    shift-0 term.
     """
-    terms = [(0, ParamPoly.const(params, 1)), *shifted]
-    same = _mn_terms(params, terms)
-    mixed = tuple(term(params, w, a=-f, b=f, d=f * (w // 2)) for w, f in terms)
+    params = ("e1", "e2")
+    e1, e2 = ParamPoly.var(params, "e1"), ParamPoly.var(params, "e2")
+    shifted = [
+        (0, ParamPoly.const(params, 1)), (-2, e1 * 3), (-4, (e1 - e2) * (e1 * 2 + e2))
+    ]
+    same = _mn_terms(params, shifted)
+    mixed = tuple(term(params, w, a=-f, b=f, d=f * (w // 2)) for w, f in shifted)
     return FamilySpec(
-        name=name,
+        name="elliptic",
         params=params,
         rule={"odd-odd": same[:1], "even-even": same, "odd-even": mixed},
     )
 
 
 def witt() -> FamilySpec:
-    """[v_n, v_m] = (m - n) v_{n+m} on all integer indices."""
-    return _cubic_rule("witt", (), [])
+    """[v_n, v_m] = (m - n) v_{n+m}: the cuspidal fibre (e1, e2) = (0, 0)."""
+    return pullback(elliptic(), (), {"e1": 0, "e2": 0}, "witt")
 
 
 def virasoro() -> FamilySpec:
@@ -67,34 +75,6 @@ def virasoro() -> FamilySpec:
     )
 
 
-def elliptic() -> FamilySpec:
-    """Two-parameter family of vector fields on the plane cubic.
-
-    Shifts 0, -2, -4 with coefficients 1, 3*e1, (e1-e2)(2*e1+e2); the
-    third root is eliminated via e3 = -(e1+e2) so the coefficient ring is
-    Q[e1, e2].  The mixed-parity row replaces (m-n) by (m-n-1), (m-n-2)
-    on the shifted components.
-    """
-    params = ("e1", "e2")
-    e1 = ParamPoly.var(params, "e1")
-    e2 = ParamPoly.var(params, "e2")
-    return _cubic_rule(
-        "elliptic", params, [(-2, e1 * 3), (-4, (e1 - e2) * (e1 * 2 + e2))]
-    )
-
-
-def _restrict_elliptic(name, image, dropped) -> FamilySpec:
-    """elliptic() with the parameter `dropped` replaced by `image` in Q[e1, e2]."""
-    ell = elliptic()
-    kept = tuple(p for p in ell.params if p != dropped)
-    return map_coefficients(
-        ell,
-        lambda key, shift, p: p.substitute({dropped: image}).drop_params((dropped,)),
-        kept,
-        name,
-    )
-
-
 def d_line(s) -> FamilySpec:
     """Restriction of the elliptic family to the line e2 = s*e1.
 
@@ -102,31 +82,36 @@ def d_line(s) -> FamilySpec:
     and its term drops out on the degenerate lines s = 1 and s = -2.
     """
     s = rat(s)
-    e1 = ParamPoly.var(("e1", "e2"), "e1")
-    return _restrict_elliptic(f"d-line(s={s})", e1 * s, "e2")
+    e1 = ParamPoly.var(("e1",), "e1")
+    return pullback(elliptic(), ("e1",), {"e2": e1 * s}, f"d-line(s={s})")
 
 
 def d_infinity() -> FamilySpec:
     """The vertical line e1 = 0: shift -4 coefficient -e2^2, no shift -2."""
-    return _restrict_elliptic("d-infinity", 0, "e1")
+    return pullback(elliptic(), ("e2",), {"e1": 0}, "d-infinity")
 
 
 def three_point() -> FamilySpec:
-    """Genus-zero algebra with poles at two symmetric points and infinity."""
-    params = ("alpha2",)
-    return _cubic_rule("three-point", params, [(-2, ParamPoly.var(params, "alpha2"))])
+    """Genus-zero algebra with poles at two symmetric points and infinity.
+
+    The fibre (alpha2/3, alpha2/3) on the nodal line s = 1 (subcase IIb):
+    the shift -2 coefficient is alpha2 and the shift -4 term vanishes.
+    """
+    third = ParamPoly.var(("alpha2",), "alpha2") * Fraction(1, 3)
+    return pullback(elliptic(), ("alpha2",), {"e1": third, "e2": third}, "three-point")
 
 
 def nodal() -> FamilySpec:
     """Witt subalgebra of fields vanishing at the two symmetric points.
 
-    The shifted coefficients are -2*alpha2 and alpha2^2, as forced by the
-    realization v_{2k} = l_{2k} - 2*alpha2*l_{2k-2} + alpha2^2*l_{2k-4}
-    (the geometry module re-derives them from the vector fields).
+    The fibre (-2*alpha2/3, alpha2/3) on the nodal line s = -1/2 (subcase
+    IIa).  The shifted coefficients are -2*alpha2 and alpha2^2, as forced
+    by the realization v_{2k} = l_{2k} - 2*alpha2*l_{2k-2} +
+    alpha2^2*l_{2k-4} (the geometry module re-derives them from the
+    vector fields).
     """
-    params = ("alpha2",)
-    a2 = ParamPoly.var(params, "alpha2")
-    return _cubic_rule("nodal", params, [(-2, a2 * -2), (-4, a2 * a2)])
+    third = ParamPoly.var(("alpha2",), "alpha2") * Fraction(1, 3)
+    return pullback(elliptic(), ("alpha2",), {"e1": third * -2, "e2": third}, "nodal")
 
 
 def l1_subalgebra() -> FamilySpec:

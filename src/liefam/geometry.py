@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .errors import ParameterMismatch, UnsupportedFamily
 from .families import by_name
-from .poly import KeyedSum, ParamPoly, accumulate, rat
+from .poly import KeyedSum, ParamPoly, accumulate
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials with polynomial parameter coefficients
@@ -54,11 +54,6 @@ class LaurentPoly(KeyedSum):
 
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly(self.params, {d + k: c for d, c in self.components.items()})
-
-    def lift_params(self, params: tuple[str, ...]) -> "LaurentPoly":
-        if self.params == params:
-            return self
-        return LaurentPoly(params, {d: c.lift(params) for d, c in self.components.items()})
 
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly(
@@ -225,29 +220,18 @@ def vf_bracket(e, f):
 GENUS0_FAMILIES = ("witt", "l1", "three-point", "w1", "nodal")
 
 
-def _symbolic_roots(e1, e2):
-    """(a, b) = (e2 - e1, e3 - e1) over Q[e1, e2], or constants when both are given."""
-    if e1 is None and e2 is None:
-        params = ("e1", "e2")
-        e1, e2 = ParamPoly.var(params, "e1"), ParamPoly.var(params, "e2")
-    elif e1 is None or e2 is None:
-        raise UnsupportedFamily("the elliptic realization needs both e1 and e2, or neither")
-    else:
-        e1, e2 = ParamPoly.const((), rat(e1)), ParamPoly.const((), rat(e2))
-    return e2 - e1, -e1 * 2 - e2
-
-
-def realize(family: str, n: int, e1=None, e2=None):
+def realize(family: str, n: int):
     """The coefficient of the explicit vector field carrying basis index n.
 
-    A FactoredLaurent in z for the genus-zero families (always symbolic
-    in alpha2 for three-point, w1 and nodal); a CubicField in u for elliptic.
-    witt: l_n = z^(n+1) d/dz.  three-point even/odd:
-    z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) times d/dz.  nodal:
-    z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) times d/dz.
+    A FactoredLaurent in z for the genus-zero families (symbolic in
+    alpha2 for three-point, w1 and nodal); a CubicField in u over
+    Q[e1, e2] for elliptic, whose fibre at a point is its image under
+    `KeyedSum.map_params`.  witt: l_n = z^(n+1) d/dz.  three-point
+    even/odd: z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) times d/dz.
+    nodal: z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) times d/dz.
     elliptic, in u = X - e1 on Y^2 = f(u) = 4u(u-a)(u-b) with a = e2 - e1,
     b = e3 - e1:  u^k Y d/du for index 2k+1 and 2 u^(k-1) (u-a) (u-b) d/du
-    for index 2k; symbolic in e1, e2 unless both are given.
+    for index 2k.
     """
     if family in ("witt", "l1"):
         return FactoredLaurent(LaurentPoly.monomial((), n + 1), ParamPoly.const((), 0), 0)
@@ -260,8 +244,9 @@ def realize(family: str, n: int, e1=None, e2=None):
             degree, exp = (0, k + 1) if odd else (1, k)
         return FactoredLaurent(LaurentPoly.monomial(beta.params, degree), beta, exp)
     if family == "elliptic":
-        a, b = _symbolic_roots(e1, e2)
-        params = a.params
+        params = ("e1", "e2")
+        e1, e2 = ParamPoly.var(params, "e1"), ParamPoly.var(params, "e2")
+        a, b = e2 - e1, -e1 * 2 - e2
         quad = LaurentPoly.from_items(params, [(2, 1), (1, -(a + b)), (0, a * b)])
         f = quad.shift(1).scale(4)
         zero = LaurentPoly.zero(params)

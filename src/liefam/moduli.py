@@ -112,17 +112,15 @@ def classify_fiber(e1, e2) -> FiberClass:
 def j_of_line(s) -> Fraction:
     """Modular parameter of the (constant-j) line e2 = s*e1.
 
-    j(s) = 1728 * 4 (1+s+s^2)^3 / ((1-s)^2 (2+s)^2 (1+2s)^2); the
-    vertical line has j = 1728 by the closed form, not by a limit.
+    The j of the point (1, s) on the line, or of (0, 1) on the vertical
+    line; it is 1728 * 4 (1+s+s^2)^3 / ((1-s)^2 (2+s)^2 (1+2s)^2).
     """
     if s == INFINITE_SLOPE:
-        return Fraction(1728)
+        return CurveParams(0, 1).j
     s = rat(s)
     if s in (Fraction(1), Fraction(-2), Fraction(-1, 2)):
         raise DegenerateLine(f"slope {s} lies on a degenerate line")
-    num = 1728 * 4 * (1 + s + s * s) ** 3
-    den = ((1 - s) * (2 + s) * (1 + 2 * s)) ** 2
-    return num / den
+    return CurveParams(1, s).j
 
 
 def symbolic_invariants() -> tuple[ParamPoly, ParamPoly, ParamPoly]:

@@ -179,43 +179,41 @@ class ParamPoly:
     def __hash__(self):
         return hash((self.params, frozenset(self.terms.items())))
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- changes of ring -----------------------------------------------------
 
-    def evaluate(self, assignment: dict) -> Fraction:
-        """Evaluate at a full rational assignment of every parameter."""
-        missing = [p for p in self.params if p not in assignment]
-        if missing:
-            raise MissingParameter(f"no value for parameters {missing}")
-        point = [rat(assignment[p]) for p in self.params]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    value *= x**e
-            total += value
-        return total
+    def map_params(self, params, images=None) -> "ParamPoly":
+        """The ring map Q[self.params] -> Q[params].
 
-    def substitute(self, assignment: dict) -> "ParamPoly":
-        """Substitute polynomials (same ring) for a subset of parameters."""
-        result = ParamPoly(self.params, {})
-        images = {
-            p: (
-                v
-                if isinstance(v, ParamPoly)
-                else ParamPoly.const(self.params, v)
-            )
-            for p, v in assignment.items()
-        }
+        A parameter named in `images` goes to its image there, a ParamPoly
+        over `params` or a rational; any other goes to its namesake in
+        `params`.  A parameter that occurs with neither raises
+        ParameterMismatch.  Evaluation at a point is the map into Q[()].
+        """
+        params = tuple(params)
+        images = images or {}
+        if not images and params[: len(self.params)] == self.params:
+            pad = (0,) * (len(params) - len(self.params))  # params extends the ring
+            return ParamPoly(params, {e + pad: c for e, c in self.terms.items()})
+        moves, powers = [], []
+        for j, name in enumerate(self.params):
+            if name in images:
+                image = images[name]
+                if not isinstance(image, ParamPoly):
+                    image = ParamPoly.const(params, image)
+                powers.append((j, image))
+            elif name in params:
+                moves.append((j, params.index(name)))
+            elif any(exps[j] for exps in self.terms):
+                raise ParameterMismatch(f"parameter {name!r} has no image in {params}")
+        result = ParamPoly(params, {})
         for exps, coeff in self.terms.items():
-            term = ParamPoly.const(self.params, coeff)
-            for name, e in zip(self.params, exps):
-                if not e:
-                    continue
-                factor = images.get(name)
-                if factor is None:
-                    factor = ParamPoly.var(self.params, name)
-                term = term * factor**e
+            new = [0] * len(params)
+            for j, i in moves:
+                new[i] = exps[j]
+            term = ParamPoly(params, {tuple(new): coeff})
+            for j, image in powers:
+                if exps[j]:
+                    term = term * image ** exps[j]
             result = result + term
         return result
 
@@ -232,35 +230,6 @@ class ParamPoly:
             reduced = tuple(e for j, e in enumerate(exps) if j != i)
             terms[reduced] = coeff
         return ParamPoly(rest, terms)
-
-    def drop_params(self, names) -> "ParamPoly":
-        """Remove unused parameters from the ring."""
-        names = set(names)
-        keep = [j for j, p in enumerate(self.params) if p not in names]
-        for exps in self.terms:
-            for j, e in enumerate(exps):
-                if e and j not in keep:
-                    raise ParameterMismatch(
-                        f"parameter {self.params[j]!r} still occurs in {self}"
-                    )
-        params = tuple(self.params[j] for j in keep)
-        terms = {tuple(e[j] for j in keep): c for e, c in self.terms.items()}
-        return ParamPoly(params, terms)
-
-    def lift(self, params: tuple[str, ...]) -> "ParamPoly":
-        """Re-embed into a larger parameter ring by name."""
-        positions = []
-        for p in self.params:
-            if p not in params:
-                raise ParameterMismatch(f"{p!r} missing from target ring {params}")
-            positions.append(params.index(p))
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(params)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return ParamPoly(params, terms)
 
     # -- presentation --------------------------------------------------------
 
@@ -385,6 +354,14 @@ class KeyedSum:
             return type(self)(self.params, {})
         return type(self)(
             self.params, {k: c * factor for k, c in self.components.items()}
+        )
+
+    def map_params(self, params, images=None):
+        """Each coefficient under `ParamPoly.map_params`; zero images are dropped."""
+        params = tuple(params)
+        items = self.components.items()
+        return type(self)(
+            params, accumulate((k, c.map_params(params, images)) for k, c in items)
         )
 
     def __eq__(self, other) -> bool:

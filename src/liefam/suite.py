@@ -298,7 +298,7 @@ def _residuals(phi: Cochain, omega, beta, scalar, window) -> dict:
 
 def _erratum(omega, beta3, computed: Cochain, window) -> dict:
     """Where the stated witness fails, and the W-valued map that repairs it."""
-    third = Fraction(1, 3)
+    w, third = witt(), Fraction(1, 3)
     verbatim = _residuals(_stated_map({1: 0, 2: 0}), omega, beta3, third, window)
     first = min(verbatim, default=None)
     corrected = _stated_map({2: Fraction(-4, 3)})
@@ -306,7 +306,7 @@ def _erratum(omega, beta3, computed: Cochain, window) -> dict:
     ad_shift = (
         corrected.value(m)
         - computed.value(m)
-        + bracket(witt(), LieElement.basis(-2), LieElement.basis(m)).scale(third)
+        + bracket(w, LieElement.basis(-2), LieElement.basis(m)).scale(third)
         for m in window
     )
     return {
@@ -436,14 +436,16 @@ def criterion_7() -> CriterionResult:
     checks = {}
     checks["j-at-infinite-slope"] = j_of_line(INFINITE_SLOPE) == 1728
 
-    params = ("s",)
-    s = ParamPoly.var(params, "s")
-    num = (1 + s + s * s) ** 3 * (1728 * 4)
-    den = ((1 - s) * (2 + s) * (1 + s * 2)) ** 2
-    partner = -1 - s
-    sub = {"s": partner}
+    # j = 1728 g2^3 / disc on the line (e1, e2) = (1, s) is fixed by s -> -1 - s
+    g2, g3, disc = symbolic_invariants()
+    line = ("s",)
+    s = ParamPoly.var(line, "s")
+    on_line = {"e1": 1, "e2": s}
+    num = (g2**3 * 1728).map_params(line, on_line)
+    den = disc.map_params(line, on_line)
+    partner = {"s": -1 - s}
     checks["j-line-involution"] = (
-        num * den.substitute(sub) == num.substitute(sub) * den
+        num * den.map_params(line, partner) == num.map_params(line, partner) * den
     )
 
     checks["cusp"] = classify_fiber(0, 0).kind == "cuspidal"
@@ -453,7 +455,6 @@ def criterion_7() -> CriterionResult:
     checks["smooth-points"] = all(
         classify_fiber(a, b).kind == "smooth" for a, b in SMOOTH_POINTS
     )
-    g2, g3, disc = symbolic_invariants()
     checks["g2^3-27g3^2=disc"] = g2**3 - g3**2 * 27 == disc
     return CriterionResult(
         7,

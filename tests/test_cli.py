@@ -103,6 +103,16 @@ def test_cohomology_check_and_solve(capsys):
     assert json.loads(out)["result"]["status"] == "infeasible"
 
 
+def test_verified_window_is_the_range_checked(capsys):
+    # l1 has no index below 1, and the affine re-check widens the window by 4
+    code, out = run(
+        capsys, "--json", "cohomology", "solve", "--cocycle", "beta1",
+        "--ansatz", "affine", "--weight", "-1", "--window", "-3..20",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["certificate"]["verified_window"] == [1, 24]
+
+
 def test_cohomology_compare(capsys):
     code, out = run(
         capsys, "--json", "cohomology", "compare", "--cocycle", "w1-order1",
@@ -182,22 +192,24 @@ def test_central_and_geometry_outputs_are_pinned(capsys, entry):
 
 #: SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <entry>`
 #: for coboundary solves and class comparisons, recorded before d1 F + c·beta
-#: = omega was written as one term walk for the solver and the re-check.
+#: = omega was written as one term walk for the solver and the re-check; the
+#: solved closed shapes re-pinned when `verified_window` became the range the
+#: re-check ran on (the window cut to the domain and widened by 4).
 SOLVE_SHA256 = {
-    "cohomology solve --cocycle ds-order1 --ansatz parity-constant --weight -2": "58976c6d151b84302b6af85380b114a7f8350a33b14b0ece2eaacbf786a08342",
-    "cohomology solve --cocycle dinf-order2 --ansatz parity-constant --weight -4": "18702e3bc631947dc6bc554904cc088129ab6d5e32cd3cc4d11bd3d97e6c8db1",
-    "cohomology solve --cocycle ds-order1 --ansatz affine --weight -2": "20b5b8a724ff01ecbb223ab9a8bfb0a40fb405f1640375f6ce3e471b7a5c1cb8",
-    "cohomology solve --cocycle beta1 --ansatz affine --weight -1 --window 1..20": "5ec01ffec94fb388be988731782cb6fb1eaa88f132776b72587d4e7374621529",
-    "cohomology solve --cocycle beta2 --ansatz affine --weight -1 --window 1..20": "fc9a9d985dbab7ab66ce52f5db7e5e99b4e038dc25c9b5bbe033d35713f42b59",
+    "cohomology solve --cocycle ds-order1 --ansatz parity-constant --weight -2": "e8a1aea173e684132f4addcead1aa23a4552fc9b4f38072bf5d22e8a6f429773",
+    "cohomology solve --cocycle dinf-order2 --ansatz parity-constant --weight -4": "a91132fbce454cf72930615f5682f62a7aba178106c0be3b6c35d18dc786ba0d",
+    "cohomology solve --cocycle ds-order1 --ansatz affine --weight -2": "96e8e8c84be6fa45a3ca87a4a95e54c44e58c23a2fc6663e8b23076e6008c27f",
+    "cohomology solve --cocycle beta1 --ansatz affine --weight -1 --window 1..20": "78aa4596553559c5c299aecb91be8a6663f2407acdd6cb633151751b2465bfdf",
+    "cohomology solve --cocycle beta2 --ansatz affine --weight -1 --window 1..20": "1f91248b6ae41df1fb0b30ac45776b580041bbb637af6ab46cac99caa23b646e",
     "cohomology solve --cocycle beta3 --ansatz per-index --weight -2 --window 1..20": "ce6fb8cf00b78df278ff13a7300379d1fb60a71129d7da7f7417f6a2ad2f82e6",
     "cohomology solve --cocycle beta3 --ansatz affine --weight -2 --window 3..24": "3df63b8786392dbe9249d5665616d2a6cf95c806ddd80da56330432d2108e582",
     "cohomology solve --cocycle w1-order1 --ansatz affine --weight -2 --window 1..24": "b8d33e1936edd9060262db08334ac6f8c1ada766a9febfb9c9cf8c35e65d0c60",
     "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6": "0238cc4ea0845a9f3da1e3b7fdaf9b337158ff070c104a5e154463cabbbacc71",
-    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 1=0,2=0": "486a5b5a48edadc403bf8b5d84071fdd34dbd4ffdc0c26b1f838e4675961d075",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 1=0,2=0": "07de9c4da01738133fa13910b502e49304ed0b685f0cbc3d832721ec3c2af225",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz parity-constant --weight -2 --window 1..24": "41e58a986ab631ee38309b13fcde1bd3a4596c6d87d229447d0bba2250cf1fdd",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 2=-4/3": "564f57f0018675b351989b4551f07ae07cf78af2dcd232529d2586cd420b9fbc",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz per-index --weight -2 --window 1..16": "1d2a48a52e1e7f87afe747035a78ed681e27e4c9ed13794f3b9b75726c9f90d3",
-    "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz affine --weight -2": "70c3121b186f5797ae7195c82a1899ebe9745828c198dfdd1bd7b197fc44f3b2",
+    "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz affine --weight -2": "d569643b8fa15750d6daefb4ade86562bd82c2f7e4bc1c67740cb40f6f0c61e5",
 }
 
 
@@ -207,6 +219,33 @@ def test_solve_and_compare_outputs_are_pinned(capsys, entry):
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err]).encode()
     assert hashlib.sha256(blob).hexdigest() == SOLVE_SHA256[entry]
+
+
+#: SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <entry>`
+#: for the paper suite and the moduli commands, recorded before the cubic
+#: catalog and the j-line were derived from elliptic() by one ring map.
+YARDSTICK_SHA256 = {
+    "paper-suite --seed 1": "ae2befec73b8d114930c800774f18e01645651c8f27c125df6df222a0de3da6d",
+    "moduli j-line --s 0": "f4f4ce2ca70641989584f76814e184982547c69ff9a9defc74698cc161ab146a",
+    "moduli j-line --s 3": "9c56aa23ca3c725307e12d3de17bf76612e6fa8d801ca2d92e47a61843c55bb0",
+    "moduli j-line --s 5/7": "db10cff12a8f107519e6ea115f0ba6474685a2401b5a7c6b68296851cdf00e46",
+    "moduli j-line --s inf": "3d43fcc40f7d4b2a669b41f46ca54086c3dc55f1c3f30424c2636eab1facfe67",
+    "moduli j-line --s 1": "0dcec45b61cfbc4fbdae925b8728b5c48787c95c9284ed8ae5d73e98183bfd09",
+    "moduli j-line --s -2": "5b38bed90beb03c42cc72c53895fa08f4821f06087764c7543e08dc7a7ec7567",
+    "moduli j-line --s -1/2": "0388b5574805f0a882dd7f2ac785b0b75fdce8ed4dc0c846e368d81cde383766",
+    "moduli classify --e1 1 --e2 2": "f592e150d827af710aa937ced654072db335f081fdeb417efceeddf11a2f2980",
+    "moduli classify --e1 1 --e2 1": "ed6a5884324b53fff38eeb2b1c27c2684a1237ef478ede9c2ddf76f6085d9258",
+    "moduli classify --e1 1 --e2 -1/2": "933213b42f985f87d70aef3dce8615d3a300fc7e72301143fd86b8738ac20de6",
+    "moduli classify --e1 0 --e2 0": "f00e594a30932c8ed53ab9243601ed965f315e3fe88c3947f73768a7d5bb349e",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(YARDSTICK_SHA256))
+def test_suite_and_moduli_outputs_are_pinned(capsys, entry):
+    code = main(["--json", *entry.split()])
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == YARDSTICK_SHA256[entry]
 
 
 def test_moduli_commands(capsys):
@@ -538,6 +577,28 @@ def test_cocycle_from_json_file(tmp_path, capsys):
     code, out = run(capsys, "--json", "cohomology", "check", "--cocycle", str(path))
     assert code == 0
     assert json.loads(out)["report"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "ansatz, pair",
+    [("parity-constant", [-4, 6]), ("affine", [-3, 5]), ("per-index", [-3, 5])],
+)
+def test_solve_over_virasoro_keeps_the_central_equations(tmp_path, capsys, ansatz, pair):
+    # the Witt coboundary ds-order1 is no coboundary over Virasoro: d1 F has a
+    # central component that no F of weight -2 cancels
+    from liefam.suite import named_cocycle
+
+    _, omega = named_cocycle("ds-order1")
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"algebra": "virasoro", "cochain": omega.to_json()}))
+    code, out = run(
+        capsys, "--json", "cohomology", "solve", "--cocycle", str(path),
+        "--ansatz", ansatz, "--weight", "-2", "--window", "-6..6",
+    )
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["status"] == "infeasible"
+    assert result["certificate"]["contradiction_at"] == {"index": "c", "pair": pair}
 
 
 _PAIR_RULE = {"arity": 2, "mode": "adjoint", "weight": -2, "params": [], "rule": {

@@ -22,6 +22,7 @@ from liefam.families import (
     w1_subalgebra,
     witt,
 )
+from liefam.moduli import classify_fiber, j_of_line
 from liefam.poly import ParamPoly
 
 
@@ -74,14 +75,10 @@ def test_nodal_substitution_reaches_the_fixed_line():
     # alpha2 -> -(3/2) e1 turns the nodal rule into the s = -1/2 line rule
     nd = nodal()
     ds = d_line(Fraction(-1, 2))
-    both = ("alpha2", "e1")
-    image = {"alpha2": ParamPoly.var(both, "e1") * Fraction(-3, 2)}
+    image = {"alpha2": ParamPoly.var(("e1",), "e1") * Fraction(-3, 2)}
     for cls in ("even-even", "odd-even", "odd-odd"):
         got = {
-            t.shift: tuple(
-                x.lift(both).substitute(image).drop_params(["alpha2"])
-                for x in (t.a, t.b, t.d)
-            )
+            t.shift: tuple(x.map_params(("e1",), image) for x in (t.a, t.b, t.d))
             for t in nd.rule[cls]
         }
         want = {t.shift: (t.a, t.b, t.d) for t in ds.rule[cls]}
@@ -129,10 +126,35 @@ def test_d_line_matches_elliptic_specialization():
         assert left.rule_signature()[1:] == right.rule_signature()[1:]
 
 
+@pytest.mark.parametrize(
+    "family, sample, point, fibre",
+    [
+        (witt(), {}, (0, 0), {"kind": "cuspidal"}),
+        (three_point(), {"alpha2": 3}, (1, 1), {"kind": "nodal", "subcase": "IIb"}),
+        (nodal(), {"alpha2": Fraction(-3, 2)}, (1, Fraction(-1, 2)),
+         {"kind": "nodal", "subcase": "IIa"}),
+        (d_infinity(), {"e2": 1}, (0, 1), {"kind": "smooth", "j": "1728"}),
+        *(
+            (d_line(s), {"e1": 1}, (1, s), {"kind": "smooth", "j": str(j_of_line(s))})
+            for s in (Fraction(0), Fraction(3), Fraction(5, 7), Fraction(-4, 3))
+        ),
+    ],
+    ids=["witt", "three-point", "nodal", "d-infinity", "d-line-0", "d-line-3",
+         "d-line-5/7", "d-line--4/3"],
+)
+def test_derived_family_lands_on_its_fibre(family, sample, point, fibre):
+    # the family at the sample is elliptic() at the point, of the named fibre type
+    e1, e2 = point
+    here = specialize(family, sample)
+    there = specialize(elliptic(), {"e1": e1, "e2": e2})
+    assert here.rule_signature()[1:] == there.rule_signature()[1:]
+    assert classify_fiber(e1, e2).to_json() == fibre
+
+
 def test_shift4_coefficient_line_symmetry():
     s = ParamPoly.var(("s",), "s")
     g = (1 - s) * (2 + s)
-    assert g.substitute({"s": -1 - s}) == g
+    assert g.map_params(("s",), {"s": -1 - s}) == g
 
 
 def test_w1_is_positive_part_of_three_point():

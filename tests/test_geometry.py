@@ -10,6 +10,7 @@ from liefam.algebra import FamilySpec, RuleTerm, specialize
 from liefam.errors import UnsupportedFamily
 from liefam.families import elliptic, nodal, three_point, w1_subalgebra, witt
 from liefam.geometry import (
+    CubicField,
     FactoredLaurent,
     LaurentPoly,
     divide_laurent,
@@ -71,15 +72,20 @@ def test_vf_bracket_jacobi_random_fields():
         assert total.is_zero
 
 
+def realize_at(n, point):
+    """The elliptic field of index n mapped to the fibre at `point`."""
+    field = realize("elliptic", n)
+    return CubicField(*(p.map_params((), point) for p in (field.a, field.b, field.f)))
+
+
 def test_elliptic_pair_matches_rule_at_sample():
     # [V_1, V_2] = V_3 - (e1-e2)(2e1+e2) V_-1, checked in the function field
     e1, e2 = Fraction(1), Fraction(2)
-    fam = specialize(elliptic(), {"e1": e1, "e2": e2})
-    got = vf_bracket(
-        realize("elliptic", 1, e1=e1, e2=e2), realize("elliptic", 2, e1=e1, e2=e2)
-    )
-    v3 = realize("elliptic", 3, e1=e1, e2=e2)
-    vm1 = realize("elliptic", -1, e1=e1, e2=e2)
+    point = {"e1": e1, "e2": e2}
+    fam = specialize(elliptic(), point)
+    got = vf_bracket(realize_at(1, point), realize_at(2, point))
+    v3 = realize_at(3, point)
+    vm1 = realize_at(-1, point)
     q = (e1 - e2) * (2 * e1 + e2)
     want_b = v3.b - vm1.b * q
     assert got.a.is_zero and (got.b - want_b).is_zero
@@ -152,11 +158,8 @@ def test_division_remainder_is_reported_as_witness(monkeypatch):
 
 
 def test_realize_rejects_unknown():
-    # the elliptic field is symbolic without e1, e2 and constant with both
+    # the elliptic field is symbolic in e1, e2
     assert realize("elliptic", 1).f.params == ("e1", "e2")
-    assert realize("elliptic", 1, e1=1, e2=2).f.params == ()
-    with pytest.raises(UnsupportedFamily):
-        realize("elliptic", 1, e1=1)  # only one of the two parameters
     with pytest.raises(UnsupportedFamily):
         realize("nope", 1)
 
@@ -178,8 +181,9 @@ FIBRES = [
 
 
 def _sympy_laurent(poly: LaurentPoly, point) -> sympy.Expr:
+    at_point = poly.map_params((), point)
     return sum(
-        (sympy.Rational(str(c.evaluate(point))) * U**d for d, c in poly.components.items()),
+        (sympy.Rational(str(c.constant_value())) * U**d for d, c in at_point.components.items()),
         sympy.Integer(0),
     )
 
@@ -229,10 +233,4 @@ def test_cubic_bracket_matches_sympy_reference(e1, e2):
             free, with_y = _sympy_bracket(field(n), field(m), f)
             assert sympy.cancel(free - _sympy_laurent(got.a, point)) == 0, (n, m)
             assert sympy.cancel(with_y - _sympy_laurent(got.b, point)) == 0, (n, m)
-            # the constant realization at the fibre gives the same bracket
-            fixed = vf_bracket(
-                realize("elliptic", n, e1=e1, e2=e2), realize("elliptic", m, e1=e1, e2=e2)
-            )
-            assert sympy.cancel(free - _sympy_laurent(fixed.a, {})) == 0
-            assert sympy.cancel(with_y - _sympy_laurent(fixed.b, {})) == 0
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}

@@ -55,7 +55,7 @@ def test_j_line_matches_curve_params():
 
 def test_line_partner():
     s = ParamPoly.var(("s",), "s")
-    assert ((1 - s) * (2 + s)).substitute({"s": -1 - s}) == (1 - s) * (2 + s)
+    assert ((1 - s) * (2 + s)).map_params(("s",), {"s": -1 - s}) == (1 - s) * (2 + s)
 
 
 def test_classify_fiber_taxonomy():

@@ -51,8 +51,12 @@ def test_no_stored_zeros_and_additive_inverse(p):
 @settings(max_examples=60, deadline=None)
 def test_evaluation_is_a_homomorphism(p, q):
     point = {"e1": Fraction(2, 3), "e2": Fraction(-5)}
-    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+    def at(x):
+        return x.map_params((), point)
+
+    assert at(p * q) == at(p) * at(q)
+    assert at(p + q) == at(p) + at(q)
 
 
 def test_rat_parsing_and_formatting():
@@ -70,11 +74,11 @@ def test_var_and_arithmetic():
     e2 = ParamPoly.var(PARAMS, "e2")
     q = (e1 - e2) * (e1 * 2 + e2)
     assert q == e1 * e1 * 2 - e1 * e2 - e2 * e2
-    assert q.evaluate({"e1": 1, "e2": 1}) == 0
+    assert q.map_params((), {"e1": 1, "e2": 1}) == 0
     with pytest.raises(MissingParameter):
         ParamPoly.var(PARAMS, "t")
-    with pytest.raises(MissingParameter):
-        q.evaluate({"e1": 1})
+    with pytest.raises(ParameterMismatch):
+        q.map_params((), {"e1": 1})
 
 
 def test_parameter_rings_do_not_mix():
@@ -107,22 +111,45 @@ def test_power_is_repeated_multiplication(p):
 def test_substitute_composition():
     s = ParamPoly.var(("s",), "s")
     g = (1 - s) * (2 + s)
-    image = g.substitute({"s": -1 - s})
+    image = g.map_params(("s",), {"s": -1 - s})
     assert image == g  # (1-s)(2+s) is invariant under s -> -1-s
     e1, e2 = (ParamPoly.var(PARAMS, name) for name in PARAMS)
     p = e1 * e1 * e2 * 3 - e2 + 5
     # a parameter without an image stays itself
-    assert p.substitute({"e2": e1 * 2}) == e1 * e1 * e1 * 6 - e1 * 2 + 5
-    assert p.substitute({}) == p
+    assert p.map_params(PARAMS, {"e2": e1 * 2}) == e1 * e1 * e1 * 6 - e1 * 2 + 5
+    assert p.map_params(PARAMS, {}) == p
 
 
 def test_lift_and_drop():
     s = ParamPoly.var(("s",), "s")
-    lifted = s.lift(("e1", "s"))
+    lifted = s.map_params(("e1", "s"))
     assert lifted.params == ("e1", "s")
-    assert lifted.drop_params(["e1"]) == s
+    assert lifted.map_params(("s",)) == s
     with pytest.raises(ParameterMismatch):
-        lifted.substitute({}).drop_params(["s"])  # s still occurs
+        lifted.map_params(("e1",))  # s still occurs
+
+
+def small_polys(params):
+    term = st.tuples(st.tuples(*(st.integers(0, 2) for _ in params)), coefficients())
+    return st.lists(term, max_size=3).map(
+        lambda items: ParamPoly.from_terms(params, items)
+    )
+
+
+@given(polys(), polys(), small_polys(("s", "t")), small_polys(("s", "t")))
+@settings(max_examples=40, deadline=None)
+def test_map_params_is_a_ring_map(p, q, image1, image2):
+    # Q[e1, e2] -> Q[s, t] along e1 -> image1, e2 -> image2, then at a point
+    ring, point = ("s", "t"), {"s": Fraction(-1, 2), "t": Fraction(3)}
+    images = {"e1": image1, "e2": image2}
+
+    def f(x):
+        return x.map_params(ring, images)
+
+    assert f(p + q) == f(p) + f(q)
+    assert f(p * q) == f(p) * f(q)
+    composed = {name: image.map_params((), point) for name, image in images.items()}
+    assert f(p).map_params((), point) == p.map_params((), composed)
 
 
 def test_json_round_trip():
