@@ -9,9 +9,11 @@ composite of two consecutive differentials vanishes either way.
 `_d1_terms` is the one place the d1 convention lives (`_d2_terms` that
 of d2), and `_coboundary_terms`, which extends it, the one statement of
 d1 F + c * beta = omega: `differential` walks `_d1_terms` on integers,
-`coboundary_mismatches` walks `_coboundary_terms` on integers, the
-provers on index forms and `_build_system` on the linear forms of the
-coboundary ansatz.
+`coboundary_mismatches` walks `_coboundary_terms` on integers and the
+provers on index forms.  The coboundary ansatz is an adjoint 1-cochain
+over Q[unknowns], so `_build_system` reads its equations off
+`coboundary_mismatches` over that ring, and the solved map is the same
+cochain at the solution.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .algebra import (
     _form_sum,
     _require_window,
     _vanishes,
-    basis_bracket,
     bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
     certify,
     domain_indices,
@@ -42,6 +43,7 @@ from .algebra import (
     index_family,
     map_coefficients,
     nonzero_tuples,
+    pullback,
 )
 from .errors import (
     AnsatzTooWeak,
@@ -82,19 +84,20 @@ class AffineMapRule:
 
     `pins` overrides the affine coefficient at exceptional low indices
     (the toolkit pins 0 automatically when n+weight falls below the basis
-    domain).
+    domain).  (a, d) are rationals, or ring elements for the coboundary
+    ansatz.
     """
 
     weight: int
-    even: tuple[Fraction, Fraction]  # (a, d)
-    odd: tuple[Fraction, Fraction]
+    even: tuple  # (a, d)
+    odd: tuple
     pins: dict = field(default_factory=dict)
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int):
         if n in self.pins:
-            return Fraction(self.pins[n])
+            return self.pins[n]
         a, d = self.odd if n % 2 else self.even
-        return Fraction(a) * n + Fraction(d)
+        return a * n + d
 
     def to_json(self):
         return {
@@ -134,14 +137,6 @@ class PairTableRule:
     """Explicit antisymmetric table (n, m) with n < m -> value."""
 
     entries: dict
-
-    def value(self, n, m, zero):
-        if n == m:
-            return zero
-        if n < m:
-            return self.entries.get((n, m), zero)
-        got = self.entries.get((m, n))
-        return zero if got is None else -got
 
 
 @dataclass(frozen=True)
@@ -185,24 +180,17 @@ class Cochain:
         rule = self.rule
         if isinstance(rule, AffineMapRule):
             (n,) = idx
-            c = rule.coefficient(n)
-            return LieElement.basis(n + rule.weight, self.params, c) if c else (
-                self._zero()
-            )
+            return LieElement.basis(n + rule.weight, self.params, rule.coefficient(n))
         if isinstance(rule, MapTableRule):
             (n,) = idx
-            got = rule.entries.get(n)
-            if got is None:
-                return self._zero()
-            return got
+            return rule.entries.get(n, self._zero())
         if isinstance(rule, PairRule):
             n, m = idx
             return LieElement.from_items(
                 self.params, evaluate_pair_rule(rule.spec, n, m)
             )
         if isinstance(rule, PairTableRule):
-            n, m = idx
-            return rule.value(n, m, self._zero())
+            return rule.entries.get(idx, self._zero())
         if isinstance(rule, DerivedRule):
             return rule.fn(*idx)
         raise ArityUnsupported(f"no evaluation for rule {type(rule).__name__}")
@@ -397,20 +385,21 @@ def _d2_vanishes(algebra: FamilySpec, spec: FamilySpec, parity, boundary) -> boo
     return _vanishes(_d2_terms(value, inner, outer, INDEX_FORMS))
 
 
-def _lifted_pair_rule(c: Cochain) -> FamilySpec | None:
-    """The family of an adjoint pair-rule 2-cochain over Q[params, n, m, k], or None.
-
-    Only adjoint pair-rule 2-cochains have a symbolic form.
-    """
-    if not (c.mode == "adjoint" and c.arity == 2 and isinstance(c.rule, PairRule)):
-        return None
-    return index_family(c.rule.spec) if c.rule.spec.params == c.params else None
+def _is_pair_rule(c: Cochain, params) -> bool:
+    """Whether c is an adjoint pair-rule 2-cochain over Q[params]: a symbolic form."""
+    return (
+        c.mode == "adjoint"
+        and c.arity == 2
+        and isinstance(c.rule, PairRule)
+        and c.rule.spec.params == c.params == params
+    )
 
 
 def _d2_prover(algebra: FamilySpec, c: Cochain):
     """The `prove` of `nonzero_tuples` for d2 c = 0, or None when none applies."""
-    lifted = index_family(algebra)
-    spec = _lifted_pair_rule(c)
+    if not _is_pair_rule(c, algebra.params):
+        return None
+    lifted, spec = index_family(algebra), index_family(c.rule.spec)
     if lifted is None or spec is None:
         return None
     return partial(_d2_vanishes, lifted, spec)
@@ -481,8 +470,9 @@ class Ansatz:
 
     parity-constant: one unknown per parity; affine: (a*n + d) per parity;
     per-index: one unknown per index of the solve window, and F is not
-    modeled outside it.  `pins` forces stated coefficients; indices whose
-    image would leave the basis domain are pinned to zero automatically.
+    modeled outside the window and its pins.  `pins` forces stated
+    coefficients; indices whose image would leave the basis domain are
+    pinned to zero automatically.
     """
 
     shape: str
@@ -514,147 +504,113 @@ class SolveResult:
         return data
 
 
-class _Linear(dict):
-    """Linear form over the ansatz unknowns: unknown -> Fraction; () keys the constant."""
+def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
+    """The ansatz F as an adjoint 1-cochain over Q[unknowns].
 
-    def __mul__(self, scale):
-        return _Linear((u, v * scale) for u, v in self.items())
-
-
-def _constant_terms(items):
-    """Parameter-free (key, coefficient) terms as constants."""
-    return [(key, coeff.constant_value()) for key, coeff in items]
-
-
-class _AnsatzForms:
-    """Linear forms (`_Linear`) for the map coefficients on the solve window.
-
-    `indices` are the window's indices in the basis domain, and `pair` the
-    constant bracket cache, central term included, that `_build_system`
-    and `covers` share.
+    Each unknown is a ring parameter named by its id: ('even', 'a') and
+    ('even', 'd') per parity for the closed shapes, ('idx', i) per
+    unpinned window index for per-index, and ('scale',), the c of
+    c * beta, when `scaled`.  The pins are the ansatz pins and a zero
+    pin at each index F maps below the basis bound; a nonzero pin there
+    raises OutOfDomainIndex.
     """
-
-    def __init__(self, algebra: FamilySpec, ansatz: Ansatz, indices):
-        self.algebra = algebra
-        self.ansatz = ansatz
-        self.indices = indices
-        self.pins = dict(ansatz.pins)
-        self.pair = cache(
-            lambda x, y: _constant_terms(basis_bracket(algebra, x, y).components.items())
+    w, lb = ansatz.weight, algebra.lower_bound
+    pins = {i: Fraction(v) for i, v in ansatz.pins.items()}
+    for i, v in pins.items():
+        if v and lb is not None and i + w < lb:
+            raise OutOfDomainIndex(f"pin F(v_{i}) = {v} maps outside the basis domain")
+    pins.update(dict.fromkeys(range(lb, lb - w) if lb is not None else (), Fraction(0)))
+    if ansatz.shape == "per-index":
+        unknowns = [("idx", i) for i in indices if i not in pins]
+    else:
+        names = "ad" if ansatz.shape == "affine" else "d"
+        unknowns = [(parity, u) for parity in ("even", "odd") for u in names]
+    ring = tuple(unknowns) + ((("scale",),) if scaled else ())
+    var = partial(ParamPoly.var, ring)
+    if ansatz.shape == "per-index":
+        coeffs = {**{i: var(("idx", i)) for _, i in unknowns}, **pins}
+        rule = MapTableRule(
+            {i: LieElement.basis(i + w, ring, c) for i, c in coeffs.items()}
         )
+    else:
+        zero = ParamPoly.const(ring, 0)
+        even, odd = (
+            (var((parity, "a")) if "a" in names else zero, var((parity, "d")))
+            for parity in ("even", "odd")
+        )
+        rule = AffineMapRule(w, even, odd, pins)
+    return Cochain(1, "adjoint", w, ring, rule)
 
-    def unknowns(self):
-        if self.ansatz.shape == "parity-constant":
-            return [("even", "d"), ("odd", "d")]
-        if self.ansatz.shape == "affine":
-            return [("even", "a"), ("even", "d"), ("odd", "a"), ("odd", "d")]
-        return [("idx", i) for i in self.indices if not self._pinned(i)]
 
-    def maps_outside(self, i: int) -> bool:
-        """Whether v_{i+weight} is below the basis bound, which pins F(v_i) = 0."""
-        lb = self.algebra.lower_bound
-        return lb is not None and i + self.ansatz.weight < lb
+def _covers(algebra, ansatz: Cochain):
+    """(n, m) -> whether the ansatz has an entry at every index of [v_n, v_m], or None.
 
-    def _pinned(self, i: int) -> bool:
-        return i in self.pins or self.maps_outside(i)
+    None for an affine map, which is defined everywhere.  A per-index
+    ansatz has its entries where it models F: on the window, at its pins
+    and where F maps below the basis bound.
+    """
+    if not isinstance(ansatz.rule, MapTableRule):
+        return None
+    pair, entries = _bracket_terms(algebra), ansatz.rule.entries
+    return lambda n, m: all(i in entries for i, _ in pair(n, m) if i != CENTRAL)
 
-    def pinned_value(self, i: int) -> Fraction:
-        value = Fraction(self.pins.get(i, 0))
-        if value != 0 and self.maps_outside(i):
-            raise OutOfDomainIndex(
-                f"pin F(v_{i}) = {value} maps outside the basis domain"
-            )
-        return value
 
-    def form(self, i: int):
-        """Linear form of the coefficient of v_{i+weight} in F(v_i), or None."""
-        if self._pinned(i):
-            value = self.pinned_value(i)
-            return _Linear({(): value} if value else {})
-        if self.ansatz.shape == "per-index":
-            if not (self.indices[0] <= i <= self.indices[-1]):
-                return None  # outside the window, where F is not modeled
-            return _Linear({("idx", i): Fraction(1)})
-        parity = "odd" if i % 2 else "even"
-        if self.ansatz.shape == "parity-constant":
-            return _Linear({(parity, "d"): Fraction(1)})
-        return _Linear({(parity, "a"): Fraction(i), (parity, "d"): Fraction(1)})
-
-    def image(self, i: int):
-        """F(v_i) as its terms for `_d1_terms`: none where the coefficient is zero."""
-        form = self.form(i)
-        return [(i + self.ansatz.weight, form)] if form else []
-
-    def covers(self, n: int, m: int) -> bool:
-        """Whether F is modeled at v_n, v_m and every index of [v_n, v_m]."""
-        needed = [n, m] + [i for i, _ in self.pair(n, m) if i != CENTRAL]
-        return all(self.form(i) is not None for i in needed)
+def _over(c: Cochain | None, ring) -> Cochain | None:
+    """c with its values re-embedded in Q[ring], for evaluation only."""
+    if c is None:
+        return None
+    value = DerivedRule(lambda *idx: c.value(*idx).map_params(ring))
+    return Cochain(c.arity, c.mode, c.weight, ring, value)
 
 
 def _build_system(algebra, omega, beta, ansatz, window):
     """Assemble the exact linear system for d1 F (+ c * beta) = omega.
 
-    Each window pair that the ansatz covers gives one equation L = 0 per
-    output index of `_coboundary_terms`, walked with F's image and c as
-    linear forms and the brackets, omega and beta as constants; L is the
-    linear form of the unknowns at that index.  The central component of
-    an algebra with a central rule is one more output index, put last.
+    F is `_ansatz_cochain` over Q[unknowns] and c the unknown ('scale',).
+    `coboundary_mismatches` walks d1 F + c * beta - omega over the
+    algebra lifted to that ring, on the window pairs the ansatz covers;
+    each output index of a nonzero difference gives one equation L = 0,
+    L linear in the unknowns, in `LieElement.support` order (central
+    last).  omega and beta are re-embedded as evaluation-only cochains,
+    so no proof skips a pair.  Returns the system, F and the number of
+    pairs covered.
     """
     if algebra.params:
         raise MissingParameter("coboundary solving needs a parameter-free algebra")
-    forms = _AnsatzForms(algebra, ansatz, domain_indices(algebra, window))
-    system = LinearSystem()
-    unknowns = forms.unknowns()
-    cochains = [(omega, _Linear({(): Fraction(-1)}))]
-    if beta is not None:
-        unknowns = unknowns + [("scale",)]
-        cochains.append((beta, _Linear({("scale",): Fraction(1)})))
-    others = [
-        (lambda x, y, c=c: _constant_terms(c.value(x, y).components.items()), scale)
-        for c, scale in cochains
-    ]
-    pairs_used = 0
-    for n, m in itertools.combinations(forms.indices, 2):
-        if not forms.covers(n, m):
-            continue  # F is not modeled at every index the pair reaches
-        pairs_used += 1
-        rows = {}  # output index -> linear form of d1 F + c * beta - omega
-        for idx, form in _coboundary_terms(forms.pair, forms.image, others, n, m):
-            row = rows.setdefault(idx, {})
-            for u, v in form.items():
-                row[u] = row.get(u, 0) + v
-        central = [(CENTRAL, rows.pop(CENTRAL))] if CENTRAL in rows else []
-        for idx, coeffs in sorted(rows.items()) + central:
-            const = coeffs.pop((), 0)
-            system.add(coeffs, -const, tag={"pair": [n, m], "index": idx})
-    return system, forms, unknowns, pairs_used
+    indices = domain_indices(algebra, window)
+    ansatz_map = _ansatz_cochain(algebra, ansatz, indices, beta is not None)
+    ring, covered = ansatz_map.params, _covers(algebra, ansatz_map)
+    scale = None if beta is None else ParamPoly.var(ring, ("scale",))
+    lifted = pullback(algebra, ring, None, algebra.name)
+    omega, beta = _over(omega, ring), _over(beta, ring)
+    mismatches = coboundary_mismatches(
+        lifted, ansatz_map, omega, beta, scale, indices, covered
+    )
+    system, constant = LinearSystem(), (0,) * len(ring)
+    for (n, m), difference in mismatches:
+        for idx in difference.support():
+            terms = difference.components[idx].terms
+            coeffs = {ring[e.index(1)]: c for e, c in terms.items() if e != constant}
+            tag = {"pair": [n, m], "index": idx}
+            system.add(coeffs, -terms.get(constant, 0), tag=tag)
+    pairs = itertools.combinations(indices, 2)
+    pairs_used = sum(1 for pair in pairs if covered is None or covered(*pair))
+    return system, ansatz_map, pairs_used
 
 
-def _phi_from_solution(forms: _AnsatzForms, values: dict, params) -> Cochain:
-    ansatz = forms.ansatz
-    if ansatz.shape == "per-index":
-        entries = {}
-        for i in forms.indices:
-            c = (
-                forms.pinned_value(i)
-                if forms._pinned(i)
-                else values.get(("idx", i), Fraction(0))
-            )
-            if c != 0:
-                entries[i] = LieElement.basis(i + ansatz.weight, params, c)
-        rule = MapTableRule(entries)
-        return Cochain(1, "adjoint", ansatz.weight, params, rule, label="solved-map")
-    even, odd = (
-        tuple(values.get((parity, u), Fraction(0)) for u in ("a", "d"))
-        for parity in ("even", "odd")
-    )
-    # the lowest basis indices, while F maps them below the basis (none unbounded)
-    outside = itertools.takewhile(
-        forms.maps_outside, itertools.count(forms.algebra.lower_bound or 0)
-    )
-    pins = {i: forms.pinned_value(i) for i in (*ansatz.pins, *outside)}
-    rule = AffineMapRule(ansatz.weight, even, odd, pins)
-    return Cochain(1, "adjoint", ansatz.weight, params, rule, label="solved-map")
+def _at_solution(ansatz_map: Cochain, values: dict) -> Cochain:
+    """The ansatz cochain at the solution: each unknown u goes to values[u]."""
+    rule = ansatz_map.rule
+    if isinstance(rule, MapTableRule):
+        entries = ((i, v.map_params((), values)) for i, v in rule.entries.items())
+        rule = MapTableRule({i: v for i, v in entries if not v.is_zero})
+    else:
+        even, odd = (
+            tuple(x.map_params((), values).constant_value() for x in pair)
+            for pair in (rule.even, rule.odd)
+        )
+        rule = replace(rule, even=even, odd=odd)
+    return replace(ansatz_map, params=(), rule=rule, label="solved-map")
 
 
 def _d1_vanishes(algebra, rule, others, parity, boundary) -> bool:
@@ -688,15 +644,19 @@ def _d1_prover(algebra: FamilySpec, phi: Cochain, omega: Cochain, beta, scalar):
     """The `prove` of `nonzero_tuples` for d1 F = omega - scalar * beta, or None.
 
     Only an affine map F against adjoint pair-rule cochains over a
-    central-free algebra has a symbolic form.
+    central-free algebra has a symbolic form.  These conditions are
+    tested before any family is lifted.
     """
-    if not (phi.mode == "adjoint" and isinstance(phi.rule, AffineMapRule)):
-        return None
     terms = [(omega, -1)] + ([] if beta is None else [(beta, scalar)])
-    if algebra.central is not None or any(c.params != algebra.params for c, _ in terms):
+    if not (
+        phi.mode == "adjoint"
+        and isinstance(phi.rule, AffineMapRule)
+        and algebra.central is None
+        and all(_is_pair_rule(c, algebra.params) for c, _ in terms)
+    ):
         return None
     lifted = index_family(algebra)
-    others = tuple((_lifted_pair_rule(c), scale) for c, scale in terms)
+    others = tuple((index_family(c.rule.spec), scale) for c, scale in terms)
     if lifted is None or any(spec is None for spec, _ in others):
         return None
     return partial(_d1_vanishes, lifted, phi.rule, others)
@@ -735,33 +695,33 @@ def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=No
         yield tup, value
 
 
-def _recheck_indices(algebra, ansatz: Ansatz, window):
+def _recheck_indices(algebra, ansatz_map: Cochain, window):
     """The indices a solution is re-checked on.
 
     The window's indices in the basis domain, widened by a 4-index margin
-    on each side for the closed shapes, which define F everywhere.
+    on each side for an affine ansatz, which defines F everywhere.
     """
     indices = domain_indices(algebra, window)
-    if ansatz.shape == "per-index":
+    if isinstance(ansatz_map.rule, MapTableRule):
         return indices
     return [n for n in range(indices[0] - 4, indices[-1] + 5) if algebra.in_domain(n)]
 
 
-def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
+def _verify_coboundary(algebra, ansatz_map, phi, omega, beta, scalar, window):
     """Re-check d1 F (+ c*beta) = omega beyond the window.
 
-    The check runs on `_recheck_indices`; a window solution that fails
-    to extend is exactly the AnsatzTooWeak situation.  The affine map of
-    a closed shape is checked once per parity pattern of (n, m) in index
+    `ansatz_map` is the ansatz cochain that F solves.  The check runs on
+    `_recheck_indices`; a window solution that fails to extend is
+    exactly the AnsatzTooWeak situation.  The affine map of a closed
+    shape is checked once per parity pattern of (n, m) in index
     variables, and only the pairs at exceptional, pinned or bounded
     indices are evaluated (`coboundary_mismatches`); the per-index map
     table is evaluated pair by pair on the pairs the ansatz covers.
     Returns the first mismatch in `itertools.combinations` order, or None.
     """
-    covered = forms.covers if forms.ansatz.shape == "per-index" else None
-    indices = _recheck_indices(algebra, forms.ansatz, window)
+    indices = _recheck_indices(algebra, ansatz_map, window)
     mismatches = coboundary_mismatches(
-        algebra, phi, omega, beta, scalar, indices, covered
+        algebra, phi, omega, beta, scalar, indices, _covers(algebra, ansatz_map)
     )
     for pair, difference in mismatches:
         return {"pair": list(pair), "difference": difference.to_json()}
@@ -769,9 +729,7 @@ def _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window):
 
 
 def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
-    system, forms, unknowns, pairs_used = _build_system(
-        algebra, omega, beta, ansatz, window
-    )
+    system, ansatz_map, pairs_used = _build_system(algebra, omega, beta, ansatz, window)
     if pairs_used == 0:
         raise WindowTooSmall(
             "the window gives no equation: no pair of its indices has F modeled "
@@ -789,16 +747,17 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
                 "residual": rat_str(residual),
             },
         )
+    unknowns = ansatz_map.params
     values = system.solution(unknowns)
     scalar = values.get(("scale",)) if beta is not None else None
-    phi = _phi_from_solution(forms, values, algebra.params)
-    mismatch = _verify_coboundary(algebra, forms, phi, omega, beta, scalar, window)
+    phi = _at_solution(ansatz_map, values)
+    mismatch = _verify_coboundary(algebra, ansatz_map, phi, omega, beta, scalar, window)
     if mismatch is not None:
         raise AnsatzTooWeak(
             "the window system is consistent but its solution does not "
             f"extend: mismatch at pair {mismatch['pair']}"
         )
-    checked = _recheck_indices(algebra, ansatz, window)
+    checked = _recheck_indices(algebra, ansatz_map, window)
     return SolveResult(
         status="solved",
         phi=phi,

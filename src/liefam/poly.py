@@ -135,6 +135,11 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "ParamPoly":
+        if isinstance(other, ParamPoly) and len(other.terms) == 1:
+            (exps, coeff), = other.terms.items()
+            if not any(exps):  # a constant takes the scalar path
+                self._coerce(other)
+                other = coeff
         if isinstance(other, Scalar):
             other = rat(other)
             if other == 0:

@@ -194,7 +194,8 @@ def test_central_and_geometry_outputs_are_pinned(capsys, entry):
 #: for coboundary solves and class comparisons, recorded before d1 F + c·beta
 #: = omega was written as one term walk for the solver and the re-check; the
 #: solved closed shapes re-pinned when `verified_window` became the range the
-#: re-check ran on (the window cut to the domain and widened by 4).
+#: re-check ran on (the window cut to the domain and widened by 4).  The last
+#: four were recorded before the ansatz became a cochain over Q[unknowns].
 SOLVE_SHA256 = {
     "cohomology solve --cocycle ds-order1 --ansatz parity-constant --weight -2": "e8a1aea173e684132f4addcead1aa23a4552fc9b4f38072bf5d22e8a6f429773",
     "cohomology solve --cocycle dinf-order2 --ansatz parity-constant --weight -4": "a91132fbce454cf72930615f5682f62a7aba178106c0be3b6c35d18dc786ba0d",
@@ -210,6 +211,10 @@ SOLVE_SHA256 = {
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 2=-4/3": "564f57f0018675b351989b4551f07ae07cf78af2dcd232529d2586cd420b9fbc",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz per-index --weight -2 --window 1..16": "1d2a48a52e1e7f87afe747035a78ed681e27e4c9ed13794f3b9b75726c9f90d3",
     "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz affine --weight -2": "d569643b8fa15750d6daefb4ade86562bd82c2f7e4bc1c67740cb40f6f0c61e5",
+    "cohomology solve --cocycle beta3 --ansatz per-index --weight 0 --window 1..24": "3e416221708b2baf2272fb53f5cca0c160205945d8e01aff2cbe82f75064684c",
+    "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6 --pin 0=-3": "be910b90a6075ae5011b3e194e4a1dc7f10b2dfceac25a8aae26d7d09a299551",
+    "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz per-index --weight -2 --window -5..5": "8b617a94914d4b7eb1a6a81f69d6407b393cac0a85d824e911bfb6d4c9b45539",
+    "cohomology solve --cocycle w1-order1 --ansatz parity-constant --weight -2 --window 1..16": "3c295c9536cfd7c1569fe8de2f0695b0121b43a096938d9c1ace7492bc04ab73",
 }
 
 
@@ -219,6 +224,24 @@ def test_solve_and_compare_outputs_are_pinned(capsys, entry):
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err]).encode()
     assert hashlib.sha256(blob).hexdigest() == SOLVE_SHA256[entry]
+
+
+def test_per_index_pin_outside_the_window_stays_in_the_solved_map(capsys):
+    # the equations of the pairs whose bracket reaches v_9 use the pin, so
+    # the re-check and the solved map must use it too
+    argv = ["--json", "cohomology", "solve", "--cocycle", "ds-order1",
+            "--ansatz", "per-index", "--weight", "-2"]
+    code, out = run(capsys, *argv, "--window", "-6..6", "--pin", "9=1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["status"] == "solved"
+    entries = result["phi"]["rule"]["entries"]
+    assert sorted(map(int, entries)) == [*range(-6, 7), 9]
+    assert entries["9"] == {"components": [[7, "1"]]}
+    code, out = run(capsys, *argv, "--window", "-3..3", "--pin", "100=1")
+    assert code == 0
+    entries = json.loads(out)["result"]["phi"]["rule"]["entries"]
+    assert entries["100"] == {"components": [[98, "1"]]}
 
 
 #: SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <entry>`

@@ -4,14 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liefam.algebra import LieElement, basis_bracket
+from liefam.algebra import CENTRAL, LieElement, basis_bracket
 from liefam.cohomology import (
+    ANSATZ_SHAPES,
     AffineMapRule,
     Ansatz,
     Cochain,
+    DerivedRule,
     MapTableRule,
     PairTableRule,
+    coboundary_mismatches,
     compare_classes,
     deformation_differential,
     differential,
@@ -30,6 +35,7 @@ from liefam.families import (
     elliptic,
     formal_family,
     l1_subalgebra,
+    virasoro,
     w1_subalgebra,
     witt,
 )
@@ -244,6 +250,78 @@ def test_compare_against_zero_reduces_to_coboundary():
     )
     assert res.solved
     assert res.phi.rule.even == (0, Fraction(-3))
+
+
+#: The algebras of the recovery test, and the named cocycles over each.
+ALGEBRAS = {"witt": witt, "virasoro": virasoro, "l1": l1_subalgebra}
+BETAS = {
+    "witt": ("ds-order1", "dinf-order2"),
+    "l1": ("beta1", "beta2", "beta3", "w1-order1"),
+}
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def coboundary_problems(draw):
+    """(algebra, omega, beta, ansatz, window): omega = d1 F0 + c0 * beta, F0 of the shape.
+
+    F0 is a random rational map of the ansatz shape and weight, zero
+    where it would map below the basis bound; beta is None (c0 = 0) or
+    a named cocycle of the same algebra.
+    """
+    name = draw(st.sampled_from(sorted(ALGEBRAS)))
+    algebra = ALGEBRAS[name]()
+    shape, weight = draw(st.sampled_from(ANSATZ_SHAPES)), draw(st.integers(-3, 2))
+    window = range(1, 15) if algebra.lower_bound else range(-7, 8)
+    pinned = range(1, 1 - weight) if algebra.lower_bound else ()
+    if shape == "per-index":
+        rule = MapTableRule({
+            n: LieElement.basis(n + weight, (), draw(_RATIONALS))
+            for n in window
+            if n not in pinned
+        })
+    else:
+        even, odd = (
+            (draw(_RATIONALS) if shape == "affine" else 0, draw(_RATIONALS)) for _ in "eo"
+        )
+        rule = AffineMapRule(weight, even, odd, dict.fromkeys(pinned, 0))
+    d1 = differential(algebra, Cochain(1, "adjoint", weight, (), rule))
+    if name not in BETAS or draw(st.booleans()):
+        return algebra, d1, None, Ansatz(shape, weight), window
+    beta, c0 = named_cocycle(draw(st.sampled_from(BETAS[name])))[1], draw(_RATIONALS)
+    shifted = DerivedRule(lambda n, m: d1.value(n, m) + beta.value(n, m).scale(c0))
+    omega = Cochain(2, "adjoint", None, (), shifted)
+    return algebra, omega, beta, Ansatz(shape, weight), window
+
+
+@settings(max_examples=40, deadline=None)
+@given(coboundary_problems())
+def test_solver_recovers_any_map_of_its_shape(problem):
+    """omega = d1 F0 (+ c0 * beta) for F0 of the ansatz shape is solved, and re-checks.
+
+    Random data drives the three shapes, the central equations of
+    virasoro, the zero pins of l1 and the scale unknown of
+    compare_classes.  A per-index map is re-checked on the pairs whose
+    brackets stay in the window, the only pairs it models.
+    """
+    algebra, omega, beta, ansatz, window = problem
+    if beta is None:
+        result = solve_coboundary(algebra, omega, ansatz, window)
+    else:
+        result = compare_classes(algebra, omega, beta, ansatz, window)
+    assert result.solved
+    lo, hi = result.certificate["verified_window"]
+    covered = None
+    if ansatz.shape == "per-index":
+
+        def covered(n, m):
+            brackets = basis_bracket(algebra, n, m).components
+            return all(lo <= k <= hi for k in brackets if k != CENTRAL)
+
+    mismatches = coboundary_mismatches(
+        algebra, result.phi, omega, beta, result.scalar, range(lo, hi + 1), covered
+    )
+    assert next(mismatches, None) is None
 
 
 # ---------------------------------------------------------------------------
