@@ -312,9 +312,9 @@ def _form_poly(ring, form) -> ParamPoly:
         if c:
             exps = [0] * len(ring)
             exps[base + i] = 1
-            terms[tuple(exps)] = Fraction(c)
+            terms[tuple(exps)] = c
     if form[3]:
-        terms[(0,) * len(ring)] = Fraction(form[3])
+        terms[(0,) * len(ring)] = form[3]
     return ParamPoly(ring, terms)
 
 

@@ -511,7 +511,8 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     ('even', 'd') per parity for the closed shapes, ('idx', i) per
     unpinned window index for per-index, and ('scale',), the c of
     c * beta, when `scaled`.  The pins are the ansatz pins and a zero
-    pin at each index F maps below the basis bound; a nonzero pin there
+    pin at each index F maps below the basis bound; a pin at an index
+    outside the basis domain, or a nonzero pin that F maps below it,
     raises OutOfDomainIndex.
     """
     w, lb = ansatz.weight, algebra.lower_bound
@@ -519,6 +520,11 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     for i, v in pins.items():
         if v and lb is not None and i + w < lb:
             raise OutOfDomainIndex(f"pin F(v_{i}) = {v} maps outside the basis domain")
+        if not algebra.in_domain(i):
+            raise OutOfDomainIndex(
+                f"pin F(v_{i}) = {v}: v_{i} is outside the basis domain of "
+                f"{algebra.name}, which starts at v_{lb}"
+            )
     pins.update(dict.fromkeys(range(lb, lb - w) if lb is not None else (), Fraction(0)))
     if ansatz.shape == "per-index":
         unknowns = [("idx", i) for i in indices if i not in pins]
@@ -563,23 +569,19 @@ def _over(c: Cochain | None, ring) -> Cochain | None:
     return Cochain(c.arity, c.mode, c.weight, ring, value)
 
 
-def _build_system(algebra, omega, beta, ansatz, window):
+def _build_system(algebra, omega, beta, ansatz_map, indices, covered):
     """Assemble the exact linear system for d1 F (+ c * beta) = omega.
 
-    F is `_ansatz_cochain` over Q[unknowns] and c the unknown ('scale',).
-    `coboundary_mismatches` walks d1 F + c * beta - omega over the
-    algebra lifted to that ring, on the window pairs the ansatz covers;
-    each output index of a nonzero difference gives one equation L = 0,
-    L linear in the unknowns, in `LieElement.support` order (central
-    last).  omega and beta are re-embedded as evaluation-only cochains,
-    so no proof skips a pair.  Returns the system, F and the number of
-    pairs covered.
+    F is `ansatz_map`, the `_ansatz_cochain` over Q[unknowns], and c the
+    unknown ('scale',).  `coboundary_mismatches` walks d1 F + c * beta -
+    omega over the algebra lifted to that ring, on the pairs of `indices`
+    that `covered` accepts; each output index of a nonzero difference
+    gives one equation L = 0, L linear in the unknowns, in
+    `LieElement.support` order (central last).  omega and beta are
+    re-embedded as evaluation-only cochains, so no proof skips a pair.
+    Returns the system and the number of pairs covered.
     """
-    if algebra.params:
-        raise MissingParameter("coboundary solving needs a parameter-free algebra")
-    indices = domain_indices(algebra, window)
-    ansatz_map = _ansatz_cochain(algebra, ansatz, indices, beta is not None)
-    ring, covered = ansatz_map.params, _covers(algebra, ansatz_map)
+    ring = ansatz_map.params
     scale = None if beta is None else ParamPoly.var(ring, ("scale",))
     lifted = pullback(algebra, ring, None, algebra.name)
     omega, beta = _over(omega, ring), _over(beta, ring)
@@ -595,7 +597,7 @@ def _build_system(algebra, omega, beta, ansatz, window):
             system.add(coeffs, -terms.get(constant, 0), tag=tag)
     pairs = itertools.combinations(indices, 2)
     pairs_used = sum(1 for pair in pairs if covered is None or covered(*pair))
-    return system, ansatz_map, pairs_used
+    return system, pairs_used
 
 
 def _at_solution(ansatz_map: Cochain, values: dict) -> Cochain:
@@ -707,10 +709,11 @@ def _recheck_indices(algebra, ansatz_map: Cochain, window):
     return [n for n in range(indices[0] - 4, indices[-1] + 5) if algebra.in_domain(n)]
 
 
-def _verify_coboundary(algebra, ansatz_map, phi, omega, beta, scalar, window):
+def _verify_coboundary(algebra, ansatz_map, covered, phi, omega, beta, scalar, window):
     """Re-check d1 F (+ c*beta) = omega beyond the window.
 
-    `ansatz_map` is the ansatz cochain that F solves.  The check runs on
+    `ansatz_map` is the ansatz cochain that F solves and `covered` its
+    `_covers` predicate, shared with `_build_system`.  The check runs on
     `_recheck_indices`; a window solution that fails to extend is
     exactly the AnsatzTooWeak situation.  The affine map of a closed
     shape is checked once per parity pattern of (n, m) in index
@@ -721,7 +724,7 @@ def _verify_coboundary(algebra, ansatz_map, phi, omega, beta, scalar, window):
     """
     indices = _recheck_indices(algebra, ansatz_map, window)
     mismatches = coboundary_mismatches(
-        algebra, phi, omega, beta, scalar, indices, _covers(algebra, ansatz_map)
+        algebra, phi, omega, beta, scalar, indices, covered
     )
     for pair, difference in mismatches:
         return {"pair": list(pair), "difference": difference.to_json()}
@@ -729,7 +732,14 @@ def _verify_coboundary(algebra, ansatz_map, phi, omega, beta, scalar, window):
 
 
 def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
-    system, ansatz_map, pairs_used = _build_system(algebra, omega, beta, ansatz, window)
+    if algebra.params:
+        raise MissingParameter("coboundary solving needs a parameter-free algebra")
+    indices = domain_indices(algebra, window)
+    ansatz_map = _ansatz_cochain(algebra, ansatz, indices, beta is not None)
+    covered = _covers(algebra, ansatz_map)
+    system, pairs_used = _build_system(
+        algebra, omega, beta, ansatz_map, indices, covered
+    )
     if pairs_used == 0:
         raise WindowTooSmall(
             "the window gives no equation: no pair of its indices has F modeled "
@@ -751,7 +761,9 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
     values = system.solution(unknowns)
     scalar = values.get(("scale",)) if beta is not None else None
     phi = _at_solution(ansatz_map, values)
-    mismatch = _verify_coboundary(algebra, ansatz_map, phi, omega, beta, scalar, window)
+    mismatch = _verify_coboundary(
+        algebra, ansatz_map, covered, phi, omega, beta, scalar, window
+    )
     if mismatch is not None:
         raise AnsatzTooWeak(
             "the window system is consistent but its solution does not "

@@ -2,7 +2,9 @@
 
 `ParamPoly` is the coefficient ring of every structure constant in the
 toolkit.  A polynomial is a finite sum of monomials in a fixed, ordered
-tuple of named parameters; coefficients are `fractions.Fraction` and
+tuple of named parameters.  A stored coefficient is a Python `int` when
+it is integral and a `fractions.Fraction` only when its denominator is
+greater than 1, so integral structure constants never build a Fraction;
 zero coefficients are never stored.
 
 `KeyedSum` is a finite sum of keyed terms with `ParamPoly` coefficients,
@@ -30,20 +32,43 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _coeff(value):
+    """An exact rational in stored form: an int when integral, else a Fraction."""
+    if type(value) is not int:
+        value = rat(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
+
+
 def rat_str(value: Fraction) -> str:
     """Format a Fraction as "p" or "p/q"."""
+    if type(value) is int:
+        return str(value)
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
+def _add_into(terms: dict, exps, coeff) -> None:
+    """terms[exps] += coeff in stored form, dropping a zero sum."""
+    s = terms.get(exps, 0) + coeff
+    if not s:
+        terms.pop(exps, None)
+    elif type(s) is int or s.denominator != 1:
+        terms[exps] = s
+    else:
+        terms[exps] = s.numerator
+
+
 class ParamPoly:
-    """Polynomial in named parameters with Fraction coefficients.
+    """Polynomial in named parameters with exact rational coefficients.
 
     `params` is the fixed, ordered tuple of parameter names; `terms` maps
-    exponent tuples (one entry per parameter) to nonzero coefficients.
-    Instances are treated as immutable.
+    exponent tuples (one entry per parameter) to nonzero coefficients,
+    each an `int` when integral and a `Fraction` with denominator > 1
+    otherwise.  Instances are treated as immutable.
     """
 
     __slots__ = ("params", "terms")
@@ -56,8 +81,8 @@ class ParamPoly:
 
     @classmethod
     def const(cls, params: tuple[str, ...], value) -> "ParamPoly":
-        value = rat(value)
-        if value == 0:
+        value = _coeff(value)
+        if not value:
             return cls(params, {})
         return cls(params, {(0,) * len(params): value})
 
@@ -66,7 +91,7 @@ class ParamPoly:
         if name not in params:
             raise MissingParameter(f"{name!r} not among parameters {params}")
         exps = tuple(1 if p == name else 0 for p in params)
-        return cls(params, {exps: Fraction(1)})
+        return cls(params, {exps: 1})
 
     @classmethod
     def from_terms(cls, params: tuple[str, ...], items) -> "ParamPoly":
@@ -77,11 +102,7 @@ class ParamPoly:
                 raise ParameterMismatch(
                     f"exponent vector {exps} has wrong arity for {params}"
                 )
-            coeff = rat(coeff) + terms.get(exps, Fraction(0))
-            if coeff == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = coeff
+            _add_into(terms, exps, _coeff(coeff))
         return cls(params, terms)
 
     # -- predicates --------------------------------------------------------
@@ -95,11 +116,13 @@ class ParamPoly:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
     def constant_value(self) -> Fraction:
+        """The value of a constant polynomial, always as a Fraction."""
         if not self.terms:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
+        value = next(iter(self.terms.values()))
+        return Fraction(value) if type(value) is int else value
 
     # -- ring operations ---------------------------------------------------
 
@@ -116,11 +139,7 @@ class ParamPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + coeff
-            if s == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
+            _add_into(terms, exps, coeff)
         return ParamPoly(self.params, terms)
 
     __radd__ = __add__
@@ -135,31 +154,37 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "ParamPoly":
-        if isinstance(other, ParamPoly) and len(other.terms) == 1:
-            (exps, coeff), = other.terms.items()
-            if not any(exps):  # a constant takes the scalar path
-                self._coerce(other)
-                other = coeff
+        if type(other) is int:  # no rat() and no Fraction check on this path
+            return self._scaled(other)
+        if isinstance(other, ParamPoly):
+            self._coerce(other)
+            if len(other.terms) == 1:
+                (exps, coeff), = other.terms.items()
+                if not any(exps):  # a constant takes the scalar path
+                    return self._scaled(coeff)
+            return self._times(other)
         if isinstance(other, Scalar):
-            other = rat(other)
-            if other == 0:
-                return ParamPoly(self.params, {})
-            return ParamPoly(
-                self.params, {e: c * other for e, c in self.terms.items()}
-            )
-        other = self._coerce(other)
+            return self._scaled(_coeff(other))
+        return self._times(self._coerce(other))
+
+    __rmul__ = __mul__
+
+    def _scaled(self, factor) -> "ParamPoly":
+        """self * factor for a stored-form scalar `factor`."""
+        if not factor:
+            return ParamPoly(self.params, {})
+        terms = {}
+        for e, c in self.terms.items():
+            c *= factor
+            terms[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+        return ParamPoly(self.params, terms)
+
+    def _times(self, other: "ParamPoly") -> "ParamPoly":
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exps, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = s
+                _add_into(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return ParamPoly(self.params, terms)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ParamPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -176,7 +201,9 @@ class ParamPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self.is_constant and self.constant_value() == other
+            if not self.terms:
+                return other == 0
+            return self.is_constant and next(iter(self.terms.values())) == other
         if isinstance(other, ParamPoly):
             return self.params == other.params and self.terms == other.terms
         return NotImplemented
@@ -270,8 +297,8 @@ class ParamPoly:
     @classmethod
     def from_json(cls, params: tuple[str, ...], data) -> "ParamPoly":
         if isinstance(data, (str, int)):
-            return cls.const(params, rat(data))
-        return cls.from_terms(params, ((tuple(e), rat(c)) for c, e in data))
+            return cls.const(params, data)
+        return cls.from_terms(params, ((tuple(e), c) for c, e in data))
 
 
 # ---------------------------------------------------------------------------

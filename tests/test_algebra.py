@@ -656,8 +656,9 @@ def test_verify_coboundary_equals_plain_enumeration(case, data):
     algebra, phi, omega, beta, scalar = case
     window = windows(data.draw, algebra)
     args = (algebra, phi, omega, beta, scalar, window)
-    # an affine map is its own ansatz cochain, one with no unknowns
-    assert outcome(lambda *a: _verify_coboundary(a[0], phi, *a[1:]), *args) == outcome(
+    # an affine map is its own ansatz cochain, one with no unknowns, and
+    # covers every pair
+    assert outcome(lambda *a: _verify_coboundary(a[0], phi, None, *a[1:]), *args) == outcome(
         enumerated_coboundary, *args
     )
 

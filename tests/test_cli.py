@@ -357,6 +357,16 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
             "pin F(v_2) = -4/3 maps outside the basis domain",
         ),
         (
+            ["cohomology", "solve", "--cocycle", "beta1", "--ansatz", "affine",
+             "--weight", "-1", "--window", "1..20", "--pin", "0=0,-7=0"],
+            "pin F(v_0) = 0: v_0 is outside the basis domain of l1, which starts at v_1",
+        ),
+        (
+            ["cohomology", "solve", "--cocycle", "beta1", "--ansatz", "per-index",
+             "--weight", "3", "--window", "1..12", "--pin", "0=2"],
+            "pin F(v_0) = 2: v_0 is outside the basis domain of l1, which starts at v_1",
+        ),
+        (
             ["moduli", "rescale", "--family", "witt", "--lambda2", "0"],
             "rescaling factor must be nonzero",
         ),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefam.algebra import CENTRAL, LieElement
+from liefam.algebra import CENTRAL, LieElement, verify_jacobi
 from liefam.errors import MissingParameter, ParameterMismatch
+from liefam.families import witt
 from liefam.geometry import LaurentPoly, divide_laurent
 from liefam.poly import ParamPoly, rat, rat_str
 
@@ -158,6 +159,124 @@ def test_json_round_trip():
     data = p.to_json()
     assert ParamPoly.from_json(PARAMS, data) == p
     assert ParamPoly.const(PARAMS, Fraction(5, 3)).to_json() == "5/3"
+
+
+# -- the coefficient invariant: an int when integral, else a Fraction ----------
+
+SCALARS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+
+def stored_form(p: ParamPoly) -> bool:
+    """Every stored coefficient is an int, or a Fraction with denominator > 1."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in p.terms.values()
+    )
+
+
+def as_text(c) -> str:
+    """c as an unreduced "p/q" string, so that parsing has to reduce it."""
+    c = rat(c)
+    return f"{2 * c.numerator}/{2 * c.denominator}"
+
+
+@st.composite
+def leaves(draw):
+    """(polynomial, reference): a constructor's result and its value at a point."""
+    kind = draw(st.sampled_from(["const", "var", "from_terms", "from_json"]))
+    if kind == "const":
+        value = draw(st.one_of(SCALARS, SCALARS.map(as_text)))
+        return ParamPoly.const(PARAMS, value), lambda pt: rat(value)
+    if kind == "var":
+        name = draw(st.sampled_from(PARAMS))
+        return ParamPoly.var(PARAMS, name), lambda pt: pt[name]
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    items = draw(st.lists(st.tuples(exps, SCALARS), max_size=4))
+
+    def ref(pt):
+        terms = (rat(c) * pt["e1"] ** a * pt["e2"] ** b for (a, b), c in items)
+        return sum(terms, Fraction(0))
+
+    if kind == "from_terms":
+        return ParamPoly.from_terms(PARAMS, items), ref
+    data = [[as_text(c), list(e)] for e, c in items]
+    return ParamPoly.from_json(PARAMS, data), ref
+
+
+def combined(children):
+    """One ring operation, or substitution, applied to (polynomial, reference) pairs."""
+
+    def binary(args):
+        name, (p, rp), (q, rq) = args
+        if name == "+":
+            return p + q, lambda pt: rp(pt) + rq(pt)
+        if name == "-":
+            return p - q, lambda pt: rp(pt) - rq(pt)
+        return p * q, lambda pt: rp(pt) * rq(pt)
+
+    def scalar(args):
+        (p, rp), c, left = args
+        return (c * p if left else p * c), lambda pt: rat(c) * rp(pt)
+
+    def power(args):
+        (p, rp), k = args
+        return p**k, lambda pt: rp(pt) ** k
+
+    def substituted(args):
+        (p, rp), (q, rq) = args
+        image = p.map_params(PARAMS, {"e1": q})
+        return image, lambda pt: rp({"e1": rq(pt), "e2": pt["e2"]})
+
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children).map(binary),
+        st.tuples(children, SCALARS, st.booleans()).map(scalar),
+        st.tuples(children, st.integers(0, 3)).map(power),
+        st.tuples(children, children).map(substituted),
+        children.map(lambda x: (-x[0], lambda pt: -x[1](pt))),
+    )
+
+
+POINTS = st.fixed_dictionaries(
+    {name: st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+     for name in PARAMS}
+)
+
+
+@given(st.recursive(leaves(), combined, max_leaves=6), st.lists(POINTS, min_size=2, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_coefficients_are_ints_unless_a_denominator_is_real(expr, points):
+    p, ref = expr
+    assert stored_form(p)
+    top = max((exps[0] for exps in p.terms), default=0)
+    parts = [p.coefficient_of("e1", k) for k in range(top + 1)]
+    assert all(stored_form(c) for c in parts)
+    for pt in points:
+        value = p.map_params((), pt)
+        assert stored_form(value)
+        assert type(value.constant_value()) is Fraction
+        assert value.constant_value() == ref(pt)
+        # p = sum_k coefficient_of(e1, k) * e1**k, in plain Fraction arithmetic
+        rebuilt = sum(
+            (c.map_params((), {"e2": pt["e2"]}).constant_value() * Fraction(pt["e1"]) ** k
+             for k, c in enumerate(parts)),
+            Fraction(0),
+        )
+        assert rebuilt == ref(pt)
+
+
+def test_integral_jacobi_check_builds_no_fraction(monkeypatch):
+    """Witt's structure constants are integers, so certifying Jacobi needs no Fraction."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    report = verify_jacobi(witt(), range(-8, 9))
+    assert report.status == "PASS"
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
