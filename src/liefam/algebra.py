@@ -385,8 +385,11 @@ class _Boundary:
         """The form is a basis key of `family`: not exceptional, in the domain."""
         self.add(form, family.exceptional, family.lower_bound)
 
-    def pair(self, family: FamilySpec, x, y, parity):
-        """`symbolic_pair_rule` with its keys recorded and zero terms dropped."""
+    def pair(self, family: FamilySpec, x, y, parity, outer=False):
+        """`symbolic_pair_rule` with its keys recorded and zero terms dropped;
+        `outer` also records that x + y avoids a nonzero central delta."""
+        if outer and family.central is not None and not family.central.is_zero:
+            self.add(_form_sum(x, y), (0,))
         self.key(family, x)
         self.key(family, y)
         out = []
@@ -395,24 +398,6 @@ class _Boundary:
             if not coeff.is_zero:
                 out.append((key, coeff))
         return out
-
-    def brackets(self, family: FamilySpec, parity):
-        """(inner, outer): `pair` of `family` as callables of two index forms.
-
-        `outer`, for brackets whose central term a walk keeps, also records
-        that the forms avoid the support of a nonzero central delta.
-        """
-        central = family.central is not None and not family.central.is_zero
-
-        def inner(x, y):
-            return self.pair(family, x, y, parity)
-
-        def outer(x, y):
-            if central:
-                self.add(_form_sum(x, y), (0,))
-            return self.pair(family, x, y, parity)
-
-        return inner, outer
 
     def within(self, indices, arity: int):
         """The entries that some increasing `arity`-tuple of `indices` can violate."""
@@ -574,11 +559,6 @@ def jacobiator(family: FamilySpec, n: int, m: int, k: int) -> LieElement:
     return total
 
 
-def _bracket_terms(family: FamilySpec):
-    """(x, y) -> the (key, coefficient) terms of `basis_bracket`, computed once."""
-    return cache(lambda x, y: basis_bracket(family, x, y).components.items())
-
-
 def _jacobi_terms(inner, outer, n, m, k):
     """The terms of [[v_n, v_m], v_k] + [[v_m, v_k], v_n] + [[v_k, v_n], v_m].
 
@@ -593,10 +573,88 @@ def _jacobi_terms(inner, outer, n, m, k):
                     yield out, coeff * value
 
 
-def _jacobi_vanishes(family: FamilySpec, parity, boundary) -> bool:
-    """The Jacobiator at the index forms of one parity pattern is zero."""
-    inner, outer = boundary.brackets(family, parity)
-    return _vanishes(_jacobi_terms(inner, outer, *INDEX_FORMS))
+def _bracket_sources(family: FamilySpec):
+    """(inner, outer): the bracket of `family` as two sources on one memo.
+
+    A source is one input of a walk, an (at, forms) pair; see `_identity`.
+    The index forms lift the family by `index_family` once, the first
+    time a pattern is proved, and are None where no proof applies.
+    `outer`, for brackets whose central term a walk keeps, also records
+    that the forms avoid the support of a nonzero central delta.
+    """
+    at = cache(lambda x, y: basis_bracket(family, x, y).components.items())
+    lift = cache(partial(index_family, family))
+
+    def source(outer):
+        def forms(parity, boundary):
+            lifted = lift()
+            return lifted and partial(boundary.pair, lifted, parity=parity, outer=outer)
+
+        return at, forms
+
+    return source(False), source(True)
+
+
+def _affine_forms(algebra: FamilySpec, rule):
+    """The index forms of an affine map F(v_x) = (a*x + d) v_{x + weight}.
+
+    `rule` gives `weight`, rational (a, d) per parity as `even` and
+    `odd`, chosen by the parity of the form, and `pins`.  Each argument
+    of F is recorded with the pinned indices as forbidden values and the
+    bound that keeps its image in the basis domain of `algebra`.
+    """
+    w = rule.weight
+    lower = None if algebra.lower_bound is None else algebra.lower_bound - w
+    ring = algebra.params + INDEX_VARS
+
+    def forms(parity, boundary):
+        def image(form):
+            boundary.add(form, rule.pins, lower)
+            a, d = rule.odd if _form_parity(form, parity) else rule.even
+            f = _form_poly(ring, form) * a + d
+            return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
+
+        return image
+
+    return forms
+
+
+def _scaled_source(source, scale):
+    """The source times `scale`, on the left: it may be a form over ansatz unknowns."""
+
+    def times(terms):
+        return terms and (lambda *keys: [(k, scale * c) for k, c in terms(*keys)])
+
+    at, forms = source
+    return times(at), forms and (lambda parity, boundary: times(forms(parity, boundary)))
+
+
+def _identity(walk, sources, params):
+    """(value, prove) for the identity that the terms `walk` yields sum to zero.
+
+    A source is one input of the walk, the bracket of a family or the
+    values of a cochain, as a pair (at, forms): `at(*keys)` gives its
+    (key, coefficient) terms at integer keys, memoized, and `forms(parity,
+    boundary)` those at the index forms of one parity pattern, recording
+    where they stop being generic, or None if its lift fails; `forms` is
+    None for a source with no symbolic form.  `walk(*terms, *keys)` takes
+    one terms callable per source.  `value(*tuple)` sums the integer walk
+    into a LieElement over Q[params]; `prove`, the `prove` of
+    `nonzero_tuples`, walks the index forms (None if some source has none).
+    """
+    ats = [at for at, _ in sources]
+
+    def value(*keys):
+        return LieElement.from_items(params, walk(*ats, *keys))
+
+    if any(forms is None for _, forms in sources):
+        return value, None
+
+    def prove(parity, boundary) -> bool:
+        terms = [forms(parity, boundary) for _, forms in sources]
+        return None not in terms and _vanishes(walk(*terms, *INDEX_FORMS[: len(parity)]))
+
+    return value, prove
 
 
 @dataclass
@@ -665,10 +723,11 @@ def _require_window(family: FamilySpec, window):
 def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     """Certify the Jacobi identity on every index triple in the window.
 
-    Rule coefficients are affine in the pair indices, so for each of the
-    8 parity patterns of (n, m, k) the Jacobiator is one polynomial in
-    index variables n, m, k over Q[params].  It is computed once per
-    pattern with `symbolic_pair_rule`; where it vanishes identically,
+    The Jacobiator is the walk `_jacobi_terms` over the family's bracket,
+    evaluated and proved by `_identity`.  Rule coefficients are affine in
+    the pair indices, so for each of the 8 parity patterns of (n, m, k)
+    it is one polynomial in index variables n, m, k over Q[params],
+    computed once per pattern at index forms; where it vanishes identically,
     Jacobi holds at every generic triple of that pattern, and only the
     other triples of the window are evaluated: those where an index, or
     an index a bracket of two of them produces, is exceptional or below
@@ -681,13 +740,7 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     parity class.
     """
     indices = _require_window(family, window)
-    lifted = index_family(family)
-    prove = None if lifted is None else partial(_jacobi_vanishes, lifted)
-    pair = _bracket_terms(family)
-
-    def jacobiator_at(*xs):
-        return LieElement.from_items(family.params, _jacobi_terms(pair, pair, *xs))
-
+    value, prove = _identity(_jacobi_terms, _bracket_sources(family), family.params)
     certificate = {
         "window": [indices[0], indices[-1]],
         "degree_bound": 2,
@@ -697,7 +750,7 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
         },
     }
     return certify(
-        f"jacobi:{family.name}", indices, 3, prove, jacobiator_at, "triple", certificate
+        f"jacobi:{family.name}", indices, 3, prove, value, "triple", certificate
     )
 
 

@@ -147,14 +147,13 @@ def class_independence(
     """
     spec = witt()
     indices = sorted(window)
-    fields = {n: realize(spec.name, n) for n in indices}
+    tables = [pairing_table(spec.name, indices, r) for r in (r1, r2)]
+    zero = ParamPoly.const((), 0)
     system = LinearSystem()
     pairs = 0
     for i, n in enumerate(indices):
         for m in indices[i + 1 :]:
-            delta = kn_cocycle(fields[n], fields[m], r1) - kn_cocycle(
-                fields[n], fields[m], r2
-            )
+            delta = tables[0].get((n, m), zero) - tables[1].get((n, m), zero)
             coeffs = {
                 ("lam", idx): c.constant_value()
                 for idx, c in evaluate_pair_rule(spec, n, m)

@@ -8,12 +8,12 @@ composite of two consecutive differentials vanishes either way.
 
 `_d1_terms` is the one place the d1 convention lives (`_d2_terms` that
 of d2), and `_coboundary_terms`, which extends it, the one statement of
-d1 F + c * beta = omega: `differential` walks `_d1_terms` on integers,
-`coboundary_mismatches` walks `_coboundary_terms` on integers and the
-provers on index forms.  The coboundary ansatz is an adjoint 1-cochain
-over Q[unknowns], so `_build_system` reads its equations off
-`coboundary_mismatches` over that ring, and the solved map is the same
-cochain at the solution.
+d1 F + c * beta = omega.  `algebra._identity` evaluates and proves each
+walk over the algebra's bracket and the cochains (`_source`), for
+`differential`, `is_cocycle` and `coboundary_mismatches`.  The coboundary
+ansatz is an adjoint 1-cochain over Q[unknowns], so `_build_system` reads
+its equations off `coboundary_mismatches` over that ring, and the solved
+map is the same cochain at the solution.
 """
 
 from __future__ import annotations
@@ -26,21 +26,18 @@ from functools import cache, partial
 
 from .algebra import (
     CENTRAL,
-    INDEX_FORMS,
     CheckReport,
     FamilySpec,
     LieElement,
-    _bracket_terms,
-    _form_parity,
-    _form_poly,
-    _form_sum,
+    _affine_forms,
+    _bracket_sources,
+    _identity,
     _require_window,
-    _vanishes,
+    _scaled_source,
     bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
     certify,
     domain_indices,
     evaluate_pair_rule,
-    index_family,
     map_coefficients,
     nonzero_tuples,
     pullback,
@@ -141,10 +138,11 @@ class PairTableRule:
 
 @dataclass(frozen=True)
 class DerivedRule:
-    """Evaluation-only cochain produced by a differential."""
+    """Cochain values fn(*indices), and a `prove` of their vanishing or None."""
 
     fn: object
     note: str = ""
+    prove: object = None
 
 
 @dataclass(frozen=True)
@@ -263,48 +261,60 @@ def cochain_from_json(data: dict) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-def _d1_terms(pair, image, n, m):
+def _source(algebra: FamilySpec, c: Cochain):
+    """The adjoint cochain c as a source of `algebra._identity`.
+
+    Its values are computed once per index tuple.  A pair-rule cochain
+    over the algebra's ring has the index forms of its family's bracket,
+    an affine map with rational coefficients those of
+    `algebra._affine_forms`; any other cochain has none.
+    """
+    forms, rule = None, c.rule
+    if c.mode == "adjoint" and c.params == algebra.params:
+        if isinstance(rule, PairRule) and rule.spec.params == c.params:
+            forms = _bracket_sources(rule.spec)[0][1]
+        elif isinstance(rule, AffineMapRule) and not any(
+            isinstance(x, ParamPoly) for x in rule.even + rule.odd
+        ):
+            forms = _affine_forms(algebra, rule)
+    return cache(lambda *idx: c.value(*idx).components.items()), forms
+
+
+def _d1_terms(inner, outer, image, n, m):
     """The terms of (d1 F)(v_n, v_m) = F([v_n, v_m]) - [F(v_n), v_m] - [v_n, F(v_m)].
 
     This is the one statement of the deformation-theory convention of d1.
-    `pair(x, y)` gives the (key, coefficient) terms of [v_x, v_y] and
-    `image(x)` those of F(v_x); keys are integers or index forms, and
-    image coefficients may be linear forms, so they are multiplied on the
-    left.  Central keys are skipped before F or a bracket acts on them.
+    `inner(x, y)` and `outer(x, y)` give the (key, coefficient) terms of
+    [v_x, v_y], as in `algebra._jacobi_terms`, and `image(x)` those of
+    F(v_x); keys are integers or index forms, and image coefficients may
+    be linear forms, so they are multiplied on the left.  Central keys
+    are skipped before F or a bracket acts on them.
     """
-    for key, coeff in pair(n, m):
+    for key, coeff in inner(n, m):
         if key != CENTRAL:
             for out, f in image(key):
                 yield out, f * coeff
     for x, y, left in ((n, m, True), (m, n, False)):
         for key, f in image(x):
             if key != CENTRAL:
-                for out, coeff in pair(key, y) if left else pair(y, key):
+                for out, coeff in outer(key, y) if left else outer(y, key):
                     yield out, f * -coeff
 
 
-def _coboundary_terms(pair, image, others, n, m):
+def _coboundary_terms(inner, outer, image, minus_omega, c_beta, n, m):
     """The terms of (d1 F + c * beta - omega)(v_n, v_m).
 
     This is the one statement of the coboundary identity
-    d1 F + c * beta = omega.  It walks `_d1_terms(pair, image, n, m)`
-    and then, for each (value, scale) of `others`, normally
-    ((omega, -1), (beta, c)) or ((omega, -1),), the terms `value(n, m)`
-    gives times scale.  The scale multiplies on the left, so that it
-    may be a linear form over the ansatz unknowns.
+    d1 F + c * beta = omega: the walk `_d1_terms(inner, outer, image, n,
+    m)`, then the terms of omega scaled by -1 and those of beta scaled by
+    c (`algebra._scaled_source`; `_NO_BETA` when there is no beta).
     """
-    yield from _d1_terms(pair, image, n, m)
-    for value, scale in others:
-        for out, coeff in value(n, m):
-            yield out, scale * coeff
+    yield from _d1_terms(inner, outer, image, n, m)
+    yield from minus_omega(n, m)
+    yield from c_beta(n, m)
 
 
-def _value_terms(c: Cochain):
-    """(*indices) -> the (key, coefficient) terms of c there, computed once."""
-    return cache(lambda *idx: c.value(*idx).components.items())
-
-
-def _d2_terms(value, inner, outer, xs):
+def _d2_terms(inner, outer, value, *xs):
     """The terms of (d2 c)(v_x0, v_x1, v_x2) for an adjoint 2-cochain c.
 
     The action of each index on c of the other two, then c on each
@@ -329,31 +339,23 @@ def _d2_terms(value, inner, outer, xs):
 
 
 def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential of a cochain over the algebra."""
+    """Chevalley-Eilenberg differential of a cochain over the algebra.
+
+    The adjoint d1 and d2 are the walks `_d1_terms` and `_d2_terms`, with
+    the `prove` of `algebra._identity` kept in the derived rule.
+    """
     if c.params != algebra.params:
         raise ParameterMismatch(
             f"cochain over {c.params} vs algebra over {algebra.params}"
         )
     if c.mode == "adjoint":
-        # basis brackets and cochain values are memoized over the tuples
-        # one check evaluates
-        pair = _bracket_terms(algebra)
-        value = _value_terms(c)
-        if c.arity == 1:
-
-            def d1(n, m):
-                terms = _d1_terms(pair, value, n, m)
-                return LieElement.from_items(c.params, terms)
-
-            return Cochain(2, "adjoint", None, c.params, DerivedRule(d1, "d1"))
-        if c.arity == 2:
-
-            def d2(*xs):
-                terms = _d2_terms(value, pair, pair, xs)
-                return LieElement.from_items(c.params, terms)
-
-            return Cochain(3, "adjoint", None, c.params, DerivedRule(d2, "d2"))
-        raise ArityUnsupported("adjoint differential implemented for arity <= 2")
+        if c.arity not in (1, 2):
+            raise ArityUnsupported("adjoint differential implemented for arity <= 2")
+        walk = _d1_terms if c.arity == 1 else _d2_terms
+        sources = (*_bracket_sources(algebra), _source(algebra, c))
+        value, prove = _identity(walk, sources, c.params)
+        rule = DerivedRule(value, f"d{c.arity}", prove)
+        return Cochain(c.arity + 1, "adjoint", None, c.params, rule)
     if c.mode == "trivial":
         if c.arity > 3:
             raise ArityUnsupported("trivial differential implemented for arity <= 3")
@@ -375,45 +377,17 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
     raise ArityUnsupported(f"unknown coefficient mode {c.mode!r}")
 
 
-def _d2_vanishes(algebra: FamilySpec, spec: FamilySpec, parity, boundary) -> bool:
-    """`_d2_terms` at the index forms sum to zero; `spec` is the cochain's family.
-
-    Both families are over Q[params, n, m, k].
-    """
-    inner, outer = boundary.brackets(algebra, parity)
-    value, _ = boundary.brackets(spec, parity)
-    return _vanishes(_d2_terms(value, inner, outer, INDEX_FORMS))
-
-
-def _is_pair_rule(c: Cochain, params) -> bool:
-    """Whether c is an adjoint pair-rule 2-cochain over Q[params]: a symbolic form."""
-    return (
-        c.mode == "adjoint"
-        and c.arity == 2
-        and isinstance(c.rule, PairRule)
-        and c.rule.spec.params == c.params == params
-    )
-
-
-def _d2_prover(algebra: FamilySpec, c: Cochain):
-    """The `prove` of `nonzero_tuples` for d2 c = 0, or None when none applies."""
-    if not _is_pair_rule(c, algebra.params):
-        return None
-    lifted, spec = index_family(algebra), index_family(c.rule.spec)
-    if lifted is None or spec is None:
-        return None
-    return partial(_d2_vanishes, lifted, spec)
-
-
 def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
     """Certify d(c) = 0 on every index tuple in the window.
 
-    For an adjoint `PairRule` 2-cochain, d2 c is computed once per parity
-    pattern of (n, m, k) as a polynomial in index variables n, m, k over
+    `differential` gives d(c) with the proof of `algebra._identity`.  For
+    an adjoint `PairRule` 2-cochain or affine map over the algebra's
+    ring, d(c) is computed once per parity pattern of the tuple as a
+    polynomial in index variables (n, m, k for d2, n, m for d1) over
     Q[params] (see `algebra.verify_jacobi`); where it vanishes
-    identically only the triples that are not generic for the algebra or
+    identically only the tuples that are not generic for the algebra or
     the cochain are evaluated: those where an index, or an index a
-    bracket or the cochain produces from two of them, is exceptional or
+    bracket or the cochain produces from them, is exceptional, pinned or
     below a basis bound, and those where the algebra's central delta can
     contribute.  Every other cochain, a pattern whose polynomial is not
     zero, a same-parity row that is not antisymmetric and a central
@@ -424,8 +398,7 @@ def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
     d = differential(algebra, c)
     name = f"cocycle:{c.label or 'cochain'}"
     certificate = {"window": [indices[0], indices[-1]], "degree_bound": 2}
-    prove = _d2_prover(algebra, c)
-    return certify(name, indices, d.arity, prove, d.value, "tuple", certificate)
+    return certify(name, indices, d.arity, d.rule.prove, d.value, "tuple", certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +530,12 @@ def _covers(algebra, ansatz: Cochain):
     """
     if not isinstance(ansatz.rule, MapTableRule):
         return None
-    pair, entries = _bracket_terms(algebra), ansatz.rule.entries
+    (pair, _), entries = _bracket_sources(algebra)[0], ansatz.rule.entries
     return lambda n, m: all(i in entries for i, _ in pair(n, m) if i != CENTRAL)
 
 
 def _over(c: Cochain | None, ring) -> Cochain | None:
-    """c with its values re-embedded in Q[ring], for evaluation only."""
+    """c with its values re-embedded in Q[ring], with no symbolic form."""
     if c is None:
         return None
     value = DerivedRule(lambda *idx: c.value(*idx).map_params(ring))
@@ -578,7 +551,7 @@ def _build_system(algebra, omega, beta, ansatz_map, indices, covered):
     that `covered` accepts; each output index of a nonzero difference
     gives one equation L = 0, L linear in the unknowns, in
     `LieElement.support` order (central last).  omega and beta are
-    re-embedded as evaluation-only cochains, so no proof skips a pair.
+    re-embedded by `_over` with no symbolic form, so no proof skips a pair.
     Returns the system and the number of pairs covered.
     """
     ring = ansatz_map.params
@@ -615,53 +588,20 @@ def _at_solution(ansatz_map: Cochain, values: dict) -> Cochain:
     return replace(ansatz_map, params=(), rule=rule, label="solved-map")
 
 
-def _d1_vanishes(algebra, rule, others, parity, boundary) -> bool:
-    """`_coboundary_terms` at the index forms (n, m) sum to zero.
+#: The beta of d1 F = omega: a source with no terms.
+_NO_BETA = (lambda n, m: (), lambda parity, boundary: lambda x, y: ())
 
-    `algebra` and the pair-rule families of `others`, (family, scale)
-    pairs, are over Q[params, n, m, k], and F is the affine map `rule`:
-    F(form) = (a * form + d) v_{form + weight}, (a, d) chosen by the
-    form's parity.  Each argument of F is recorded with the pinned
-    indices as forbidden values and the bound that keeps its image in
-    the basis domain.
+
+def _coboundary_identity(algebra, phi, omega, beta, scalar):
+    """(value, prove) of `algebra._identity` for d1 F + scalar * beta = omega.
+
+    The walk is `_coboundary_terms` over the algebra's bracket, F = phi,
+    omega scaled by -1 and beta by `scalar` (`_NO_BETA` for beta None).
     """
-    w = rule.weight
-    lower = None if algebra.lower_bound is None else algebra.lower_bound - w
-
-    def image(form):
-        """F(v_form) as its terms, with the form recorded."""
-        boundary.add(form, rule.pins, lower)
-        a, d = rule.odd if _form_parity(form, parity) else rule.even
-        f = _form_poly(algebra.params, form) * a + d
-        return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
-
-    _, outer = boundary.brackets(algebra, parity)
-    values = [
-        (partial(boundary.pair, spec, parity=parity), scale) for spec, scale in others
-    ]
-    return _vanishes(_coboundary_terms(outer, image, values, *INDEX_FORMS[:2]))
-
-
-def _d1_prover(algebra: FamilySpec, phi: Cochain, omega: Cochain, beta, scalar):
-    """The `prove` of `nonzero_tuples` for d1 F = omega - scalar * beta, or None.
-
-    Only an affine map F against adjoint pair-rule cochains over a
-    central-free algebra has a symbolic form.  These conditions are
-    tested before any family is lifted.
-    """
-    terms = [(omega, -1)] + ([] if beta is None else [(beta, scalar)])
-    if not (
-        phi.mode == "adjoint"
-        and isinstance(phi.rule, AffineMapRule)
-        and algebra.central is None
-        and all(_is_pair_rule(c, algebra.params) for c, _ in terms)
-    ):
-        return None
-    lifted = index_family(algebra)
-    others = tuple((index_family(c.rule.spec), scale) for c, scale in terms)
-    if lifted is None or any(spec is None for spec, _ in others):
-        return None
-    return partial(_d1_vanishes, lifted, phi.rule, others)
+    minus_omega = _scaled_source(_source(algebra, omega), -1)
+    c_beta = _NO_BETA if beta is None else _scaled_source(_source(algebra, beta), scalar)
+    sources = (*_bracket_sources(algebra), _source(algebra, phi), minus_omega, c_beta)
+    return _identity(_coboundary_terms, sources, algebra.params)
 
 
 def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=None):
@@ -669,32 +609,28 @@ def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=No
 
     Pairs n < m of `indices` run in `itertools.combinations` order; a pair
     that `covered` rejects counts as zero, and beta None drops its term.
-    A value is `_coboundary_terms` over memoized basis brackets and
-    cochain values.  For an affine map F against adjoint pair-rule
-    cochains over a central-free algebra, the difference is computed
-    once per parity pattern of (n, m) as a polynomial in index variables
-    n, m (see `algebra.verify_jacobi`); where it vanishes identically
-    only the pairs that are not generic are evaluated: those where an
-    index, a bracket output or an argument of F is exceptional, below a
-    basis bound, pinned, or maps outside the basis domain.  Every other
-    map and every pattern whose polynomial is not zero are evaluated
-    pair by pair.
+    A value is `_coboundary_identity`'s: `_coboundary_terms` over
+    memoized basis brackets and cochain values.  For an affine map F
+    against adjoint pair-rule cochains over the algebra's ring, the
+    difference is computed once per parity pattern of (n, m) as a
+    polynomial in index variables n, m (see `algebra.verify_jacobi`);
+    where it vanishes identically only the pairs that are not generic
+    are evaluated: those where an index, a bracket output or an argument
+    of F is exceptional, below a basis bound, pinned, or maps outside
+    the basis domain, and those where the algebra's central delta can
+    contribute.  Every other map and every pattern whose polynomial is
+    not zero are evaluated pair by pair.
     """
-    pair, image = _bracket_terms(algebra), _value_terms(phi)
-    others = [(_value_terms(omega), -1)]
-    if beta is not None:
-        others.append((_value_terms(beta), scalar))
+    value, prove = _coboundary_identity(algebra, phi, omega, beta, scalar)
     zero = LieElement.zero(algebra.params)
 
     def difference(n, m):
         if covered is not None and not covered(n, m):
             return zero
-        terms = _coboundary_terms(pair, image, others, n, m)
-        return LieElement.from_items(algebra.params, terms)
+        return value(n, m)
 
-    prove = _d1_prover(algebra, phi, omega, beta, scalar)
-    for _, tup, value in nonzero_tuples(indices, 2, prove, difference):
-        yield tup, value
+    for _, tup, v in nonzero_tuples(indices, 2, prove, difference):
+        yield tup, v
 
 
 def _recheck_indices(algebra, ansatz_map: Cochain, window):
@@ -715,11 +651,11 @@ def _verify_coboundary(algebra, ansatz_map, covered, phi, omega, beta, scalar, w
     `ansatz_map` is the ansatz cochain that F solves and `covered` its
     `_covers` predicate, shared with `_build_system`.  The check runs on
     `_recheck_indices`; a window solution that fails to extend is
-    exactly the AnsatzTooWeak situation.  The affine map of a closed
-    shape is checked once per parity pattern of (n, m) in index
-    variables, and only the pairs at exceptional, pinned or bounded
-    indices are evaluated (`coboundary_mismatches`); the per-index map
-    table is evaluated pair by pair on the pairs the ansatz covers.
+    exactly the AnsatzTooWeak situation.  `coboundary_mismatches` proves
+    the identity for the affine map of a closed shape once per parity
+    pattern of (n, m) through `algebra._identity`, and evaluates only
+    the pairs at exceptional, pinned or bounded indices; the per-index
+    map table is evaluated pair by pair on the pairs the ansatz covers.
     Returns the first mismatch in `itertools.combinations` order, or None.
     """
     indices = _recheck_indices(algebra, ansatz_map, window)
@@ -860,7 +796,7 @@ def graded_differential_columns(q: int, s: int):
                 continue
             sign = (-1) ** (i + j) * (-1) ** p
             vec = cols[col]
-            vec[row] = vec.get(row, Fraction(0)) + sign * (b - a)
+            vec[row] = vec.get(row, 0) + sign * (b - a)
     return cols
 
 

@@ -38,7 +38,7 @@ from liefam.cohomology import (
     MapTableRule,
     PairRule,
     PairTableRule,
-    _d1_prover,
+    _coboundary_identity,
     _verify_coboundary,
     differential,
     is_cocycle,
@@ -357,14 +357,14 @@ def reference_d2(algebra, c):
 
 
 def enumerated_cocycle(algebra, cochain, window):
-    """is_cocycle's report JSON by plain enumeration of `reference_d2`."""
+    """is_cocycle's report JSON by plain enumeration of `reference_d1` or `reference_d2`."""
     indices = sorted(n for n in window if algebra.in_domain(n))
-    d2 = reference_d2(algebra, cochain)
+    d = (reference_d1 if cochain.arity == 1 else reference_d2)(algebra, cochain)
     name = f"cocycle:{cochain.label or 'cochain'}"
     checked = 0
-    for tup in itertools.combinations(indices, 3):
+    for tup in itertools.combinations(indices, cochain.arity + 1):
         checked += 1
-        value = d2(*tup)
+        value = d(*tup)
         if not value.is_zero:
             witness = {"tuple": list(tup), "value": value.to_json()}
             return {"check": name, "status": "FAIL", "checked": checked, "witness": witness}
@@ -557,8 +557,27 @@ def pair_rule_cocycles(draw):
     return algebra, cochain
 
 
+@st.composite
+def affine_cochains(draw):
+    """(algebra, arity-1 affine map): the derivation ad v_w of the Witt rule, edited or not.
+
+    F(v_n) = (n - w) v_{n+w} is a cocycle of witt and of l1 (for w >= 1),
+    and fails on virasoro only where the central delta contributes.  An
+    edited odd row may take a coefficient in the algebra's ring.
+    """
+    algebra = draw(st.sampled_from((witt, virasoro, l1_subalgebra, three_point)))()
+    weight = draw(st.integers(-2, 3))
+    even = odd = (Fraction(1), Fraction(-weight))
+    if draw(st.booleans()):
+        odd = (draw(_SMALL), draw(st.one_of(_SMALL, coefficients(algebra.params))))
+    low = 1 if algebra.lower_bound else -3
+    pins = draw(st.dictionaries(st.integers(low, 5), _SMALL, max_size=2))
+    rule = AffineMapRule(weight, even, odd, pins)
+    return algebra, Cochain(1, "adjoint", weight, algebra.params, rule, label="map")
+
+
 @settings(max_examples=30, deadline=None)
-@given(pair_rule_cocycles(), st.data())
+@given(st.one_of(pair_rule_cocycles(), affine_cochains()), st.data())
 def test_is_cocycle_equals_plain_enumeration(case, data):
     algebra, cochain = case
     window = windows(data.draw, algebra)
@@ -627,6 +646,8 @@ def coboundary_cases(draw):
     """(algebra, F, omega, beta, scalar): a witness, perturbed or not, or a random map."""
     omega_name, beta_name, scalar, weight, even, odd, pins = draw(st.sampled_from(WITNESSES))
     algebra, omega = named_cocycle(omega_name)
+    if algebra.lower_bound is None and draw(st.booleans()):
+        algebra = virasoro()  # its central delta touches d1
     low = 1 if algebra.lower_bound else -3
     pins = dict(pins)
     kind = draw(st.sampled_from(["witness", "pinned", "random"]))
@@ -665,18 +686,24 @@ def test_verify_coboundary_equals_plain_enumeration(case, data):
 
 def test_coboundary_witnesses_are_proved_per_parity_pattern():
     """Each witness of WITNESSES settles all four parity patterns of (n, m) symbolically."""
-    for omega_name, beta_name, scalar, weight, even, odd, pins in WITNESSES:
-        algebra, omega = named_cocycle(omega_name)
+    patterns = list(itertools.product((0, 1), repeat=2))
+
+    def prove(omega_name, beta_name, scalar, weight, even, odd, pins, algebra=None):
+        named, omega = named_cocycle(omega_name)
         beta = None if beta_name is None else named_cocycle(beta_name)[1]
-        rule = AffineMapRule(weight, even, odd, pins)
-        phi = Cochain(1, "adjoint", weight, algebra.params, rule)
-        prove = _d1_prover(algebra, phi, omega, beta, scalar)
-        assert all(prove(p, _Boundary()) for p in itertools.product((0, 1), repeat=2))
-    # a table-valued beta or a central algebra has no symbolic form
+        phi = Cochain(1, "adjoint", weight, (), AffineMapRule(weight, even, odd, pins))
+        return _coboundary_identity(algebra or named, phi, omega, beta, scalar)[1]
+
+    for witness in WITNESSES:
+        assert all(prove(*witness)(p, _Boundary()) for p in patterns)
+    # on virasoro the central delta only adds boundary pairs
+    ds_order1 = prove(*WITNESSES[0], algebra=virasoro())
+    assert all(ds_order1(p, _Boundary()) for p in patterns)
+    # a table-valued beta has no symbolic form
     _, omega = named_cocycle("ds-order1")
+    phi = Cochain(1, "adjoint", -2, (), AffineMapRule(-2, (0, -3), (0, Fraction(-3, 2))))
     table = Cochain(2, "adjoint", -2, (), PairTableRule({}))
-    assert _d1_prover(witt(), phi, omega, table, Fraction(1)) is None
-    assert _d1_prover(virasoro(), phi, omega, None, None) is None
+    assert _coboundary_identity(witt(), phi, omega, table, Fraction(1))[1] is None
 
 
 #: SHA-256 of the sorted report JSON, recorded when every triple was

@@ -86,3 +86,39 @@ def test_the_check_finds_an_unread_private_definition():
 def test_every_private_definition_is_read():
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert unread_private_definitions(sources) == []
+
+
+#: The index-form format of the symbolic proofs, which stays inside algebra.py.
+INDEX_FORM_NAMES = {
+    "INDEX_FORMS",
+    "INDEX_VARS",
+    "_form_parity",
+    "_form_poly",
+    "_form_sum",
+    "_Boundary",
+    "symbolic_pair_rule",
+}
+
+
+def index_form_uses(source: str) -> list:
+    """Names of the index-form format the source imports or reads as an attribute."""
+    used = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used += [a.name for a in node.names if a.name in INDEX_FORM_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in INDEX_FORM_NAMES:
+            used.append(node.attr)
+    return used
+
+
+def test_the_check_finds_an_index_form_use():
+    source = "from .algebra import CENTRAL, _form_sum\nfrom . import algebra\nalgebra.INDEX_FORMS\n"
+    assert index_form_uses(source) == ["_form_sum", "INDEX_FORMS"]
+    assert index_form_uses("from .algebra import _identity, index_family\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "algebra.py"], ids=lambda p: p.name
+)
+def test_the_index_form_format_stays_in_algebra(path):
+    assert index_form_uses(path.read_text()) == []
