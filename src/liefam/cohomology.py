@@ -521,16 +521,17 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     return Cochain(1, "adjoint", w, ring, rule)
 
 
-def _covers(algebra, ansatz: Cochain):
+def _covers(brackets, ansatz: Cochain):
     """(n, m) -> whether the ansatz has an entry at every index of [v_n, v_m], or None.
 
-    None for an affine map, which is defined everywhere.  A per-index
-    ansatz has its entries where it models F: on the window, at its pins
-    and where F maps below the basis bound.
+    `brackets` are the algebra's `_bracket_sources`, whose memo the
+    re-check walk shares.  None for an affine map, which is defined
+    everywhere.  A per-index ansatz has its entries where it models F: on
+    the window, at its pins and where F maps below the basis bound.
     """
     if not isinstance(ansatz.rule, MapTableRule):
         return None
-    (pair, _), entries = _bracket_sources(algebra)[0], ansatz.rule.entries
+    (pair, _), entries = brackets[0], ansatz.rule.entries
     return lambda n, m: all(i in entries for i, _ in pair(n, m) if i != CENTRAL)
 
 
@@ -592,19 +593,23 @@ def _at_solution(ansatz_map: Cochain, values: dict) -> Cochain:
 _NO_BETA = (lambda n, m: (), lambda parity, boundary: lambda x, y: ())
 
 
-def _coboundary_identity(algebra, phi, omega, beta, scalar):
+def _coboundary_identity(algebra, phi, omega, beta, scalar, brackets=None):
     """(value, prove) of `algebra._identity` for d1 F + scalar * beta = omega.
 
     The walk is `_coboundary_terms` over the algebra's bracket, F = phi,
     omega scaled by -1 and beta by `scalar` (`_NO_BETA` for beta None).
+    `brackets` are the algebra's `_bracket_sources`, built here if None.
     """
     minus_omega = _scaled_source(_source(algebra, omega), -1)
     c_beta = _NO_BETA if beta is None else _scaled_source(_source(algebra, beta), scalar)
-    sources = (*_bracket_sources(algebra), _source(algebra, phi), minus_omega, c_beta)
+    brackets = brackets or _bracket_sources(algebra)
+    sources = (*brackets, _source(algebra, phi), minus_omega, c_beta)
     return _identity(_coboundary_terms, sources, algebra.params)
 
 
-def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=None):
+def coboundary_mismatches(
+    algebra, phi, omega, beta, scalar, indices, covered=None, brackets=None
+):
     """Yield ((n, m), d1 F - omega + scalar * beta) where it is not zero.
 
     Pairs n < m of `indices` run in `itertools.combinations` order; a pair
@@ -619,9 +624,10 @@ def coboundary_mismatches(algebra, phi, omega, beta, scalar, indices, covered=No
     of F is exceptional, below a basis bound, pinned, or maps outside
     the basis domain, and those where the algebra's central delta can
     contribute.  Every other map and every pattern whose polynomial is
-    not zero are evaluated pair by pair.
+    not zero are evaluated pair by pair.  `brackets` are passed on to
+    `_coboundary_identity`.
     """
-    value, prove = _coboundary_identity(algebra, phi, omega, beta, scalar)
+    value, prove = _coboundary_identity(algebra, phi, omega, beta, scalar, brackets)
     zero = LieElement.zero(algebra.params)
 
     def difference(n, m):
@@ -645,22 +651,26 @@ def _recheck_indices(algebra, ansatz_map: Cochain, window):
     return [n for n in range(indices[0] - 4, indices[-1] + 5) if algebra.in_domain(n)]
 
 
-def _verify_coboundary(algebra, ansatz_map, covered, phi, omega, beta, scalar, window):
+def _verify_coboundary(
+    algebra, ansatz_map, covered, phi, omega, beta, scalar, window, brackets=None
+):
     """Re-check d1 F (+ c*beta) = omega beyond the window.
 
     `ansatz_map` is the ansatz cochain that F solves and `covered` its
-    `_covers` predicate, shared with `_build_system`.  The check runs on
-    `_recheck_indices`; a window solution that fails to extend is
-    exactly the AnsatzTooWeak situation.  `coboundary_mismatches` proves
-    the identity for the affine map of a closed shape once per parity
-    pattern of (n, m) through `algebra._identity`, and evaluates only
-    the pairs at exceptional, pinned or bounded indices; the per-index
-    map table is evaluated pair by pair on the pairs the ansatz covers.
+    `_covers` predicate, shared with `_build_system`; `brackets`, the
+    algebra's `_bracket_sources`, are those that `covered` reads.  The
+    check runs on `_recheck_indices`; a window solution that fails to
+    extend is exactly the AnsatzTooWeak situation.
+    `coboundary_mismatches` proves the identity for the affine map of a
+    closed shape once per parity pattern of (n, m) through
+    `algebra._identity`, and evaluates only the pairs at exceptional,
+    pinned or bounded indices; the per-index map table is evaluated pair
+    by pair on the pairs the ansatz covers.
     Returns the first mismatch in `itertools.combinations` order, or None.
     """
     indices = _recheck_indices(algebra, ansatz_map, window)
     mismatches = coboundary_mismatches(
-        algebra, phi, omega, beta, scalar, indices, covered
+        algebra, phi, omega, beta, scalar, indices, covered, brackets
     )
     for pair, difference in mismatches:
         return {"pair": list(pair), "difference": difference.to_json()}
@@ -672,7 +682,8 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
         raise MissingParameter("coboundary solving needs a parameter-free algebra")
     indices = domain_indices(algebra, window)
     ansatz_map = _ansatz_cochain(algebra, ansatz, indices, beta is not None)
-    covered = _covers(algebra, ansatz_map)
+    brackets = _bracket_sources(algebra)
+    covered = _covers(brackets, ansatz_map)
     system, pairs_used = _build_system(
         algebra, omega, beta, ansatz_map, indices, covered
     )
@@ -698,7 +709,7 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
     scalar = values.get(("scale",)) if beta is not None else None
     phi = _at_solution(ansatz_map, values)
     mismatch = _verify_coboundary(
-        algebra, ansatz_map, covered, phi, omega, beta, scalar, window
+        algebra, ansatz_map, covered, phi, omega, beta, scalar, window, brackets
     )
     if mismatch is not None:
         raise AnsatzTooWeak(
@@ -783,45 +794,46 @@ def graded_differential_columns(q: int, s: int):
     coefficients and the bracket [l_a, l_b] = (b - a) l_{a+b}.
     """
     cols = {tup: {} for tup in graded_tuples(q, s)}
+    positions = list(itertools.combinations(range(q + 1), 2))
     for row in graded_tuples(q + 1, s):
-        for i, j in itertools.combinations(range(q + 1), 2):
+        for i, j in positions:
             a, b = row[i], row[j]
-            rest = tuple(row[t] for t in range(q + 1) if t not in (i, j))
+            rest = row[:i] + row[i + 1 : j] + row[j + 1 :]
             merged = a + b
-            if merged in rest:
-                continue
             p = bisect_left(rest, merged)
-            col = rest[:p] + (merged,) + rest[p:]
-            if col not in cols:
+            if p < len(rest) and rest[p] == merged:
                 continue
-            sign = (-1) ** (i + j) * (-1) ** p
-            vec = cols[col]
-            vec[row] = vec.get(row, 0) + sign * (b - a)
+            vec = cols[rest[:p] + (merged,) + rest[p:]]
+            value = b - a if (i + j + p) % 2 == 0 else a - b
+            vec[row] = vec.get(row, 0) + value
     return cols
 
 
-def goncharova_dim(q: int, s: int) -> int:
-    """dim H^q_(s) of the index >= 1 subalgebra with trivial coefficients."""
-    if q < 0 or q > 3:
-        raise ArityUnsupported("graded dimensions implemented for q <= 3")
-    dim_cq = len(graded_tuples(q, s))
-    rank_dq = rank_of_vectors(
-        v for v in graded_differential_columns(q, s).values() if v
-    )
-    rank_prev = (
-        rank_of_vectors(
-            v for v in graded_differential_columns(q - 1, s).values() if v
-        )
-        if q >= 1
-        else 0
-    )
-    return dim_cq - rank_dq - rank_prev
+def _graded_rank(q: int, s: int) -> int:
+    """The rank of the differential C^q_(s) -> C^(q+1)_(s)."""
+    return rank_of_vectors(v for v in graded_differential_columns(q, s).values() if v)
+
+
+def goncharova_dim(q: int, s: int, rank=_graded_rank) -> int:
+    """dim H^q_(s) of the index >= 1 subalgebra with trivial coefficients.
+
+    `rank(q, s)` gives the rank of the differential leaving C^q_(s).
+    """
+    if q < 0 or q > 5:
+        raise ArityUnsupported("graded dimensions implemented for q <= 5")
+    rank_prev = rank(q - 1, s) if q >= 1 else 0
+    return len(graded_tuples(q, s)) - rank(q, s) - rank_prev
 
 
 def goncharova_table(q_max: int, s_max: int) -> dict:
-    """Table of graded cohomology dimensions for q <= q_max, 1 <= s <= s_max."""
+    """Table of graded cohomology dimensions for q <= q_max, 1 <= s <= s_max.
+
+    The rank of d_q enters dim H^q and dim H^(q+1), so each is computed
+    once per call; nothing is kept between calls.
+    """
+    rank = cache(_graded_rank)
     return {
-        (q, s): goncharova_dim(q, s)
+        (q, s): goncharova_dim(q, s, rank)
         for q in range(1, q_max + 1)
         for s in range(1, s_max + 1)
     }

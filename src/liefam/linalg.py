@@ -12,11 +12,22 @@ one gcd per stored row in place of his exact division by the previous
 pivot.  The graded differentials of the cohomology module have small
 integer entries, so `rank_of_vectors` builds no Fraction for them, where
 Gauss-Jordan built one, with its own gcd, per arithmetic operation.
+
+The pivot of a stored row is chosen by a rule that `LinearSystem` takes
+as an argument.  Solves that carry a certificate keep the default, the
+least key of the reduced row by `repr`, since their pivots, free
+unknowns and particular solutions depend on it.  A rank does not depend
+on pivot order, so `rank_of_vectors` picks the key of the reduced row
+that it saw last among the input vectors.  On Goncharova's graded
+differentials that key is the sparse end of the row: at q = 4, s = 35
+the stored rows fall from 7,183 nonzeros to 3,180, their largest entry
+from 101 to 44 bits, and the unit pivots rise from 0 to 38 of 116.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 
@@ -24,16 +35,21 @@ def _rational(value):
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
+#: The certificate pivot rule: the least key of the reduced row by `repr`.
+_least_by_repr = partial(min, key=repr)
+
+
 class LinearSystem:
     """Incremental echelon form with inconsistency tracking.
 
     Equations are inserted one at a time.  Each accepted equation is
-    stored as a primitive integer row under its pivot, the least key of
-    the reduced row by `repr`; stored rows vanish at the pivots of every
-    row stored before them, and nothing is back-substituted into them
-    later.  The first equation that reduces to `0 = c` with `c != 0` is
-    recorded with its residual c as the inconsistency witness, which
-    makes infeasibility certificates point at a concrete equation.
+    stored as a primitive integer row under its pivot, `pivot(row)` of
+    the reduced row, by default its least key by `repr`; stored rows
+    vanish at the pivots of every row stored before them, and nothing is
+    back-substituted into them later.  The first equation that reduces
+    to `0 = c` with `c != 0` is recorded with its residual c as the
+    inconsistency witness, which makes infeasibility certificates point
+    at a concrete equation.
 
     Certificates are those of Gauss-Jordan elimination with the same
     pivot rule.  Walking the stored pivots in insertion order turns an
@@ -45,7 +61,8 @@ class LinearSystem:
     its free unknowns are fixed.
     """
 
-    def __init__(self):
+    def __init__(self, pivot=_least_by_repr):
+        self.pivot = pivot
         # pivot id -> (integer row without the pivot, pivot entry > 0, rhs)
         self.rows = {}
         self.inconsistency = None  # (tag, residual) of first bad equation
@@ -79,7 +96,7 @@ class LinearSystem:
             if b and self.inconsistency is None:
                 self.inconsistency = (tag, Fraction(b, scale))
             return
-        pivot = min(row, key=repr)
+        pivot = self.pivot(row)
         g = gcd(b, *row.values())
         if row[pivot] < 0:
             g = -g
@@ -119,8 +136,19 @@ class LinearSystem:
 
 
 def rank_of_vectors(vectors) -> int:
-    """Rank of a family of sparse dict-vectors over the rationals."""
-    system = LinearSystem()
+    """Rank of a family of sparse dict-vectors over the rationals.
+
+    Keys may be any hashable values.  Each key is numbered the first time
+    a vector shows it, and a row's pivot is its key that was seen last.
+    That is safe because the rank does not depend on pivot order, and it
+    keeps the stored rows sparse: at q = 4, s = 35 of the graded
+    differentials they hold 3,180 nonzeros of at most 44 bits, where the
+    `repr` rule stored 7,183 of up to 101 bits.
+    """
+    seen = {}
+    system = LinearSystem(pivot=partial(max, key=seen.__getitem__))
     for vec in vectors:
+        for k in vec:
+            seen.setdefault(k, len(seen))
         system.add(vec, 0)
     return system.rank

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefam import cohomology
 from liefam.algebra import CENTRAL, LieElement, basis_bracket
 from liefam.cohomology import (
     ANSATZ_SHAPES,
@@ -374,8 +375,33 @@ def test_goncharova_dimensions_match_closed_form():
 
 
 def test_goncharova_arity_guard():
-    with pytest.raises(ArityUnsupported):
-        goncharova_dim(4, 10)
+    for q in (6, -1):
+        with pytest.raises(ArityUnsupported):
+            goncharova_dim(q, 10)
+
+
+def test_goncharova_known_answers_past_q3():
+    for s in range(1, 27):
+        assert goncharova_dim(4, s) == expected_goncharova(4, s), s
+    for s, want in ((34, 0), (35, 1), (40, 1)):
+        assert goncharova_dim(5, s) == expected_goncharova(5, s) == want, s
+
+
+def test_goncharova_table_computes_each_rank_once(monkeypatch):
+    calls = []
+
+    def counted(vectors):
+        calls.append(1)
+        return rank_of_vectors(vectors)
+
+    monkeypatch.setattr(cohomology, "rank_of_vectors", counted)
+    table = goncharova_table(3, 8)
+    # d_0, ..., d_3 at each s; each dim H^q reads the ranks of d_q, d_(q-1).
+    assert len(calls) == 4 * 8
+    assert table == {(q, s): expected_goncharova(q, s) for q in (1, 2, 3) for s in range(1, 9)}
+    calls.clear()
+    goncharova_table(3, 8)
+    assert len(calls) == 4 * 8  # nothing is kept between calls
 
 
 def test_cochain_alternation():

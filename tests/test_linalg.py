@@ -4,6 +4,8 @@
 be those of plain Fraction Gauss-Jordan elimination with the same pivot
 rule (the least key of the reduced row by `repr`), which `GaussJordan`
 below keeps as the reference, and its ranks must agree with sympy.
+`rank_of_vectors` pivots on the key it saw last instead, and must give
+the rank of the `repr` rule.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefam.cohomology import Ansatz, compare_classes
+from liefam.cohomology import Ansatz, compare_classes, graded_differential_columns
 from liefam.linalg import LinearSystem, rank_of_vectors
 from liefam.suite import named_cocycle
 
@@ -157,6 +159,31 @@ def test_same_pivots_witness_and_solution_as_gauss_jordan(eqs, unknowns):
         assert list(system.solution(unknowns).items()) == list(
             reference.solution(unknowns).items()
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 20), st.randoms(use_true_random=False))
+def test_last_seen_pivots_give_the_repr_rank_on_graded_columns(q, s, rnd):
+    vectors = []
+    for vec in graded_differential_columns(q, s).values():
+        items = list(vec.items())
+        rnd.shuffle(items)
+        vectors.append(dict(items))
+    rnd.shuffle(vectors)
+    system = LinearSystem()
+    for vec in vectors:
+        system.add(vec, 0)
+    assert rank_of_vectors(vectors) == system.rank
+
+
+def test_default_pivot_is_least_key_by_repr():
+    # repr order: "'x'" < "(1, 2)" < "-3" < "10" < "2"
+    system = LinearSystem()
+    system.add({2: 1, 10: 1, -3: 1, (1, 2): 1, "x": 1}, 0)
+    system.add({2: 1, 10: 2, -3: 3, (1, 2): 5}, 0)
+    system.add({2: 1, 10: 1}, 1)
+    assert list(system.rows) == ["x", (1, 2), 10]
+    assert all(repr(p) < repr(k) for p, (row, _, _) in system.rows.items() for k in row)
 
 
 def test_rational_and_dependent_rows():
