@@ -704,6 +704,16 @@ def domain_indices(family: FamilySpec, window) -> list:
     return indices
 
 
+def domain_pairs(family: FamilySpec, window) -> list:
+    """`domain_indices`, refusing a window whose domain part gives no pair."""
+    indices = domain_indices(family, window)
+    if len(indices) < 2:
+        raise WindowTooSmall(
+            f"no pair of indices of the window lies in the domain of {family.name}"
+        )
+    return indices
+
+
 #: Values per parity class that `verify_jacobi` and `is_cocycle` require.
 MIN_PER_PARITY = 8
 

@@ -21,11 +21,12 @@ from .algebra import (
     CheckReport,
     FamilySpec,
     domain_indices,
+    domain_pairs,
     evaluate_pair_rule,
 )
-from .errors import ParameterMismatch, UnsupportedFamily, UpperBoundViolated
+from .errors import UnsupportedFamily, UpperBoundViolated
 from .families import CATALOG, by_name, witt
-from .geometry import FactoredLaurent, LaurentPoly, realize
+from .geometry import FactoredLaurent, LaurentPoly, uniformize
 from .linalg import LinearSystem
 from .poly import ParamPoly, rat_str
 
@@ -67,8 +68,6 @@ def kn_cocycle(
     e: FactoredLaurent, f: FactoredLaurent, connection: LaurentPoly | None = None
 ):
     """Residue pairing of two genus-zero fields, with connection term R."""
-    if not isinstance(e, FactoredLaurent) or not isinstance(f, FactoredLaurent):
-        raise ParameterMismatch("the residue pairing works on genus-zero fields")
     e3 = e.derivative().derivative().derivative()
     f3 = f.derivative().derivative().derivative()
     integrand = (e3 * f - e * f3).scale(Fraction(1, 2))
@@ -82,14 +81,14 @@ def kn_cocycle(
 def pairing_table(family: str, window, connection: LaurentPoly | None = None) -> dict:
     """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
 
-    Zero values are omitted; a window with no index in the domain raises
-    WindowTooSmall.  `realize` takes a family by name alone, so a family
+    The fields are `geometry.uniformize`'s; zero values are omitted.  A
+    window with no index in the domain raises WindowTooSmall, and a family
     built from arguments (d-line) has no realization.
     """
     if CATALOG.get(family, (None, ()))[1]:
         raise UnsupportedFamily(f"no realization for family {family!r}")
     indices = domain_indices(by_name(family), window)
-    fields = {n: realize(family, n) for n in indices}
+    fields = {n: uniformize(family, n) for n in indices}
     table = {}
     for i, n in enumerate(indices):
         for m in indices[i + 1 :]:
@@ -122,8 +121,9 @@ def locality_bound(
 ) -> LocalityReport:
     """Minimal M with gamma(v_n, v_m) != 0 implying M <= n+m <= 0.
 
-    Raises UpperBoundViolated if a nonzero value sits above n+m = 0,
-    which would signal an implementation bug rather than a geometry fact.
+    Raises UpperBoundViolated for a nonzero value above n+m = 0.  For the
+    three-point and nodal bases that is geometry, not a fault (ROADMAP
+    item 9): three-point's gamma(V_-6, V_8) is -672 alpha2.
     """
     table = pairing_table(family, window, connection)
     lower = 0
@@ -146,7 +146,7 @@ def class_independence(
     as a failing check (it would contradict connection independence).
     """
     spec = witt()
-    indices = sorted(window)
+    indices = domain_pairs(spec, window)
     tables = [pairing_table(spec.name, indices, r) for r in (r1, r2)]
     zero = ParamPoly.const((), 0)
     system = LinearSystem()

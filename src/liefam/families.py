@@ -13,9 +13,9 @@ witt, three-point, nodal, d-line(s) and d-infinity are its pullbacks
 (`algebra.pullback`) along (e1, e2) = (0, 0), (alpha2/3, alpha2/3),
 (-2*alpha2/3, alpha2/3), (e1, s*e1) and (0, e2): the cusp, the nodal
 lines s = 1 (IIb) and s = -1/2 (IIa), a line through the origin and the
-vertical line.  virasoro is witt with a central rule; l1 and w1 restrict
-witt and three-point to the indices >= 1.  Only the formal families are
-written term by term.
+vertical line.  `FIBRES` holds the images of all but d-line.  virasoro
+is witt with a central rule; l1 and w1 restrict witt and three-point to
+the indices >= 1.  Only the formal families are written term by term.
 """
 
 from __future__ import annotations
@@ -59,9 +59,25 @@ def elliptic() -> FamilySpec:
     )
 
 
+_THIRD = ParamPoly.var(("alpha2",), "alpha2") * Fraction(1, 3)
+
+#: Catalog name -> (params, images) of its fibre: the family is elliptic()
+#: pulled back along (e1, e2) -> images in Q[params], and `geometry.realize`
+#: maps the elliptic fields the same way.  l1, w1 restrict witt, three-point.
+FIBRES = {
+    "elliptic": (("e1", "e2"), {}),
+    "witt": ((), {"e1": 0, "e2": 0}),
+    "l1": ((), {"e1": 0, "e2": 0}),
+    "three-point": (("alpha2",), {"e1": _THIRD, "e2": _THIRD}),
+    "w1": (("alpha2",), {"e1": _THIRD, "e2": _THIRD}),
+    "nodal": (("alpha2",), {"e1": _THIRD * -2, "e2": _THIRD}),
+    "d-infinity": (("e2",), {"e1": 0}),
+}
+
+
 def witt() -> FamilySpec:
     """[v_n, v_m] = (m - n) v_{n+m}: the cuspidal fibre (e1, e2) = (0, 0)."""
-    return pullback(elliptic(), (), {"e1": 0, "e2": 0}, "witt")
+    return pullback(elliptic(), *FIBRES["witt"], "witt")
 
 
 def virasoro() -> FamilySpec:
@@ -88,7 +104,7 @@ def d_line(s) -> FamilySpec:
 
 def d_infinity() -> FamilySpec:
     """The vertical line e1 = 0: shift -4 coefficient -e2^2, no shift -2."""
-    return pullback(elliptic(), ("e2",), {"e1": 0}, "d-infinity")
+    return pullback(elliptic(), *FIBRES["d-infinity"], "d-infinity")
 
 
 def three_point() -> FamilySpec:
@@ -97,8 +113,7 @@ def three_point() -> FamilySpec:
     The fibre (alpha2/3, alpha2/3) on the nodal line s = 1 (subcase IIb):
     the shift -2 coefficient is alpha2 and the shift -4 term vanishes.
     """
-    third = ParamPoly.var(("alpha2",), "alpha2") * Fraction(1, 3)
-    return pullback(elliptic(), ("alpha2",), {"e1": third, "e2": third}, "three-point")
+    return pullback(elliptic(), *FIBRES["three-point"], "three-point")
 
 
 def nodal() -> FamilySpec:
@@ -110,8 +125,7 @@ def nodal() -> FamilySpec:
     alpha2^2*l_{2k-4} (the geometry module re-derives them from the
     vector fields).
     """
-    third = ParamPoly.var(("alpha2",), "alpha2") * Fraction(1, 3)
-    return pullback(elliptic(), ("alpha2",), {"e1": third * -2, "e2": third}, "nodal")
+    return pullback(elliptic(), *FIBRES["nodal"], "nodal")
 
 
 def l1_subalgebra() -> FamilySpec:

@@ -1,16 +1,22 @@
 """Independent geometric oracle: brackets of realized vector fields.
 
-Genus zero works symbolically in the ring Q[alpha2][z, 1/z, (z^2-alpha2)^-1]
-via a factored Laurent representation.  Genus one works symbolically too,
-on Y^2 = f(u) = 4u(u-a)(u-b) with a = e2 - e1 and b = e3 - e1 (u the
-coordinate recentered at the finite marked point): a field is
-(A + B*Y) d/du with A, B in Q[e1, e2][u, 1/u], so each bracket is checked
-once as an identity over Q[e1, e2], which holds on every fibre, the
-nodal and cuspidal ones included.
+Every family in `families.FIBRES` is realized on its fibre of the cubic
+Y^2 = f(u) = 4u(u-a)(u-b), a = e2 - e1, b = e3 - e1 (u the coordinate
+recentered at the finite marked point): a field is (A + B*Y) d/du with
+A, B Laurent in u over the fibre's ring, the image of one elliptic field
+over Q[e1, e2].  One bracket and one re-expansion check every family, each
+bracket as one identity over its ring, so the elliptic PASS holds on every
+fibre, the nodal and cuspidal ones included.
+
+The residue pairings of `central` need the genus-zero fields in a global
+coordinate t.  `uniformize` pulls a realization back along the
+parametrization u = t^p (t^2 - beta)^q, Y = 2t(t^2 - beta) of its fibre
+and keeps it as a Laurent polynomial in t times a power of t^2 - beta.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +24,12 @@ from fractions import Fraction
 from .algebra import (
     CheckReport,
     FamilySpec,
-    domain_indices,
+    domain_pairs,
     evaluate_pair_rule,
     grading_bounds,
 )
 from .errors import ParameterMismatch, UnsupportedFamily
-from .families import by_name
+from .families import FIBRES
 from .poly import KeyedSum, ParamPoly, accumulate
 
 # ---------------------------------------------------------------------------
@@ -69,13 +75,13 @@ class LaurentPoly(KeyedSum):
 
 
 # ---------------------------------------------------------------------------
-# factored fields P(z) * (z^2 - beta)^e  (genus zero)
+# factored fields P(t) * (t^2 - beta)^e  (genus zero, for the residue pairing)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FactoredLaurent:
-    """Laurent polynomial times an integer power of the quadratic z^2-beta."""
+    """Laurent polynomial times an integer power of the quadratic t^2-beta."""
 
     poly: LaurentPoly
     beta: ParamPoly
@@ -84,10 +90,6 @@ class FactoredLaurent:
     def _check(self, other: "FactoredLaurent"):
         if other.beta != self.beta:
             raise ParameterMismatch("fields over different quadratic factors")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
 
     def base(self) -> LaurentPoly:
         return LaurentPoly.from_items(
@@ -137,17 +139,6 @@ class FactoredLaurent:
         if self.exp:
             p = p + self.poly.shift(1).scale(2 * self.exp)
         return FactoredLaurent(p, self.beta, self.exp - 1)
-
-
-def vf_bracket_factored(e: FactoredLaurent, f: FactoredLaurent) -> FactoredLaurent:
-    """Coefficient of [e d/dz, f d/dz] = (e f' - f e') d/dz, kept factored."""
-    e._check(f)
-    p1, p2 = e.poly, f.poly
-    wron = p1 * p2.derivative() - p2 * p1.derivative()
-    poly = wron * e.base()
-    if f.exp != e.exp:
-        poly = poly + (p1 * p2).shift(1).scale(2 * (f.exp - e.exp))
-    return FactoredLaurent(poly, e.beta, e.exp + f.exp - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,55 +196,60 @@ def vf_bracket_cubic(e: CubicField, g: CubicField):
 # ---------------------------------------------------------------------------
 
 
-def vf_bracket(e, f):
-    """Coefficient of [e, f] = (e f' - f e') d/dz, exact in the realization's ring."""
-    if isinstance(e, FactoredLaurent) and isinstance(f, FactoredLaurent):
-        return vf_bracket_factored(e, f)
-    if isinstance(e, CubicField) and isinstance(f, CubicField):
-        got, rest = vf_bracket_cubic(e, f)
-        if not rest.is_zero:
-            raise ValueError(f"the bracket leaves the Laurent ring: remainder {rest}")
-        return got
-    raise ParameterMismatch("fields over different coordinate rings")
+def realize(family: str, n: int) -> CubicField:
+    """The field carrying basis index n, on the family's fibre of the cubic.
 
-
-GENUS0_FAMILIES = ("witt", "l1", "three-point", "w1", "nodal")
-
-
-def realize(family: str, n: int):
-    """The coefficient of the explicit vector field carrying basis index n.
-
-    A FactoredLaurent in z for the genus-zero families (symbolic in
-    alpha2 for three-point, w1 and nodal); a CubicField in u over
-    Q[e1, e2] for elliptic, whose fibre at a point is its image under
-    `KeyedSum.map_params`.  witt: l_n = z^(n+1) d/dz.  three-point
-    even/odd: z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) times d/dz.
-    nodal: z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) times d/dz.
-    elliptic, in u = X - e1 on Y^2 = f(u) = 4u(u-a)(u-b) with a = e2 - e1,
-    b = e3 - e1:  u^k Y d/du for index 2k+1 and 2 u^(k-1) (u-a) (u-b) d/du
-    for index 2k.
+    In u = X - e1 on Y^2 = f(u) = 4u(u-a)(u-b) with a = e2 - e1 and
+    b = e3 - e1: u^k Y d/du for index 2k+1 and 2 u^(k-1) (u-a) (u-b) d/du
+    for index 2k, over Q[e1, e2] and mapped along the family's
+    `families.FIBRES` images by `KeyedSum.map_params`.
     """
-    if family in ("witt", "l1"):
-        return FactoredLaurent(LaurentPoly.monomial((), n + 1), ParamPoly.const((), 0), 0)
+    if family not in FIBRES:
+        raise UnsupportedFamily(f"no realization for family {family!r}")
+    params = ("e1", "e2")
+    e1, e2 = ParamPoly.var(params, "e1"), ParamPoly.var(params, "e2")
+    a, b = e2 - e1, -e1 * 2 - e2
+    quad = LaurentPoly.from_items(params, [(2, 1), (1, -(a + b)), (0, a * b)])
     k, odd = divmod(n, 2)
-    if family in ("three-point", "w1", "nodal"):
-        beta = ParamPoly.var(("alpha2",), "alpha2")
-        if family == "nodal":
-            degree, exp = (2 * k, 1) if odd else (2 * k - 3, 2)
-        else:
-            degree, exp = (0, k + 1) if odd else (1, k)
-        return FactoredLaurent(LaurentPoly.monomial(beta.params, degree), beta, exp)
-    if family == "elliptic":
-        params = ("e1", "e2")
-        e1, e2 = ParamPoly.var(params, "e1"), ParamPoly.var(params, "e2")
-        a, b = e2 - e1, -e1 * 2 - e2
-        quad = LaurentPoly.from_items(params, [(2, 1), (1, -(a + b)), (0, a * b)])
-        f = quad.shift(1).scale(4)
-        zero = LaurentPoly.zero(params)
-        if odd:
-            return CubicField(zero, LaurentPoly.monomial(params, k), f)
-        return CubicField(quad.shift(k - 1).scale(2), zero, f)
-    raise UnsupportedFamily(f"no realization for family {family!r}")
+    zero = LaurentPoly.zero(params)
+    parts = (zero, LaurentPoly.monomial(params, k)) if odd else (quad.shift(k - 1).scale(2), zero)
+    return CubicField(*(p.map_params(*FIBRES[family]) for p in (*parts, quad.shift(1).scale(4))))
+
+
+#: Genus-zero fibre -> (p, q, beta) of its parametrization
+#: u = t^p (t^2 - beta)^q, Y = 2t(t^2 - beta); beta is a parameter or None for 0.
+PARAMETRIZATIONS = {
+    "witt": (2, 0, None),
+    "l1": (2, 0, None),
+    "nodal": (2, 0, "alpha2"),
+    "three-point": (0, 1, "alpha2"),
+    "w1": (0, 1, "alpha2"),
+}
+
+
+def uniformize(family: str, n: int) -> FactoredLaurent:
+    """`realize(family, n)` in the fibre's global coordinate t, for `central`.
+
+    With du/dt = 2t, (A + B*Y) d/du = (A / (2t) + B (t^2 - beta)) d/dt.
+    The classical fields, z = t: witt, l1: l_n = z^(n+1) d/dz; three-point,
+    w1: z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) d/dz for index 2k resp.
+    2k+1; nodal: z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) d/dz.
+    elliptic and d-infinity have no such parametrization.
+    """
+    field = realize(family, n)
+    if family not in PARAMETRIZATIONS:
+        raise ParameterMismatch("the residue pairing works on genus-zero fields")
+    p, q, name = PARAMETRIZATIONS[family]
+    params = field.f.params
+    beta = ParamPoly.var(params, name) if name else ParamPoly.const(params, 0)
+    pieces = [
+        FactoredLaurent(LaurentPoly.monomial(params, p * d - 1, c * Fraction(1, 2)), beta, q * d)
+        for d, c in field.a.components.items()
+    ] + [
+        FactoredLaurent(LaurentPoly.monomial(params, p * d, c), beta, q * d + 1)
+        for d, c in field.b.components.items()
+    ]
+    return functools.reduce(FactoredLaurent.__add__, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +286,23 @@ def expand_in_candidates(target: LaurentPoly, candidates):
     return coeffs, rest
 
 
-def _mismatch(family, n, m, coeffs, remainders):
-    """None when the bracket re-expands exactly to the rule, else a witness."""
-    if any(not rest.is_zero for rest in remainders):
+def _pair_check_cubic(family, n, m, field, bounds):
+    """None when [v_n, v_m] re-expands exactly to the rule, else a witness.
+
+    The Y-free part re-expands in the even fields of the domain, the Y
+    part in the odd ones.
+    """
+    got, rest = vf_bracket_cubic(field(n), field(m))
+    cands = ([], [])
+    for idx in range(n + m + bounds.lower, n + m + bounds.upper + 1):
+        if family.in_domain(idx):
+            cands[idx % 2].append((idx, field(idx).b if idx % 2 else field(idx).a))
+    coeffs_a, rest_a = expand_in_candidates(got.a, cands[0])
+    coeffs_b, rest_b = expand_in_candidates(got.b, cands[1])
+    remainders = [rest_a, rest_b, rest]
+    if any(not r.is_zero for r in remainders):
         return {"pair": [n, m], "unexpanded_remainder": " | ".join(map(str, remainders))}
-    expected = dict(evaluate_pair_rule(family, n, m))
+    coeffs, expected = {**coeffs_a, **coeffs_b}, dict(evaluate_pair_rule(family, n, m))
     if coeffs == expected:
         return None
     return {
@@ -304,69 +312,34 @@ def _mismatch(family, n, m, coeffs, remainders):
     }
 
 
-def _pair_check_symbolic(family, n, m, fields, bounds):
-    got = vf_bracket(fields[n], fields[m])
-    cand = []
-    floor = got.exp
-    for idx in range(n + m + bounds.lower, n + m + bounds.upper + 1):
-        if idx not in fields:
-            continue
-        cand.append((idx, fields[idx]))
-        floor = min(floor, fields[idx].exp)
-    laurent_cands = [(idx, fl.as_laurent(floor)) for idx, fl in cand]
-    coeffs, rest = expand_in_candidates(got.as_laurent(floor), laurent_cands)
-    return _mismatch(family, n, m, coeffs, [rest])
-
-
-def _pair_check_cubic(family, n, m, fields, bounds):
-    """The Y-free part re-expands in the even fields, the Y part in the odd ones."""
-    got, rest = vf_bracket_cubic(fields[n], fields[m])
-    even_cands, odd_cands = [], []
-    for idx in range(n + m + bounds.lower, n + m + bounds.upper + 1):
-        if idx % 2:
-            odd_cands.append((idx, fields[idx].b))
-        else:
-            even_cands.append((idx, fields[idx].a))
-    coeffs_a, rest_a = expand_in_candidates(got.a, even_cands)
-    coeffs_b, rest_b = expand_in_candidates(got.b, odd_cands)
-    return _mismatch(family, n, m, {**coeffs_a, **coeffs_b}, [rest_a, rest_b, rest])
-
-
 def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     """Check that realized vector-field brackets reproduce the family rule.
 
-    Every bracket of realized basis fields is re-expanded in the realized
-    basis by an exact triangular solve over the candidate index window
-    given by the grading bounds, then compared coefficient-by-coefficient
-    with the closed-form rule.  Both oracles are symbolic in the family's
-    parameters, so a PASS is an identity on every fibre, singular ones
-    included.
+    Every bracket of realized basis fields on the family's fibre is
+    re-expanded in the realized basis of its domain by an exact triangular
+    solve over the candidate index window given by the grading bounds,
+    then compared coefficient-by-coefficient with the closed-form rule.
+    Both sides are symbolic in the family's parameters, so a PASS is an
+    identity on every fibre, singular ones included.  A window needs two
+    indices in the domain.
     """
     base = family.name.split("|")[0]
     bounds = grading_bounds(family)
-    indices = domain_indices(family, window)
-    lo = 2 * indices[0] + bounds.lower
-    hi = 2 * indices[-1] + bounds.upper
-    full = [
-        i
-        for i in range(min(lo, indices[0]), max(hi, indices[-1]) + 1)
-        if family.in_domain(i)
-    ]
-    if base not in GENUS0_FAMILIES and base != "elliptic":
+    indices = domain_pairs(family, window)
+    if base not in FIBRES:
         raise UnsupportedFamily(f"no geometric oracle for {family.name!r}")
-    oracle_params = by_name(base).params
+    oracle_params = FIBRES[base][0]
     if family.params != oracle_params:
         raise UnsupportedFamily(
             f"the {base} oracle works over the parameters {list(oracle_params)}, "
             f"but {family.name} is over {list(family.params)}; check the "
             f"unspecialized family {base} instead"
         )
-    check = _pair_check_symbolic if base in GENUS0_FAMILIES else _pair_check_cubic
-    fields = {i: realize(base, i) for i in full}
+    field = functools.cache(functools.partial(realize, base))
     witnesses = []
     pairs = []
     for n, m in itertools.combinations(indices, 2):
-        bad = check(family, n, m, fields, bounds)
+        bad = _pair_check_cubic(family, n, m, field, bounds)
         pairs.append([n, m, "PASS" if bad is None else "FAIL"])
         if bad is not None:
             witnesses.append(bad)

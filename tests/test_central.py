@@ -18,7 +18,7 @@ from liefam.central import (
 )
 from liefam.errors import UpperBoundViolated
 from liefam.families import three_point, virasoro, witt
-from liefam.geometry import FactoredLaurent, LaurentPoly, realize
+from liefam.geometry import FactoredLaurent, LaurentPoly, uniformize
 from liefam.poly import ParamPoly
 
 Z = sympy.Symbol("z")
@@ -95,8 +95,8 @@ def test_three_point_pairing_exceeds_degree_zero():
     fires; the two-point realizations are the ones with bound 0.
     """
     a2 = ParamPoly.var(("alpha2",), "alpha2")
-    e = realize("three-point", -6)
-    f = realize("three-point", 8)
+    e = uniformize("three-point", -6)
+    f = uniformize("three-point", 8)
     assert kn_cocycle(e, f) == a2 * -672
     with pytest.raises(UpperBoundViolated):
         locality_bound("three-point", range(-8, 9))
@@ -104,7 +104,7 @@ def test_three_point_pairing_exceeds_degree_zero():
 
 def test_pairing_bilinearity_and_antisymmetry():
     rng = random.Random(8)
-    fields = {n: realize("witt", n) for n in range(-6, 7)}
+    fields = {n: uniformize("witt", n) for n in range(-6, 7)}
     for _ in range(20):
         n, m = rng.randint(-6, 6), rng.randint(-6, 6)
         gnm = kn_cocycle(fields[n], fields[m])
@@ -125,7 +125,7 @@ def test_two_cocycle_condition_on_random_triples():
     from liefam.algebra import basis_bracket
 
     w = witt()
-    fields = {n: realize("witt", n) for n in range(-9, 10)}
+    fields = {n: uniformize("witt", n) for n in range(-9, 10)}
 
     def gamma_elem(elem, k):
         total = ParamPoly.const((), 0)

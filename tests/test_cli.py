@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam.cli import main, parse_laurent, parse_window
+from liefam.families import CATALOG
 
 
 def run(capsys, *argv):
@@ -155,7 +156,8 @@ def test_central_commands(capsys):
 
 #: SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <entry>`,
 #: recorded before the pointwise residue path, the field wrapper class and the
-#: alpha2 argument of the realizations were removed.
+#: alpha2 argument of the realizations were removed.  d-infinity was added when
+#: every family became a fibre of the one cubic realization.
 OUTPUT_SHA256 = {
     "central cocycle --family witt": "ecb8e9038ef8b127033b65ec8f5f9d790c4d1bd63f311c014b5a4ac8028a1920",
     "central cocycle --family witt --R 1:-2": "7ac7ec493c0d3b6d599cfb32d1248e8599f4bdb560913d7042f13d247982afcf",
@@ -179,6 +181,7 @@ OUTPUT_SHA256 = {
     "verify-geometry --family nodal": "bcb6d9550b20a3ea6db33840f7d7402f14b218316c8da8ef5f8aedd9368aee9c",
     "verify-geometry --family elliptic": "40234507617e915051db5031e7e429ca8eab8ce5c1db343df9f8784c6ab7b1d2",
     "verify-geometry --family elliptic --params e1=1,e2=2": "1baf0c4caebeec2c22013f92bde8bdcb39b7579607bfbf5bd49735831d3f71b8",
+    "verify-geometry --family d-infinity": "9228f12ed244a9d02c319af8787d621bbcfbc8130ab4d6070185e653ab628d66",
 }
 
 
@@ -397,7 +400,23 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
             "elliptic instead",
         ),
         (
+            ["verify-geometry", "--family", "witt", "--window", "3..3"],
+            "no pair of indices of the window lies in the domain of witt",
+        ),
+        (
+            ["verify-geometry", "--family", "l1", "--window", "-5..1"],
+            "no pair of indices of the window lies in the domain of l1",
+        ),
+        (
+            ["central", "independence", "--r1", "1:0", "--r2", "0", "--window", "3..3"],
+            "no pair of indices of the window lies in the domain of witt",
+        ),
+        (
             ["central", "cocycle", "--family", "elliptic"],
+            "the residue pairing works on genus-zero fields",
+        ),
+        (
+            ["central", "cocycle", "--family", "d-infinity"],
             "the residue pairing works on genus-zero fields",
         ),
         (
@@ -498,8 +517,11 @@ _INT = st.one_of(
     _JUNK, st.integers(-30, 30).map(str), st.sampled_from(["-1000000", "10**6"])
 )
 _SMALL = st.one_of(_JUNK, st.integers(-3, 4).map(str))
+_FAMILY = st.sampled_from(sorted(CATALOG))
 _ARGV = st.one_of(
-    st.builds(lambda w: ["verify-geometry", "--family", "witt", "--window", w], _WINDOW),
+    st.builds(
+        lambda fam, w: ["verify-geometry", "--family", fam, "--window", w], _FAMILY, _WINDOW
+    ),
     st.builds(
         lambda fam, n, m: ["bracket", "--family", fam, "--n", n, "--m", m],
         st.sampled_from(["witt", "virasoro", "elliptic", "l1", "w1", "formal-2"]),
@@ -528,6 +550,13 @@ _ARGV = st.one_of(
     st.builds(lambda w: ["cohomology", "check", "--cocycle", "ds-order1",
                          "--window", w], _WINDOW),
     st.builds(lambda w: ["central", "locality", "--window", w], _WINDOW),
+    st.builds(
+        lambda fam, w: ["central", "cocycle", "--family", fam, "--window", w], _FAMILY, _WINDOW
+    ),
+    st.builds(
+        lambda w: ["central", "independence", "--r1", "1:0", "--r2", "0", "--window", w],
+        _WINDOW,
+    ),
     st.builds(lambda a, b: ["moduli", "classify", "--e1", a, "--e2", b],
               _RATIONAL, _RATIONAL),
     st.builds(lambda s: ["families", "dump", "--family", "d-line", "--s", s], _RATIONAL),

@@ -1,46 +1,41 @@
 """The vector-field oracle: realizations, brackets, basis re-expansion."""
 
-import random
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from liefam.algebra import FamilySpec, RuleTerm, specialize
-from liefam.errors import UnsupportedFamily
-from liefam.families import elliptic, nodal, three_point, w1_subalgebra, witt
+from liefam.algebra import FamilySpec, RuleTerm, evaluate_pair_rule, specialize
+from liefam.errors import ParameterMismatch, UnsupportedFamily
+from liefam.families import FIBRES, by_name, elliptic
 from liefam.geometry import (
+    PARAMETRIZATIONS,
     CubicField,
     FactoredLaurent,
     LaurentPoly,
     divide_laurent,
     expand_in_candidates,
     realize,
+    uniformize,
     verify_against_geometry,
-    vf_bracket,
     vf_bracket_cubic,
 )
 from liefam.poly import ParamPoly
 
 
-def laurent(fl: FactoredLaurent) -> LaurentPoly:
-    return fl.as_laurent(0) if fl.exp >= 0 else fl.as_laurent(fl.exp)
-
-
 def test_witt_realization_bracket():
-    # [z^2 d/dz, z^3 d/dz] = z^4 d/dz, i.e. [l_1, l_2] = l_3
-    e, f = realize("witt", 1), realize("witt", 2)
-    got = vf_bracket(e, f)
-    assert got.as_laurent(0) == LaurentPoly.monomial((), 4)
+    # [l_1, l_2] = l_3 on the cusp Y^2 = 4u^3: [Y d/du, 2u^2 d/du] = u Y d/du
+    got, rest = vf_bracket_cubic(realize("witt", 1), realize("witt", 2))
+    assert rest.is_zero and got.a.is_zero
+    assert got.b == realize("witt", 3).b == LaurentPoly.monomial((), 1)
 
 
 def test_three_point_odd_pair():
-    # [V_1, V_3] = 2 V_4 in the z-realization
-    e, f = realize("three-point", 1), realize("three-point", 3)
-    got = vf_bracket(e, f)
-    v4 = realize("three-point", 4)
-    floor = min(got.exp, v4.exp)
-    assert got.as_laurent(floor) == v4.as_laurent(floor).scale(2)
+    # [V_1, V_3] = 2 V_4 on the fibre Y^2 = 4u^2(u + alpha2)
+    got, rest = vf_bracket_cubic(realize("three-point", 1), realize("three-point", 3))
+    assert rest.is_zero and got.b.is_zero
+    assert got.a == realize("three-point", 4).a.scale(2)
 
 
 def test_factored_laurent_derivative():
@@ -51,25 +46,6 @@ def test_factored_laurent_derivative():
     z2 = LaurentPoly.from_items(("alpha2",), [(2, 1), (0, -beta)])
     want = z2 * z2 + LaurentPoly.monomial(("alpha2",), 2, 4) * z2
     assert got == want
-
-
-def test_vf_bracket_jacobi_random_fields():
-    rng = random.Random(2)
-    beta = ParamPoly.var(("alpha2",), "alpha2")
-
-    def rand_field():
-        poly = LaurentPoly.from_items(
-            ("alpha2",),
-            [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)],
-        )
-        return FactoredLaurent(poly, beta, rng.randint(-2, 2))
-
-    from liefam.geometry import vf_bracket_factored as br
-
-    for _ in range(15):
-        e, f, g = rand_field(), rand_field(), rand_field()
-        total = br(br(e, f), g) + br(br(f, g), e) + br(br(g, e), f)
-        assert total.is_zero
 
 
 def realize_at(n, point):
@@ -83,7 +59,8 @@ def test_elliptic_pair_matches_rule_at_sample():
     e1, e2 = Fraction(1), Fraction(2)
     point = {"e1": e1, "e2": e2}
     fam = specialize(elliptic(), point)
-    got = vf_bracket(realize_at(1, point), realize_at(2, point))
+    got, rest = vf_bracket_cubic(realize_at(1, point), realize_at(2, point))
+    assert rest.is_zero
     v3 = realize_at(3, point)
     vm1 = realize_at(-1, point)
     q = (e1 - e2) * (2 * e1 + e2)
@@ -91,8 +68,9 @@ def test_elliptic_pair_matches_rule_at_sample():
     assert got.a.is_zero and (got.b - want_b).is_zero
 
 
-@pytest.mark.parametrize("family", [witt(), three_point(), nodal(), w1_subalgebra()])
-def test_symbolic_oracle_passes(family):
+@pytest.mark.parametrize("name", sorted(FIBRES))
+def test_symbolic_oracle_passes(name):
+    family = by_name(name)
     window = range(1, 9) if family.lower_bound == 1 else range(-5, 6)
     report = verify_against_geometry(family, window)
     assert report.passed, report.witness
@@ -103,14 +81,15 @@ def test_elliptic_oracle_at_fixed_samples():
     assert report.passed, report.witness
 
 
-def test_corrupted_rule_fails_with_witness():
-    fam = elliptic()
+@pytest.mark.parametrize("name, shift", [("elliptic", -4), ("three-point", -2)])
+def test_corrupted_rule_fails_with_witness(name, shift):
+    fam = by_name(name)
     rule = dict(fam.rule)
     rule["even-even"] = tuple(
-        RuleTerm(t.shift, t.a * 2, t.b * 2, t.d * 2) if t.shift == -4 else t
+        RuleTerm(t.shift, t.a * 2, t.b * 2, t.d * 2) if t.shift == shift else t
         for t in rule["even-even"]
     )
-    bad = FamilySpec(name="elliptic|bad", params=fam.params, rule=rule)
+    bad = FamilySpec(name=f"{name}|bad", params=fam.params, rule=rule)
     report = verify_against_geometry(bad, range(-4, 5))
     assert not report.passed
     assert report.witness["mismatches"]
@@ -171,7 +150,7 @@ def test_realize_rejects_unknown():
 U, Y = sympy.symbols("u Y")
 
 #: (e1, e2): three smooth fibres, a nodal one and the cusp.
-FIBRES = [
+POINTS = [
     (Fraction(1), Fraction(2)),
     (Fraction(1), Fraction(-3)),
     (Fraction(-1, 2), Fraction(3, 4)),
@@ -204,7 +183,7 @@ def _sympy_bracket(x, y, f):
 
 
 @pytest.mark.parametrize(
-    "e1, e2", FIBRES, ids=["smooth-1,2", "smooth-1,-3", "smooth--1/2,3/4", "nodal", "cusp"]
+    "e1, e2", POINTS, ids=["smooth-1,2", "smooth-1,-3", "smooth--1/2,3/4", "nodal", "cusp"]
 )
 def test_cubic_bracket_matches_sympy_reference(e1, e2):
     point = {"e1": e1, "e2": e2}
@@ -234,3 +213,88 @@ def test_cubic_bracket_matches_sympy_reference(e1, e2):
             assert sympy.cancel(free - _sympy_laurent(got.a, point)) == 0, (n, m)
             assert sympy.cancel(with_y - _sympy_laurent(got.b, point)) == 0, (n, m)
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+# ---------------------------------------------------------------------------
+# sympy reference for the genus-zero parametrizations
+# ---------------------------------------------------------------------------
+
+T, ALPHA2 = sympy.symbols("t alpha2")
+
+#: Genus-zero fibre -> ((e1, e2), u(t), Y(t)), written out independently.
+CLASSICAL_FIBRES = {
+    "witt": ((0, 0), T**2, 2 * T**3),
+    "three-point": ((ALPHA2 / 3, ALPHA2 / 3), T**2 - ALPHA2, 2 * T * (T**2 - ALPHA2)),
+    "nodal": ((-2 * ALPHA2 / 3, ALPHA2 / 3), T**2, 2 * T * (T**2 - ALPHA2)),
+}
+
+
+def classical_field(family, n):
+    """The coefficient of d/dz of the classical z-field of index n, z = t."""
+    k, odd = divmod(n, 2)
+    z, b = T, T**2 - ALPHA2
+    if family == "witt":
+        return z ** (n + 1)
+    if family == "three-point":
+        return b ** (k + 1) if odd else z * b**k
+    return z ** (2 * k) * b if odd else z ** (2 * k - 3) * b**2
+
+
+def _sympy_param(c: ParamPoly) -> sympy.Expr:
+    symbols = [sympy.Symbol(p) for p in c.params]
+    return sum(
+        (
+            sympy.Rational(str(coeff)) * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+            for exps, coeff in c.sorted_terms()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _sympy_field(fl: FactoredLaurent) -> sympy.Expr:
+    poly = sum((_sympy_param(c) * T**d for d, c in fl.poly.components.items()), sympy.Integer(0))
+    return poly * (T**2 - _sympy_param(fl.beta)) ** fl.exp
+
+
+@pytest.mark.parametrize("family", sorted(CLASSICAL_FIBRES))
+def test_parametrization_lies_on_the_fibre(family):
+    (e1, e2), u_t, y_t = CLASSICAL_FIBRES[family]
+    u = sympy.Symbol("u")
+    f = 4 * u * (u - (e2 - e1)) * (u - (-2 * e1 - e2))
+    assert sympy.expand(y_t**2 - f.subs(u, u_t)) == 0
+    p, q, beta = PARAMETRIZATIONS[family]
+    beta = sympy.Symbol(beta) if beta else 0
+    assert sympy.expand(T**p * (T**2 - beta) ** q - u_t) == 0
+    got = realize(family, 1).f
+    got_f = sum((_sympy_param(c) * u**d for d, c in got.components.items()), sympy.Integer(0))
+    assert sympy.expand(got_f - f) == 0
+
+
+@pytest.mark.parametrize("family", sorted(CLASSICAL_FIBRES))
+def test_uniformize_gives_the_classical_fields(family):
+    for n in range(-7, 8):
+        got = _sympy_field(uniformize(family, n))
+        assert sympy.cancel(got - classical_field(family, n)) == 0, n
+
+
+@pytest.mark.parametrize("family", sorted(CLASSICAL_FIBRES))
+def test_z_brackets_of_uniformized_fields_follow_the_rule(family):
+    """e f' - f e' re-expands in the uniformized basis exactly as the rule says."""
+    spec = by_name(family)
+    fields = {n: _sympy_field(uniformize(family, n)) for n in range(-12, 9)}
+    for n, m in itertools.combinations(range(-4, 5), 2):
+        e, f = fields[n], fields[m]
+        bracket = e * sympy.diff(f, T) - f * sympy.diff(e, T)
+        expected = sum(
+            (_sympy_param(c) * fields[i] for i, c in evaluate_pair_rule(spec, n, m)),
+            sympy.Integer(0),
+        )
+        assert sympy.cancel(bracket - expected) == 0, (n, m)
+
+
+def test_uniformize_needs_a_genus_zero_fibre():
+    for family in ("elliptic", "d-infinity"):
+        with pytest.raises(ParameterMismatch):
+            uniformize(family, 1)
+    with pytest.raises(UnsupportedFamily):
+        uniformize("virasoro", 1)
