@@ -322,6 +322,11 @@ def _form_sum(x, y, shift=0):
     return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3] + shift)
 
 
+def _constant(form) -> bool:
+    """Whether the form names one integer: a pinned slot, or a key of it alone."""
+    return not (form[0] or form[1] or form[2])
+
+
 def symbolic_pair_rule(family: FamilySpec, x, y, parity):
     """[v_x, v_y] term by term, for index forms x and y of one parity pattern.
 
@@ -329,18 +334,17 @@ def symbolic_pair_rule(family: FamilySpec, x, y, parity):
     `index_family`), and `parity` gives the parities of (n, m, k), 1 for
     odd.  The row and its orientation are chosen as `evaluate_pair_rule`
     chooses them, with two differences that make the result the integer
-    one only at generic keys: a form is never an exceptional index, and a
-    same-parity row is taken in the orientation (x, y), which agrees with
-    the integer rule on both sides of x = y exactly when the row is
-    antisymmetric (a = -b, d = 0).  Returns one (x + y + shift,
-    coefficient in Q[params, n, m, k]) pair per term of the row, zero
-    coefficients included, so that a caller sees every index the row can
-    reach.
+    one only at generic keys: a form is never an exceptional index unless
+    it is a constant, which is read as its integer, and a same-parity row
+    is taken in the orientation (x, y), which agrees with the integer rule
+    on both sides of x = y exactly when the row is antisymmetric (a = -b,
+    d = 0).  Returns one (x + y + shift, coefficient in Q[params, n, m,
+    k]) pair per term of the row, zero coefficients included, so that a
+    caller sees every index the row can reach.
     """
-    sign, terms, args = _pair_row(
-        family, x, y, _form_parity(x, parity), _form_parity(y, parity), True
-    )
-    first, second = (_form_poly(family.params, f) for f in args)
+    keys = (f[3] if _constant(f) else f for f in (x, y))  # a constant is its integer
+    sign, terms, _ = _pair_row(family, *keys, *(_form_parity(f, parity) for f in (x, y)), True)
+    first, second = (_form_poly(family.params, f) for f in ((x, y) if sign > 0 else (y, x)))
     out = []
     for t in terms:
         coeff = t.coefficient(first, second)
@@ -366,24 +370,29 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
 
 
 class _Boundary:
-    """Where a tuple of one parity pattern stops being generic.
+    """Where the tuples of one stratum stop being generic.
 
     Each entry (form, forbidden, lower) says that the symbolic evaluation
     is the integer one only where the form's value avoids the set
     `forbidden` and is at least `lower` (None: no bound).  A form is
     (cn, cm, ck, c) over the index variables n, m, k; a pair uses n and m
-    and leaves ck = 0.
+    and leaves ck = 0.  A constant form records no entry: if it violates
+    one, `failed` leaves the stratum unproved.
     """
 
     def __init__(self):
         self.entries = set()
+        self.failed = False
 
     def add(self, form, forbidden=(), lower=None):
-        self.entries.add((form, frozenset(forbidden), lower))
+        if not _constant(form):
+            self.entries.add((form, frozenset(forbidden), lower))
+        elif form[3] in forbidden or (lower is not None and form[3] < lower):
+            self.failed = True
 
     def key(self, family: FamilySpec, form):
-        """The form is a basis key of `family`: not exceptional, in the domain."""
-        self.add(form, family.exceptional, family.lower_bound)
+        """The form is a basis key of `family`; a constant takes its exceptional row."""
+        self.add(form, () if _constant(form) else family.exceptional, family.lower_bound)
 
     def pair(self, family: FamilySpec, x, y, parity, outer=False):
         """`symbolic_pair_rule` with its keys recorded and zero terms dropped;
@@ -399,34 +408,76 @@ class _Boundary:
                 out.append((key, coeff))
         return out
 
-    def within(self, indices, arity: int):
-        """The entries that some increasing `arity`-tuple of `indices` can violate."""
-        boxes = list(zip(indices[:arity], indices[-arity:]))  # range of each slot
-        kept = []
-        for form, forbidden, lower in self.entries:
-            lo = hi = form[3]
-            for c, (a, b) in zip(form, boxes):
-                lo += c * (a if c > 0 else b)
-                hi += c * (b if c > 0 else a)
-            if (lower is not None and lo < lower) or any(
-                lo <= v <= hi for v in forbidden
-            ):
-                kept.append((form, forbidden, lower))
-        return tuple(kept)
+
+def _reachable(entries, boxes) -> tuple:
+    """The entries that a tuple with slot i in the range boxes[i] can violate."""
+    kept = []
+    for form, forbidden, lower in entries:
+        lo = hi = form[3]
+        for c, (a, b) in zip(form, boxes):
+            lo += c * (a if c > 0 else b)
+            hi += c * (b if c > 0 else a)
+        if (lower is not None and lo < lower) or any(lo <= v <= hi for v in forbidden):
+            kept.append((form, forbidden, lower))
+    return tuple(kept)
 
 
-def _vanishes(terms) -> bool:
-    """Whether the (key, coefficient) terms sum to zero at every key."""
-    return not accumulate(terms)
+def _stratum(prove, kinds, proofs):
+    """The entries of the stratum whose slot i has kinds[i], or None if not proved.
+
+    A kind is (0, e) for a slot pinned to e, (1, parity) for a free one.
+    The proof runs once, memoized in `proofs`, at the kinds sorted: slot j
+    at INDEX_FORMS[j], or at (0, 0, 0, e) if pinned.  Its entries come back
+    to the slots of `kinds` with their coefficients permuted.
+    """
+    rep = tuple(sorted(kinds))
+    if rep not in proofs:
+        forms = [INDEX_FORMS[j] if free else (0, 0, 0, v) for j, (free, v) in enumerate(rep)]
+        boundary = _Boundary()
+        proved = prove(forms, tuple(v % 2 for _, v in rep), boundary)
+        proofs[rep] = boundary.entries if proved and not boundary.failed else None
+    if proofs[rep] is None:
+        return None
+    perm = sorted(range(len(kinds)), key=kinds.__getitem__)  # rep slot j is slot perm[j]
+    place = [perm.index(i) for i in range(len(kinds))] + list(range(len(kinds), 4))
+    return {(tuple(form[j] for j in place), f, low) for form, f, low in proofs[rep]}
 
 
-def _generic(tup, entries) -> bool:
-    n, m, k = tup if len(tup) == 3 else (*tup, 0, 0)[:3]
-    for (cn, cm, ck, c), forbidden, lower in entries:
-        v = cn * n + cm * m + ck * k + c
-        if v in forbidden or (lower is not None and v < lower):
-            return False
-    return True
+def _plan(prove, pattern, boxes, proofs):
+    """None if the parity pattern is not proved, else (entries, strata): each
+    value e of slot i that violates an entry of slot i alone is a stratum,
+    `strata[i, e]` its reachable entries or None if it is not proved."""
+    kinds = tuple((1, p) for p in pattern)
+    entries = _stratum(prove, kinds, proofs)
+    if entries is None:
+        return None
+    rest, strata = [], {}
+    for form, forbidden, lower in _reachable(entries, boxes):
+        slots = [i for i in range(len(kinds)) if form[i]]
+        if len(slots) == 1:
+            (i,) = slots
+            for v in forbidden:
+                e, r = divmod(v - form[3], form[i])
+                if not r and e % 2 == pattern[i] and boxes[i][0] <= e <= boxes[i][1]:
+                    pinned = _stratum(prove, kinds[:i] + ((0, e),) + kinds[i + 1 :], proofs)
+                    inner = [(a, min(b, e - 1)) for a, b in boxes[:i]] + [(e, e)]
+                    inner += [(max(a, e + 1), b) for a, b in boxes[i + 1 :]]
+                    strata[i, e] = None if pinned is None else _reachable(pinned, inner)
+            forbidden = frozenset()
+        rest.append((form, forbidden, lower))
+    return _reachable(rest, boxes), strata
+
+
+def _covered(tup, plan) -> bool:
+    point = [(i, i) for i in tup]
+    pinned = plan and [s for (i, e), s in plan[1].items() if tup[i] == e]
+    if pinned:
+        return any(s is not None and not _reachable(s, point) for s in pinned)
+    return plan is not None and not _reachable(plan[0], point)
+
+
+def _settled(plan) -> bool:
+    return plan is not None and not plan[0] and all(s == () for s in plan[1].values())
 
 
 def nonzero_tuples(indices, arity: int, prove, value):
@@ -434,25 +485,41 @@ def nonzero_tuples(indices, arity: int, prove, value):
 
     Tuples run over `itertools.combinations(indices, arity)`, and
     `checked` counts the tuples up to and including the one yielded.
-    With `prove` given, `prove(parity, boundary)` decides whether the
-    identity holds identically in the index variables (n, m for pairs,
-    n, m, k for triples) of a parity pattern, recording in the
-    `_Boundary` where its symbolic evaluation stops being the integer
-    one; it runs once per pattern, when the first tuple of that pattern
-    comes up.  A tuple of a proved pattern that violates no boundary
-    entry is counted but not evaluated.
+    With `prove` given, `prove(forms, parity, boundary)` decides whether
+    the identity holds identically at the index forms `forms` when n, m, k
+    have the parities `parity`, recording in the `_Boundary` where that
+    stops being the integer identity.  A covered tuple is not evaluated.
+
+    One proof per parity class.  The Jacobiator, d2 of an alternating
+    2-cochain, d1 of a 1-cochain and d1 F + c * beta - omega alternate in
+    their index arguments, and so does their symbolic evaluation, since
+    `index_family` requires antisymmetric same-parity rows and `_pair_row`
+    orients odd-even and exceptional rows by parity and value, not by
+    position.  So a parity pattern and its permutations vanish together,
+    with the boundary's form coefficients permuted: only the parities
+    sorted ascending are proved (`_stratum`), 3 of 4 for pairs, 4 of 8
+    for triples.  One proof per pinned index.  An entry that is one slot
+    plus a constant with forbidden values (an exceptional row, a pin of
+    an affine map) names finitely many values e of the slot; each e the
+    window reaches is the stratum "slot = e", the same walk with the slot
+    at the constant (0, 0, 0, e), proved once per parity class of the
+    free slots (`_plan`).  A tuple is skipped when it is generic for its
+    stratum's entries, or its pattern's outside any stratum; the rest, and
+    every tuple of an unproved pattern or stratum, is evaluated.  So is a
+    tuple with two pinned slots, where a bracket of two exceptional
+    indices need not be antisymmetric.  When nothing is left, no tuple is
+    walked.
     """
-    settled = {}  # parity pattern -> boundary entries, or None if not proved
+    plans = {}
+    if prove is not None:
+        boxes, proofs = list(zip(indices[:arity], indices[-arity:])), {}
+        for pattern in itertools.product((0, 1), repeat=arity):
+            plans[pattern] = _plan(prove, pattern, boxes, proofs)
+        if all(map(_settled, plans.values())):
+            return
     for checked, tup in enumerate(itertools.combinations(indices, arity), 1):
-        if prove is not None:
-            parity = tuple(i % 2 for i in tup)
-            if parity not in settled:
-                boundary = _Boundary()
-                proved = prove(parity, boundary)
-                settled[parity] = boundary.within(indices, arity) if proved else None
-            entries = settled[parity]
-            if entries is not None and _generic(tup, entries):
-                continue
+        if plans and _covered(tup, plans[tuple(i % 2 for i in tup)]):
+            continue
         v = value(*tup)
         if not v.is_zero:
             yield checked, tup, v
@@ -601,7 +668,9 @@ def _affine_forms(algebra: FamilySpec, rule):
     `rule` gives `weight`, rational (a, d) per parity as `even` and
     `odd`, chosen by the parity of the form, and `pins`.  Each argument
     of F is recorded with the pinned indices as forbidden values and the
-    bound that keeps its image in the basis domain of `algebra`.
+    bound that keeps its image in the basis domain of `algebra`, except a
+    constant, which takes its integer value, its pin included (a bracket
+    of its image records the image's domain).
     """
     w = rule.weight
     lower = None if algebra.lower_bound is None else algebra.lower_bound - w
@@ -609,9 +678,12 @@ def _affine_forms(algebra: FamilySpec, rule):
 
     def forms(parity, boundary):
         def image(form):
-            boundary.add(form, rule.pins, lower)
-            a, d = rule.odd if _form_parity(form, parity) else rule.even
-            f = _form_poly(ring, form) * a + d
+            if _constant(form):
+                f = ParamPoly.const(ring, rule.coefficient(form[3]))
+            else:
+                boundary.add(form, rule.pins, lower)
+                a, d = rule.odd if _form_parity(form, parity) else rule.even
+                f = _form_poly(ring, form) * a + d
             return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
 
         return image
@@ -650,9 +722,9 @@ def _identity(walk, sources, params):
     if any(forms is None for _, forms in sources):
         return value, None
 
-    def prove(parity, boundary) -> bool:
+    def prove(keys, parity, boundary) -> bool:
         terms = [forms(parity, boundary) for _, forms in sources]
-        return None not in terms and _vanishes(walk(*terms, *INDEX_FORMS[: len(parity)]))
+        return None not in terms and not accumulate(walk(*terms, *keys))
 
     return value, prove
 
@@ -735,19 +807,17 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
 
     The Jacobiator is the walk `_jacobi_terms` over the family's bracket,
     evaluated and proved by `_identity`.  Rule coefficients are affine in
-    the pair indices, so for each of the 8 parity patterns of (n, m, k)
-    it is one polynomial in index variables n, m, k over Q[params],
-    computed once per pattern at index forms; where it vanishes identically,
-    Jacobi holds at every generic triple of that pattern, and only the
-    other triples of the window are evaluated: those where an index, or
-    an index a bracket of two of them produces, is exceptional or below
-    the basis bound, and those on a hyperplane n + m + k = -shift where a
-    central delta can contribute.  A pattern whose polynomial is not zero
-    is enumerated triple by triple, as is every triple when a same-parity
-    row is not antisymmetric or the central rule is a table; the first
-    witness is the first failing triple in `itertools.combinations`
-    order either way.  The window is required to supply >= 8 values per
-    parity class.
+    the pair indices, so on each parity class of (n, m, k), and on each
+    stratum with one index pinned to an exceptional row, it is one
+    polynomial in the free index variables over Q[params]
+    (`nonzero_tuples`).  Only the triples no such proof covers are
+    evaluated: those on a hyperplane n + m + k = -shift where a central
+    delta can contribute, those whose brackets reach an exceptional index
+    or the basis bound, and every triple of a class or stratum whose
+    polynomial is not zero, or of a family with a non-antisymmetric
+    same-parity row or a central table.  The witness is the first failing
+    triple in `itertools.combinations` order either way.  The window is
+    required to supply >= 8 values per parity class.
     """
     indices = _require_window(family, window)
     value, prove = _identity(_jacobi_terms, _bracket_sources(family), family.params)

@@ -20,7 +20,6 @@ from .algebra import (
     CentralTable,
     CheckReport,
     FamilySpec,
-    domain_indices,
     domain_pairs,
     evaluate_pair_rule,
 )
@@ -82,12 +81,13 @@ def pairing_table(family: str, window, connection: LaurentPoly | None = None) ->
     """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
 
     The fields are `geometry.uniformize`'s; zero values are omitted.  A
-    window with no index in the domain raises WindowTooSmall, and a family
-    built from arguments (d-line) has no realization.
+    window with no pair in the domain raises WindowTooSmall (its empty
+    table would claim a vacuous support), and a family built from
+    arguments (d-line) has no realization.
     """
     if CATALOG.get(family, (None, ()))[1]:
         raise UnsupportedFamily(f"no realization for family {family!r}")
-    indices = domain_indices(by_name(family), window)
+    indices = domain_pairs(by_name(family), window)
     fields = {n: uniformize(family, n) for n in indices}
     table = {}
     for i, n in enumerate(indices):

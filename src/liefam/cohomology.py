@@ -382,17 +382,12 @@ def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
 
     `differential` gives d(c) with the proof of `algebra._identity`.  For
     an adjoint `PairRule` 2-cochain or affine map over the algebra's
-    ring, d(c) is computed once per parity pattern of the tuple as a
-    polynomial in index variables (n, m, k for d2, n, m for d1) over
-    Q[params] (see `algebra.verify_jacobi`); where it vanishes
-    identically only the tuples that are not generic for the algebra or
-    the cochain are evaluated: those where an index, or an index a
-    bracket or the cochain produces from them, is exceptional, pinned or
-    below a basis bound, and those where the algebra's central delta can
-    contribute.  Every other cochain, a pattern whose polynomial is not
-    zero, a same-parity row that is not antisymmetric and a central
-    table are enumerated tuple by tuple; the first witness is the first
-    failing tuple in `itertools.combinations` order either way.
+    ring, d(c) is proved once per parity class of the tuple and once per
+    stratum with one index pinned to an exceptional row or a pin of the
+    cochain or the algebra (`algebra.nonzero_tuples`), and only the
+    tuples no proof covers are evaluated.  Every other cochain is
+    evaluated tuple by tuple; the witness is the first failing tuple in
+    `itertools.combinations` order either way.
     """
     indices = _require_window(algebra, window)
     d = differential(algebra, c)
@@ -614,17 +609,12 @@ def coboundary_mismatches(
 
     Pairs n < m of `indices` run in `itertools.combinations` order; a pair
     that `covered` rejects counts as zero, and beta None drops its term.
-    A value is `_coboundary_identity`'s: `_coboundary_terms` over
-    memoized basis brackets and cochain values.  For an affine map F
-    against adjoint pair-rule cochains over the algebra's ring, the
-    difference is computed once per parity pattern of (n, m) as a
-    polynomial in index variables n, m (see `algebra.verify_jacobi`);
-    where it vanishes identically only the pairs that are not generic
-    are evaluated: those where an index, a bracket output or an argument
-    of F is exceptional, below a basis bound, pinned, or maps outside
-    the basis domain, and those where the algebra's central delta can
-    contribute.  Every other map and every pattern whose polynomial is
-    not zero are evaluated pair by pair.  `brackets` are passed on to
+    A value is `_coboundary_identity`'s.  For an affine map F against
+    adjoint pair-rule cochains over the algebra's ring, the difference is
+    proved once per parity class of (n, m) and once per stratum with n or
+    m pinned to a pin of F or an exceptional row (`algebra.nonzero_tuples`),
+    and only the pairs no proof covers are evaluated; any other map is
+    evaluated pair by pair.  `brackets` are passed on to
     `_coboundary_identity`.
     """
     value, prove = _coboundary_identity(algebra, phi, omega, beta, scalar, brackets)
@@ -659,14 +649,10 @@ def _verify_coboundary(
     `ansatz_map` is the ansatz cochain that F solves and `covered` its
     `_covers` predicate, shared with `_build_system`; `brackets`, the
     algebra's `_bracket_sources`, are those that `covered` reads.  The
-    check runs on `_recheck_indices`; a window solution that fails to
-    extend is exactly the AnsatzTooWeak situation.
-    `coboundary_mismatches` proves the identity for the affine map of a
-    closed shape once per parity pattern of (n, m) through
-    `algebra._identity`, and evaluates only the pairs at exceptional,
-    pinned or bounded indices; the per-index map table is evaluated pair
-    by pair on the pairs the ansatz covers.
-    Returns the first mismatch in `itertools.combinations` order, or None.
+    check runs on `_recheck_indices` through `coboundary_mismatches`; a
+    window solution that fails to extend is exactly the AnsatzTooWeak
+    situation.  Returns the first mismatch in `itertools.combinations`
+    order, or None.
     """
     indices = _recheck_indices(algebra, ansatz_map, window)
     mismatches = coboundary_mismatches(
@@ -739,12 +725,9 @@ def solve_coboundary(
     subsystem is a global non-coboundary certificate for the ansatz shape,
     since any global solution would restrict to a solution of the window
     system.  A solution is then re-checked on the window extended by four
-    indices on each side: for the affine map of a closed shape, d1 F -
-    omega is proved zero once per parity pattern of (n, m) in index
-    variables, and only the pairs at exceptional, pinned or bounded
-    indices are evaluated; a per-index map, with one unknown per window
-    index, is evaluated pair by pair on the pairs it covers
-    (`_verify_coboundary`).
+    indices on each side (`_verify_coboundary`): the affine map of a
+    closed shape by the proofs of `coboundary_mismatches`, a per-index map
+    pair by pair on the pairs it covers.
     """
     return _solve(algebra, omega, None, ansatz, window)
 

@@ -234,7 +234,9 @@ def uniformize(family: str, n: int) -> FactoredLaurent:
     The classical fields, z = t: witt, l1: l_n = z^(n+1) d/dz; three-point,
     w1: z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) d/dz for index 2k resp.
     2k+1; nodal: z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) d/dz.
-    elliptic and d-infinity have no such parametrization.
+    elliptic and d-infinity have no such parametrization.  The largest
+    power of t^2 - beta that divides the sum is moved into the exponent,
+    so the pairing multiplies the short factored forms above.
     """
     field = realize(family, n)
     if family not in PARAMETRIZATIONS:
@@ -249,7 +251,13 @@ def uniformize(family: str, n: int) -> FactoredLaurent:
         FactoredLaurent(LaurentPoly.monomial(params, p * d, c), beta, q * d + 1)
         for d, c in field.b.components.items()
     ]
-    return functools.reduce(FactoredLaurent.__add__, pieces)
+    field = functools.reduce(FactoredLaurent.__add__, pieces)
+    while not (beta.is_zero or field.poly.is_zero):
+        quotient, rest = divide_laurent(field.poly, field.base())
+        if not rest.is_zero:
+            break
+        field = FactoredLaurent(quotient, beta, field.exp + 1)
+    return field
 
 
 # ---------------------------------------------------------------------------

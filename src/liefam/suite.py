@@ -27,7 +27,7 @@ from .algebra import (
     specialize,
     verify_jacobi,
 )
-from .central import locality_bound, pairing_table
+from .central import locality_bound
 from .cohomology import (
     AffineMapRule,
     Ansatz,
@@ -266,7 +266,7 @@ def criterion_4() -> CriterionResult:
             and r.odd == (Fraction(0), Fraction(1, 2))
         )
     # the solver re-checks d1(Phi) = omega on the window widened by four
-    # indices a side, proved once per parity pattern of (n, m)
+    # indices a side, proved once per parity class of (n, m)
     return CriterionResult(
         4,
         "Order-1 and order-2 cocycles with exact coboundary witnesses",
@@ -291,7 +291,7 @@ def _residuals(phi: Cochain, omega, beta, scalar, window) -> dict:
     d1 is taken over the Witt algebra W: on pairs of indices >= 1 its
     bracket is the action of L1 on W, so F may take values in W.  The
     pairs come from `coboundary_mismatches`, which proves the identity
-    per parity pattern and evaluates only the pinned and bounded pairs.
+    per parity class and per pin, and evaluates only where a proof fails.
     """
     mismatches = coboundary_mismatches(witt(), phi, omega, beta, scalar, list(window))
     return {pair: -difference for pair, difference in mismatches}
@@ -392,8 +392,8 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Residue pairing on the Witt realization: support, values, locality."""
-    window = range(-10, 11)
-    table = pairing_table("witt", window)
+    loc = locality_bound("witt", range(-10, 11))
+    table = loc.support
     ok_support = all(n + m == 0 for (n, m) in table)
     ok_values = True
     for (n, m), value in table.items():
@@ -407,7 +407,6 @@ def criterion_6() -> CriterionResult:
     ok_prop = all(
         value == Fraction(-12) * vir.value(n, m) for (n, m), value in table.items()
     )
-    loc = locality_bound("witt", window)
     return CriterionResult(
         6,
         "Residue pairing reproduces -12 x the central rule with locality 0",

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefam import algebra as algebra_module
+from liefam import cohomology as cohomology_module
 from liefam.algebra import (
     CENTRAL,
+    INDEX_FORMS,
     PARITY_CLASSES,
     CentralDelta,
     CentralTable,
@@ -20,6 +23,10 @@ from liefam.algebra import (
     _Boundary,
     LieElement,
     RuleTerm,
+    _bracket_sources,
+    _identity,
+    _jacobi_terms,
+    _stratum,
     abelianization_codim,
     basis_bracket,
     bracket,
@@ -50,6 +57,8 @@ from liefam.errors import (
     WindowTooSmall,
 )
 from liefam.families import (
+    CATALOG,
+    by_name,
     d_infinity,
     d_line,
     elliptic,
@@ -63,6 +72,8 @@ from liefam.families import (
 )
 from liefam.poly import ParamPoly
 from liefam.suite import NAMED_COCYCLES, corrupted_elliptic, named_cocycle, sign_flipped
+from liefam.suite import _residuals as suite_residuals
+from liefam.suite import _stated_map as stated_map
 
 
 def test_witt_brackets():
@@ -695,15 +706,113 @@ def test_coboundary_witnesses_are_proved_per_parity_pattern():
         return _coboundary_identity(algebra or named, phi, omega, beta, scalar)[1]
 
     for witness in WITNESSES:
-        assert all(prove(*witness)(p, _Boundary()) for p in patterns)
+        assert all(prove(*witness)(INDEX_FORMS[:2], p, _Boundary()) for p in patterns)
     # on virasoro the central delta only adds boundary pairs
     ds_order1 = prove(*WITNESSES[0], algebra=virasoro())
-    assert all(ds_order1(p, _Boundary()) for p in patterns)
+    assert all(ds_order1(INDEX_FORMS[:2], p, _Boundary()) for p in patterns)
     # a table-valued beta has no symbolic form
     _, omega = named_cocycle("ds-order1")
     phi = Cochain(1, "adjoint", -2, (), AffineMapRule(-2, (0, -3), (0, Fraction(-3, 2))))
     table = Cochain(2, "adjoint", -2, (), PairTableRule({}))
     assert _coboundary_identity(witt(), phi, omega, table, Fraction(1))[1] is None
+
+
+def _proves():
+    """(name, arity, prove) of Jacobi for every catalog family and of d of every named
+    cocycle, plus d1 F - omega (+ c * beta) of every coboundary witness."""
+    out = []
+    for name in CATALOG:
+        fam = by_name(name, s=3)
+        out.append((name, 3, _identity(_jacobi_terms, _bracket_sources(fam), fam.params)[1]))
+    for name in NAMED_COCYCLES:
+        out.append((name, 3, differential(*named_cocycle(name)).rule.prove))
+    for omega_name, beta_name, scalar, weight, even, odd, pins in WITNESSES:
+        algebra, omega = named_cocycle(omega_name)
+        beta = None if beta_name is None else named_cocycle(beta_name)[1]
+        phi = Cochain(1, "adjoint", weight, (), AffineMapRule(weight, even, odd, pins))
+        prove = _coboundary_identity(algebra, phi, omega, beta, scalar)[1]
+        out.append((f"d1 F = {omega_name}", 2, prove))
+    return out
+
+
+def test_class_representatives_give_the_direct_entries():
+    """The entries derived from a class representative, by permuting form coefficients,
+    are those of a direct proof of each pattern, with no pin or one pinned slot."""
+    for name, arity, prove in _proves():
+        for pattern in itertools.product((0, 1), repeat=arity):
+            for pin, e in [(None, None)] + [(i, e) for i in range(arity) for e in (1, 2)]:
+                if pin is not None and pattern[pin] != e % 2:
+                    continue
+                kinds = tuple((0, e) if i == pin else (1, p) for i, p in enumerate(pattern))
+                forms = [(0, 0, 0, e) if i == pin else INDEX_FORMS[i] for i in range(arity)]
+                boundary = _Boundary()
+                proved = prove(forms, pattern, boundary) and not boundary.failed
+                direct = boundary.entries if proved else None
+                assert _stratum(prove, kinds, {}) == direct, (name, kinds)
+
+
+def evaluated(monkeypatch):
+    """The tuples that `nonzero_tuples` evaluates from now on, in order."""
+    seen, walk = [], algebra_module.nonzero_tuples
+
+    def counting(indices, arity, prove, value):
+        return walk(indices, arity, prove, lambda *tup: seen.append(tup) or value(*tup))
+
+    for module in (algebra_module, cohomology_module):
+        monkeypatch.setattr(module, "nonzero_tuples", counting)
+    return seen
+
+
+def test_pinned_strata_leave_no_tuple_to_evaluate(monkeypatch):
+    """formal-2/3 and beta2/3 differ from a proved family only at one exceptional row;
+    its stratum is proved once per class, so no triple is evaluated."""
+    seen = evaluated(monkeypatch)
+    for i in (2, 3):
+        report = verify_jacobi(formal_family(i), range(1, 22))
+        assert report.passed and report.checked == 1330
+    for name in ("beta2", "beta3"):
+        report = is_cocycle(*named_cocycle(name), range(1, 22))
+        assert report.passed and report.checked == 1330
+    assert seen == []
+
+
+def test_a_broken_stratum_gives_the_enumerated_witness(monkeypatch):
+    """An exceptional-row edit that breaks Jacobi only on its stratum, index 2 of
+    formal-3: the stratum's proof fails, its triples are evaluated, and the witness is
+    the enumerated one.  Likewise for a tuple pinned at two exceptional rows."""
+    fam = formal_family(3)
+    t = ParamPoly.var(fam.params, "t")
+    row = fam.exceptional[2] + (RuleTerm(0, t * 0, t * 0, t),)
+    edited = replace(fam, exceptional={2: row}, name="formal-3|d")
+    seen = evaluated(monkeypatch)
+    report = verify_jacobi(edited, range(1, 22))
+    assert report.to_json() == enumerated_jacobi(edited, range(1, 22))
+    assert report.witness["triple"] == [1, 2, 3] and seen == [(1, 2, 3)]
+    # two exceptional rows: [v_1, v_4] takes the row of 1 and [v_4, v_1] that of 4,
+    # so the triples pinned at both are evaluated, and (1, 2, 4) fails
+    one, zero = ParamPoly.const((), 1), ParamPoly.const((), 0)
+    witt_row = (RuleTerm(0, -one, one, zero),)
+    rows = {4: witt_row, 1: witt_row + (RuleTerm(-1, zero, one * -2, zero),)}
+    twice = replace(l1_subalgebra(), exceptional=rows, name="l1|exc")
+    report = verify_jacobi(twice, range(1, 17))
+    assert report.to_json() == enumerated_jacobi(twice, range(1, 17))
+    assert report.witness["triple"] == [1, 2, 4]
+
+
+def test_stated_map_fails_on_its_pinned_strata_only(monkeypatch):
+    """Criterion 5's stated map: its pins at 1 and 2 are strata whose proofs fail, so
+    exactly the 45 pairs touching 1 or 2 are evaluated, and all 45 fail."""
+    _, omega = named_cocycle("w1-order1")
+    _, beta3 = named_cocycle("beta3")
+    window = range(1, 25)
+    seen = evaluated(monkeypatch)
+    residuals = suite_residuals(stated_map({1: 0, 2: 0}), omega, beta3, Fraction(1, 3), window)
+    touching = {(n, m) for n, m in itertools.combinations(window, 2) if n in (1, 2)}
+    assert set(residuals) == set(seen) == touching and len(touching) == 45
+    seen.clear()
+    assert not suite_residuals(stated_map({2: Fraction(-4, 3)}), omega, beta3,
+                               Fraction(1, 3), window)
+    assert seen == []
 
 
 #: SHA-256 of the sorted report JSON, recorded when every triple was

@@ -87,6 +87,38 @@ def test_locality_bounds():
     assert constant.lower == -2  # the connection term adds support at n+m = -2
 
 
+def test_criterion_6_builds_one_pairing_table(monkeypatch):
+    """Criterion 6 reads its table off `locality_bound`; its details are unchanged."""
+    from liefam import central
+    from liefam.suite import criterion_6
+
+    calls, build = [], central.pairing_table
+    monkeypatch.setattr(
+        central, "pairing_table", lambda *args: calls.append(args[0]) or build(*args)
+    )
+    result = criterion_6()
+    assert calls == ["witt"]
+    assert result.passed and result.details == {
+        "support_pairs": 9,
+        "support_on_zero_sum": True,
+        "values_n3_minus_n": True,
+        "proportionality_-12": True,
+        "locality_M": 0,
+    }
+
+
+def test_nodal_fields_are_factored():
+    """uniformize moves every factor z^2 - alpha2 into the exponent: index 2k is
+    z^(2k-3) (z^2 - alpha2)^2 and index 2k+1 is z^(2k) (z^2 - alpha2).  The nodal
+    `central cocycle` outputs stay pinned in tests/test_cli.py."""
+    alpha2 = ParamPoly.var(("alpha2",), "alpha2")
+    for k in range(-4, 5):
+        for n, degree, exp in ((2 * k, 2 * k - 3, 2), (2 * k + 1, 2 * k, 1)):
+            field = uniformize("nodal", n)
+            assert field.poly == LaurentPoly.monomial(("alpha2",), degree)
+            assert (field.beta, field.exp) == (alpha2, exp)
+
+
 def test_three_point_pairing_exceeds_degree_zero():
     """The symmetric-points basis spreads the pairing above n+m = 0.
 

@@ -430,6 +430,14 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
         ),
         (["central", "cocycle", "--family", "d-line"], "no realization for family 'd-line'"),
         (
+            ["central", "locality", "--family", "witt", "--window", "3..3"],
+            "no pair of indices of the window lies in the domain of witt",
+        ),
+        (
+            ["central", "cocycle", "--family", "nodal", "--window", "-2..-2"],
+            "no pair of indices of the window lies in the domain of nodal",
+        ),
+        (
             ["cohomology", "compare", "--cocycle", "ds-order1", "--against", "beta3",
              "--ansatz", "affine", "--weight", "-2"],
             "ds-order1 is a cocycle of witt but beta3 is one of l1; compare needs "
