@@ -245,16 +245,19 @@ def family_from_json(data: dict) -> FamilySpec:
 def _pair_row(family: FamilySpec, n, m, odd_n: bool, odd_m: bool, n_first: bool):
     """(sign, terms, args): the rule row that states [v_n, v_m], and how.
 
-    The row of an exceptional first index wins, then that of an
-    exceptional second index; otherwise the parity class decides.  A row
-    is stated for one orientation of the pair, `args`: odd index first in
-    the odd-even class, the smaller index first (`n_first`) within a
-    parity class, and `sign` is -1 when that orientation swaps n and m.
+    The row of an exceptional index wins, the smaller one's when both
+    are; otherwise the parity class decides.  A row is stated for one
+    orientation of the pair, `args`: its exceptional index first, odd
+    index first in the odd-even class, the smaller index first
+    (`n_first`) within a parity class, and `sign` is -1 when that
+    orientation swaps n and m.  So [v_m, v_n] = -[v_n, v_m] for every
+    rule.
     """
-    if n in family.exceptional:
-        return 1, family.exceptional[n], (n, m)
-    if m in family.exceptional:
-        return -1, family.exceptional[m], (m, n)
+    exceptional = family.exceptional
+    if n in exceptional and (m not in exceptional or n < m):
+        return 1, exceptional[n], (n, m)
+    if m in exceptional:
+        return -1, exceptional[m], (m, n)
     if odd_n != odd_m:
         terms = family.rule.get("odd-even", ())
         return (1, terms, (n, m)) if odd_n else (-1, terms, (m, n))
@@ -409,6 +412,14 @@ class _Boundary:
         return out
 
 
+def _hits(values, lo, hi) -> list:
+    """The members of the set `values` in [lo, hi], ascending, walking the
+    shorter of the two: a weight of -10**6 pins a million indices to zero."""
+    if hi - lo < len(values):
+        return [v for v in range(lo, hi + 1) if v in values]
+    return sorted(v for v in values if lo <= v <= hi)
+
+
 def _reachable(entries, boxes) -> tuple:
     """The entries that a tuple with slot i in the range boxes[i] can violate."""
     kept = []
@@ -417,7 +428,7 @@ def _reachable(entries, boxes) -> tuple:
         for c, (a, b) in zip(form, boxes):
             lo += c * (a if c > 0 else b)
             hi += c * (b if c > 0 else a)
-        if (lower is not None and lo < lower) or any(lo <= v <= hi for v in forbidden):
+        if (lower is not None and lo < lower) or (forbidden and _hits(forbidden, lo, hi)):
             kept.append((form, forbidden, lower))
     return tuple(kept)
 
@@ -456,9 +467,10 @@ def _plan(prove, pattern, boxes, proofs):
         slots = [i for i in range(len(kinds)) if form[i]]
         if len(slots) == 1:
             (i,) = slots
-            for v in forbidden:
+            ends = (form[i] * boxes[i][0] + form[3], form[i] * boxes[i][1] + form[3])
+            for v in _hits(forbidden, min(ends), max(ends)):
                 e, r = divmod(v - form[3], form[i])
-                if not r and e % 2 == pattern[i] and boxes[i][0] <= e <= boxes[i][1]:
+                if not r and e % 2 == pattern[i]:
                     pinned = _stratum(prove, kinds[:i] + ((0, e),) + kinds[i + 1 :], proofs)
                     inner = [(a, min(b, e - 1)) for a, b in boxes[:i]] + [(e, e)]
                     inner += [(max(a, e + 1), b) for a, b in boxes[i + 1 :]]
@@ -506,9 +518,12 @@ def nonzero_tuples(indices, arity: int, prove, value):
     free slots (`_plan`).  A tuple is skipped when it is generic for its
     stratum's entries, or its pattern's outside any stratum; the rest, and
     every tuple of an unproved pattern or stratum, is evaluated.  So is a
-    tuple with two pinned slots, where a bracket of two exceptional
-    indices need not be antisymmetric.  When nothing is left, no tuple is
-    walked.
+    tuple with two pinned slots, since a stratum pins one.  When nothing
+    is left, no tuple is walked.
+
+    The coboundary solver's `prove` adds the equations of each residual
+    to its system and accepts the stratum, so it evaluates only the
+    tuples whose equations no stratum gives.
     """
     plans = {}
     if prove is not None:
@@ -662,11 +677,18 @@ def _bracket_sources(family: FamilySpec):
     return source(False), source(True)
 
 
+def _lift(ring, x) -> ParamPoly:
+    """A rational, or an element of a ring that `ring` extends, over `ring`."""
+    return x.map_params(ring) if isinstance(x, ParamPoly) else ParamPoly.const(ring, x)
+
+
 def _affine_forms(algebra: FamilySpec, rule):
     """The index forms of an affine map F(v_x) = (a*x + d) v_{x + weight}.
 
-    `rule` gives `weight`, rational (a, d) per parity as `even` and
-    `odd`, chosen by the parity of the form, and `pins`.  Each argument
+    `rule` gives `weight`, (a, d) per parity as `even` and `odd`, chosen
+    by the parity of the form, and `pins`.  a and d are rationals, or
+    elements of Q[algebra.params]: a coboundary ansatz is an affine map
+    over Q[unknowns] on the algebra lifted to that ring.  Each argument
     of F is recorded with the pinned indices as forbidden values and the
     bound that keeps its image in the basis domain of `algebra`, except a
     constant, which takes its integer value, its pin included (a bracket
@@ -675,14 +697,17 @@ def _affine_forms(algebra: FamilySpec, rule):
     w = rule.weight
     lower = None if algebra.lower_bound is None else algebra.lower_bound - w
     ring = algebra.params + INDEX_VARS
+    lift = partial(_lift, ring)
+    even, odd = (tuple(map(lift, pair)) for pair in (rule.even, rule.odd))
+    pins = frozenset(rule.pins)  # one set for every walk, however many pins
 
     def forms(parity, boundary):
         def image(form):
             if _constant(form):
-                f = ParamPoly.const(ring, rule.coefficient(form[3]))
+                f = lift(rule.coefficient(form[3]))
             else:
-                boundary.add(form, rule.pins, lower)
-                a, d = rule.odd if _form_parity(form, parity) else rule.even
+                boundary.add(form, pins, lower)
+                a, d = odd if _form_parity(form, parity) else even
                 f = _form_poly(ring, form) * a + d
             return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
 
@@ -692,16 +717,25 @@ def _affine_forms(algebra: FamilySpec, rule):
 
 
 def _scaled_source(source, scale):
-    """The source times `scale`, on the left: it may be a form over ansatz unknowns."""
+    """The source times `scale`, on the left: a rational, or an element of
+    Q[params] such as the unknown c of c * beta, lifted to Q[params, n, m, k]
+    for the forms."""
 
-    def times(terms):
+    def times(terms, scale):
         return terms and (lambda *keys: [(k, scale * c) for k, c in terms(*keys)])
 
     at, forms = source
-    return times(at), forms and (lambda parity, boundary: times(forms(parity, boundary)))
+    lifted = _lift(scale.params + INDEX_VARS, scale) if isinstance(scale, ParamPoly) else scale
+    return times(at, scale), forms and (
+        lambda parity, boundary: times(forms(parity, boundary), lifted)
+    )
 
 
-def _identity(walk, sources, params):
+def _vanishes(residual, keys, parity, boundary) -> bool:
+    return not residual
+
+
+def _identity(walk, sources, params, settle=_vanishes):
     """(value, prove) for the identity that the terms `walk` yields sum to zero.
 
     A source is one input of the walk, the bracket of a family or the
@@ -713,6 +747,13 @@ def _identity(walk, sources, params):
     one terms callable per source.  `value(*tuple)` sums the integer walk
     into a LieElement over Q[params]; `prove`, the `prove` of
     `nonzero_tuples`, walks the index forms (None if some source has none).
+
+    `prove` sums the walk into its residual, a dict from output index
+    form to coefficient over Q[params, n, m, k], and returns
+    settle(residual, keys, parity, boundary): by default whether the
+    residual is zero.  The coboundary solver's `settle` reads equations
+    off the residual instead (`class_coefficients`).  A source whose lift
+    fails leaves the pattern unproved, and `settle` is not called.
     """
     ats = [at for at, _ in sources]
 
@@ -724,9 +765,39 @@ def _identity(walk, sources, params):
 
     def prove(keys, parity, boundary) -> bool:
         terms = [forms(parity, boundary) for _, forms in sources]
-        return None not in terms and not accumulate(walk(*terms, *keys))
+        return None not in terms and settle(
+            accumulate(walk(*terms, *keys)), keys, parity, boundary
+        )
 
     return value, prove
+
+
+def class_coefficients(residual, keys, parity):
+    """(tag, coefficient over Q[params]) per output form and monomial in n, m, k.
+
+    `residual`, `keys` and `parity` are those `_identity` hands to
+    `settle`; the identity holds at every generic tuple of the stratum
+    exactly when every coefficient vanishes.  The tag names the parity
+    class, the forms (a pinned slot as its integer), the output form and
+    the monomial.
+    """
+    text = partial(_form_poly, INDEX_VARS)
+    stratum = {
+        "class": "-".join("odd" if p else "even" for p in parity),
+        "forms": [str(text(f)) for f in keys],
+    }
+    for form, coeff in residual.items():
+        base = len(coeff.params) - len(INDEX_VARS)
+        by_monomial = {}
+        for e, c in coeff.terms.items():
+            by_monomial.setdefault(e[base:], {})[e[:base]] = c
+        for monomial in sorted(by_monomial):
+            tag = {
+                **stratum,
+                "index": str(text(form)),
+                "monomial": str(ParamPoly(INDEX_VARS, {monomial: 1})),
+            }
+            yield tag, ParamPoly(coeff.params[:base], by_monomial[monomial])
 
 
 @dataclass

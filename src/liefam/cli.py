@@ -559,8 +559,9 @@ def _solve_flags(parser):
         "--window",
         default="-12..12",
         type=checked(parse_window, "window"),
-        help="the pairs that give equations; a per-index ansatz has one unknown "
-        "per index of the window",
+        help="sets the pinned strata a closed shape proves, the pairs left to "
+        "evaluate and where the solution is re-checked; a per-index ansatz has "
+        "one unknown per index of the window",
     )
     parser.add_argument(
         "--pin", type=checked(parse_pins, "pins"), help='pinned values "1=0,2=0"'

@@ -12,7 +12,8 @@ d1 F + c * beta = omega.  `algebra._identity` evaluates and proves each
 walk over the algebra's bracket and the cochains (`_source`), for
 `differential`, `is_cocycle` and `coboundary_mismatches`.  The coboundary
 ansatz is an adjoint 1-cochain over Q[unknowns], so `_build_system` reads
-its equations off `coboundary_mismatches` over that ring, and the solved
+its equations off `coboundary_mismatches` over that ring, a closed shape's
+off the residual of each parity class and pinned stratum, and the solved
 map is the same cochain at the solution.
 """
 
@@ -34,8 +35,10 @@ from .algebra import (
     _identity,
     _require_window,
     _scaled_source,
+    _vanishes,
     bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
     certify,
+    class_coefficients,
     domain_indices,
     evaluate_pair_rule,
     map_coefficients,
@@ -266,16 +269,15 @@ def _source(algebra: FamilySpec, c: Cochain):
 
     Its values are computed once per index tuple.  A pair-rule cochain
     over the algebra's ring has the index forms of its family's bracket,
-    an affine map with rational coefficients those of
-    `algebra._affine_forms`; any other cochain has none.
+    an affine map those of `algebra._affine_forms`, whether its
+    coefficients are rationals or the unknowns of an ansatz; any other
+    cochain has none.
     """
     forms, rule = None, c.rule
     if c.mode == "adjoint" and c.params == algebra.params:
         if isinstance(rule, PairRule) and rule.spec.params == c.params:
             forms = _bracket_sources(rule.spec)[0][1]
-        elif isinstance(rule, AffineMapRule) and not any(
-            isinstance(x, ParamPoly) for x in rule.even + rule.odd
-        ):
+        elif isinstance(rule, AffineMapRule):
             forms = _affine_forms(algebra, rule)
     return cache(lambda *idx: c.value(*idx).components.items()), forms
 
@@ -503,9 +505,11 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     var = partial(ParamPoly.var, ring)
     if ansatz.shape == "per-index":
         coeffs = {**{i: var(("idx", i)) for _, i in unknowns}, **pins}
-        rule = MapTableRule(
-            {i: LieElement.basis(i + w, ring, c) for i, c in coeffs.items()}
-        )
+        zero = LieElement.zero(ring)  # shared by the zero pins, however many
+        rule = MapTableRule({
+            i: zero if c == 0 else LieElement.basis(i + w, ring, c)
+            for i, c in coeffs.items()
+        })
     else:
         zero = ParamPoly.const(ring, 0)
         even, odd = (
@@ -531,42 +535,68 @@ def _covers(brackets, ansatz: Cochain):
 
 
 def _over(c: Cochain | None, ring) -> Cochain | None:
-    """c with its values re-embedded in Q[ring], with no symbolic form."""
+    """c over Q[ring]: a pair rule by `pullback`, which keeps its index forms,
+    any other cochain re-embedded value by value, with no symbolic form."""
     if c is None:
         return None
-    value = DerivedRule(lambda *idx: c.value(*idx).map_params(ring))
-    return Cochain(c.arity, c.mode, c.weight, ring, value)
+    if isinstance(c.rule, PairRule):
+        spec = c.rule.spec
+        rule = PairRule(pullback(spec, ring, None, spec.name))
+    else:
+        rule = DerivedRule(lambda *idx: c.value(*idx).map_params(ring))
+    return Cochain(c.arity, c.mode, c.weight, ring, rule)
 
 
-def _build_system(algebra, omega, beta, ansatz_map, indices, covered):
+def _add_equation(system: LinearSystem, linear: ParamPoly, tag) -> None:
+    """Add linear = 0 to the system, `linear` a linear form over Q[unknowns]."""
+    coeffs, rhs = {}, 0
+    for e, c in linear.terms.items():
+        if any(e):
+            coeffs[linear.params[e.index(1)]] = c
+        else:
+            rhs = -c
+    system.add(coeffs, rhs, tag=tag)
+
+
+def _build_system(algebra, omega, beta, ansatz_map, indices, covered) -> LinearSystem:
     """Assemble the exact linear system for d1 F (+ c * beta) = omega.
 
     F is `ansatz_map`, the `_ansatz_cochain` over Q[unknowns], and c the
-    unknown ('scale',).  `coboundary_mismatches` walks d1 F + c * beta -
-    omega over the algebra lifted to that ring, on the pairs of `indices`
-    that `covered` accepts; each output index of a nonzero difference
-    gives one equation L = 0, L linear in the unknowns, in
-    `LieElement.support` order (central last).  omega and beta are
-    re-embedded by `_over` with no symbolic form, so no proof skips a pair.
-    Returns the system and the number of pairs covered.
+    unknown ('scale',); the algebra, omega and beta (`_over`) are lifted
+    to that ring.  `coboundary_mismatches` walks d1 F + c * beta - omega
+    once per parity class of (n, m) and per stratum with n or m pinned
+    that the window reaches, over Q[unknowns, n, m, k]; once a stratum is
+    accepted (every source has index forms and no constant of the walk is
+    forbidden), each output form and monomial of its residual gives one
+    equation (`class_coefficients`).  A global solution satisfies them,
+    as it satisfies the class identity at infinitely many generic pairs.
+    Each pair no proof covers that `covered` accepts is evaluated, and
+    each output index of a nonzero difference gives one equation, in
+    `LieElement.support` order (central last): pairs pinned at both
+    indices, pairs on a hyperplane that a central delta reaches, all
+    pairs of an unaccepted stratum, and every pair when the ansatz is
+    per-index or omega or beta has no index forms.
     """
     ring = ansatz_map.params
     scale = None if beta is None else ParamPoly.var(ring, ("scale",))
     lifted = pullback(algebra, ring, None, algebra.name)
-    omega, beta = _over(omega, ring), _over(beta, ring)
+    system = LinearSystem()
+
+    def settle(residual, keys, parity, boundary) -> bool:
+        if boundary.failed:
+            return False
+        for tag, linear in class_coefficients(residual, keys, parity):
+            _add_equation(system, linear, tag)
+        return True
+
     mismatches = coboundary_mismatches(
-        lifted, ansatz_map, omega, beta, scale, indices, covered
+        lifted, ansatz_map, _over(omega, ring), _over(beta, ring), scale, indices,
+        covered, settle=settle,
     )
-    system, constant = LinearSystem(), (0,) * len(ring)
     for (n, m), difference in mismatches:
         for idx in difference.support():
-            terms = difference.components[idx].terms
-            coeffs = {ring[e.index(1)]: c for e, c in terms.items() if e != constant}
-            tag = {"pair": [n, m], "index": idx}
-            system.add(coeffs, -terms.get(constant, 0), tag=tag)
-    pairs = itertools.combinations(indices, 2)
-    pairs_used = sum(1 for pair in pairs if covered is None or covered(*pair))
-    return system, pairs_used
+            _add_equation(system, difference.components[idx], {"pair": [n, m], "index": idx})
+    return system
 
 
 def _at_solution(ansatz_map: Cochain, values: dict) -> Cochain:
@@ -588,22 +618,26 @@ def _at_solution(ansatz_map: Cochain, values: dict) -> Cochain:
 _NO_BETA = (lambda n, m: (), lambda parity, boundary: lambda x, y: ())
 
 
-def _coboundary_identity(algebra, phi, omega, beta, scalar, brackets=None):
+def _coboundary_identity(
+    algebra, phi, omega, beta, scalar, brackets=None, settle=_vanishes
+):
     """(value, prove) of `algebra._identity` for d1 F + scalar * beta = omega.
 
     The walk is `_coboundary_terms` over the algebra's bracket, F = phi,
     omega scaled by -1 and beta by `scalar` (`_NO_BETA` for beta None).
-    `brackets` are the algebra's `_bracket_sources`, built here if None.
+    `brackets` are the algebra's `_bracket_sources`, built here if None;
+    `settle` is that of `_identity`.
     """
     minus_omega = _scaled_source(_source(algebra, omega), -1)
     c_beta = _NO_BETA if beta is None else _scaled_source(_source(algebra, beta), scalar)
     brackets = brackets or _bracket_sources(algebra)
     sources = (*brackets, _source(algebra, phi), minus_omega, c_beta)
-    return _identity(_coboundary_terms, sources, algebra.params)
+    return _identity(_coboundary_terms, sources, algebra.params, settle)
 
 
 def coboundary_mismatches(
-    algebra, phi, omega, beta, scalar, indices, covered=None, brackets=None
+    algebra, phi, omega, beta, scalar, indices, covered=None, brackets=None,
+    settle=_vanishes,
 ):
     """Yield ((n, m), d1 F - omega + scalar * beta) where it is not zero.
 
@@ -614,10 +648,12 @@ def coboundary_mismatches(
     proved once per parity class of (n, m) and once per stratum with n or
     m pinned to a pin of F or an exceptional row (`algebra.nonzero_tuples`),
     and only the pairs no proof covers are evaluated; any other map is
-    evaluated pair by pair.  `brackets` are passed on to
+    evaluated pair by pair.  `brackets` and `settle` are passed on to
     `_coboundary_identity`.
     """
-    value, prove = _coboundary_identity(algebra, phi, omega, beta, scalar, brackets)
+    value, prove = _coboundary_identity(
+        algebra, phi, omega, beta, scalar, brackets, settle
+    )
     zero = LieElement.zero(algebra.params)
 
     def difference(n, m):
@@ -670,14 +706,14 @@ def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
     ansatz_map = _ansatz_cochain(algebra, ansatz, indices, beta is not None)
     brackets = _bracket_sources(algebra)
     covered = _covers(brackets, ansatz_map)
-    system, pairs_used = _build_system(
-        algebra, omega, beta, ansatz_map, indices, covered
-    )
+    pairs = itertools.combinations(indices, 2)
+    pairs_used = sum(1 for pair in pairs if covered is None or covered(*pair))
     if pairs_used == 0:
         raise WindowTooSmall(
             "the window gives no equation: no pair of its indices has F modeled "
             "at both and at every index of their bracket"
         )
+    system = _build_system(algebra, omega, beta, ansatz_map, indices, covered)
     if not system.consistent:
         tag, residual = system.inconsistency
         return SolveResult(
@@ -720,14 +756,19 @@ def solve_coboundary(
 ) -> SolveResult:
     """Solve d1 F = omega within the ansatz shape, or certify infeasibility.
 
-    The window pairs the ansatz covers give the equations (`_build_system`);
-    a window with none raises WindowTooSmall.  An inconsistent window
-    subsystem is a global non-coboundary certificate for the ansatz shape,
-    since any global solution would restrict to a solution of the window
-    system.  A solution is then re-checked on the window extended by four
-    indices on each side (`_verify_coboundary`): the affine map of a
-    closed shape by the proofs of `coboundary_mismatches`, a per-index map
-    pair by pair on the pairs it covers.
+    `_build_system` gives the equations.  For a closed shape they are read
+    off the residual of each parity class of (n, m) and of each stratum
+    with n or m pinned that the window reaches, plus those of the window
+    pairs that no stratum covers; for a per-index ansatz, they are those of
+    every window pair the ansatz covers.  A window with no such pair
+    raises WindowTooSmall.  An inconsistent system is a global
+    non-coboundary certificate for the ansatz shape: any global solution
+    satisfies each class identity at infinitely many generic pairs, and
+    restricts to a solution of the pair equations.  A solution is then
+    re-checked on the window extended by four indices on each side
+    (`_verify_coboundary`): the affine map of a closed shape by the proofs
+    of `coboundary_mismatches`, a per-index map pair by pair on the pairs
+    it covers.
     """
     return _solve(algebra, omega, None, ansatz, window)
 
@@ -739,7 +780,13 @@ def compare_classes(
     ansatz: Ansatz,
     window,
 ) -> SolveResult:
-    """Find (F, c) with omega - d1 F = c * beta, or certify infeasibility."""
+    """Find (F, c) with omega - d1 F = c * beta, or certify infeasibility.
+
+    The system and the re-check are those of `solve_coboundary`, with the
+    unknown c; beta, like omega, gives a closed shape's class residuals
+    when it is a pair rule, and leaves every pair to be evaluated when it
+    is not.
+    """
     return _solve(algebra, omega, beta, ansatz, window)
 
 
@@ -812,8 +859,13 @@ def goncharova_table(q_max: int, s_max: int) -> dict:
     """Table of graded cohomology dimensions for q <= q_max, 1 <= s <= s_max.
 
     The rank of d_q enters dim H^q and dim H^(q+1), so each is computed
-    once per call; nothing is kept between calls.
+    once per call; nothing is kept between calls.  A q_max or s_max below
+    1 would give an empty table and raises WindowTooSmall.
     """
+    if q_max < 1 or s_max < 1:
+        raise WindowTooSmall(
+            f"the table needs qmax >= 1 and smax >= 1, got qmax {q_max} and smax {s_max}"
+        )
     rank = cache(_graded_rank)
     return {
         (q, s): goncharova_dim(q, s, rank)

@@ -265,8 +265,9 @@ def criterion_4() -> CriterionResult:
             r.even == (Fraction(0), Fraction(1))
             and r.odd == (Fraction(0), Fraction(1, 2))
         )
-    # the solver re-checks d1(Phi) = omega on the window widened by four
-    # indices a side, proved once per parity class of (n, m)
+    # the equations come from the residual of each parity class of (n, m),
+    # so no window pair is evaluated; the solver re-checks d1(Phi) = omega
+    # on the window widened by four indices a side, proved per class too
     return CriterionResult(
         4,
         "Order-1 and order-2 cocycles with exact coboundary witnesses",

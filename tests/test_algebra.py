@@ -47,8 +47,10 @@ from liefam.cohomology import (
     PairTableRule,
     _coboundary_identity,
     _verify_coboundary,
+    compare_classes,
     differential,
     is_cocycle,
+    solve_coboundary,
 )
 from liefam.errors import (
     MissingParameter,
@@ -776,6 +778,24 @@ def test_pinned_strata_leave_no_tuple_to_evaluate(monkeypatch):
     assert seen == []
 
 
+def test_closed_shape_solves_evaluate_only_the_doubly_pinned_pair(monkeypatch):
+    """Criterion 4's solves read every equation off class residuals and evaluate no
+    pair; criterion 5's compare evaluates only (1, 2), pinned at both indices, once
+    for its equations and once in the re-check."""
+    seen = evaluated(monkeypatch)
+    w = witt()
+    for name, weight in (("ds-order1", -2), ("dinf-order2", -4)):
+        result = solve_coboundary(w, named_cocycle(name)[1], Ansatz("parity-constant", weight),
+                                  range(-12, 13))
+        assert result.solved
+    assert seen == []
+    algebra, omega = named_cocycle("w1-order1")
+    ansatz = Ansatz("affine", -2, pins={1: Fraction(0), 2: Fraction(0)})
+    result = compare_classes(algebra, omega, named_cocycle("beta3")[1], ansatz, range(1, 25))
+    assert result.solved and result.scalar == Fraction(1, 3)
+    assert seen == [(1, 2), (1, 2)]
+
+
 def test_a_broken_stratum_gives_the_enumerated_witness(monkeypatch):
     """An exceptional-row edit that breaks Jacobi only on its stratum, index 2 of
     formal-3: the stratum's proof fails, its triples are evaluated, and the witness is
@@ -788,15 +808,40 @@ def test_a_broken_stratum_gives_the_enumerated_witness(monkeypatch):
     report = verify_jacobi(edited, range(1, 22))
     assert report.to_json() == enumerated_jacobi(edited, range(1, 22))
     assert report.witness["triple"] == [1, 2, 3] and seen == [(1, 2, 3)]
-    # two exceptional rows: [v_1, v_4] takes the row of 1 and [v_4, v_1] that of 4,
-    # so the triples pinned at both are evaluated, and (1, 2, 4) fails
+    # two exceptional rows: [v_1, v_4] and [v_4, v_1] both take the row of 1, and
+    # the triples pinned at both are evaluated; ad(v_1) is the Witt one plus the
+    # derivation -2 * degree, so this is a semidirect product and Jacobi holds
+    report = verify_jacobi(TWO_ROWS[0], range(1, 17))
+    assert report.to_json() == enumerated_jacobi(TWO_ROWS[0], range(1, 17))
+    assert report.passed
+
+
+def _two_rows(base, name, rows):
     one, zero = ParamPoly.const((), 1), ParamPoly.const((), 0)
     witt_row = (RuleTerm(0, -one, one, zero),)
-    rows = {4: witt_row, 1: witt_row + (RuleTerm(-1, zero, one * -2, zero),)}
-    twice = replace(l1_subalgebra(), exceptional=rows, name="l1|exc")
-    report = verify_jacobi(twice, range(1, 17))
-    assert report.to_json() == enumerated_jacobi(twice, range(1, 17))
-    assert report.witness["triple"] == [1, 2, 4]
+    extra = {"deg": RuleTerm(-1, zero, one * -2, zero), "d": RuleTerm(0, zero, zero, one),
+             "m": RuleTerm(1, zero, one, zero)}
+    exceptional = {n: witt_row + tuple(extra[x] for x in xs) for n, xs in rows.items()}
+    return replace(base, exceptional=exceptional, name=name)
+
+
+#: Specs with two exceptional rows: l1 with Witt rows at 1 and 4 plus -2m v_(n+m-1)
+#: at 1, the same with v_(4+m) added at 4, and Witt with extra terms at 0 and 3.
+TWO_ROWS = (
+    _two_rows(l1_subalgebra(), "l1|exc", {1: ["deg"], 4: []}),
+    _two_rows(l1_subalgebra(), "l1|exc2", {1: ["deg"], 4: ["d"]}),
+    _two_rows(witt(), "witt|exc", {0: ["m"], 3: ["d"]}),
+)
+
+
+@pytest.mark.parametrize("family", TWO_ROWS, ids=lambda f: f.name)
+def test_two_exceptional_rows_bracket_antisymmetrically(family):
+    """A bracket of two exceptional indices takes the smaller one's row, either way
+    round, and Jacobi is still decided as plain enumeration decides it."""
+    window = range(1, 17) if family.lower_bound else range(-8, 9)
+    for n, m in itertools.product(window, repeat=2):
+        assert basis_bracket(family, n, m) == -basis_bracket(family, m, n), (n, m)
+    assert verify_jacobi(family, window).to_json() == enumerated_jacobi(family, window)
 
 
 def test_stated_map_fails_on_its_pinned_strata_only(monkeypatch):

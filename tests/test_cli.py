@@ -1,7 +1,9 @@
 """CLI contract: subcommands, exit codes, deterministic JSON."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from liefam.cli import main, parse_laurent, parse_window
 from liefam.families import CATALOG
+from liefam.suite import NAMED_COCYCLES
 
 
 def run(capsys, *argv):
@@ -198,7 +201,10 @@ def test_central_and_geometry_outputs_are_pinned(capsys, entry):
 #: = omega was written as one term walk for the solver and the re-check; the
 #: solved closed shapes re-pinned when `verified_window` became the range the
 #: re-check ran on (the window cut to the domain and widened by 4).  The last
-#: four were recorded before the ansatz became a cochain over Q[unknowns].
+#: four were recorded before the ansatz became a cochain over Q[unknowns].  Three
+#: infeasible closed shapes on l1 re-pinned when the closed shapes began to read
+#: their equations off class residuals: their contradiction is now the first
+#: inconsistent class equation, on a stratum pinned at F(v_1) = 0 or F(v_2) = 0.
 SOLVE_SHA256 = {
     "cohomology solve --cocycle ds-order1 --ansatz parity-constant --weight -2": "e8a1aea173e684132f4addcead1aa23a4552fc9b4f38072bf5d22e8a6f429773",
     "cohomology solve --cocycle dinf-order2 --ansatz parity-constant --weight -4": "a91132fbce454cf72930615f5682f62a7aba178106c0be3b6c35d18dc786ba0d",
@@ -207,17 +213,17 @@ SOLVE_SHA256 = {
     "cohomology solve --cocycle beta2 --ansatz affine --weight -1 --window 1..20": "1f91248b6ae41df1fb0b30ac45776b580041bbb637af6ab46cac99caa23b646e",
     "cohomology solve --cocycle beta3 --ansatz per-index --weight -2 --window 1..20": "ce6fb8cf00b78df278ff13a7300379d1fb60a71129d7da7f7417f6a2ad2f82e6",
     "cohomology solve --cocycle beta3 --ansatz affine --weight -2 --window 3..24": "3df63b8786392dbe9249d5665616d2a6cf95c806ddd80da56330432d2108e582",
-    "cohomology solve --cocycle w1-order1 --ansatz affine --weight -2 --window 1..24": "b8d33e1936edd9060262db08334ac6f8c1ada766a9febfb9c9cf8c35e65d0c60",
+    "cohomology solve --cocycle w1-order1 --ansatz affine --weight -2 --window 1..24": "9e5ea1099ec4de3ba1501f03eaa9659a093ef97b9cb13946801aec76278878f4",
     "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6": "0238cc4ea0845a9f3da1e3b7fdaf9b337158ff070c104a5e154463cabbbacc71",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 1=0,2=0": "07de9c4da01738133fa13910b502e49304ed0b685f0cbc3d832721ec3c2af225",
-    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz parity-constant --weight -2 --window 1..24": "41e58a986ab631ee38309b13fcde1bd3a4596c6d87d229447d0bba2250cf1fdd",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz parity-constant --weight -2 --window 1..24": "4a8b4fe9da2fe6849407ebbe8709a4b160691eb22900f830ebb1fdae0e99bdec",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 2=-4/3": "564f57f0018675b351989b4551f07ae07cf78af2dcd232529d2586cd420b9fbc",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz per-index --weight -2 --window 1..16": "1d2a48a52e1e7f87afe747035a78ed681e27e4c9ed13794f3b9b75726c9f90d3",
     "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz affine --weight -2": "d569643b8fa15750d6daefb4ade86562bd82c2f7e4bc1c67740cb40f6f0c61e5",
     "cohomology solve --cocycle beta3 --ansatz per-index --weight 0 --window 1..24": "3e416221708b2baf2272fb53f5cca0c160205945d8e01aff2cbe82f75064684c",
     "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6 --pin 0=-3": "be910b90a6075ae5011b3e194e4a1dc7f10b2dfceac25a8aae26d7d09a299551",
     "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz per-index --weight -2 --window -5..5": "8b617a94914d4b7eb1a6a81f69d6407b393cac0a85d824e911bfb6d4c9b45539",
-    "cohomology solve --cocycle w1-order1 --ansatz parity-constant --weight -2 --window 1..16": "3c295c9536cfd7c1569fe8de2f0695b0121b43a096938d9c1ace7492bc04ab73",
+    "cohomology solve --cocycle w1-order1 --ansatz parity-constant --weight -2 --window 1..16": "73ff9e0d17fb08c0bd2901f06abdf7cf8ba54b6c29feed7aef94c08e26ab2ef6",
 }
 
 
@@ -227,6 +233,24 @@ def test_solve_and_compare_outputs_are_pinned(capsys, entry):
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err]).encode()
     assert hashlib.sha256(blob).hexdigest() == SOLVE_SHA256[entry]
+
+
+def test_a_two_index_window_solves_from_class_residuals(capsys):
+    # the one pair (-1, 0) gives too few equations, but the class residuals of
+    # every parity class determine the map, which then passes the re-check
+    code, out = run(
+        capsys, "--json", "cohomology", "solve", "--cocycle", "ds-order1",
+        "--ansatz", "parity-constant", "--weight", "-2", "--window", "-1..0",
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["status"] == "solved"
+    assert (result["phi"]["rule"]["even"], result["phi"]["rule"]["odd"]) == (
+        ["0", "-3"], ["0", "-3/2"]
+    )
+    assert result["certificate"] == {
+        "free_unknowns": [], "pairs": 1, "verified_window": [-5, 4]
+    }
 
 
 def test_per_index_pin_outside_the_window_stays_in_the_solved_map(capsys):
@@ -466,6 +490,14 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
              "--ansatz", "per-index", "--weight", "-2", "--window", "7..8"],
             "the window gives no equation: no pair of its indices has F modeled "
             "at both and at every index of their bracket",
+        ),
+        (
+            ["cohomology", "goncharova", "--qmax", "0"],
+            "the table needs qmax >= 1 and smax >= 1, got qmax 0 and smax 20",
+        ),
+        (
+            ["cohomology", "goncharova", "--smax", "-1"],
+            "the table needs qmax >= 1 and smax >= 1, got qmax 3 and smax -1",
         ),
     ],
 )
@@ -714,3 +746,25 @@ def test_malformed_cocycle_files_exit_2(tmp_path, capsys, text, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _yardstick():
+    path = Path(__file__).resolve().parents[1] / "tools" / "yardstick.py"
+    spec = importlib.util.spec_from_file_location("yardstick", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_yardstick_covers_every_family_and_named_cocycle():
+    yardstick = _yardstick()
+    argvs = yardstick.yardstick_argvs()
+    dumped = {a[3] for a in argvs if a[:2] == ["families", "dump"]}
+    assert dumped == set(CATALOG)
+    for command in ("solve", "compare"):
+        named = {a[3] for a in argvs if a[:2] == ["cohomology", command]}
+        assert named == set(NAMED_COCYCLES), command
+    assert len(argvs) == len(set(map(tuple, argvs)))
+    # its digest is the one the tests pin
+    entry = "moduli j-line --s 0"
+    assert yardstick.digest(entry.split()) == YARDSTICK_SHA256[entry]

@@ -1,5 +1,6 @@
 """Differentials, cocycle checks, coboundary witnesses, graded dimensions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from liefam.cohomology import (
     is_cocycle,
     solve_coboundary,
 )
-from liefam.errors import ArityUnsupported, MissingParameter
+from liefam.errors import ArityUnsupported, LiefamError, MissingParameter
 from liefam.families import (
     d_infinity,
     d_line,
@@ -42,7 +43,7 @@ from liefam.families import (
 )
 from liefam.linalg import rank_of_vectors
 from liefam.poly import ParamPoly
-from liefam.suite import named_cocycle, sign_flipped
+from liefam.suite import NAMED_COCYCLES, named_cocycle, sign_flipped
 
 
 def affine_map(weight, even, odd, pins=None):
@@ -323,6 +324,47 @@ def test_solver_recovers_any_map_of_its_shape(problem):
         algebra, result.phi, omega, beta, result.scalar, range(lo, hi + 1), covered
     )
     assert next(mismatches, None) is None
+
+
+def _pair_walk(c: Cochain) -> Cochain:
+    """c with the same values and no index forms, so the solver walks every pair."""
+    return Cochain(c.arity, c.mode, c.weight, c.params, DerivedRule(c.value))
+
+
+def _solved(algebra, omega, beta, ansatz, window):
+    """Status, map and scalar of a solve, or the class of the error it raises."""
+    try:
+        if beta is None:
+            result = solve_coboundary(algebra, omega, ansatz, window)
+        else:
+            result = compare_classes(algebra, omega, beta, ansatz, window)
+    except LiefamError as exc:
+        return type(exc).__name__
+    phi = result.phi and result.phi.to_json()
+    return result.status, phi, result.scalar
+
+
+def _closed_shape_cases():
+    for name in NAMED_COCYCLES:
+        algebra = named_cocycle(name)[0]
+        betas = [None] + [b for b in NAMED_COCYCLES if named_cocycle(b)[0] == algebra]
+        for beta, shape in itertools.product(betas, ("parity-constant", "affine")):
+            yield name, beta, shape
+
+
+@pytest.mark.parametrize("name, beta, shape", list(_closed_shape_cases()))
+def test_class_residuals_solve_as_the_pair_walk(name, beta, shape):
+    """Equations read off class residuals give the status, map and scalar that the
+    equations of every window pair give, at every weight -4..0."""
+    algebra, omega = named_cocycle(name)
+    beta = beta and named_cocycle(beta)[1]
+    window = range(1, 21) if algebra.lower_bound else range(-12, 13)
+    for weight in range(-4, 1):
+        ansatz = Ansatz(shape, weight)
+        walked = _solved(
+            algebra, _pair_walk(omega), beta and _pair_walk(beta), ansatz, window
+        )
+        assert _solved(algebra, omega, beta, ansatz, window) == walked, weight
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,10 @@ def test_compare_classes_certificates_pinned():
         "status": "infeasible",
         "certificate": {
             "equations": 276,
-            "contradiction_at": {"pair": [1, 5], "index": 4},
-            "residual": "4/3",
+            "contradiction_at": {
+                "class": "odd-even", "forms": ["1", "m"], "index": "-1 + m", "monomial": "1"
+            },
+            "residual": "1/2",
         },
     }
     res = compare_classes(
