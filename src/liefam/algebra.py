@@ -495,6 +495,9 @@ def _settled(plan) -> bool:
 def nonzero_tuples(indices, arity: int, prove, value):
     """Yield (checked, tuple, value) at each nonzero value(*tuple).
 
+    A value is a sum with `is_zero`, or a check's witness, None when the
+    check holds.
+
     Tuples run over `itertools.combinations(indices, arity)`, and
     `checked` counts the tuples up to and including the one yielded.
     With `prove` given, `prove(forms, parity, boundary)` decides whether
@@ -503,8 +506,9 @@ def nonzero_tuples(indices, arity: int, prove, value):
     stops being the integer identity.  A covered tuple is not evaluated.
 
     One proof per parity class.  The Jacobiator, d2 of an alternating
-    2-cochain, d1 of a 1-cochain and d1 F + c * beta - omega alternate in
-    their index arguments, and so does their symbolic evaluation, since
+    2-cochain, d1 of a 1-cochain, d1 F + c * beta - omega and a vector-field
+    bracket minus the rule (`rule_prover`) alternate in their index
+    arguments, and so does their symbolic evaluation, since
     `index_family` requires antisymmetric same-parity rows and `_pair_row`
     orients odd-even and exceptional rows by parity and value, not by
     position.  So a parity pattern and its permutations vanish together,
@@ -536,7 +540,7 @@ def nonzero_tuples(indices, arity: int, prove, value):
         if plans and _covered(tup, plans[tuple(i % 2 for i in tup)]):
             continue
         v = value(*tup)
-        if not v.is_zero:
+        if v is not None and not getattr(v, "is_zero", False):
             yield checked, tup, v
 
 
@@ -770,6 +774,34 @@ def _identity(walk, sources, params, settle=_vanishes):
         )
 
     return value, prove
+
+
+def rule_prover(family: FamilySpec, shifts, bracket):
+    """The `prove` of `nonzero_tuples` for an independent bracket of pairs,
+    or None when the family does not lift (`index_family`).
+
+    `bracket(x, y, odd_x, odd_y)` takes the indices as polynomials over
+    Q[params, n, m, k] with their parities and returns the components of
+    [v_x, v_y] by shift j, at index x + y + j, or None if it has none.  A
+    parity class is proved when they are the rule's (`symbolic_pair_rule`).
+    Every candidate x + y + j, j in `shifts`, is recorded as a basis key
+    besides the rule's keys, so a pair whose candidates leave the basis
+    domain or reach an exceptional index is evaluated.
+    """
+    lifted = index_family(family)
+    if lifted is None:
+        return None
+
+    def prove(forms, parity, boundary) -> bool:
+        x, y = forms
+        expected = accumulate(boundary.pair(lifted, x, y, parity))
+        for j in shifts:
+            boundary.key(lifted, _form_sum(x, y, j))
+        polys = (_form_poly(lifted.params, f) for f in forms)
+        got = bracket(*polys, *(_form_parity(f, parity) for f in forms))
+        return got is not None and {_form_sum(x, y, j): c for j, c in got.items()} == expected
+
+    return prove
 
 
 def class_coefficients(residual, keys, parity):

@@ -464,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vg = sub.add_parser(
         "verify-geometry",
-        help="check rules against vector fields; genus one as one identity over Q[e1, e2]",
+        help="check rules against vector fields, one identity per parity class over "
+        "Q[params, n, m]: a pair is PASS because its class is proved; pairs at the "
+        "basis bound or of an unproved class are bracketed one by one",
     )
     _family_flags(vg)
     vg.add_argument("--window", default="-6..6", type=window)

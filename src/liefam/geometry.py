@@ -4,9 +4,13 @@ Every family in `families.FIBRES` is realized on its fibre of the cubic
 Y^2 = f(u) = 4u(u-a)(u-b), a = e2 - e1, b = e3 - e1 (u the coordinate
 recentered at the finite marked point): a field is (A + B*Y) d/du with
 A, B Laurent in u over the fibre's ring, the image of one elliptic field
-over Q[e1, e2].  One bracket and one re-expansion check every family, each
-bracket as one identity over its ring, so the elliptic PASS holds on every
-fibre, the nodal and cuspidal ones included.
+over Q[e1, e2].  The field of index 2K + e is u^K times the K = 0 field
+of parity e, so with K symbolic one bracket and one re-expansion check a
+whole parity class: one identity per parity class over Q[params, n, m].
+A pair is PASS because its class is proved; only the pairs of an
+unproved class, or at the bound of the basis domain, are bracketed at
+their integers.  The elliptic PASS holds for every pair on every fibre,
+the nodal and cuspidal ones included.
 
 The residue pairings of `central` need the genus-zero fields in a global
 coordinate t.  `uniformize` pulls a realization back along the
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -27,6 +31,8 @@ from .algebra import (
     domain_pairs,
     evaluate_pair_rule,
     grading_bounds,
+    nonzero_tuples,
+    rule_prover,
 )
 from .errors import ParameterMismatch, UnsupportedFamily
 from .families import FIBRES
@@ -61,9 +67,15 @@ class LaurentPoly(KeyedSum):
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly(self.params, {d + k: c for d, c in self.components.items()})
 
-    def derivative(self) -> "LaurentPoly":
+    def derivative(self, base=0) -> "LaurentPoly":
+        """z^(-base) * (z^base * self)': c*z^d goes to c*(base + d)*z^(d-1).
+
+        The exponent `base` is an integer or an element of the coefficient
+        ring, the affine exponent of a field with a symbolic index.
+        """
         return LaurentPoly(
-            self.params, {d - 1: c * d for d, c in self.components.items() if d != 0}
+            self.params,
+            accumulate((d - 1, c * (base + d)) for d, c in self.components.items()),
         )
 
     def __str__(self) -> str:
@@ -148,11 +160,21 @@ class FactoredLaurent:
 
 @dataclass(frozen=True)
 class CubicField:
-    """Coefficient A + B*Y of a field on Y^2 = f(u), with A, B, f Laurent in u."""
+    """Coefficient u^base * (A + B*Y) of a field on Y^2 = f(u), with A, B, f Laurent in u.
+
+    `base` is 0 for an integer index; for a symbolic one it is the affine
+    exponent, an element of the coefficient ring, and A, B hold the
+    integer offsets from it.
+    """
 
     a: LaurentPoly
     b: LaurentPoly
     f: LaurentPoly
+    base: int | ParamPoly = 0
+
+    def shift(self, k: int) -> "CubicField":
+        """u^k times the field."""
+        return replace(self, a=self.a.shift(k), b=self.b.shift(k))
 
 
 def divide_laurent(num: LaurentPoly, den: LaurentPoly):
@@ -177,15 +199,20 @@ def vf_bracket_cubic(e: CubicField, g: CubicField):
     With Y' = f' Y / (2f) the Y-free part is A1 A2' - A2 A1' + (B1 B2' - B2 B1') f
     and the Y part A1 B2' - A2 B1' + B1 A2' - B2 A1' + (A1 B2 - A2 B1) f' / (2f);
     that last quotient is Laurent exactly when the returned remainder is zero.
+    Each derivative takes its field's base exponent, every product term
+    has the exponent e.base + g.base, and f has none, so the division and
+    the result work on the integer offsets alone.
     """
     a1, b1, a2, b2, f = e.a, e.b, g.a, g.b, e.f
-    da1, db1, da2, db2 = a1.derivative(), b1.derivative(), a2.derivative(), b2.derivative()
+    da1, db1 = a1.derivative(e.base), b1.derivative(e.base)
+    da2, db2 = a2.derivative(g.base), b2.derivative(g.base)
     quotient, rest = divide_laurent((a1 * b2 - a2 * b1) * f.derivative(), f)
     return (
         CubicField(
             a1 * da2 - a2 * da1 + (b1 * db2 - b2 * db1) * f,
             a1 * db2 - a2 * db1 + b1 * da2 - b2 * da1 + quotient.scale(Fraction(1, 2)),
             f,
+            e.base + g.base,
         ),
         rest,
     )
@@ -201,8 +228,9 @@ def realize(family: str, n: int) -> CubicField:
 
     In u = X - e1 on Y^2 = f(u) = 4u(u-a)(u-b) with a = e2 - e1 and
     b = e3 - e1: u^k Y d/du for index 2k+1 and 2 u^(k-1) (u-a) (u-b) d/du
-    for index 2k, over Q[e1, e2] and mapped along the family's
-    `families.FIBRES` images by `KeyedSum.map_params`.
+    for index 2k, u^k times the field of index 1 resp. 0, over Q[e1, e2]
+    and mapped along the family's `families.FIBRES` images by
+    `KeyedSum.map_params`.
     """
     if family not in FIBRES:
         raise UnsupportedFamily(f"no realization for family {family!r}")
@@ -212,8 +240,9 @@ def realize(family: str, n: int) -> CubicField:
     quad = LaurentPoly.from_items(params, [(2, 1), (1, -(a + b)), (0, a * b)])
     k, odd = divmod(n, 2)
     zero = LaurentPoly.zero(params)
-    parts = (zero, LaurentPoly.monomial(params, k)) if odd else (quad.shift(k - 1).scale(2), zero)
-    return CubicField(*(p.map_params(*FIBRES[family]) for p in (*parts, quad.shift(1).scale(4))))
+    parts = (zero, LaurentPoly.monomial(params, 0)) if odd else (quad.shift(-1).scale(2), zero)
+    shape = CubicField(*(p.map_params(*FIBRES[family]) for p in (*parts, quad.shift(1).scale(4))))
+    return shape.shift(k)
 
 
 #: Genus-zero fibre -> (p, q, beta) of its parametrization
@@ -294,23 +323,32 @@ def expand_in_candidates(target: LaurentPoly, candidates):
     return coeffs, rest
 
 
+def _reexpand(got: CubicField, rest: LaurentPoly, cands):
+    """(coefficients by key, remainders) of the bracket `got` in the candidates.
+
+    `cands` are (key, odd, field) triples.  The Y-free part re-expands in
+    the even fields, the Y part in the odd ones; the remainders are those
+    two and `rest`, the bracket's own division remainder.
+    """
+    coeffs_a, rest_a = expand_in_candidates(got.a, [(i, c.a) for i, odd, c in cands if not odd])
+    coeffs_b, rest_b = expand_in_candidates(got.b, [(i, c.b) for i, odd, c in cands if odd])
+    return {**coeffs_a, **coeffs_b}, [rest_a, rest_b, rest]
+
+
 def _pair_check_cubic(family, n, m, field, bounds):
     """None when [v_n, v_m] re-expands exactly to the rule, else a witness.
 
-    The Y-free part re-expands in the even fields of the domain, the Y
-    part in the odd ones.
+    The candidates are the domain's indices n + m + j, j within the
+    grading bounds.
     """
     got, rest = vf_bracket_cubic(field(n), field(m))
-    cands = ([], [])
-    for idx in range(n + m + bounds.lower, n + m + bounds.upper + 1):
-        if family.in_domain(idx):
-            cands[idx % 2].append((idx, field(idx).b if idx % 2 else field(idx).a))
-    coeffs_a, rest_a = expand_in_candidates(got.a, cands[0])
-    coeffs_b, rest_b = expand_in_candidates(got.b, cands[1])
-    remainders = [rest_a, rest_b, rest]
+    span = range(n + m + bounds.lower, n + m + bounds.upper + 1)
+    coeffs, remainders = _reexpand(
+        got, rest, [(i, i % 2, field(i)) for i in span if family.in_domain(i)]
+    )
     if any(not r.is_zero for r in remainders):
         return {"pair": [n, m], "unexpanded_remainder": " | ".join(map(str, remainders))}
-    coeffs, expected = {**coeffs_a, **coeffs_b}, dict(evaluate_pair_rule(family, n, m))
+    expected = dict(evaluate_pair_rule(family, n, m))
     if coeffs == expected:
         return None
     return {
@@ -320,20 +358,53 @@ def _pair_check_cubic(family, n, m, field, bounds):
     }
 
 
+def _class_bracket(base: str, shifts):
+    """The `bracket` of `algebra.rule_prover`: [v_x, v_y] of symbolic fields.
+
+    The field of index x = 2K + odd is u^K times `realize(base, odd)`, its
+    K = 0 shape, so it is that shape with the base exponent K = (x - odd)/2
+    in the ring of x.  The candidate x + y + j, of parity p, is its
+    shape shifted by (odd_x + odd_y + j - p)/2 from the bracket's base.
+    """
+
+    @functools.cache
+    def shape(odd, ring) -> CubicField:
+        real = realize(base, odd)
+        return CubicField(*(p.map_params(ring) for p in (real.a, real.b, real.f)))
+
+    def field(z, odd) -> CubicField:
+        return replace(shape(odd, z.params), base=(z - odd) * Fraction(1, 2))
+
+    def bracket(x, y, odd_x, odd_y):
+        got, rest = vf_bracket_cubic(field(x, odd_x), field(y, odd_y))
+        cands = []
+        for j in shifts:
+            odd, offset = (odd_x + odd_y + j) % 2, (odd_x + odd_y + j) // 2
+            cands.append((j, odd, shape(odd, x.params).shift(offset)))
+        coeffs, remainders = _reexpand(got, rest, cands)
+        return None if any(not r.is_zero for r in remainders) else coeffs
+
+    return bracket
+
+
 def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     """Check that realized vector-field brackets reproduce the family rule.
 
-    Every bracket of realized basis fields on the family's fibre is
-    re-expanded in the realized basis of its domain by an exact triangular
-    solve over the candidate index window given by the grading bounds,
-    then compared coefficient-by-coefficient with the closed-form rule.
-    Both sides are symbolic in the family's parameters, so a PASS is an
-    identity on every fibre, singular ones included.  A window needs two
-    indices in the domain.
+    One identity per parity class over Q[params, n, m]: the fields of
+    indices n and m of a class are the class's two shapes with symbolic
+    base exponents (`_class_bracket`), and their bracket is re-expanded
+    in the symbolic candidates n + m + j, j within the grading bounds, by
+    an exact triangular solve, then compared with the rule at the index
+    forms (`algebra.rule_prover`).  A listed pair is PASS because its
+    class is proved and its keys and candidates are generic there: in
+    the basis domain and off the exceptional rows.  Only the pairs of an
+    unproved class and the pairs at the domain's bound are evaluated,
+    each bracketed and re-expanded at its integers (`nonzero_tuples`).
+    Both sides are symbolic in the family's parameters, so a PASS holds on
+    every fibre, singular ones included.  A window needs two indices in
+    the domain.
     """
     base = family.name.split("|")[0]
-    bounds = grading_bounds(family)
-    indices = domain_pairs(family, window)
     if base not in FIBRES:
         raise UnsupportedFamily(f"no geometric oracle for {family.name!r}")
     oracle_params = FIBRES[base][0]
@@ -343,15 +414,18 @@ def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
             f"but {family.name} is over {list(family.params)}; check the "
             f"unspecialized family {base} instead"
         )
+    indices = domain_pairs(family, window)
+    bounds = grading_bounds(family)
+    shifts = range(bounds.lower, bounds.upper + 1)
     field = functools.cache(functools.partial(realize, base))
-    witnesses = []
-    pairs = []
-    for n, m in itertools.combinations(indices, 2):
-        bad = _pair_check_cubic(family, n, m, field, bounds)
-        pairs.append([n, m, "PASS" if bad is None else "FAIL"])
-        if bad is not None:
-            witnesses.append(bad)
-
+    value = functools.partial(_pair_check_cubic, family, field=field, bounds=bounds)
+    prove = rule_prover(family, shifts, _class_bracket(base, shifts))
+    failures = {pair: bad for _, pair, bad in nonzero_tuples(indices, 2, prove, value)}
+    pairs = [
+        [n, m, "FAIL" if (n, m) in failures else "PASS"]
+        for n, m in itertools.combinations(indices, 2)
+    ]
+    witnesses = list(failures.values())
     return CheckReport(
         name=f"geometry:{family.name}",
         status="PASS" if not witnesses else "FAIL",

@@ -200,9 +200,11 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Geometric oracle: three-point over Q[alpha2], elliptic over Q[e1, e2].
 
-    Both go through the one cubic realization.  Each bracket is one
-    identity in the parameters, so the elliptic check holds on every fibre
-    of the cubic family, singular ones included.
+    Both go through the one cubic realization, as one identity per parity
+    class over Q[params, n, m]: three brackets of symbolic fields each.
+    Every pair of the window is PASS because its class is proved, so the
+    elliptic check holds for every pair on every fibre of the cubic family,
+    singular ones included.
     """
     start = time.monotonic()
     three = verify_against_geometry(three_point(), range(-6, 7))

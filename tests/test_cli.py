@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam.cli import main, parse_laurent, parse_window
-from liefam.families import CATALOG
+from liefam.families import CATALOG, FIBRES
 from liefam.suite import NAMED_COCYCLES
 
 
@@ -428,6 +428,18 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
             "no pair of indices of the window lies in the domain of witt",
         ),
         (
+            # the family is refused before its window
+            ["verify-geometry", "--family", "virasoro", "--window", "3..3"],
+            "no geometric oracle for 'virasoro'",
+        ),
+        (
+            ["verify-geometry", "--family", "elliptic", "--params", "e1=1,e2=2",
+             "--window", "3..3"],
+            "the elliptic oracle works over the parameters ['e1', 'e2'], but "
+            "elliptic|e1=1,e2=2 is over []; check the unspecialized family "
+            "elliptic instead",
+        ),
+        (
             ["verify-geometry", "--family", "l1", "--window", "-5..1"],
             "no pair of indices of the window lies in the domain of l1",
         ),
@@ -764,6 +776,8 @@ def test_the_yardstick_covers_every_family_and_named_cocycle():
     for command in ("solve", "compare"):
         named = {a[3] for a in argvs if a[:2] == ["cohomology", command]}
         assert named == set(NAMED_COCYCLES), command
+    oracle = {(a[2], a[4]) for a in argvs if a[0] == "verify-geometry"}
+    assert oracle == {(f, w) for f in FIBRES for w in ("-6..6", "1..9", "3..11")}
     assert len(argvs) == len(set(map(tuple, argvs)))
     # its digest is the one the tests pin
     entry = "moduli j-line --s 0"

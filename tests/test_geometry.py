@@ -1,12 +1,21 @@
 """The vector-field oracle: realizations, brackets, basis re-expansion."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from liefam.algebra import FamilySpec, RuleTerm, evaluate_pair_rule, specialize
+from liefam.algebra import (
+    CheckReport,
+    FamilySpec,
+    RuleTerm,
+    domain_pairs,
+    evaluate_pair_rule,
+    grading_bounds,
+    specialize,
+)
 from liefam.errors import ParameterMismatch, UnsupportedFamily
 from liefam.families import FIBRES, by_name, elliptic
 from liefam.geometry import (
@@ -14,6 +23,7 @@ from liefam.geometry import (
     CubicField,
     FactoredLaurent,
     LaurentPoly,
+    _pair_check_cubic,
     divide_laurent,
     expand_in_candidates,
     realize,
@@ -22,6 +32,7 @@ from liefam.geometry import (
     vf_bracket_cubic,
 )
 from liefam.poly import ParamPoly
+from liefam.suite import corrupted_elliptic
 
 
 def test_witt_realization_bracket():
@@ -93,6 +104,82 @@ def test_corrupted_rule_fails_with_witness(name, shift):
     report = verify_against_geometry(bad, range(-4, 5))
     assert not report.passed
     assert report.witness["mismatches"]
+
+
+def enumerated(family, window) -> dict:
+    """The report of `verify_against_geometry`, every pair bracketed at its integers."""
+    indices = domain_pairs(family, window)
+    bounds = grading_bounds(family)
+    field = functools.partial(realize, family.name.split("|")[0])
+    pairs, witnesses = [], []
+    for n, m in itertools.combinations(indices, 2):
+        bad = _pair_check_cubic(family, n, m, field, bounds)
+        pairs.append([n, m, "PASS" if bad is None else "FAIL"])
+        if bad is not None:
+            witnesses.append(bad)
+    return CheckReport(
+        name=f"geometry:{family.name}",
+        status="FAIL" if witnesses else "PASS",
+        checked=len(pairs),
+        witness={"mismatches": witnesses[:5]} if witnesses else None,
+        certificate={
+            "window": [indices[0], indices[-1]],
+            "candidates": [bounds.lower, bounds.upper],
+            "pairs": pairs,
+        },
+    ).to_json()
+
+
+def oracle_families():
+    """Every FIBRES family, and elliptic and three-point with one term doubled."""
+    for name in sorted(FIBRES):
+        yield name, by_name(name)
+    for name in ("elliptic", "three-point"):
+        fam = by_name(name)
+        for cls, terms in sorted(fam.rule.items()):
+            for i, t in enumerate(terms):
+                doubled = RuleTerm(t.shift, t.a * 2, t.b * 2, t.d * 2)
+                rule = {**fam.rule, cls: terms[:i] + (doubled,) + terms[i + 1 :]}
+                bad = FamilySpec(name=f"{name}|bad", params=fam.params, rule=rule)
+                yield f"{name}:{cls}:{t.shift}", bad
+
+
+@pytest.mark.parametrize("window", [range(-6, 7), range(1, 10)], ids=["-6..6", "1..9"])
+@pytest.mark.parametrize(
+    "family", [f for _, f in oracle_families()], ids=[k for k, _ in oracle_families()]
+)
+def test_class_proofs_match_plain_enumeration(family, window):
+    report = verify_against_geometry(family, window).to_json()
+    assert report == enumerated(family, window)
+    assert report["status"] == ("PASS" if family.name in FIBRES else "FAIL")
+
+
+def counted_brackets(monkeypatch):
+    import liefam.geometry as geometry
+
+    calls = []
+    real = geometry.vf_bracket_cubic
+
+    def counting(e, g):
+        calls.append((e, g))
+        return real(e, g)
+
+    monkeypatch.setattr(geometry, "vf_bracket_cubic", counting)
+    return calls
+
+
+@pytest.mark.parametrize("window", [range(-6, 7), range(-40, 41)], ids=["-6..6", "-40..40"])
+def test_an_elliptic_pass_brackets_once_per_parity_class(monkeypatch, window):
+    calls = counted_brackets(monkeypatch)
+    assert verify_against_geometry(elliptic(), window).passed
+    assert len(calls) == 3
+
+
+def test_a_failing_class_is_evaluated_pair_by_pair(monkeypatch):
+    # criterion 9: the even-even class fails, so its 10 pairs of -4..4 are bracketed
+    calls = counted_brackets(monkeypatch)
+    assert not verify_against_geometry(corrupted_elliptic(), range(-4, 5)).passed
+    assert len(calls) == 3 + 10
 
 
 def test_expansion_is_triangular_and_unique():

@@ -11,9 +11,11 @@ lacks, are printed one per line, and the exit code is 1 if there are any.
 
 The argvs are `families dump` for every catalog family, `paper-suite` at
 seeds 1 and 7, `cohomology goncharova` at qmax 1-3 with smax 8 and 20,
-and the solve/compare matrix: every named cocycle, and every ordered pair
-of distinct named cocycles of one algebra, under every ansatz shape, at
-weights -4..0 on the windows -12..12, 1..20 and 3..11.
+`verify-geometry` for every family with a geometric oracle on the windows
+-6..6, 1..9 and 3..11, and the solve/compare matrix: every named cocycle,
+and every ordered pair of distinct named cocycles of one algebra, under
+every ansatz shape, at weights -4..0 on the windows -12..12, 1..20 and
+3..11.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from liefam.cli import main as liefam_main  # noqa: E402
 from liefam.cohomology import ANSATZ_SHAPES  # noqa: E402
-from liefam.families import CATALOG  # noqa: E402
+from liefam.families import CATALOG, FIBRES  # noqa: E402
 from liefam.suite import NAMED_COCYCLES, named_cocycle  # noqa: E402
 
 WEIGHTS = range(-4, 1)
 WINDOWS = ("-12..12", "1..20", "3..11")
+GEOMETRY_WINDOWS = ("-6..6", "1..9", "3..11")
 
 
 def _solve_matrix(head):
@@ -52,6 +55,8 @@ def yardstick_argvs() -> list:
     argvs += [["paper-suite", "--seed", seed] for seed in ("1", "7")]
     for q, s in itertools.product("123", ("8", "20")):
         argvs.append(["cohomology", "goncharova", "--qmax", q, "--smax", s])
+    for name, window in itertools.product(FIBRES, GEOMETRY_WINDOWS):
+        argvs.append(["verify-geometry", "--family", name, "--window", window])
     for name in NAMED_COCYCLES:
         argvs += _solve_matrix(["cohomology", "solve", "--cocycle", name])
     algebra = {name: named_cocycle(name)[0].name for name in NAMED_COCYCLES}
