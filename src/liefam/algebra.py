@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from .errors import (
     MissingParameter,
@@ -360,10 +360,15 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
 
     Index-symbolic proofs need every same-parity row to be antisymmetric
     as a polynomial (a = -b, d = 0), parameter names apart from the
-    index variables, and no central table (its values are not polynomial
-    in the indices, and it raises outside its range).
+    index variables, no central table (its values are not polynomial in
+    the indices, and it raises outside its range) and no central delta
+    whose p is not odd: on n + m = 0 a delta's value is p(m) exactly when
+    p is odd.
     """
-    if set(INDEX_VARS) & set(family.params) or isinstance(family.central, CentralTable):
+    central = family.central
+    if set(INDEX_VARS) & set(family.params) or isinstance(central, CentralTable):
+        return None
+    if central is not None and any(central.poly[0::2]):
         return None
     for cls in ("odd-odd", "even-even"):
         for t in family.rule.get(cls, ()):
@@ -377,10 +382,10 @@ class _Boundary:
 
     Each entry (form, forbidden, lower) says that the symbolic evaluation
     is the integer one only where the form's value avoids the set
-    `forbidden` and is at least `lower` (None: no bound).  A form is
-    (cn, cm, ck, c) over the index variables n, m, k; a pair uses n and m
-    and leaves ck = 0.  A constant form records no entry: if it violates
-    one, `failed` leaves the stratum unproved.
+    `forbidden` and is at least `lower`, a basis bound (None: no bound).
+    A form is (cn, cm, ck, c) over the index variables n, m, k.  A
+    constant form records no entry: if it violates one, `failed` leaves
+    the stratum unproved.
     """
 
     def __init__(self):
@@ -389,7 +394,8 @@ class _Boundary:
 
     def add(self, form, forbidden=(), lower=None):
         if not _constant(form):
-            self.entries.add((form, frozenset(forbidden), lower))
+            if forbidden or lower is not None:
+                self.entries.add((form, frozenset(forbidden), lower))
         elif form[3] in forbidden or (lower is not None and form[3] < lower):
             self.failed = True
 
@@ -399,149 +405,247 @@ class _Boundary:
 
     def pair(self, family: FamilySpec, x, y, parity, outer=False):
         """`symbolic_pair_rule` with its keys recorded and zero terms dropped;
-        `outer` also records that x + y avoids a nonzero central delta."""
+        `outer` keeps a central delta's term p(y), its value where x + y is
+        the zero form for odd p (`index_family`), and elsewhere records that
+        x + y avoids 0."""
+        out = []
         if outer and family.central is not None and not family.central.is_zero:
-            self.add(_form_sum(x, y), (0,))
+            total = _form_sum(x, y)
+            if total == (0, 0, 0, 0):
+                value, point = ParamPoly.const(family.params, 0), _form_poly(family.params, y)
+                for c in reversed(family.central.poly):
+                    value = value * point + c
+                out.append((CENTRAL, value))
+            else:
+                self.add(total, (0,))
         self.key(family, x)
         self.key(family, y)
-        out = []
         for key, coeff in symbolic_pair_rule(family, x, y, parity):
-            self.key(family, key)
             if not coeff.is_zero:
+                self.key(family, key)
                 out.append((key, coeff))
         return out
 
 
-def _hits(values, lo, hi) -> list:
-    """The members of the set `values` in [lo, hi], ascending, walking the
-    shorter of the two: a weight of -10**6 pins a million indices to zero."""
-    if hi - lo < len(values):
-        return [v for v in range(lo, hi + 1) if v in values]
-    return sorted(v for v in values if lo <= v <= hi)
+@lru_cache(maxsize=4096)
+def _form_text(form) -> str:
+    return str(_form_poly(INDEX_VARS, form))
 
 
-def _reachable(entries, boxes) -> tuple:
-    """The entries that a tuple with slot i in the range boxes[i] can violate."""
-    kept = []
-    for form, forbidden, lower in entries:
-        lo = hi = form[3]
-        for c, (a, b) in zip(form, boxes):
-            lo += c * (a if c > 0 else b)
-            hi += c * (b if c > 0 else a)
-        if (lower is not None and lo < lower) or (forbidden and _hits(forbidden, lo, hi)):
-            kept.append((form, forbidden, lower))
-    return tuple(kept)
+def _tag(forms, parity) -> dict:
+    """The name of a stratum: the parity and the index form of each slot."""
+    return {
+        "class": "-".join("odd" if _form_parity(f, parity) else "even" for f in forms),
+        "forms": [_form_text(f) for f in forms],
+    }
 
 
-def _stratum(prove, kinds, proofs):
-    """The entries of the stratum whose slot i has kinds[i], or None if not proved.
+def _rename(form, perm):
+    """The form with the coefficient of variable j moved to variable perm[j]."""
+    out = [0, 0, 0, form[3]]
+    for j, p in enumerate(perm):
+        out[p] = form[j]
+    return tuple(out)
 
-    A kind is (0, e) for a slot pinned to e, (1, parity) for a free one.
-    The proof runs once, memoized in `proofs`, at the kinds sorted: slot j
-    at INDEX_FORMS[j], or at (0, 0, 0, e) if pinned.  Its entries come back
-    to the slots of `kinds` with their coefficients permuted.
+
+@lru_cache(maxsize=4096)
+def _canonical(forms, parity):
+    """((forms, parity), perm): the representative of a stratum, and the slot
+    permutation that takes the stratum to it, renaming variable j to perm[j]."""
+    best = None
+    for perm in itertools.permutations(range(len(forms))):
+        moved, par = [None] * len(forms), [0, 0, 0]
+        for i, f in enumerate(forms):
+            moved[perm[i]], par[perm[i]] = _rename(f, perm), parity[i]
+        if best is None or (tuple(moved), tuple(par)) < best[0]:
+            best = (tuple(moved), tuple(par)), perm
+    return best
+
+
+def _cut(forms, parity, form, value, point):
+    """The stratum of the tuples of (forms, parity) where `form` takes `value`.
+
+    Over Z (`point` None) the form's last variable of coefficient +-1 is
+    set to an affine form of the others: a pin, or a hyperplane.  Over
+    [lower, oo) each variable of `point` is pinned to its value there.
+    Returns (forms, parity), () if that holds no tuple (another parity,
+    two slots equal), None if no variable has coefficient +-1.  Slot j is
+    free when its form is INDEX_FORMS[j]; an unused variable has parity 0.
     """
-    rep = tuple(sorted(kinds))
-    if rep not in proofs:
-        forms = [INDEX_FORMS[j] if free else (0, 0, 0, v) for j, (free, v) in enumerate(rep)]
-        boundary = _Boundary()
-        proved = prove(forms, tuple(v % 2 for _, v in rep), boundary)
-        proofs[rep] = boundary.entries if proved and not boundary.failed else None
-    if proofs[rep] is None:
-        return None
-    perm = sorted(range(len(kinds)), key=kinds.__getitem__)  # rep slot j is slot perm[j]
-    place = [perm.index(i) for i in range(len(kinds))] + list(range(len(kinds), 4))
-    return {(tuple(form[j] for j in place), f, low) for form, f, low in proofs[rep]}
+    if point is None:
+        units = [i for i in range(3) if form[i] in (1, -1)]
+        if not units:
+            return None
+        j, c = units[-1], form[units[-1]]
+        expr = tuple(0 if i == j else -c * form[i] for i in range(3))
+        subs = [(j, expr + (c * (value - form[3]),))]
+    else:
+        subs = [(j, (0, 0, 0, x)) for j, x in point.items()]
+    forms, parity = list(forms), list(parity)
+    for j, expr in subs:
+        if _form_parity(expr, parity) != parity[j]:
+            return ()
+        forms = [tuple(0 if i == j else a + f[j] * b for i, (a, b) in enumerate(zip(f, expr)))
+                 for f in forms]
+        parity[j] = 0
+    if len(set(forms)) < len(forms):
+        return ()
+    return tuple(forms), tuple(parity)
 
 
-def _plan(prove, pattern, boxes, proofs):
-    """None if the parity pattern is not proved, else (entries, strata): each
-    value e of slot i that violates an entry of slot i alone is a stratum,
-    `strata[i, e]` its reachable entries or None if it is not proved."""
-    kinds = tuple((1, p) for p in pattern)
-    entries = _stratum(prove, kinds, proofs)
-    if entries is None:
-        return None
-    rest, strata = [], {}
-    for form, forbidden, lower in _reachable(entries, boxes):
-        slots = [i for i in range(len(kinds)) if form[i]]
-        if len(slots) == 1:
-            (i,) = slots
-            ends = (form[i] * boxes[i][0] + form[3], form[i] * boxes[i][1] + form[3])
-            for v in _hits(forbidden, min(ends), max(ends)):
-                e, r = divmod(v - form[3], form[i])
-                if not r and e % 2 == pattern[i]:
-                    pinned = _stratum(prove, kinds[:i] + ((0, e),) + kinds[i + 1 :], proofs)
-                    inner = [(a, min(b, e - 1)) for a, b in boxes[:i]] + [(e, e)]
-                    inner += [(max(a, e + 1), b) for a, b in boxes[i + 1 :]]
-                    strata[i, e] = None if pinned is None else _reachable(pinned, inner)
-            forbidden = frozenset()
-        rest.append((form, forbidden, lower))
-    return _reachable(rest, boxes), strata
+class _Plan:
+    """The strata of one identity over its whole index domain; see `nonzero_tuples`.
 
-
-def _covered(tup, plan) -> bool:
-    point = [(i, i) for i in tup]
-    pinned = plan and [s for (i, e), s in plan[1].items() if tup[i] == e]
-    if pinned:
-        return any(s is not None and not _reachable(s, point) for s in pinned)
-    return plan is not None and not _reachable(plan[0], point)
-
-
-def _settled(plan) -> bool:
-    return plan is not None and not plan[0] and all(s == () for s in plan[1].values())
-
-
-def nonzero_tuples(indices, arity: int, prove, value):
-    """Yield (checked, tuple, value) at each nonzero value(*tuple).
-
-    A value is a sum with `is_zero`, or a check's witness, None when the
-    check holds.
-
-    Tuples run over `itertools.combinations(indices, arity)`, and
-    `checked` counts the tuples up to and including the one yielded.
-    With `prove` given, `prove(forms, parity, boundary)` decides whether
-    the identity holds identically at the index forms `forms` when n, m, k
-    have the parities `parity`, recording in the `_Boundary` where that
-    stops being the integer identity.  A covered tuple is not evaluated.
-
-    One proof per parity class.  The Jacobiator, d2 of an alternating
-    2-cochain, d1 of a 1-cochain, d1 F + c * beta - omega and a vector-field
-    bracket minus the rule (`rule_prover`) alternate in their index
-    arguments, and so does their symbolic evaluation, since
-    `index_family` requires antisymmetric same-parity rows and `_pair_row`
-    orients odd-even and exceptional rows by parity and value, not by
-    position.  So a parity pattern and its permutations vanish together,
-    with the boundary's form coefficients permuted: only the parities
-    sorted ascending are proved (`_stratum`), 3 of 4 for pairs, 4 of 8
-    for triples.  One proof per pinned index.  An entry that is one slot
-    plus a constant with forbidden values (an exceptional row, a pin of
-    an affine map) names finitely many values e of the slot; each e the
-    window reaches is the stratum "slot = e", the same walk with the slot
-    at the constant (0, 0, 0, e), proved once per parity class of the
-    free slots (`_plan`).  A tuple is skipped when it is generic for its
-    stratum's entries, or its pattern's outside any stratum; the rest, and
-    every tuple of an unproved pattern or stratum, is evaluated.  So is a
-    tuple with two pinned slots, since a stratum pins one.  When nothing
-    is left, no tuple is walked.
-
-    The coboundary solver's `prove` adds the equations of each residual
-    to its system and accepts the stratum, so it evaluates only the
-    tuples whose equations no stratum gives.
+    `strata` maps each stratum, (forms, parity), to its entries if it is
+    proved, False if its residual is not zero, and None if no proof
+    applies: a source without index forms, a constant key below the basis
+    bound, or an entry that no cut resolves.  `points` are the tuples
+    with every slot pinned.
     """
-    plans = {}
-    if prove is not None:
-        boxes, proofs = list(zip(indices[:arity], indices[-arity:])), {}
-        for pattern in itertools.product((0, 1), repeat=arity):
-            plans[pattern] = _plan(prove, pattern, boxes, proofs)
-        if all(map(_settled, plans.values())):
-            return
-    for checked, tup in enumerate(itertools.combinations(indices, arity), 1):
-        if plans and _covered(tup, plans[tuple(i % 2 for i in tup)]):
-            continue
-        v = value(*tup)
-        if v is not None and not getattr(v, "is_zero", False):
-            yield checked, tup, v
+
+    def __init__(self, indices, arity, prove, value):
+        self.indices, self.arity, self.prove, self.value = indices, arity, prove, value
+        self.proofs, self.strata, self.points, self.evaluated = {}, {}, set(), 0
+        pad = (0,) * (3 - arity)
+        classes = [(INDEX_FORMS[:arity], p + pad) for p in itertools.product((0, 1), repeat=arity)]
+        lows = [low for c in classes for *_, low in self._status(*c) or () if low is not None]
+        self.lower = max(lows, default=None)
+        for c in classes:
+            self._expand(*c)
+        self.failed = [_tag(*k) for k, s in self.strata.items() if s is False]
+        self.open = [_tag(*k) for k, s in self.strata.items() if s is None]
+        unproved = [forms for (forms, _), s in self.strata.items() if not isinstance(s, tuple)]
+        self.extra = {f[3] for forms in unproved for f in forms if _constant(f)}.union(*self.points)
+
+    def _status(self, forms, parity):
+        if (forms, parity) not in self.strata:
+            (rep, par), perm = _canonical(forms, parity)
+            if (rep, par) not in self.proofs:
+                boundary = _Boundary()
+                proved = self.prove and self.prove(list(rep), par, boundary)
+                entries = sorted(boundary.entries, key=lambda e: (e[0], sorted(e[1]), repr(e[2])))
+                self.proofs[rep, par] = None if boundary.failed else proved and tuple(entries)
+            inverse = sorted(range(len(perm)), key=perm.__getitem__)
+            got = self.proofs[rep, par]
+            self.strata[forms, parity] = got if not isinstance(got, tuple) else tuple(
+                (_rename(form, inverse), f, low) for form, f, low in got
+            )
+        return self.strata[forms, parity]
+
+    def _violations(self, parity, form, forbidden, lower):
+        """(value, point) for each violation of the entry, point None over Z."""
+        if self.lower is None:
+            return [(e, None) for e in sorted(forbidden)]
+        involved = [j for j in range(3) if form[j]]
+        top = max([*forbidden, *([] if lower is None else [lower - 1])])
+        slack = top - form[3] - self.lower * sum(form[j] for j in involved)
+        if slack < 0 <= min(form[j] for j in involved):
+            return []
+        ranges = [
+            range(self.lower + (parity[j] - self.lower) % 2, self.lower + slack // form[j] + 1, 2)
+            for j in involved
+        ]
+        if min(form[j] for j in involved) < 0 or math.prod(map(len, ranges)) > 20_000:
+            return None  # a weight or pin far beyond any window: left to the window
+        out = []
+        for xs in itertools.product(*ranges):
+            v = form[3] + sum(form[j] * x for j, x in zip(involved, xs))
+            if v in forbidden or (lower is not None and v < lower):
+                out.append((v, dict(zip(involved, xs))))
+        return out
+
+    def _expand(self, forms, parity):
+        for form, forbidden, lower in self._status(forms, parity) or ():
+            found = self._violations(parity, form, forbidden, lower)
+            subs = [_cut(forms, parity, form, *v) for v in found or ()]
+            if found is None or None in subs:
+                self.strata[forms, parity] = None  # an entry that no cut resolves
+                return
+            for sub in filter(None, subs):
+                if all(map(_constant, sub[0])):
+                    self.points.add(tuple(sorted(f[3] for f in sub[0])))
+                elif sub not in self.strata:
+                    self._expand(*sub)
+
+    def covered(self, tup) -> bool:
+        """Whether the tuple is generic in a proved stratum that holds it."""
+        forms = INDEX_FORMS[: self.arity]
+        parity = tuple(v % 2 for v in tup) + (0,) * (3 - self.arity)
+        while True:
+            entries = self.strata.get((forms, parity))
+            if not isinstance(entries, tuple):
+                return False
+            at = {j: tup[j] for j in range(self.arity) if forms[j] == INDEX_FORMS[j]}
+            for form, forbidden, lower in entries:
+                v = form[3] + sum(form[j] * x for j, x in at.items())
+                if v in forbidden or (lower is not None and v < lower):
+                    point = None if self.lower is None else {j: at[j] for j in at if form[j]}
+                    sub = _cut(forms, parity, form, v, point)
+                    if not sub:
+                        return False
+                    forms, parity = sub
+                    break
+            else:
+                return True
+
+    def __iter__(self):
+        """(checked, tuple, value) at each nonzero value; see `nonzero_tuples`."""
+        self.evaluated = 0
+        if self.failed or self.open:
+            low = self.lower
+            values = sorted(v for v in set(self.indices) | self.extra if low is None or v >= low)
+            tuples = itertools.combinations(values, self.arity)
+            tuples = (tup for tup in tuples if not self.covered(tup))
+        else:
+            tuples = sorted(self.points)
+        for tup in tuples:
+            self.evaluated += 1
+            v = self.value(*tup)
+            if v is not None and not getattr(v, "is_zero", False):
+                yield self.evaluated, tup, v
+
+    def certificate(self) -> dict:
+        """The strata proved and the points evaluated; with a stratum left
+        without proof, also the window whose tuples were evaluated instead."""
+        window = {"window": [self.indices[0], self.indices[-1]]}
+        if self.prove is None:
+            return window
+        proved = [_tag(*k) for k, s in self.strata.items() if isinstance(s, tuple)]
+        data = {"proved": proved, "evaluated": [list(p) for p in sorted(self.points)]}
+        return {**data, "open": self.open, **window} if self.open else data
+
+
+def nonzero_tuples(indices, arity: int, prove, value) -> _Plan:
+    """The `arity`-tuples of the index domain where value(*tuple) is not zero.
+
+    Iterating the result yields (checked, tuple, value) at each nonzero
+    value, `checked` counting the tuples evaluated so far.  A value is a
+    sum with `is_zero`, or a check's witness, None when the check holds.
+
+    `prove(forms, parity, boundary)` says whether the identity holds at
+    the index forms `forms` when n, m, k have the parities `parity` (None:
+    no proof applies), and records in the `_Boundary` where that stops
+    being the integer identity.  The identities alternate in their index
+    arguments, and so does their symbolic evaluation (`index_family`,
+    `_pair_row`), so a stratum is proved once per representative under
+    slot permutations (`_canonical`).  A stratum is a parity class, or a
+    part of one where slots are affine forms of the others.  Each
+    violation of a proved stratum's entries is a stratum again (`_cut`):
+    over Z one per forbidden value, a pin or a hyperplane; over [lower,
+    oo), for the largest lower bound a class records, one per violating
+    point of the entry's variables, finitely many as every coefficient is
+    nonnegative there.  Each cut frees one variable fewer, so what is left
+    is finitely many tuples with every slot pinned.  When every stratum
+    is proved only those are evaluated, and the identity holds on the
+    whole domain exactly when they vanish.
+
+    Otherwise the tuples over the window `indices` and the pinned values
+    of the failed or unproved strata are walked in `itertools.combinations`
+    order, and each one not generic in a proved stratum is evaluated, so a
+    failing tuple has its free slots in the window.  `failed` and `open`
+    name those strata, and `certificate()` what was proved and evaluated.
+    """
+    return _Plan(indices, arity, prove, value)
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +797,12 @@ def _affine_forms(algebra: FamilySpec, rule):
     by the parity of the form, and `pins`.  a and d are rationals, or
     elements of Q[algebra.params]: a coboundary ansatz is an affine map
     over Q[unknowns] on the algebra lifted to that ring.  Each argument
-    of F is recorded with the pinned indices as forbidden values and the
-    bound that keeps its image in the basis domain of `algebra`, except a
-    constant, which takes its integer value, its pin included (a bracket
-    of its image records the image's domain).
+    of F is recorded with the pinned indices as forbidden values, and its
+    image with the basis bound of `algebra`, except a constant, which
+    takes its integer value, its pin included (a bracket of its image
+    records the image's domain).
     """
     w = rule.weight
-    lower = None if algebra.lower_bound is None else algebra.lower_bound - w
     ring = algebra.params + INDEX_VARS
     lift = partial(_lift, ring)
     even, odd = (tuple(map(lift, pair)) for pair in (rule.even, rule.odd))
@@ -710,7 +813,8 @@ def _affine_forms(algebra: FamilySpec, rule):
             if _constant(form):
                 f = lift(rule.coefficient(form[3]))
             else:
-                boundary.add(form, pins, lower)
+                boundary.add(form, pins)
+                boundary.add(_form_sum(form, (0, 0, 0, w)), (), algebra.lower_bound)
                 a, d = odd if _form_parity(form, parity) else even
                 f = _form_poly(ring, form) * a + d
             return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
@@ -753,11 +857,11 @@ def _identity(walk, sources, params, settle=_vanishes):
     `nonzero_tuples`, walks the index forms (None if some source has none).
 
     `prove` sums the walk into its residual, a dict from output index
-    form to coefficient over Q[params, n, m, k], and returns
+    form (or CENTRAL) to coefficient over Q[params, n, m, k], and returns
     settle(residual, keys, parity, boundary): by default whether the
     residual is zero.  The coboundary solver's `settle` reads equations
     off the residual instead (`class_coefficients`).  A source whose lift
-    fails leaves the pattern unproved, and `settle` is not called.
+    fails makes `prove` return None, and `settle` is not called.
     """
     ats = [at for at, _ in sources]
 
@@ -769,9 +873,9 @@ def _identity(walk, sources, params, settle=_vanishes):
 
     def prove(keys, parity, boundary) -> bool:
         terms = [forms(parity, boundary) for _, forms in sources]
-        return None not in terms and settle(
-            accumulate(walk(*terms, *keys)), keys, parity, boundary
-        )
+        if None in terms:
+            return None
+        return settle(accumulate(walk(*terms, *keys)), keys, parity, boundary)
 
     return value, prove
 
@@ -811,13 +915,9 @@ def class_coefficients(residual, keys, parity):
     `settle`; the identity holds at every generic tuple of the stratum
     exactly when every coefficient vanishes.  The tag names the parity
     class, the forms (a pinned slot as its integer), the output form and
-    the monomial.
+    the monomial; the central index is "c".
     """
-    text = partial(_form_poly, INDEX_VARS)
-    stratum = {
-        "class": "-".join("odd" if p else "even" for p in parity),
-        "forms": [str(text(f)) for f in keys],
-    }
+    stratum = _tag(keys, parity)
     for form, coeff in residual.items():
         base = len(coeff.params) - len(INDEX_VARS)
         by_monomial = {}
@@ -826,7 +926,7 @@ def class_coefficients(residual, keys, parity):
         for monomial in sorted(by_monomial):
             tag = {
                 **stratum,
-                "index": str(text(form)),
+                "index": "c" if form == CENTRAL else _form_text(form),
                 "monomial": str(ParamPoly(INDEX_VARS, {monomial: 1})),
             }
             yield tag, ParamPoly(coeff.params[:base], by_monomial[monomial])
@@ -855,18 +955,21 @@ class CheckReport:
         return data
 
 
-def certify(name, indices, arity: int, prove, value, key, certificate) -> CheckReport:
-    """The report that value(*tuple) is zero on every `arity`-tuple of `indices`.
+def certify(name, indices, arity: int, prove, value, key) -> CheckReport:
+    """The report that value(*tuple) is zero on every `arity`-tuple of the domain.
 
     FAIL carries the first tuple of `nonzero_tuples` under `key`, with
-    its value, and counts the tuples up to it as checked; PASS carries
-    `certificate` and counts every tuple.
+    its value, or when no evaluated tuple fails, the first stratum whose
+    residual is not zero under "stratum"; PASS carries the walk's
+    certificate.  `checked` counts the tuples evaluated.
     """
-    for checked, tup, v in nonzero_tuples(indices, arity, prove, value):
+    walk = nonzero_tuples(indices, arity, prove, value)
+    for checked, tup, v in walk:
         witness = {key: list(tup), "value": v.to_json()}
         return CheckReport(name, "FAIL", checked, witness=witness)
-    checked = math.comb(len(indices), arity)
-    return CheckReport(name, "PASS", checked, certificate=certificate)
+    if walk.failed:
+        return CheckReport(name, "FAIL", walk.evaluated, witness={"stratum": walk.failed[0]})
+    return CheckReport(name, "PASS", walk.evaluated, certificate=walk.certificate())
 
 
 def domain_indices(family: FamilySpec, window) -> list:
@@ -889,52 +992,24 @@ def domain_pairs(family: FamilySpec, window) -> list:
     return indices
 
 
-#: Values per parity class that `verify_jacobi` and `is_cocycle` require.
-MIN_PER_PARITY = 8
-
-
-def _require_window(family: FamilySpec, window):
-    indices = domain_indices(family, window)
-    odd = sum(1 for n in indices if n % 2)
-    even = len(indices) - odd
-    if odd < MIN_PER_PARITY or even < MIN_PER_PARITY:
-        raise WindowTooSmall(
-            f"need at least {MIN_PER_PARITY} indices per parity class, "
-            f"got {odd} odd / {even} even"
-        )
-    return indices
-
-
 def verify_jacobi(family: FamilySpec, window) -> CheckReport:
-    """Certify the Jacobi identity on every index triple in the window.
+    """Certify the Jacobi identity on every index triple of the family's domain.
 
     The Jacobiator is the walk `_jacobi_terms` over the family's bracket,
     evaluated and proved by `_identity`.  Rule coefficients are affine in
     the pair indices, so on each parity class of (n, m, k), and on each
-    stratum with one index pinned to an exceptional row, it is one
-    polynomial in the free index variables over Q[params]
-    (`nonzero_tuples`).  Only the triples no such proof covers are
-    evaluated: those on a hyperplane n + m + k = -shift where a central
-    delta can contribute, those whose brackets reach an exceptional index
-    or the basis bound, and every triple of a class or stratum whose
-    polynomial is not zero, or of a family with a non-antisymmetric
-    same-parity row or a central table.  The witness is the first failing
-    triple in `itertools.combinations` order either way.  The window is
-    required to supply >= 8 values per parity class.
+    stratum where a slot is pinned to an exceptional row or set by a
+    hyperplane (a central delta's n + m + k = -shift, a bracket reaching
+    an exceptional row), it is one polynomial over Q[params]
+    (`nonzero_tuples`).  A PASS holds on the whole domain, [lower_bound,
+    oo) or Z; a polynomial that is not zero is a FAIL, witnessed by the
+    first failing triple over the window and the stratum's pinned values.
+    A family with no proof (`index_family`) is evaluated on the window's
+    triples, and its PASS holds there.
     """
-    indices = _require_window(family, window)
+    indices = domain_indices(family, window)
     value, prove = _identity(_jacobi_terms, _bracket_sources(family), family.params)
-    certificate = {
-        "window": [indices[0], indices[-1]],
-        "degree_bound": 2,
-        "grid_per_parity": {
-            "odd": sum(1 for n in indices if n % 2),
-            "even": sum(1 for n in indices if not n % 2),
-        },
-    }
-    return certify(
-        f"jacobi:{family.name}", indices, 3, prove, value, "triple", certificate
-    )
+    return certify(f"jacobi:{family.name}", indices, 3, prove, value, "triple")
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,15 @@ def cmd_paper_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The --window help of the checks that prove their identity over the domain.
+PROVED_WINDOW = (
+    "a PASS holds on the whole index domain; the window holds the free slots of "
+    "a failing tuple, and the tuples evaluated where no proof applies, when the "
+    "certificate names it"
+)
+DEFAULT_WINDOW = " (default -8..8, or 1..16 when the basis starts at 1)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liefam",
@@ -455,21 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--m", type=int, required=True)
     br.set_defaults(handler=cmd_bracket)
 
-    vj = sub.add_parser("verify-jacobi", help="certify the Jacobi identity")
-    _family_flags(vj)
-    vj.add_argument(
-        "--window", type=window, help="default -8..8, or 1..16 when the basis starts at 1"
+    vj = sub.add_parser(
+        "verify-jacobi", help="certify the Jacobi identity on every triple of the domain"
     )
+    _family_flags(vj)
+    vj.add_argument("--window", type=window, help=PROVED_WINDOW + DEFAULT_WINDOW)
     vj.set_defaults(handler=cmd_verify_jacobi)
 
     vg = sub.add_parser(
         "verify-geometry",
         help="check rules against vector fields, one identity per parity class over "
-        "Q[params, n, m]: a pair is PASS because its class is proved; pairs at the "
-        "basis bound or of an unproved class are bracketed one by one",
+        "Q[params, n, m]: a PASS holds for every pair of the domain; pairs at the "
+        "basis bound are bracketed one by one",
     )
     _family_flags(vg)
-    vg.add_argument("--window", default="-6..6", type=window)
+    vg.add_argument("--window", default="-6..6", type=window, help=PROVED_WINDOW + " (%(default)s)")
     vg.set_defaults(handler=cmd_verify_geometry)
 
     coh = sub.add_parser("cohomology", help="cochain computations")
@@ -480,9 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     gon.set_defaults(handler=cmd_cohomology_goncharova)
     chk = coh_sub.add_parser("check")
     chk.add_argument("--cocycle", required=True)
-    chk.add_argument(
-        "--window", type=window, help="default -8..8, or 1..16 when the basis starts at 1"
-    )
+    chk.add_argument("--window", type=window, help=PROVED_WINDOW + DEFAULT_WINDOW)
     chk.set_defaults(handler=cmd_cohomology_check)
     slv = coh_sub.add_parser("solve")
     _solve_flags(slv)
@@ -561,9 +568,9 @@ def _solve_flags(parser):
         "--window",
         default="-12..12",
         type=checked(parse_window, "window"),
-        help="sets the pinned strata a closed shape proves, the pairs left to "
-        "evaluate and where the solution is re-checked; a per-index ansatz has "
-        "one unknown per index of the window",
+        help="a closed shape solves over every pair of the domain, and the window "
+        "only bounds the pairs evaluated when a stratum has no proof; a per-index "
+        "ansatz has one unknown per index of the window, and its result holds there",
     )
     parser.add_argument(
         "--pin", type=checked(parse_pins, "pins"), help='pinned values "1=0,2=0"'

@@ -18,15 +18,11 @@ class OutOfDomainIndex(LiefamError):
 
 
 class WindowTooSmall(LiefamError):
-    """The index window cannot certify the stated degree bound."""
+    """The index window holds too few indices for the requested check."""
 
 
 class UnsupportedFamily(LiefamError):
     """No geometric realization is available for this family."""
-
-
-class AnsatzTooWeak(LiefamError):
-    """The window system is consistent but the closed form cannot be certified."""
 
 
 class ArityUnsupported(LiefamError):

@@ -139,10 +139,13 @@ def w1_subalgebra() -> FamilySpec:
 
 
 def formal_family(i: int) -> FamilySpec:
-    """The three one-parameter deformations of the index >= 1 subalgebra.
+    """Three one-parameter families deforming the index >= 1 subalgebra L1.
 
     Family 1 shifts every row by t*(m-n) at degree -1; families 2 and 3
     deform only the row of index 1 resp. 2 by t*m at the matching shift.
+    Their first-order cocycles beta1, beta2 are coboundaries on L1: the
+    affine solve of weight -1 gives F(v_n) = ((n - 1)/2) v_(n-1) resp.
+    ((n + 1)/2) v_(n-1), with F(v_1) = 0.  beta3 is not one (criterion 5).
     """
     if i not in (1, 2, 3):
         raise UnsupportedFamily(f"formal family index must be 1, 2 or 3, got {i}")

@@ -7,10 +7,10 @@ A, B Laurent in u over the fibre's ring, the image of one elliptic field
 over Q[e1, e2].  The field of index 2K + e is u^K times the K = 0 field
 of parity e, so with K symbolic one bracket and one re-expansion check a
 whole parity class: one identity per parity class over Q[params, n, m].
-A pair is PASS because its class is proved; only the pairs of an
-unproved class, or at the bound of the basis domain, are bracketed at
-their integers.  The elliptic PASS holds for every pair on every fibre,
-the nodal and cuspidal ones included.
+A PASS holds for every pair of indices: each class is proved, and only
+the pairs at the bound of the basis domain are bracketed at their
+integers; a failing class is bracketed pair by pair on the window.  The
+elliptic PASS holds on every fibre, the nodal and cuspidal ones included.
 
 The residue pairings of `central` need the genus-zero fields in a global
 coordinate t.  `uniformize` pulls a realization back along the
@@ -21,7 +21,6 @@ and keeps it as a Laurent polynomial in t times a power of t^2 - beta.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -395,14 +394,13 @@ def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     base exponents (`_class_bracket`), and their bracket is re-expanded
     in the symbolic candidates n + m + j, j within the grading bounds, by
     an exact triangular solve, then compared with the rule at the index
-    forms (`algebra.rule_prover`).  A listed pair is PASS because its
-    class is proved and its keys and candidates are generic there: in
-    the basis domain and off the exceptional rows.  Only the pairs of an
-    unproved class and the pairs at the domain's bound are evaluated,
-    each bracketed and re-expanded at its integers (`nonzero_tuples`).
-    Both sides are symbolic in the family's parameters, so a PASS holds on
-    every fibre, singular ones included.  A window needs two indices in
-    the domain.
+    forms (`algebra.rule_prover`).  A PASS holds for every pair of the
+    domain: each class is proved where its keys and candidates are in the
+    basis domain and off the exceptional rows, and the finitely many pairs
+    where they are not are bracketed at their integers (`nonzero_tuples`).
+    A failing class is walked over the window, and the witness lists its
+    first five failing pairs.  Both sides are symbolic in the parameters,
+    so a PASS holds on every fibre, singular ones included.
     """
     base = family.name.split("|")[0]
     if base not in FIBRES:
@@ -420,20 +418,16 @@ def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     field = functools.cache(functools.partial(realize, base))
     value = functools.partial(_pair_check_cubic, family, field=field, bounds=bounds)
     prove = rule_prover(family, shifts, _class_bracket(base, shifts))
-    failures = {pair: bad for _, pair, bad in nonzero_tuples(indices, 2, prove, value)}
-    pairs = [
-        [n, m, "FAIL" if (n, m) in failures else "PASS"]
-        for n, m in itertools.combinations(indices, 2)
-    ]
-    witnesses = list(failures.values())
+    walk = nonzero_tuples(indices, 2, prove, value)
+    witnesses = [bad for _, _, bad in walk]
+    witness = {"mismatches": witnesses[:5]} if witnesses else None
+    if walk.failed and not witnesses:
+        witness = {"stratum": walk.failed[0]}
+    certificate = {"candidates": [bounds.lower, bounds.upper], **walk.certificate()}
     return CheckReport(
         name=f"geometry:{family.name}",
-        status="PASS" if not witnesses else "FAIL",
-        checked=len(pairs),
-        witness={"mismatches": witnesses[:5]} if witnesses else None,
-        certificate={
-            "window": [indices[0], indices[-1]],
-            "candidates": [bounds.lower, bounds.upper],
-            "pairs": pairs,
-        },
+        status="FAIL" if witness else "PASS",
+        checked=walk.evaluated,
+        witness=witness,
+        certificate=None if witness else certificate,
     )

@@ -66,8 +66,10 @@ class LinearSystem:
         # pivot id -> (integer row without the pivot, pivot entry > 0, rhs)
         self.rows = {}
         self.inconsistency = None  # (tag, residual) of first bad equation
+        self.equations = 0  # equations added
 
     def add(self, coeffs: dict, rhs, tag=None) -> None:
+        self.equations += 1
         terms = [(k, _rational(v)) for k, v in coeffs.items() if v != 0]
         rhs = _rational(rhs)
         scale = lcm(rhs.denominator, *(v.denominator for _, v in terms))

@@ -268,8 +268,7 @@ def criterion_4() -> CriterionResult:
             and r.odd == (Fraction(0), Fraction(1, 2))
         )
     # the equations come from the residual of each parity class of (n, m),
-    # so no window pair is evaluated; the solver re-checks d1(Phi) = omega
-    # on the window widened by four indices a side, proved per class too
+    # so no pair is evaluated and a solution holds on every pair of W
     return CriterionResult(
         4,
         "Order-1 and order-2 cocycles with exact coboundary witnesses",
@@ -292,12 +291,14 @@ def _residuals(phi: Cochain, omega, beta, scalar, window) -> dict:
     """{(n, m): omega - d1 F - scalar * beta} on the window pairs where nonzero.
 
     d1 is taken over the Witt algebra W: on pairs of indices >= 1 its
-    bracket is the action of L1 on W, so F may take values in W.  The
-    pairs come from `coboundary_mismatches`, which proves the identity
-    per parity class and per pin, and evaluates only where a proof fails.
+    bracket is the action of L1 on W, so F may take values in W; omega and
+    beta are defined from index 1 on, so the identity is proved on every
+    pair of indices >= 1.  The pairs come from `coboundary_mismatches`,
+    which proves it per parity class and per pin, and evaluates the window
+    pairs of a stratum whose proof fails.
     """
     mismatches = coboundary_mismatches(witt(), phi, omega, beta, scalar, list(window))
-    return {pair: -difference for pair, difference in mismatches}
+    return {pair: -difference for _, pair, difference in mismatches}
 
 
 def _erratum(omega, beta3, computed: Cochain, window) -> dict:

@@ -26,7 +26,7 @@ from liefam.algebra import (
     _bracket_sources,
     _identity,
     _jacobi_terms,
-    _stratum,
+    _Plan,
     abelianization_codim,
     basis_bracket,
     bracket,
@@ -46,7 +46,7 @@ from liefam.cohomology import (
     PairRule,
     PairTableRule,
     _coboundary_identity,
-    _verify_coboundary,
+    coboundary_mismatches,
     compare_classes,
     differential,
     is_cocycle,
@@ -160,11 +160,42 @@ def test_corrupted_family_fails_jacobi():
     assert report.witness is not None
 
 
-def test_verify_jacobi_window_requirements():
-    with pytest.raises(WindowTooSmall):
-        verify_jacobi(witt(), range(-4, 5))
+def test_verify_jacobi_certifies_the_domain_on_any_window():
+    """No window size is required: Witt's eight parity classes are proved, no
+    triple is evaluated, and the report is the same on every window."""
     report = verify_jacobi(witt(), range(-8, 9))
-    assert report.passed and report.checked == 680
+    assert report.passed and report.checked == 0
+    assert report.certificate == {
+        "proved": [{"class": c, "forms": ["n", "m", "k"]} for c in (
+            "even-even-even", "even-even-odd", "even-odd-even", "even-odd-odd",
+            "odd-even-even", "odd-even-odd", "odd-odd-even", "odd-odd-odd")],
+        "evaluated": [],
+    }
+    for window in (range(-4, 5), range(3, 4), range(-40, 41)):
+        assert verify_jacobi(witt(), window).to_json() == report.to_json()
+    # virasoro's central delta is proved on its hyperplanes n + m + k = 0
+    report = verify_jacobi(virasoro(), range(-8, 9))
+    assert report.passed and report.checked == 0
+    assert {"class": "even-even-even", "forms": ["n", "m", "-m - n"]} in (
+        report.certificate["proved"]
+    )
+
+
+def test_defects_beyond_the_window_fail():
+    """A defect outside the window is a FAIL: a Witt row at 40 whose Jacobi identity
+    breaks fails on -8..8 at the first triple of the window and the pinned row, and
+    a pin at 50 makes a solve on -12..12 infeasible on the stratum of 50."""
+    bad = replace(witt(), exceptional={40: (RuleTerm(0, *(ParamPoly.const((), c)
+                                                        for c in (-1, 1, 1))),)})
+    report = verify_jacobi(bad, range(-8, 9))
+    assert report.status == "FAIL" and report.witness["triple"] == [-8, -7, 40]
+    assert not jacobiator(bad, -8, -7, 40).is_zero
+    assert report.witness["value"] == jacobiator(bad, -8, -7, 40).to_json()
+    _, omega = named_cocycle("ds-order1")
+    result = solve_coboundary(witt(), omega, Ansatz("parity-constant", -2, pins={50: 7}),
+                              range(-12, 13))
+    assert result.status == "infeasible"
+    assert result.certificate["contradiction_at"]["forms"] == ["50", "m"]
 
 
 def test_grading_bounds():
@@ -385,13 +416,19 @@ def enumerated_cocycle(algebra, cochain, window):
     return {"check": name, "status": "PASS", "checked": checked, "certificate": certificate}
 
 
+def verdict(report):
+    """A report's JSON without its certificate and count of evaluated tuples."""
+    data = report if isinstance(report, dict) else report.to_json()
+    return {k: v for k, v in data.items() if k not in ("checked", "certificate")}
+
+
 def outcome(report, *args):
-    """The report's JSON, or the out-of-domain error it raises."""
+    """The report's verdict, or the out-of-domain error it raises."""
     try:
         got = report(*args)
     except OutOfDomainIndex as exc:
         return ("OutOfDomainIndex", str(exc))
-    return got if got is None or isinstance(got, dict) else got.to_json()
+    return got if got is None else verdict(got)
 
 
 _RATIONALS = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 2, 3)] + [Fraction(1, 2)])
@@ -545,11 +582,11 @@ def test_boundary_triples_are_evaluated():
                    name="witt|m^2")
     report = verify_jacobi(skew, range(-8, 8))
     assert report.status == "FAIL" and sum(report.witness["triple"]) == 0
-    assert report.to_json() == enumerated_jacobi(skew, range(-8, 8))
+    assert verdict(report) == verdict(enumerated_jacobi(skew, range(-8, 8)))
     # the central delta of the virasoro algebra also touches d2 there
     _, omega = named_cocycle("ds-order1")
     report = is_cocycle(virasoro(), omega, range(-8, 8))
-    assert report.to_json() == enumerated_cocycle(virasoro(), omega, range(-8, 8))
+    assert verdict(report) == verdict(enumerated_cocycle(virasoro(), omega, range(-8, 8)))
 
 
 @st.composite
@@ -624,19 +661,26 @@ def test_differential_equals_reference():
             assert d.value(*tup) == reference(*tup), (algebra.name, c.rule, tup)
 
 
-def enumerated_coboundary(algebra, phi, omega, beta, scalar, window):
-    """_verify_coboundary's result for an affine map, by plain enumeration of `reference_d1`."""
-    indices = sorted(n for n in window if algebra.in_domain(n))
-    extended = [n for n in range(indices[0] - 4, indices[-1] + 5) if algebra.in_domain(n)]
+def enumerated_coboundary(algebra, phi, omega, beta, scalar, indices):
+    """The first pair of `indices` where d1 F - omega + scalar * beta is not zero,
+    with its value, by plain enumeration of `reference_d1`; None if there is none."""
     d1 = reference_d1(algebra, phi)
-    for n, m in itertools.combinations(extended, 2):
-        lhs = d1(n, m)
-        rhs = omega.value(n, m)
+    for n, m in itertools.combinations(indices, 2):
+        difference = d1(n, m) - omega.value(n, m)
         if beta is not None:
-            rhs = rhs - beta.value(n, m).scale(scalar)
-        if not (lhs - rhs).is_zero:
-            return {"pair": [n, m], "difference": (lhs - rhs).to_json()}
+            difference = difference + beta.value(n, m).scale(scalar)
+        if not difference.is_zero:
+            return {"pair": [n, m], "difference": difference.to_json()}
     return None
+
+
+def first_mismatch(algebra, phi, omega, beta, scalar, window):
+    """(first, walk): `coboundary_mismatches`' first pair with its value, else its
+    first failed stratum, else None; and the walk, whose pinned values it walked."""
+    walk = coboundary_mismatches(algebra, phi, omega, beta, scalar, list(window))
+    for _, pair, difference in walk:
+        return {"pair": list(pair), "difference": difference.to_json()}, walk
+    return ({"stratum": walk.failed[0]} if walk.failed else None), walk
 
 
 _HALF = Fraction(1, 2)
@@ -686,15 +730,25 @@ def coboundary_cases(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(coboundary_cases(), st.data())
-def test_verify_coboundary_equals_plain_enumeration(case, data):
+def test_coboundary_walk_equals_plain_enumeration(case, data):
+    """The walk's first mismatch is that of plain enumeration over the window and
+    the pinned values of the strata it walks; with no failed stratum, plain
+    enumeration finds no mismatch on the window widened by 8 on each side."""
     algebra, phi, omega, beta, scalar = case
     window = windows(data.draw, algebra)
-    args = (algebra, phi, omega, beta, scalar, window)
-    # an affine map is its own ansatz cochain, one with no unknowns, and
-    # covers every pair
-    assert outcome(lambda *a: _verify_coboundary(a[0], phi, None, *a[1:]), *args) == outcome(
-        enumerated_coboundary, *args
-    )
+    args = (algebra, phi, omega, beta, scalar)
+    try:
+        got, walk = first_mismatch(*args, window)
+    except OutOfDomainIndex as exc:  # F leaves the basis domain where enumeration sees it
+        assert outcome(enumerated_coboundary, *args, window) == ("OutOfDomainIndex", str(exc))
+        return
+    domain = [n for n in sorted(set(window) | walk.extra) if algebra.in_domain(n)]
+    if got is None or "pair" in got:
+        assert got == enumerated_coboundary(algebra, phi, omega, beta, scalar, domain)
+    if not walk.failed:
+        wide = [n for n in range(window[0] - 8, window[-1] + 9) if algebra.in_domain(n)]
+        assert (got is None) == (enumerated_coboundary(algebra, phi, omega, beta, scalar,
+                                                       wide) is None)
 
 
 def test_coboundary_witnesses_are_proved_per_parity_pattern():
@@ -738,19 +792,23 @@ def _proves():
 
 
 def test_class_representatives_give_the_direct_entries():
-    """The entries derived from a class representative, by permuting form coefficients,
-    are those of a direct proof of each pattern, with no pin or one pinned slot."""
+    """The entries derived from a stratum's representative, by permuting form
+    coefficients, are those of a direct proof of each pattern, with no pin or one
+    pinned slot."""
+    plans = {name: _Plan(range(1, 2), arity, prove, None) for name, arity, prove in _proves()}
     for name, arity, prove in _proves():
         for pattern in itertools.product((0, 1), repeat=arity):
             for pin, e in [(None, None)] + [(i, e) for i in range(arity) for e in (1, 2)]:
                 if pin is not None and pattern[pin] != e % 2:
                     continue
-                kinds = tuple((0, e) if i == pin else (1, p) for i, p in enumerate(pattern))
-                forms = [(0, 0, 0, e) if i == pin else INDEX_FORMS[i] for i in range(arity)]
+                forms = tuple((0, 0, 0, e) if i == pin else INDEX_FORMS[i] for i in range(arity))
+                parity = tuple(0 if i == pin else p for i, p in enumerate(pattern))
+                parity += (0,) * (3 - arity)
                 boundary = _Boundary()
-                proved = prove(forms, pattern, boundary) and not boundary.failed
+                proved = prove(list(forms), parity, boundary) and not boundary.failed
                 direct = boundary.entries if proved else None
-                assert _stratum(prove, kinds, {}) == direct, (name, kinds)
+                got = plans[name]._status(forms, parity)
+                assert (None if got is None else set(got)) == direct, (name, forms, parity)
 
 
 def evaluated(monkeypatch):
@@ -771,17 +829,18 @@ def test_pinned_strata_leave_no_tuple_to_evaluate(monkeypatch):
     seen = evaluated(monkeypatch)
     for i in (2, 3):
         report = verify_jacobi(formal_family(i), range(1, 22))
-        assert report.passed and report.checked == 1330
+        assert report.passed and report.checked == 0
+        assert {"class": "odd-even-even" if i == 2 else "even-odd-odd",
+                "forms": [str(i - 1), "m", "k"]} in report.certificate["proved"]
     for name in ("beta2", "beta3"):
         report = is_cocycle(*named_cocycle(name), range(1, 22))
-        assert report.passed and report.checked == 1330
+        assert report.passed and report.checked == 0
     assert seen == []
 
 
 def test_closed_shape_solves_evaluate_only_the_doubly_pinned_pair(monkeypatch):
     """Criterion 4's solves read every equation off class residuals and evaluate no
-    pair; criterion 5's compare evaluates only (1, 2), pinned at both indices, once
-    for its equations and once in the re-check."""
+    pair; criterion 5's compare evaluates only (1, 2), pinned at both indices."""
     seen = evaluated(monkeypatch)
     w = witt()
     for name, weight in (("ds-order1", -2), ("dinf-order2", -4)):
@@ -793,7 +852,7 @@ def test_closed_shape_solves_evaluate_only_the_doubly_pinned_pair(monkeypatch):
     ansatz = Ansatz("affine", -2, pins={1: Fraction(0), 2: Fraction(0)})
     result = compare_classes(algebra, omega, named_cocycle("beta3")[1], ansatz, range(1, 25))
     assert result.solved and result.scalar == Fraction(1, 3)
-    assert seen == [(1, 2), (1, 2)]
+    assert seen == [(1, 2)] and result.certificate["evaluated"] == [[1, 2]]
 
 
 def test_a_broken_stratum_gives_the_enumerated_witness(monkeypatch):
@@ -806,13 +865,13 @@ def test_a_broken_stratum_gives_the_enumerated_witness(monkeypatch):
     edited = replace(fam, exceptional={2: row}, name="formal-3|d")
     seen = evaluated(monkeypatch)
     report = verify_jacobi(edited, range(1, 22))
-    assert report.to_json() == enumerated_jacobi(edited, range(1, 22))
+    assert verdict(report) == verdict(enumerated_jacobi(edited, range(1, 22)))
     assert report.witness["triple"] == [1, 2, 3] and seen == [(1, 2, 3)]
     # two exceptional rows: [v_1, v_4] and [v_4, v_1] both take the row of 1, and
     # the triples pinned at both are evaluated; ad(v_1) is the Witt one plus the
     # derivation -2 * degree, so this is a semidirect product and Jacobi holds
     report = verify_jacobi(TWO_ROWS[0], range(1, 17))
-    assert report.to_json() == enumerated_jacobi(TWO_ROWS[0], range(1, 17))
+    assert verdict(report) == verdict(enumerated_jacobi(TWO_ROWS[0], range(1, 17)))
     assert report.passed
 
 
@@ -841,7 +900,7 @@ def test_two_exceptional_rows_bracket_antisymmetrically(family):
     window = range(1, 17) if family.lower_bound else range(-8, 9)
     for n, m in itertools.product(window, repeat=2):
         assert basis_bracket(family, n, m) == -basis_bracket(family, m, n), (n, m)
-    assert verify_jacobi(family, window).to_json() == enumerated_jacobi(family, window)
+    assert verdict(verify_jacobi(family, window)) == verdict(enumerated_jacobi(family, window))
 
 
 def test_stated_map_fails_on_its_pinned_strata_only(monkeypatch):
@@ -860,57 +919,58 @@ def test_stated_map_fails_on_its_pinned_strata_only(monkeypatch):
     assert seen == []
 
 
-#: SHA-256 of the sorted report JSON, recorded when every triple was
-#: enumerated; window "a" is -8..8 (1..16 with an index bound), "b" is
-#: -9..12 (1..23).
+#: SHA-256 of the sorted report JSON; window "a" is -8..8 (1..16 with an
+#: index bound), "b" is -9..12 (1..23).  Recorded when the certificates came
+#: to list the strata proved over the whole domain; every status and witness
+#: is the one recorded when every triple of the window was enumerated.
 REPORT_PINS = {
-    "jacobi witt a": "5d6790f188ad542934cd490a4de82cff6ba11e4797ccc4f78509c5e59a137337",
-    "jacobi virasoro a": "93b438ec8d06d9eb2f43828c8cd1d58a883ebff0d2836e88c4098fed5c1b3d74",
-    "jacobi elliptic a": "452ca196b3e28da300e0bfc8be59354d7c6afcb22a643b6363d9f638e8b4907e",
-    "jacobi d-infinity a": "edbdf19914b7e48c20cf5005cd4e2cdd6d79b7acf7df131f5d7fd1874be0f1ad",
-    "jacobi three-point a": "6f920d670b15d2a738466f05746715a3ee7b389e3a85726ef554ab2f9a89aa96",
-    "jacobi nodal a": "5af376b38819ac7cb13223cddd1052680d596846440c46b3562e74427fbbf221",
-    "jacobi l1 a": "117aec880049b444d73ac7b66c517e54a330b563fafe611151e1b2d398824cc6",
-    "jacobi w1 a": "60703bc927d57957ad200389b62ec3d19934f1b9e69add62d6687769a96b2947",
-    "jacobi formal-1 a": "a844f870d6588ff6406cd3c525fe1a7bacf6f7fcd19a4746713d204e9742e9ec",
-    "jacobi formal-2 a": "35b485360985a84ab9714bf47e96d950b783537de30ecc9ad8669c989cc8266d",
-    "jacobi formal-3 a": "d056971b60a27a8c21c2716a8aeb535f12fa92e1ea7c664c25bf5f131e158c80",
-    "jacobi d-line(s=0) a": "76c9f0c59fe436a86b017a5c79e3a14468750f76aa426d79bc529e4c5a6a7865",
-    "jacobi d-line(s=1) a": "9a828aedecf68b57c541bf07ce19c7a2f9fe78b7957b682b4fb6b43151ae1e4b",
-    "jacobi d-line(s=-2) a": "51781e1129a78cbe300c783b65091127c6060d0bb4cb3c13c02df07c101c96fb",
-    "jacobi d-line(s=-1/2) a": "4ee918821fc7a2a477e0e37d8f1bef101d52368b9b20b2c3f8a0ac74c83edeb5",
-    "jacobi d-line(s=3) a": "76421f796b3c2a2d7db0132af7106bbf88e3497a60208494e5b2d941f1c81c73",
+    "jacobi witt a": "9d6683aa70d55ccfe350c8fb45d1ac53d8760da2bdf71ce49484eb369be6b896",
+    "jacobi virasoro a": "953c47a1bfc4801c04b53e7ecc9251525ab09716f8d33543c150c7629eabe2a2",
+    "jacobi elliptic a": "68af06cd40a438942102b8bfd0cec29737da83525d1e0bf1ec41b7a873f45157",
+    "jacobi d-infinity a": "d87483c7432c8924b23d9dd92f3c640edc058c6d5f3221e7383fd4d4d98200d1",
+    "jacobi three-point a": "1838853b461dc5e4c60ed5ce40d5622173a4b60dece1e65f0ec163b2e893308d",
+    "jacobi nodal a": "833e65be172809dca3fb0c6dd8c602d8258d0735680e270d2eade230a59d9fdb",
+    "jacobi l1 a": "b66842702cfb3b3589f05aa18fbc0fe05e87d1b68844d7ad5a84ac574ea6d3ca",
+    "jacobi w1 a": "da71310e4f604eb00f76b4ec738e5613ce7f933c7695e5518c19d12dc324df75",
+    "jacobi formal-1 a": "ff6d75dd80e57bcb96e537032963702ba28753bcdb377fb270389fe6b5c82fdf",
+    "jacobi formal-2 a": "b07fbb372144613c0cd1feb658e00dd719315b84aa60cdc3bc3054192a61dbd3",
+    "jacobi formal-3 a": "47315adced777659f3657fc003c7a3c5723b0bc2958719bd43871a4cdd69f51e",
+    "jacobi d-line(s=0) a": "4d8e9495bedcbc11f8cee11e00d830f88a6c76e513df5e492f28ee86a8bd6aa0",
+    "jacobi d-line(s=1) a": "8a98c0769b03ae06c00a9f20853a4b150d218c46d5ab85c57190f4242df80042",
+    "jacobi d-line(s=-2) a": "75c16c2aff8eb766c13024cf492941e875207906b523ea4eafc4482a34e9f6ca",
+    "jacobi d-line(s=-1/2) a": "7a50a2b53788b31e313abdb44d93c491f8bc4486f0e8764a09b5e94dfeed79a9",
+    "jacobi d-line(s=3) a": "2654d98e413c675b635bc9be70b64d731428bf9e1a06b7331c1e9077a9b01ed3",
     "jacobi elliptic|corrupted a": "5037b3330606cae6a86b95417f8e6995c70c6d67abc135e71993848fc53ac049",
-    "cocycle ds-order1 a": "da5ff87243282c9bd408db618d977bf736b25b319d7c0629af60a850259ef369",
-    "cocycle dinf-order2 a": "d1ee1122722aec134dcd543af502a08f7d11ae91d1faea47b5d6b72c15268c2a",
-    "cocycle w1-order1 a": "c51d8fede453ba333dc369794c597670526348fcaea5665defb6ecfb243f6547",
-    "cocycle beta1 a": "14cea574c3e19341c0c4105cd5a55db9b19fd0054fddb11594e8295ecec94628",
-    "cocycle beta2 a": "b835de2e33bae3b65a54e4ecd5bc3dddf90c64398bc9567e03284f7caff303ff",
-    "cocycle beta3 a": "475917ff92d5cf26be49d466af973f0571ea4bdd8a48b0d159db5a984f8ac6d0",
+    "cocycle ds-order1 a": "62308460a0fe4a99bfce75b61aa3900a38bcba19ffdb15d7e94f3d9d81b5e28f",
+    "cocycle dinf-order2 a": "8dd988df85be54ca6da840682dc7aba0c314492e055deaaca9b4ba73fa5501fc",
+    "cocycle w1-order1 a": "40fc7124d7fdb2792e661b9560db156ada456f1b2729d551ef90eca9448f9804",
+    "cocycle beta1 a": "8e0e7a0e3fe03a313831d67300608a59635a2cb19c3f27d629dfdc701282760b",
+    "cocycle beta2 a": "b935c7b7faaf56c9afb8cdc2301ceb9991a9b908cd5570798f121ecb67e614ed",
+    "cocycle beta3 a": "b76e8c009df4931187f9a3a0cb1cc2c4f50f035a43bc86c875201241e812908e",
     "cocycle sign-flipped ds-order1 a": "de912db99ecd98ae675e41e2601da6a04964026445cd5eedae40571ec3e3c4de",
-    "jacobi witt b": "9de3d08557c09fb8eae42e043325c60e9ed58cdb0ef9636adc6f232f07a9005e",
-    "jacobi virasoro b": "02f8006c21a5db7b365eb6d875d8b0e051a236cef889c0ac9ab71c682a8609ba",
-    "jacobi elliptic b": "1d2efd7b1b5ed3d4ba3ddd2f6bb14cb095f9e9802cb1b75b44c46f1402e49009",
-    "jacobi d-infinity b": "bbf42b40ce82f66d60d173523b6a5aab6c17f7430ce44085b0b4eeeabc7cb868",
-    "jacobi three-point b": "b5f54930505ad37d89b88bc9ea3a06a427b847cc31b9ac9010adee93d37f4223",
-    "jacobi nodal b": "817180bb2848f3825583d5794b2536643b52bd08c4598cbc473e17a7d62bc074",
-    "jacobi l1 b": "ce11e8979208f9fd7439eb4d27a4d2767ea25442e997695c0174e7818c8d4246",
-    "jacobi w1 b": "3798e1f70c37b9945e7c61ffa7d517e1387a10c4ddadecab0bdf285ca909be38",
-    "jacobi formal-1 b": "38904b6579c4eec77fe1b485510872971930977640efebac66c57393f02ad3b2",
-    "jacobi formal-2 b": "f9f6844bb9a9b6f9de407ad1c9f700008bf92ea4f21671ae88a7ff98833b9071",
-    "jacobi formal-3 b": "676b00e01ff526c8e677e1edba0d6913db2cf67cd8ac2fbfb05efff7bad389b2",
-    "jacobi d-line(s=0) b": "0ef1df6a8d5f43c5ff2477d6dde37ee4f3b485f170508305aef6ab215d260483",
-    "jacobi d-line(s=1) b": "016835acbc66ddcdc288836d6272d980188ced2f7ae8d0ae55b494f4309f6eb8",
-    "jacobi d-line(s=-2) b": "1ccf7b23ffa0b718db6f9c5e1339da7298548abecca4e5a976e3a81ebce4db33",
-    "jacobi d-line(s=-1/2) b": "eecc27764a65d18b18f2123b2b481c176e8941567d8f60630c12ec7263bb3bb2",
-    "jacobi d-line(s=3) b": "9771209245f414ba48f7e9dd0c898613ea20cf5d7a7e35c367fb6e962574b948",
+    "jacobi witt b": "9d6683aa70d55ccfe350c8fb45d1ac53d8760da2bdf71ce49484eb369be6b896",
+    "jacobi virasoro b": "953c47a1bfc4801c04b53e7ecc9251525ab09716f8d33543c150c7629eabe2a2",
+    "jacobi elliptic b": "68af06cd40a438942102b8bfd0cec29737da83525d1e0bf1ec41b7a873f45157",
+    "jacobi d-infinity b": "d87483c7432c8924b23d9dd92f3c640edc058c6d5f3221e7383fd4d4d98200d1",
+    "jacobi three-point b": "1838853b461dc5e4c60ed5ce40d5622173a4b60dece1e65f0ec163b2e893308d",
+    "jacobi nodal b": "833e65be172809dca3fb0c6dd8c602d8258d0735680e270d2eade230a59d9fdb",
+    "jacobi l1 b": "b66842702cfb3b3589f05aa18fbc0fe05e87d1b68844d7ad5a84ac574ea6d3ca",
+    "jacobi w1 b": "da71310e4f604eb00f76b4ec738e5613ce7f933c7695e5518c19d12dc324df75",
+    "jacobi formal-1 b": "ff6d75dd80e57bcb96e537032963702ba28753bcdb377fb270389fe6b5c82fdf",
+    "jacobi formal-2 b": "b07fbb372144613c0cd1feb658e00dd719315b84aa60cdc3bc3054192a61dbd3",
+    "jacobi formal-3 b": "47315adced777659f3657fc003c7a3c5723b0bc2958719bd43871a4cdd69f51e",
+    "jacobi d-line(s=0) b": "4d8e9495bedcbc11f8cee11e00d830f88a6c76e513df5e492f28ee86a8bd6aa0",
+    "jacobi d-line(s=1) b": "8a98c0769b03ae06c00a9f20853a4b150d218c46d5ab85c57190f4242df80042",
+    "jacobi d-line(s=-2) b": "75c16c2aff8eb766c13024cf492941e875207906b523ea4eafc4482a34e9f6ca",
+    "jacobi d-line(s=-1/2) b": "7a50a2b53788b31e313abdb44d93c491f8bc4486f0e8764a09b5e94dfeed79a9",
+    "jacobi d-line(s=3) b": "2654d98e413c675b635bc9be70b64d731428bf9e1a06b7331c1e9077a9b01ed3",
     "jacobi elliptic|corrupted b": "a7422d4297267179b68417ba9c640a4972b2b7221875fc0a727a280fdd52fea9",
-    "cocycle ds-order1 b": "79b611d4836aeffcf19483c9c49fe65763fd7bea1c590371fcaf622e08c6e622",
-    "cocycle dinf-order2 b": "a62a5ac62983ee4d7d49399dcb7d25b7b4f02ba80b46c3f2fe0efc372b867cde",
-    "cocycle w1-order1 b": "dd40fe84d9a1b588ad0108103754c2bfcdb0e68d3e67d40c706cfe8600884c7a",
-    "cocycle beta1 b": "d326c33f910aad8331b716251d896a443dd3138fc406ec11a895b6a6c1d18c17",
-    "cocycle beta2 b": "9cc1af6da57547fc8f66469b8fc11bd59344bbb8c35db48d72a12c2ffad70789",
-    "cocycle beta3 b": "aad0ee6ca709b0068c8cae60002c2d429d6308f47374d714fc0238d636b7226b",
+    "cocycle ds-order1 b": "62308460a0fe4a99bfce75b61aa3900a38bcba19ffdb15d7e94f3d9d81b5e28f",
+    "cocycle dinf-order2 b": "8dd988df85be54ca6da840682dc7aba0c314492e055deaaca9b4ba73fa5501fc",
+    "cocycle w1-order1 b": "40fc7124d7fdb2792e661b9560db156ada456f1b2729d551ef90eca9448f9804",
+    "cocycle beta1 b": "8e0e7a0e3fe03a313831d67300608a59635a2cb19c3f27d629dfdc701282760b",
+    "cocycle beta2 b": "b935c7b7faaf56c9afb8cdc2301ceb9991a9b908cd5570798f121ecb67e614ed",
+    "cocycle beta3 b": "b76e8c009df4931187f9a3a0cb1cc2c4f50f035a43bc86c875201241e812908e",
     "cocycle sign-flipped ds-order1 b": "da542ab3172592080992f2cfc64b5afaf1a5f905dbea3137d955d43988bd62d0",
 }
 PIN_WINDOWS = {"a": (range(-8, 9), range(1, 17)), "b": (range(-9, 13), range(1, 24))}

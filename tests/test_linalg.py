@@ -221,10 +221,17 @@ def test_compare_classes_certificates_pinned():
     l1, omega = named_cocycle("w1-order1")
     _, beta3 = named_cocycle("beta3")
     res = compare_classes(l1, omega, beta3, Ansatz("parity-constant", -2), range(1, 25))
+    classes = [{"class": c, "forms": ["n", "m"]}
+               for c in ("even-even", "even-odd", "odd-even", "odd-odd")]
+    pinned = [("even-even", ["n", "2"]), ("even-even", ["2", "m"]), ("even-odd", ["n", "1"]),
+              ("even-odd", ["2", "m"]), ("odd-even", ["1", "m"]), ("odd-even", ["n", "2"]),
+              ("odd-odd", ["n", "1"]), ("odd-odd", ["1", "m"])]
     assert res.to_json() == {
         "status": "infeasible",
         "certificate": {
-            "equations": 276,
+            "equations": 16,
+            "proved": classes + [{"class": c, "forms": f} for c, f in pinned],
+            "evaluated": [[1, 2]],
             "contradiction_at": {
                 "class": "odd-even", "forms": ["1", "m"], "index": "-1 + m", "monomial": "1"
             },
@@ -236,9 +243,9 @@ def test_compare_classes_certificates_pinned():
     )
     assert res.solved and res.scalar == 0
     assert res.certificate == {
-        "pairs": 6,
+        "equations": 6,
         "free_unknowns": ["('idx', 8)", "('idx', 9)", "('scale',)"],
-        "verified_window": [3, 10],
+        "window": [3, 10],
     }
     assert res.phi.to_json()["rule"]["entries"] == {
         "4": {"components": [[2, "-2/5"]]},

@@ -4,13 +4,21 @@
 
 Each yardstick argv runs through `liefam.cli.main(["--json", *argv])` in
 this process, with `src/` of this checkout first on the import path.  OUT
-maps the argv, joined by spaces, to the SHA-256 of json.dumps([exit code,
-stdout, stderr]), the digest that tests/test_cli.py pins.  With
-`--against`, the argvs whose digest differs from OLD's, or that OLD
-lacks, are printed one per line, and the exit code is 1 if there are any.
+maps the argv, joined by spaces, to two SHA-256 digests.  The first is of
+json.dumps([exit code, stdout, stderr]), the digest that tests/test_cli.py
+pins.  The second, the verdict digest, is of the same list with every
+`certificate` object and every `checked` count removed from the JSON on
+stdout, so it changes only when a status, witness, solved map or error
+does.  With `--against`, each argv whose first digest differs from OLD's,
+or that OLD lacks, is printed with `verdict` when its verdict digest
+differs too (or OLD lacks it) and `certificate` when only the certificate
+changed, and the exit code is 1 if there are any.
 
 The argvs are `families dump` for every catalog family, `paper-suite` at
 seeds 1 and 7, `cohomology goncharova` at qmax 1-3 with smax 8 and 20,
+`verify-jacobi` for every catalog family (d-line at slope 3) on its
+default window and on -9..12 (1..23 when the basis starts at 1),
+`cohomology check` for every named cocycle on its default window,
 `verify-geometry` for every family with a geometric oracle on the windows
 -6..6, 1..9 and 3..11, and the solve/compare matrix: every named cocycle,
 and every ordered pair of distinct named cocycles of one algebra, under
@@ -33,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from liefam.cli import main as liefam_main  # noqa: E402
 from liefam.cohomology import ANSATZ_SHAPES  # noqa: E402
-from liefam.families import CATALOG, FIBRES  # noqa: E402
+from liefam.families import CATALOG, FIBRES, by_name  # noqa: E402
 from liefam.suite import NAMED_COCYCLES, named_cocycle  # noqa: E402
 
 WEIGHTS = range(-4, 1)
@@ -55,6 +63,12 @@ def yardstick_argvs() -> list:
     argvs += [["paper-suite", "--seed", seed] for seed in ("1", "7")]
     for q, s in itertools.product("123", ("8", "20")):
         argvs.append(["cohomology", "goncharova", "--qmax", q, "--smax", s])
+    for name in CATALOG:
+        slope = ["--s", "3"] if name == "d-line" else []
+        wide = "1..23" if by_name(name, s=3).lower_bound else "-9..12"
+        head = ["verify-jacobi", "--family", name, *slope]
+        argvs += [head, [*head, "--window", wide]]
+    argvs += [["cohomology", "check", "--cocycle", name] for name in NAMED_COCYCLES]
     for name, window in itertools.product(FIBRES, GEOMETRY_WINDOWS):
         argvs.append(["verify-geometry", "--family", name, "--window", window])
     for name in NAMED_COCYCLES:
@@ -66,16 +80,43 @@ def yardstick_argvs() -> list:
     return argvs
 
 
-def digest(argv) -> str:
-    """SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <argv>`."""
+def outputs(argv) -> list:
+    """[exit code, stdout, stderr] of `liefam --json <argv>`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = liefam_main(["--json", *argv])
         except SystemExit as exc:
             code = exc.code
-    blob = json.dumps([code, out.getvalue(), err.getvalue()]).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _verdict(value):
+    """The JSON value without its `certificate` objects and `checked` counts."""
+    if isinstance(value, dict):
+        return {k: _verdict(v) for k, v in value.items() if k not in ("certificate", "checked")}
+    if isinstance(value, list):
+        return [_verdict(v) for v in value]
+    return value
+
+
+def digests(argv) -> list:
+    """[digest, verdict digest] of `liefam --json <argv>`."""
+    code, out, err = outputs(argv)
+    try:
+        verdict = _verdict(json.loads(out))
+    except ValueError:  # no JSON on stdout: an error exit
+        verdict = out
+    return [_sha([code, out, err]), _sha([code, verdict, err])]
+
+
+def digest(argv) -> str:
+    """SHA-256 of json.dumps([exit code, stdout, stderr]) of `liefam --json <argv>`."""
+    return _sha(outputs(argv))
 
 
 def main(argv=None) -> int:
@@ -83,14 +124,17 @@ def main(argv=None) -> int:
     parser.add_argument("output", type=Path, help="where to write the digests")
     parser.add_argument("--against", type=Path, help="digests to compare with")
     args = parser.parse_args(argv)
-    digests = {" ".join(a): digest(a) for a in yardstick_argvs()}
-    args.output.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    new = {" ".join(a): digests(a) for a in yardstick_argvs()}
+    args.output.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     if args.against is None:
         return 0
     old = json.loads(args.against.read_text())
-    changed = [key for key, value in digests.items() if old.get(key) != value]
-    for key in changed:
-        print(key)
+    changed = 0
+    for key, (full, verdict) in new.items():
+        before = old.get(key, [None, None])
+        if before[0] != full:
+            changed += 1
+            print(key, "verdict" if before[1] != verdict else "certificate")
     return 1 if changed else 0
 
 
