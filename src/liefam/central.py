@@ -3,10 +3,12 @@
 The pairing of two fields e, f (written as functions of the quasi-global
 coordinate) is the sum of the residues at all finite poles of
     (1/2)(e''' f - e f''') - R (e' f - e f')
-with R a Laurent-polynomial quadratic-differential representative.  The
-integration cycle separates the finite poles from infinity, so the sum is
-computed as minus the residue at infinity, which stays exact even with a
-symbolic double-point parameter.  No normalization factor is applied;
+with R a Laurent-polynomial quadratic-differential representative.  That
+is the residue of L_R(e) f, L_R(e) = e''' - 2 R e' - R' e: the two differ
+by the derivative of R e f - (1/2)(e'' f - e' f' + e f''), and an exact
+rational differential has residue zero at every point.  The sum over the
+finite poles is minus the residue at infinity, exact even with a symbolic
+double-point parameter.  No normalization factor is applied;
 proportionality constants against closed-form central rules are
 reported, not fixed.
 """
@@ -14,7 +16,7 @@ reported, not fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from math import comb, inf
 
 from .algebra import (
     CentralTable,
@@ -25,37 +27,39 @@ from .algebra import (
 )
 from .errors import UnsupportedFamily, UpperBoundViolated
 from .families import CATALOG, by_name, witt
-from .geometry import FactoredLaurent, LaurentPoly, uniformize
+from .geometry import PARAMETRIZATIONS, FactoredLaurent, LaurentPoly, uniformize
 from .linalg import LinearSystem
 from .poly import ParamPoly, rat_str
 
 
-def _binomial(e: int, i: int) -> Fraction:
-    """Generalized binomial coefficient for integer (possibly negative) e."""
-    out = Fraction(1)
-    for j in range(i):
-        out *= Fraction(e - j, j + 1)
-    return out
+def _residue(x: LaurentPoly, y: LaurentPoly, beta: ParamPoly, exp: int) -> ParamPoly:
+    """Sum of the residues of x y (t^2 - beta)^exp dt over all finite points.
+
+    Minus the residue at infinity: the term t^d of x y meets the term
+    binom(exp, i) (-beta)^i t^(2 exp - 2i) at 1/t for i = (d + 2 exp + 1)/2,
+    with i <= exp when exp >= 0 and i = 0 when beta = 0.  Only those terms
+    are formed; a pair whose degrees reach none of them is skipped outright.
+    """
+    total = ParamPoly.const(x.params, 0)
+    low, top = -2 * exp - 1, 0 if beta.is_zero else (exp if exp >= 0 else inf)
+    if x.is_zero or y.is_zero or x.max_degree() + y.max_degree() < low:
+        return total
+    if min(x.components) + min(y.components) > low + 2 * top:
+        return total
+    for dx, cx in x.components.items():
+        for dy, cy in y.components.items():
+            i, odd = divmod(dx + dy - low, 2)
+            if odd or not 0 <= i <= top:
+                continue
+            binom = comb(exp, i) if exp >= 0 else (-1) ** i * comb(i - exp - 1, i)
+            total = total + cx * cy * binom * (-beta) ** i
+    return total
 
 
 def finite_residue_sum(field: FactoredLaurent) -> ParamPoly:
-    """Sum of residues of `field dz` over all finite points.
-
-    Equal to the coefficient of 1/z in the expansion at infinity (the
-    global residue sum of a rational differential vanishes).  Exact for a
-    symbolic quadratic factor: (z^2-beta)^e expands binomially at
-    infinity and only one term can hit 1/z per monomial.
-    """
-    params = field.poly.params
-    total = ParamPoly.const(params, 0)
-    e = field.exp
-    for d, coeff in field.poly.components.items():
-        num = d + 2 * e + 1
-        if num % 2 or num < 0:
-            continue
-        i = num // 2
-        total = total + coeff * _binomial(e, i) * ((-field.beta) ** i)
-    return total
+    """Sum of residues of `field dz` over all finite points (`_residue` with y = 1)."""
+    one = LaurentPoly.monomial(field.poly.params, 0)
+    return _residue(field.poly, one, field.beta, field.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -63,36 +67,53 @@ def finite_residue_sum(field: FactoredLaurent) -> ParamPoly:
 # ---------------------------------------------------------------------------
 
 
-def kn_cocycle(
-    e: FactoredLaurent, f: FactoredLaurent, connection: LaurentPoly | None = None
-):
-    """Residue pairing of two genus-zero fields, with connection term R."""
-    e3 = e.derivative().derivative().derivative()
-    f3 = f.derivative().derivative().derivative()
-    integrand = (e3 * f - e * f3).scale(Fraction(1, 2))
+def _operator(e: FactoredLaurent, connection: LaurentPoly | None) -> FactoredLaurent:
+    """L_R(e) = e''' - 2 R e' - R' e, the field's side of the pairing."""
+    e1 = e.derivative()
+    out = e1.derivative().derivative()
     if connection is not None and not connection.is_zero:
-        first = e.derivative() * f - e * f.derivative()
-        rterm = FactoredLaurent(connection.map_params(e.poly.params), e.beta, 0) * first
-        integrand = integrand - rterm
-    return finite_residue_sum(integrand)
+        r = connection.map_params(e.poly.params)
+        out = out - FactoredLaurent(r * e1.poly, e.beta, e1.exp).scale(2)
+        out = out - FactoredLaurent(r.derivative() * e.poly, e.beta, e.exp)
+    return out
+
+
+def kn_cocycle(e: FactoredLaurent, f: FactoredLaurent, connection: LaurentPoly | None = None):
+    """Residue pairing of two genus-zero fields, with connection term R.
+
+    gamma_R(e, f) = Res[L_R(e) f] exactly: the integrand differs from
+    L_R(e) f by an exact differential, which has no residue.
+    """
+    e._check(f)
+    op = _operator(e, connection)
+    return _residue(op.poly, f.poly, f.beta, op.exp + f.exp)
 
 
 def pairing_table(family: str, window, connection: LaurentPoly | None = None) -> dict:
     """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
 
-    The fields are `geometry.uniformize`'s; zero values are omitted.  A
-    window with no pair in the domain raises WindowTooSmall (its empty
-    table would claim a vacuous support), and a family built from
-    arguments (d-line) has no realization.
+    The field of index 2k + e is u^k = t^(pk) (t^2 - beta)^(qk) times
+    `uniformize(family, e)`; each index gets its L_R once and each pair
+    one residue coefficient.  Zero values are omitted.  A window with no
+    pair in the domain raises WindowTooSmall (its empty table would claim
+    a vacuous support), and a family built from arguments (d-line) has
+    no realization.
     """
     if CATALOG.get(family, (None, ()))[1]:
         raise UnsupportedFamily(f"no realization for family {family!r}")
     indices = domain_pairs(by_name(family), window)
-    fields = {n: uniformize(family, n) for n in indices}
+    shapes = [uniformize(family, odd) for odd in (0, 1)]
+    p, q, _ = PARAMETRIZATIONS[family]
+    fields = {}
+    for n in indices:
+        k, shape = n // 2, shapes[n % 2]
+        fields[n] = FactoredLaurent(shape.poly.shift(p * k), shape.beta, shape.exp + q * k)
+    ops = {n: _operator(field, connection) for n, field in fields.items()}
     table = {}
     for i, n in enumerate(indices):
         for m in indices[i + 1 :]:
-            value = kn_cocycle(fields[n], fields[m], connection)
+            f = fields[m]
+            value = _residue(ops[n].poly, f.poly, f.beta, ops[n].exp + f.exp)
             if not value.is_zero:
                 table[(n, m)] = value
     return table
@@ -123,7 +144,7 @@ def locality_bound(
 
     Raises UpperBoundViolated for a nonzero value above n+m = 0.  For the
     three-point and nodal bases that is geometry, not a fault (ROADMAP
-    item 9): three-point's gamma(V_-6, V_8) is -672 alpha2.
+    item 4): three-point's gamma(V_-6, V_8) is -672 alpha2.
     """
     table = pairing_table(family, window, connection)
     lower = 0
@@ -168,8 +189,7 @@ def class_independence(
             checked=pairs,
             witness={"contradiction_at": tag, "residual": rat_str(residual)},
         )
-    unknowns = [u for u in system.rows]
-    values = system.solution(unknowns)
+    values = system.solution(list(system.rows))
     lam = {key[1]: v for key, v in values.items() if v != 0}
     return lam, CheckReport(
         name=f"class-independence:{spec.name}",
@@ -187,11 +207,7 @@ def central_table_from_residues(
 ) -> CentralTable:
     """Explicit central rule computed from the residue pairing."""
     table = pairing_table(family, range(lo, hi + 1), connection)
-    entries = {}
-    for (n, m), value in table.items():
-        entries[(n, m)] = (
-            value.constant_value() if value.is_constant else value
-        )
+    entries = {key: v.constant_value() if v.is_constant else v for key, v in table.items()}
     return CentralTable(entries=entries, lo=lo, hi=hi)
 
 

@@ -263,8 +263,9 @@ def uniformize(family: str, n: int) -> FactoredLaurent:
     w1: z (z^2-alpha2)^k resp. (z^2-alpha2)^(k+1) d/dz for index 2k resp.
     2k+1; nodal: z^(2k-3) (z^2-alpha2)^2 resp. z^(2k) (z^2-alpha2) d/dz.
     elliptic and d-infinity have no such parametrization.  The largest
-    power of t^2 - beta that divides the sum is moved into the exponent,
-    so the pairing multiplies the short factored forms above.
+    power of t^2 - beta that divides the sum is moved into the exponent.
+    The field of index 2k + e is u^k = t^(pk) (t^2 - beta)^(qk) times its
+    parity shape, the field of index e, so `central` uniformizes two.
     """
     field = realize(family, n)
     if family not in PARAMETRIZATIONS:

@@ -389,7 +389,7 @@ def criterion_5() -> CriterionResult:
             "checks": {k: ("PASS" if v else "FAIL") for k, v in checks.items()},
             "computed_witness": computed,
             "erratum": erratum,
-            "infeasibility": infeasible.certificate,
+            "infeasibility": {"certificate": infeasible.certificate},
         },
     )
 

@@ -1,6 +1,7 @@
 """Residue pairings: values, bilinearity, cocycle law, extensions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from liefam.central import (
 )
 from liefam.errors import UpperBoundViolated
 from liefam.families import three_point, virasoro, witt
-from liefam.geometry import FactoredLaurent, LaurentPoly, uniformize
+from liefam.geometry import PARAMETRIZATIONS, FactoredLaurent, LaurentPoly, uniformize
 from liefam.poly import ParamPoly
 
 Z = sympy.Symbol("z")
@@ -57,6 +58,51 @@ def test_finite_residue_sum_cross_check():
         assert want == sympy.Rational(got.numerator, got.denominator), (beta, exp)
         nonzero += got != 0
     assert nonzero >= 5
+
+
+def _product_pairing(e, f, connection):
+    """Res[(1/2)(e''' f - e f''') - R (e' f - e f')] with the products written out."""
+    e3 = e.derivative().derivative().derivative()
+    f3 = f.derivative().derivative().derivative()
+    integrand = (e3 * f - e * f3).scale(Fraction(1, 2))
+    if connection is not None:
+        r = FactoredLaurent(connection.map_params(e.poly.params), e.beta, 0)
+        integrand = integrand - r * (e.derivative() * f - e * f.derivative())
+    return finite_residue_sum(integrand)
+
+
+@pytest.mark.parametrize("connection", [None, (1, -2), (1, 0)])
+@pytest.mark.parametrize("family", sorted(PARAMETRIZATIONS))
+def test_pairing_table_equals_the_product_formula(family, connection):
+    """The one-operator-per-field kernel and its degree skip against the integrand
+    multiplied out, on every pair; three-point reaches negative exponents."""
+    r = None if connection is None else LaurentPoly.monomial((), connection[1], connection[0])
+    window = range(1, 11) if family in ("l1", "w1") else range(-7, 8)
+    fields = {n: uniformize(family, n) for n in window}
+    pairs = [(n, m) for n in window for m in window if n < m]
+    want = {(n, m): _product_pairing(fields[n], fields[m], r) for n, m in pairs}
+    assert pairing_table(family, window, r) == {k: v for k, v in want.items() if not v.is_zero}
+    assert all(kn_cocycle(fields[n], fields[m], r) == v for (n, m), v in want.items())
+
+
+@pytest.mark.parametrize("connection", [None, LaurentPoly.monomial((), 0)])
+def test_pairing_table_works_per_index_not_per_pair(monkeypatch, connection):
+    """Two parity shapes are realized and each index gets its three derivatives;
+    the 210 pairs of the window make no field work of their own."""
+    from liefam import geometry
+
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(geometry, "realize", counted("realize", geometry.realize))
+    derivative = counted("derivative", geometry.FactoredLaurent.derivative)
+    monkeypatch.setattr(geometry.FactoredLaurent, "derivative", derivative)
+    table = pairing_table("witt", range(-10, 11), connection)
+    assert calls["realize"] == 2
+    assert calls["derivative"] <= 3 * 21
+    assert len(table) == (9 if connection is None else 18)
 
 
 def test_witt_pairing_values():

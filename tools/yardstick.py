@@ -20,7 +20,11 @@ seeds 1 and 7, `cohomology goncharova` at qmax 1-3 with smax 8 and 20,
 default window and on -9..12 (1..23 when the basis starts at 1),
 `cohomology check` for every named cocycle on its default window,
 `verify-geometry` for every family with a geometric oracle on the windows
--6..6, 1..9 and 3..11, and the solve/compare matrix: every named cocycle,
+-6..6, 1..9 and 3..11, the residue pairings: `central cocycle` for every
+genus-zero fibre on -10..10 (1..12 when the basis starts at 1), with no
+connection and with `--R 1:-2`, `central locality` on witt with `--R 0`
+and `--R 1:0`, and `central independence` of `1:0` against `0` and of
+`1:-1` against `1:0`, and the solve/compare matrix: every named cocycle,
 and every ordered pair of distinct named cocycles of one algebra, under
 every ansatz shape, at weights -4..0 on the windows -12..12, 1..20 and
 3..11.
@@ -42,6 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from liefam.cli import main as liefam_main  # noqa: E402
 from liefam.cohomology import ANSATZ_SHAPES  # noqa: E402
 from liefam.families import CATALOG, FIBRES, by_name  # noqa: E402
+from liefam.geometry import PARAMETRIZATIONS  # noqa: E402
 from liefam.suite import NAMED_COCYCLES, named_cocycle  # noqa: E402
 
 WEIGHTS = range(-4, 1)
@@ -71,6 +76,13 @@ def yardstick_argvs() -> list:
     argvs += [["cohomology", "check", "--cocycle", name] for name in NAMED_COCYCLES]
     for name, window in itertools.product(FIBRES, GEOMETRY_WINDOWS):
         argvs.append(["verify-geometry", "--family", name, "--window", window])
+    for name, connection in itertools.product(PARAMETRIZATIONS, ([], ["--R", "1:-2"])):
+        wide = "1..12" if by_name(name).lower_bound else "-10..10"
+        argvs.append(["central", "cocycle", "--family", name, "--window", wide, *connection])
+    for connection in ("0", "1:0"):
+        argvs.append(["central", "locality", "--family", "witt", "--R", connection])
+    for r1, r2 in (("1:0", "0"), ("1:-1", "1:0")):
+        argvs.append(["central", "independence", "--r1", r1, "--r2", r2])
     for name in NAMED_COCYCLES:
         argvs += _solve_matrix(["cohomology", "solve", "--cocycle", name])
     algebra = {name: named_cocycle(name)[0].name for name in NAMED_COCYCLES}
