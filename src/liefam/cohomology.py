@@ -488,13 +488,13 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     w, lb = ansatz.weight, algebra.lower_bound
     pins = {i: Fraction(v) for i, v in ansatz.pins.items()}
     for i, v in pins.items():
-        if v and lb is not None and i + w < lb:
-            raise OutOfDomainIndex(f"pin F(v_{i}) = {v} maps outside the basis domain")
         if not algebra.in_domain(i):
             raise OutOfDomainIndex(
                 f"pin F(v_{i}) = {v}: v_{i} is outside the basis domain of "
                 f"{algebra.name}, which starts at v_{lb}"
             )
+        if v and lb is not None and i + w < lb:
+            raise OutOfDomainIndex(f"pin F(v_{i}) = {v} maps outside the basis domain")
     pins.update(dict.fromkeys(range(lb, lb - w) if lb is not None else (), Fraction(0)))
     if ansatz.shape == "per-index":
         unknowns = [("idx", i) for i in indices if i not in pins]

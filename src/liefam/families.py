@@ -10,12 +10,13 @@ coordinate; alpha never occurs alone).
 Most of the catalog is derived, not typed out.  elliptic() is the
 Krichever-Novikov family over Q[e1, e2] on the degenerating cubic, and
 witt, three-point, nodal, d-line(s) and d-infinity are its pullbacks
-(`algebra.pullback`) along (e1, e2) = (0, 0), (alpha2/3, alpha2/3),
-(-2*alpha2/3, alpha2/3), (e1, s*e1) and (0, e2): the cusp, the nodal
-lines s = 1 (IIb) and s = -1/2 (IIa), a line through the origin and the
-vertical line.  `FIBRES` holds the images of all but d-line.  virasoro
-is witt with a central rule; l1 and w1 restrict witt and three-point to
-the indices >= 1.  Only the formal families are written term by term.
+along (e1, e2) = (0, 0), (alpha2/3, alpha2/3), (-2*alpha2/3, alpha2/3),
+(e1, s*e1) and (0, e2): the cusp, the nodal lines s = 1 (IIb) and
+s = -1/2 (IIa), a line through the origin and the vertical line.  Each
+records it as its `origin`, so elliptic()'s Jacobi PASS certifies them.
+`FIBRES` holds the images of all but d-line.  virasoro is witt with a
+central rule; l1 and w1 restrict witt and three-point to the indices
+>= 1.  Only the formal families are written term by term.
 """
 
 from __future__ import annotations

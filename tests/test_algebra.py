@@ -30,6 +30,7 @@ from liefam.algebra import (
     abelianization_codim,
     basis_bracket,
     bracket,
+    family_from_json,
     grading_bounds,
     index_family,
     jacobiator,
@@ -73,7 +74,13 @@ from liefam.families import (
     witt,
 )
 from liefam.poly import ParamPoly
-from liefam.suite import NAMED_COCYCLES, corrupted_elliptic, named_cocycle, sign_flipped
+from liefam.suite import (
+    NAMED_COCYCLES,
+    SMOOTH_POINTS,
+    corrupted_elliptic,
+    named_cocycle,
+    sign_flipped,
+)
 from liefam.suite import _residuals as suite_residuals
 from liefam.suite import _stated_map as stated_map
 
@@ -996,3 +1003,101 @@ def test_reports_are_pinned():
             window = low if algebra.lower_bound else full
             got[f"cocycle {name} {key}"] = _digest(is_cocycle(algebra, cochain, window))
     assert got == REPORT_PINS
+
+
+#: Fibres of elliptic() whose Jacobi PASS `verify_jacobi` takes from the root.
+TRANSPORTED = {
+    "witt": witt,
+    "three-point": three_point,
+    "nodal": nodal,
+    "d-infinity": d_infinity,
+    **{f"d-line(s={s})": (lambda s=s: d_line(s)) for s in (0, 1, -2, Fraction(-1, 2), 3)},
+    **{
+        f"elliptic at {a}, {b}": (lambda a=a, b=b: specialize(elliptic(), {"e1": a, "e2": b}))
+        for a, b in (*SMOOTH_POINTS[:2], (0, 0))
+    },
+}
+TRANSPORT_WINDOWS = (range(-10, 11), range(-9, 13), range(3, 12))
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The check names `verify_jacobi` walks, from an empty memo of proved roots."""
+    monkeypatch.setattr(algebra_module, "_ROOT_PASSES", {})
+    names, real = [], algebra_module.certify
+    monkeypatch.setattr(
+        algebra_module, "certify", lambda name, *args: names.append(name) or real(name, *args)
+    )
+    return names
+
+
+@pytest.mark.parametrize("make", TRANSPORTED.values(), ids=TRANSPORTED.keys())
+def test_a_fibre_of_a_proved_root_takes_its_report(walked, make):
+    """The transported report is the one a direct proof of the same rule, with
+    no origin, gives; only the root and the direct proofs are walked."""
+    fibre = make()
+    assert fibre.origin[0].origin is None and fibre.origin[0].name == "elliptic"
+    verify_jacobi(elliptic(), range(-1, 2))
+    for window in TRANSPORT_WINDOWS:
+        direct = verify_jacobi(family_from_json(fibre.to_json()), window)
+        assert verify_jacobi(fibre, window).to_json() == direct.to_json()
+    assert walked == ["jacobi:elliptic"] + [f"jacobi:{fibre.name}"] * 3
+
+
+def test_only_a_proved_root_is_transported(walked):
+    """A fibre whose root was not proved is proved itself, and proves no root;
+    a root is never served its own entry; virasoro's central rule is proved."""
+    verify_jacobi(witt(), range(-8, 9))
+    verify_jacobi(elliptic(), range(-8, 9))
+    verify_jacobi(elliptic(), range(-8, 9))
+    assert walked == ["jacobi:witt", "jacobi:elliptic", "jacobi:elliptic"]
+    assert virasoro().origin is not None and verify_jacobi(virasoro(), range(-8, 9)).passed
+    verify_jacobi(restricted(witt(), 1), range(1, 17))
+    assert walked[3:] == ["jacobi:virasoro", "jacobi:witt[n>=1]"]
+
+
+def test_a_stale_origin_is_proved_directly(walked):
+    """A replace() keeps the origin of witt, but the corrupted rule is not the
+    root's pullback: it FAILs with the witness it has in a cold process."""
+    w = witt()
+    rows = tuple(RuleTerm(t.shift, t.a * 2, t.b * 2, t.d * 2) for t in w.rule["odd-even"])
+    bad = replace(w, rule={**w.rule, "odd-even": rows})
+    assert bad.origin is w.origin
+    cold = verify_jacobi(bad, range(-10, 11)).to_json()
+    verify_jacobi(elliptic(), range(-1, 2))
+    assert verify_jacobi(bad, range(-10, 11)).to_json() == cold
+    assert cold["status"] == "FAIL" and cold["witness"]["triple"] == [-10, -9, -8]
+    assert walked == ["jacobi:witt", "jacobi:elliptic", "jacobi:witt"]
+
+
+def test_a_fibre_over_index_named_parameters_is_proved_directly(walked):
+    """Its rule does not lift to Q[params, n, m, k], so it is evaluated on the window."""
+    n = ParamPoly.var(("n",), "n")
+    fibre = algebra_module.pullback(elliptic(), ("n",), {"e1": n, "e2": n * 2}, "on-n")
+    verify_jacobi(elliptic(), range(-1, 2))
+    report = verify_jacobi(fibre, range(-3, 4))
+    assert report.passed and report.certificate["window"] == [-3, 3] and report.checked == 35
+    assert walked == ["jacobi:elliptic", "jacobi:on-n"]
+
+
+def test_the_report_does_not_depend_on_the_order(walked):
+    """d-line(s=0) proved directly, then by transport, gives one report."""
+    before = verify_jacobi(d_line(0), range(-9, 13)).to_json()
+    verify_jacobi(elliptic(), range(-9, 13))
+    assert verify_jacobi(d_line(0), range(-9, 13)).to_json() == before
+    assert walked == ["jacobi:d-line(s=0)", "jacobi:elliptic"]
+
+
+def test_origins_compose_to_the_root():
+    """A nested pullback names elliptic() with the composite map, and a map
+    that leaves a root parameter unused without an image records none."""
+    point = specialize(d_line(3), {"e1": 2})
+    root, params, images = point.origin
+    assert root.name == "elliptic" and params == ()
+    assert {r: p.constant_value() for r, p in images.items()} == {"e1": 2, "e2": 6}
+    assert specialize(elliptic(), {"e1": 2, "e2": 6}).rule_signature()[1:] == (
+        point.rule_signature()[1:]
+    )
+    one, zero = ParamPoly.const(("t",), 1), ParamPoly.const(("t",), 0)
+    unused = FamilySpec("u", ("t",), {"even-even": (RuleTerm(0, -one, one, zero),)})
+    assert algebra_module.pullback(unused, (), None, "u0").origin is None

@@ -3,6 +3,10 @@
 import hashlib
 import importlib.util
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +74,33 @@ def test_default_window_follows_the_index_bound(capsys, argv, window):
     data = json.loads(out)
     assert data["inputs"]["window"] == window
     assert data["report"]["status"] == "PASS"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-jacobi", "--family", "witt"],
+        ["cohomology", "check", "--cocycle", "beta1"],
+    ],
+)
+def test_a_proved_check_never_lists_its_window(argv):
+    """A PASS over the whole domain reads only the window's endpoints, so a
+    window of 10^9 indices runs in 1 GiB of address space within a minute."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liefam.cli", "--json", *argv, "--window", "1..1000000000"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["status"] == "PASS"
 
 
 def test_verify_geometry(capsys):
@@ -398,6 +429,11 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
             ["cohomology", "solve", "--cocycle", "beta1", "--ansatz", "per-index",
              "--weight", "3", "--window", "1..12", "--pin", "0=2"],
             "pin F(v_0) = 2: v_0 is outside the basis domain of l1, which starts at v_1",
+        ),
+        (
+            ["cohomology", "solve", "--cocycle", "beta3", "--ansatz", "affine",
+             "--weight", "-2", "--window", "1..24", "--pin", "0=1"],
+            "pin F(v_0) = 1: v_0 is outside the basis domain of l1, which starts at v_1",
         ),
         (
             ["moduli", "rescale", "--family", "witt", "--lambda2", "0"],
@@ -795,7 +831,9 @@ def test_the_yardstick_covers_every_family_and_named_cocycle():
         named = {a[3] for a in argvs if a[:2] == ["cohomology", command]}
         assert named == set(NAMED_COCYCLES), command
     jacobi = [a for a in argvs if a[0] == "verify-jacobi"]
-    assert {a[2] for a in jacobi} == set(CATALOG) and len(jacobi) == 2 * len(CATALOG)
+    assert {a[2] for a in jacobi} == set(CATALOG) and len(jacobi) == 2 * (len(CATALOG) + 4)
+    # d-line at criterion 1's slopes: a line through the origin, the degenerate lines, IIa
+    assert {a[4] for a in jacobi if a[2] == "d-line"} == {"3", "0", "1", "-2", "-1/2"}
     checked = {a[3] for a in argvs if a[:2] == ["cohomology", "check"]}
     assert checked == set(NAMED_COCYCLES)
     # the verdict digest drops every certificate and count of evaluated tuples

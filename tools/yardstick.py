@@ -16,9 +16,11 @@ changed, and the exit code is 1 if there are any.
 
 The argvs are `families dump` for every catalog family, `paper-suite` at
 seeds 1 and 7, `cohomology goncharova` at qmax 1-3 with smax 8 and 20,
-`verify-jacobi` for every catalog family (d-line at slope 3) on its
-default window and on -9..12 (1..23 when the basis starts at 1),
-`cohomology check` for every named cocycle on its default window,
+`verify-jacobi` for every catalog family (d-line at the slopes 3, 0, 1,
+-2 and -1/2 of criterion 1: a line through the origin, the degenerate
+lines and the IIa node) on its default window and on -9..12 (1..23 when
+the basis starts at 1), `cohomology check` for every named cocycle on
+its default window,
 `verify-geometry` for every family with a geometric oracle on the windows
 -6..6, 1..9 and 3..11, the residue pairings: `central cocycle` for every
 genus-zero fibre on -10..10 (1..12 when the basis starts at 1), with no
@@ -52,6 +54,7 @@ from liefam.suite import NAMED_COCYCLES, named_cocycle  # noqa: E402
 WEIGHTS = range(-4, 1)
 WINDOWS = ("-12..12", "1..20", "3..11")
 GEOMETRY_WINDOWS = ("-6..6", "1..9", "3..11")
+JACOBI_SLOPES = ("3", "0", "1", "-2", "-1/2")
 
 
 def _solve_matrix(head):
@@ -69,10 +72,10 @@ def yardstick_argvs() -> list:
     for q, s in itertools.product("123", ("8", "20")):
         argvs.append(["cohomology", "goncharova", "--qmax", q, "--smax", s])
     for name in CATALOG:
-        slope = ["--s", "3"] if name == "d-line" else []
         wide = "1..23" if by_name(name, s=3).lower_bound else "-9..12"
-        head = ["verify-jacobi", "--family", name, *slope]
-        argvs += [head, [*head, "--window", wide]]
+        for slope in [["--s", s] for s in JACOBI_SLOPES] if name == "d-line" else [[]]:
+            head = ["verify-jacobi", "--family", name, *slope]
+            argvs += [head, [*head, "--window", wide]]
     argvs += [["cohomology", "check", "--cocycle", name] for name in NAMED_COCYCLES]
     for name, window in itertools.product(FIBRES, GEOMETRY_WINDOWS):
         argvs.append(["verify-geometry", "--family", name, "--window", window])
