@@ -24,7 +24,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .linalg import rank_of_vectors
-from .poly import KeyedSum, ParamPoly, accumulate, rat, rat_str
+from .poly import KeyedSum, ParamPoly, accumulate, pack, rat, rat_str, split
 
 #: Basis key of the central element (degree 0 by convention).
 CENTRAL = "c"
@@ -46,8 +46,13 @@ class RuleTerm:
     b: ParamPoly
     d: ParamPoly
 
-    def coefficient(self, n: int, m: int) -> ParamPoly:
-        return self.a * n + self.b * m + self.d
+    def coefficient(self, n, m, sign: int = 1) -> ParamPoly:
+        """sign * (a*n + b*m + d), sign +-1; at integers n and m in one pass."""
+        if type(n) is int and type(m) is int:
+            pairs = ((self.a, sign * n), (self.b, sign * m), (self.d, sign))
+            return ParamPoly.combination(self.d.params, pairs)
+        coeff = self.a * n + self.b * m + self.d
+        return coeff if sign > 0 else -coeff
 
     @property
     def is_zero(self) -> bool:
@@ -285,11 +290,9 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
     sign, terms, args = _pair_row(family, n, m, n % 2 == 1, m % 2 == 1, n < m)
     items = []
     for t in terms:
-        coeff = t.coefficient(*args)
+        coeff = t.coefficient(*args, sign)
         if coeff.is_zero:
             continue
-        if sign < 0:
-            coeff = -coeff
         idx = n + m + t.shift
         if not family.in_domain(idx):
             raise OutOfDomainIndex(
@@ -308,6 +311,8 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
 #: form (cn, cm, ck, c), standing for cn*n + cm*m + ck*k + c.
 INDEX_VARS = ("n", "m", "k")
 INDEX_FORMS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+#: The packed monomials n, m and k of a ring that ends with INDEX_VARS.
+_INDEX_KEYS = tuple(pack(form[:3]) for form in INDEX_FORMS)
 
 
 def _form_parity(form, parity) -> bool:
@@ -317,15 +322,12 @@ def _form_parity(form, parity) -> bool:
 
 def _form_poly(ring, form) -> ParamPoly:
     """The form as a polynomial over `ring`, whose last variables are n, m, k."""
-    base = len(ring) - len(INDEX_VARS)
     terms = {}
     for i, c in enumerate(form[:3]):
         if c:
-            exps = [0] * len(ring)
-            exps[base + i] = 1
-            terms[tuple(exps)] = c
+            terms[_INDEX_KEYS[i]] = c
     if form[3]:
-        terms[(0,) * len(ring)] = form[3]
+        terms[0] = form[3]
     return ParamPoly(ring, terms)
 
 
@@ -358,8 +360,7 @@ def symbolic_pair_rule(family: FamilySpec, x, y, parity):
     first, second = (_form_poly(family.params, f) for f in ((x, y) if sign > 0 else (y, x)))
     out = []
     for t in terms:
-        coeff = t.coefficient(first, second)
-        out.append((_form_sum(x, y, t.shift), coeff if sign > 0 else -coeff))
+        out.append((_form_sum(x, y, t.shift), t.coefficient(first, second, sign)))
     return out
 
 
@@ -501,6 +502,53 @@ def _cut(forms, parity, form, value, point):
     return tuple(forms), tuple(parity)
 
 
+class _Chain:
+    """The ascending sequences `parts`, each above the last, read as one."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __len__(self):
+        return sum(map(len, self.parts))
+
+    def __getitem__(self, i):
+        for part in self.parts:
+            if i < len(part):
+                return part[i]
+            i -= len(part)
+        raise IndexError(i)
+
+
+def _union(indices, extra, low):
+    """The ascending union of the ascending `indices` and the set `extra`,
+    from `low` on (None: no bound); a step-1 range stays a range."""
+    extra = {v for v in extra if low is None or v >= low}
+    if not (isinstance(indices, range) and indices.step == 1):
+        return sorted(extra.union(v for v in indices if low is None or v >= low))
+    window = indices if low is None else range(max(indices.start, low), indices.stop)
+    return _Chain(
+        sorted(v for v in extra if v < window.start),
+        window,
+        sorted(v for v in extra if v >= max(window.start, window.stop)),
+    )
+
+
+def _combinations(values, r):
+    """`itertools.combinations(values, r)`, in its order, without copying the
+    sequence `values`, so a walk that stops early reads only its start."""
+
+    def tails(start, r):
+        if not r:
+            yield ()
+            return
+        for i in range(start, len(values) - r + 1):
+            head = values[i]
+            for tail in tails(i + 1, r - 1):
+                yield (head, *tail)
+
+    return tails(0, r)
+
+
 class _Plan:
     """The strata of one identity over its whole index domain; see `nonzero_tuples`.
 
@@ -600,10 +648,8 @@ class _Plan:
         """(checked, tuple, value) at each nonzero value; see `nonzero_tuples`."""
         self.evaluated = 0
         if self.failed or self.open:
-            low = self.lower
-            values = sorted(v for v in set(self.indices) | self.extra if low is None or v >= low)
-            tuples = itertools.combinations(values, self.arity)
-            tuples = (tup for tup in tuples if not self.covered(tup))
+            values = _union(self.indices, self.extra, self.lower)
+            tuples = (tup for tup in _combinations(values, self.arity) if not self.covered(tup))
         else:
             tuples = sorted(self.points)
         for tup in tuples:
@@ -649,8 +695,10 @@ def nonzero_tuples(indices, arity: int, prove, value) -> _Plan:
 
     Otherwise the tuples over the window `indices` and the pinned values
     of the failed or unproved strata are walked in `itertools.combinations`
-    order, and each one not generic in a proved stratum is evaluated, so a
-    failing tuple has its free slots in the window.  `failed` and `open`
+    order, lazily, so a walk that stops at its first witness reads only
+    the start of a range window, and each one not generic in a proved
+    stratum is evaluated, so a failing tuple has its free slots in the
+    window.  `failed` and `open`
     name those strata, and `certificate()` what was proved and evaluated.
     """
     return _Plan(indices, arity, prove, value)
@@ -930,7 +978,8 @@ def class_coefficients(residual, keys, parity):
         base = len(coeff.params) - len(INDEX_VARS)
         by_monomial = {}
         for e, c in coeff.terms.items():
-            by_monomial.setdefault(e[base:], {})[e[:base]] = c
+            head, monomial = split(e, len(INDEX_VARS))
+            by_monomial.setdefault(monomial, {})[head] = c
         for monomial in sorted(by_monomial):
             tag = {
                 **stratum,

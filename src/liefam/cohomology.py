@@ -53,6 +53,7 @@ from .errors import (
     MissingParameter,
     OutOfDomainIndex,
     ParameterMismatch,
+    WindowTooLarge,
     WindowTooSmall,
 )
 from .linalg import LinearSystem, rank_of_vectors
@@ -432,6 +433,9 @@ def deformation_differential(family: FamilySpec, param: str, order: int) -> Coch
 # ---------------------------------------------------------------------------
 
 ANSATZ_SHAPES = ("parity-constant", "affine", "per-index")
+#: The most window indices a per-index ansatz takes, one unknown each; its
+#: solve evaluates every pair of the window, half a million at this size.
+PER_INDEX_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -439,10 +443,10 @@ class Ansatz:
     """Shape of the unknown linear map F in d1 F (+ c * beta) = omega.
 
     parity-constant: one unknown per parity; affine: (a*n + d) per parity;
-    per-index: one unknown per index of the solve window, and F is not
-    modeled outside the window and its pins.  `pins` forces stated
-    coefficients; indices whose image would leave the basis domain are
-    pinned to zero automatically.
+    per-index: one unknown per index of the solve window, at most
+    PER_INDEX_MAX indices, and F is not modeled outside the window and
+    its pins.  `pins` forces stated coefficients; indices whose image
+    would leave the basis domain are pinned to zero automatically.
     """
 
     shape: str
@@ -483,9 +487,15 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     c * beta, when `scaled`.  The pins are the ansatz pins and a zero
     pin at each index F maps below the basis bound; a pin at an index
     outside the basis domain, or a nonzero pin that F maps below it,
-    raises OutOfDomainIndex.
+    raises OutOfDomainIndex.  A per-index window of more than PER_INDEX_MAX
+    indices raises WindowTooLarge.
     """
     w, lb = ansatz.weight, algebra.lower_bound
+    if ansatz.shape == "per-index" and len(indices) > PER_INDEX_MAX:
+        raise WindowTooLarge(
+            f"a per-index ansatz takes at most {PER_INDEX_MAX} window indices, "
+            f"one unknown each; the window has {len(indices)} in the domain of {algebra.name}"
+        )
     pins = {i: Fraction(v) for i, v in ansatz.pins.items()}
     for i, v in pins.items():
         if not algebra.in_domain(i):
@@ -548,13 +558,8 @@ def _over(c: Cochain | None, ring) -> Cochain | None:
 
 def _add_equation(system: LinearSystem, linear: ParamPoly, tag) -> None:
     """Add linear = 0 to the system, `linear` a linear form over Q[unknowns]."""
-    coeffs, rhs = {}, 0
-    for e, c in linear.terms.items():
-        if any(e):
-            coeffs[linear.params[e.index(1)]] = c
-        else:
-            rhs = -c
-    system.add(coeffs, rhs, tag=tag)
+    coeffs, const = linear.linear_form()
+    system.add(coeffs, -const, tag=tag)
 
 
 def _build_system(algebra, omega, beta, ansatz_map, indices, covered):

@@ -21,6 +21,10 @@ class WindowTooSmall(LiefamError):
     """The index window holds too few indices for the requested check."""
 
 
+class WindowTooLarge(LiefamError):
+    """The index window holds more indices than the requested solve can take."""
+
+
 class UnsupportedFamily(LiefamError):
     """No geometric realization is available for this family."""
 
@@ -39,3 +43,7 @@ class OddShiftNotRescalable(LiefamError):
 
 class UpperBoundViolated(LiefamError):
     """A pairing value is supported above total degree zero."""
+
+
+class ExponentOutOfRange(LiefamError, ValueError):
+    """A monomial exponent is negative or too large for its packed field."""

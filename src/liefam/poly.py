@@ -2,10 +2,16 @@
 
 `ParamPoly` is the coefficient ring of every structure constant in the
 toolkit.  A polynomial is a finite sum of monomials in a fixed, ordered
-tuple of named parameters.  A stored coefficient is a Python `int` when
-it is integral and a `fractions.Fraction` only when its denominator is
-greater than 1, so integral structure constants never build a Fraction;
-zero coefficients are never stored.
+tuple of named parameters.  A monomial is stored packed, as one `int`
+with a `FIELD_BITS`-bit field per parameter, parameter 0 in the highest
+field, so that the ints sort as their exponent tuples do.  The top bit of
+every field is a guard: an exponent is at most `GUARD` - 1, so the product
+of two monomials is the sum of their ints with no carry between fields,
+and a product that reaches the guard raises `ExponentOutOfRange`.  A
+stored coefficient is a Python `int` when it is integral and a
+`fractions.Fraction` only when its denominator is greater than 1, so
+integral structure constants never build a Fraction; zero coefficients
+are never stored.
 
 `KeyedSum` is a finite sum of keyed terms with `ParamPoly` coefficients,
 with `accumulate` its one zero-dropping summation: `algebra.LieElement`
@@ -15,10 +21,48 @@ keys basis vectors, `geometry.LaurentPoly` powers of the coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from .errors import MissingParameter, ParameterMismatch
+from .errors import ExponentOutOfRange, MissingParameter, ParameterMismatch
 
 Scalar = (int, Fraction)
+
+#: Bits of one exponent field of a packed monomial.
+FIELD_BITS = 16
+#: The first exponent a monomial cannot hold: the top bit of a field.
+GUARD = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+@cache
+def _guards(arity: int) -> int:
+    """The guard bit of every field of an `arity`-parameter monomial."""
+    return sum(GUARD << (FIELD_BITS * j) for j in range(arity))
+
+
+def pack(exps) -> int:
+    """The packed monomial of an exponent tuple, each exponent in [0, GUARD).
+
+    Leading zero exponents leave the key unchanged, so a monomial in the
+    last variables of a ring packs as its tail of exponents alone.
+    """
+    key = 0
+    for e in exps:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def unpack(key: int, arity: int) -> tuple:
+    """The exponent tuple of a packed monomial in `arity` parameters."""
+    return tuple(
+        (key >> (FIELD_BITS * j)) & _FIELD for j in range(arity - 1, -1, -1)
+    )
+
+
+def split(key: int, tail: int) -> tuple[int, int]:
+    """A packed monomial as the packed monomials of its leading parameters
+    and of its last `tail` parameters."""
+    return key >> (FIELD_BITS * tail), key & ((1 << (FIELD_BITS * tail)) - 1)
 
 
 def rat(value) -> Fraction:
@@ -66,9 +110,11 @@ class ParamPoly:
     """Polynomial in named parameters with exact rational coefficients.
 
     `params` is the fixed, ordered tuple of parameter names; `terms` maps
-    exponent tuples (one entry per parameter) to nonzero coefficients,
-    each an `int` when integral and a `Fraction` with denominator > 1
-    otherwise.  Instances are treated as immutable.
+    packed monomials (`pack`: one `FIELD_BITS`-bit field per parameter,
+    parameter 0 highest, every exponent below `GUARD`) to nonzero
+    coefficients, each an `int` when integral and a `Fraction` with
+    denominator > 1 otherwise.  `sorted_terms()` is the exponent-tuple
+    view.  Instances are treated as immutable.
     """
 
     __slots__ = ("params", "terms")
@@ -84,17 +130,18 @@ class ParamPoly:
         value = _coeff(value)
         if not value:
             return cls(params, {})
-        return cls(params, {(0,) * len(params): value})
+        return cls(params, {0: value})
 
     @classmethod
     def var(cls, params: tuple[str, ...], name: str) -> "ParamPoly":
         if name not in params:
             raise MissingParameter(f"{name!r} not among parameters {params}")
-        exps = tuple(1 if p == name else 0 for p in params)
-        return cls(params, {exps: 1})
+        return cls(params, {1 << FIELD_BITS * (len(params) - 1 - params.index(name)): 1})
 
     @classmethod
     def from_terms(cls, params: tuple[str, ...], items) -> "ParamPoly":
+        """The sum of (exponent tuple, coefficient) items; an exponent must
+        lie in [0, GUARD)."""
         terms = {}
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
@@ -102,7 +149,22 @@ class ParamPoly:
                 raise ParameterMismatch(
                     f"exponent vector {exps} has wrong arity for {params}"
                 )
-            _add_into(terms, exps, _coeff(coeff))
+            if not all(0 <= e < GUARD for e in exps):
+                raise ExponentOutOfRange(
+                    f"exponent vector {exps} leaves the range 0..{GUARD - 1}"
+                )
+            _add_into(terms, pack(exps), _coeff(coeff))
+        return cls(params, terms)
+
+    @classmethod
+    def combination(cls, params: tuple[str, ...], pairs) -> "ParamPoly":
+        """The sum of factor * poly over (poly, factor) pairs, `factor` an
+        int, built in one pass: the terms of a*n + b*m + d at integers."""
+        terms = {}
+        for poly, factor in pairs:
+            if factor:
+                for e, c in poly.terms.items():
+                    _add_into(terms, e, c * factor)
         return cls(params, terms)
 
     # -- predicates --------------------------------------------------------
@@ -113,7 +175,7 @@ class ParamPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a Fraction."""
@@ -159,8 +221,8 @@ class ParamPoly:
         if isinstance(other, ParamPoly):
             self._coerce(other)
             if len(other.terms) == 1:
-                (exps, coeff), = other.terms.items()
-                if not any(exps):  # a constant takes the scalar path
+                (key, coeff), = other.terms.items()
+                if not key:  # a constant takes the scalar path
                     return self._scaled(coeff)
             return self._times(other)
         if isinstance(other, Scalar):
@@ -180,10 +242,23 @@ class ParamPoly:
         return ParamPoly(self.params, terms)
 
     def _times(self, other: "ParamPoly") -> "ParamPoly":
+        """The product; no field carries, as both sides' exponents are below GUARD."""
         terms = {}
+        pairs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_into(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e2, c2 in pairs:
+                e, c = e1 + e2, c1 * c2
+                if e in terms:
+                    c += terms[e]
+                    if not c:
+                        del terms[e]
+                        continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[e] = c
+        guards = _guards(len(self.params))
+        if any(e & guards for e in terms):
+            raise ExponentOutOfRange(f"an exponent of ({self}) * ({other}) reaches {GUARD}")
         return ParamPoly(self.params, terms)
 
     def __pow__(self, exponent: int) -> "ParamPoly":
@@ -223,31 +298,39 @@ class ParamPoly:
         """
         params = tuple(params)
         images = images or {}
-        if not images and params[: len(self.params)] == self.params:
-            pad = (0,) * (len(params) - len(self.params))  # params extends the ring
-            return ParamPoly(params, {e + pad: c for e, c in self.terms.items()})
-        moves, powers = [], []
+        arity = len(self.params)
+        if not images and params[:arity] == self.params:
+            shift = FIELD_BITS * (len(params) - arity)  # params extends the ring
+            return ParamPoly(params, {e << shift: c for e, c in self.terms.items()})
+        width = len(params)
+        moves, scalars, powers = [], [], []
         for j, name in enumerate(self.params):
             if name in images:
                 image = images[name]
-                if not isinstance(image, ParamPoly):
-                    image = ParamPoly.const(params, image)
-                powers.append((j, image))
+                if isinstance(image, ParamPoly):
+                    powers.append((j, image))
+                else:
+                    scalars.append((j, _coeff(image)))
             elif name in params:
-                moves.append((j, params.index(name)))
-            elif any(exps[j] for exps in self.terms):
+                moves.append((j, FIELD_BITS * (width - 1 - params.index(name))))
+            elif any(unpack(key, arity)[j] for key in self.terms):
                 raise ParameterMismatch(f"parameter {name!r} has no image in {params}")
-        result = ParamPoly(params, {})
-        for exps, coeff in self.terms.items():
-            new = [0] * len(params)
-            for j, i in moves:
-                new[i] = exps[j]
-            term = ParamPoly(params, {tuple(new): coeff})
+        terms = {}
+        for key, coeff in self.terms.items():
+            exps = unpack(key, arity)
+            for j, value in scalars:
+                if exps[j]:
+                    coeff = coeff * value ** exps[j]
+            new = 0
+            for j, shift in moves:
+                new |= exps[j] << shift
+            term = ParamPoly(params, {new: _coeff(coeff)} if coeff else {})
             for j, image in powers:
                 if exps[j]:
                     term = term * image ** exps[j]
-            result = result + term
-        return result
+            for e, c in term.terms.items():
+                _add_into(terms, e, c)
+        return ParamPoly(params, terms)
 
     def coefficient_of(self, name: str, power: int) -> "ParamPoly":
         """Coefficient of name**power, as a polynomial with name removed."""
@@ -255,18 +338,34 @@ class ParamPoly:
         if i < 0:
             raise MissingParameter(f"{name!r} not among parameters {self.params}")
         rest = tuple(p for p in self.params if p != name)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] != power:
-                continue
-            reduced = tuple(e for j, e in enumerate(exps) if j != i)
-            terms[reduced] = coeff
+        shift = FIELD_BITS * (len(rest) - i)  # the field of `name`
+        below = (1 << shift) - 1
+        terms = {
+            key >> (shift + FIELD_BITS) << shift | key & below: coeff
+            for key, coeff in self.terms.items()
+            if (key >> shift) & _FIELD == power
+        }
         return ParamPoly(rest, terms)
+
+    def linear_form(self):
+        """({parameter: coefficient}, constant) of a polynomial of degree <= 1."""
+        coeffs, const = {}, 0
+        for key, c in self.terms.items():
+            if not key:
+                const = c
+                continue
+            low = key.bit_length() - 1  # one parameter to the first power: a field's low bit
+            if key != 1 << low or low % FIELD_BITS:
+                raise ValueError(f"not a linear form: {self}")
+            coeffs[self.params[-1 - low // FIELD_BITS]] = c
+        return coeffs, const
 
     # -- presentation --------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """(exponent tuple, coefficient) pairs in ascending order of the tuples."""
+        arity = len(self.params)
+        return [(unpack(key, arity), c) for key, c in sorted(self.terms.items())]
 
     def __str__(self) -> str:
         if not self.terms:

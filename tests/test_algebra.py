@@ -3,7 +3,12 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,9 +29,11 @@ from liefam.algebra import (
     LieElement,
     RuleTerm,
     _bracket_sources,
+    _combinations,
     _identity,
     _jacobi_terms,
     _Plan,
+    _union,
     abelianization_codim,
     basis_bracket,
     bracket,
@@ -165,6 +172,49 @@ def test_corrupted_family_fails_jacobi():
     report = verify_jacobi(bad, range(-8, 9))
     assert report.status == "FAIL"
     assert report.witness is not None
+
+
+@given(
+    st.integers(-5, 5), st.integers(0, 8), st.sets(st.integers(-10, 15), max_size=4),
+    st.one_of(st.none(), st.integers(-6, 6)), st.integers(1, 3), st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_witness_walk_is_the_combinations_of_the_sorted_union(
+    start, length, extra, low, arity, as_range
+):
+    indices = range(start, start + length)
+    values = _union(indices if as_range else list(indices), extra, low)
+    pool = sorted(v for v in set(indices) | extra if low is None or v >= low)
+    assert list(_combinations(values, arity)) == list(itertools.combinations(pool, arity))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_failing_walk_reads_only_the_start_of_its_window():
+    """The witness search walks the window lazily, so a FAIL on 10^9 indices
+    runs in 1 GiB of address space and names the witness of a small window."""
+    code = textwrap.dedent("""
+        import json
+        from liefam.algebra import verify_jacobi
+        from liefam.suite import corrupted_elliptic
+        windows = (range(1, 10**9), range(1, 30))
+        print(json.dumps([verify_jacobi(corrupted_elliptic(), w).to_json() for w in windows]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    huge, small = json.loads(proc.stdout)
+    assert huge == small
+    assert huge["status"] == "FAIL" and huge["witness"]["triple"] == [1, 2, 3]
 
 
 def test_verify_jacobi_certifies_the_domain_on_any_window():

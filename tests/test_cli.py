@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam.cli import main, parse_laurent, parse_window
+from liefam.cohomology import PER_INDEX_MAX
 from liefam.families import CATALOG, FIBRES
 from liefam.geometry import PARAMETRIZATIONS
+from liefam.poly import GUARD
 from liefam.suite import NAMED_COCYCLES
 
 
@@ -90,17 +92,35 @@ def _limit_address_space():
 def test_a_proved_check_never_lists_its_window(argv):
     """A PASS over the whole domain reads only the window's endpoints, so a
     window of 10^9 indices runs in 1 GiB of address space within a minute."""
+    proc = _run_in_1_gib([*argv, "--window", "1..1000000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["status"] == "PASS"
+
+
+def _run_in_1_gib(argv):
+    """`liefam --json *argv` in a subprocess limited to 1 GiB of address space."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "liefam.cli", "--json", *argv, "--window", "1..1000000000"],
+    return subprocess.run(
+        [sys.executable, "-m", "liefam.cli", "--json", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
         preexec_fn=_limit_address_space,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["report"]["status"] == "PASS"
+
+
+def test_a_per_index_window_past_its_limit_exits_2():
+    """A per-index ansatz has one unknown per window index, so a window of
+    10^9 indices is refused before any is built, in 1 GiB of address space."""
+    proc = _run_in_1_gib(["cohomology", "solve", "--cocycle", "beta1", "--ansatz", "per-index",
+                          "--weight", "-1", "--window", "1..1000000000"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: a per-index ansatz takes at most {PER_INDEX_MAX} window indices, one "
+        "unknown each; the window has 1000000000 in the domain of l1\n"
+    )
 
 
 def test_verify_geometry(capsys):
@@ -812,6 +832,32 @@ def test_malformed_cocycle_files_exit_2(tmp_path, capsys, text, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _elliptic_pair_rule(exponent):
+    """A cocycle file: a pair rule over elliptic whose coefficients are +-3*e1^exponent."""
+    a, b = ([[c, [exponent, 0]]] for c in ("-3", "3"))
+    return {"algebra": "elliptic", "cochain": {
+        "arity": 2, "mode": "adjoint", "weight": -2, "params": ["e1", "e2"], "rule": {
+            "kind": "pair-rule", "family": "x", "params": ["e1", "e2"],
+            "domain": "all-integers",
+            "rule": {"odd-odd": [], "even-even": [[-2, [a, b, "0"]]], "odd-even": []}}}}
+
+
+@pytest.mark.parametrize("exponent", [-1, GUARD])
+def test_a_cocycle_file_with_an_exponent_out_of_range_is_malformed(tmp_path, capsys, exponent):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(_elliptic_pair_rule(1)))
+    assert main(["--json", "cohomology", "check", "--cocycle", str(path)]) in (0, 1)
+    capsys.readouterr()
+    path.write_text(json.dumps(_elliptic_pair_rule(exponent)))
+    assert main(["--json", "cohomology", "check", "--cocycle", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cocycle file {path} is malformed: exponent vector ({exponent}, 0) "
+        f"leaves the range 0..{GUARD - 1}\n"
+    )
 
 
 def _yardstick():

@@ -12,6 +12,7 @@ from liefam import cohomology
 from liefam.algebra import CENTRAL, LieElement, basis_bracket
 from liefam.cohomology import (
     ANSATZ_SHAPES,
+    PER_INDEX_MAX,
     AffineMapRule,
     Ansatz,
     Cochain,
@@ -30,7 +31,7 @@ from liefam.cohomology import (
     is_cocycle,
     solve_coboundary,
 )
-from liefam.errors import ArityUnsupported, LiefamError, MissingParameter
+from liefam.errors import ArityUnsupported, LiefamError, MissingParameter, WindowTooLarge
 from liefam.families import (
     d_infinity,
     d_line,
@@ -497,3 +498,21 @@ def test_closed_shapes_do_not_depend_on_the_window():
         assert got == _solved(algebra, omega, beta, ansatz, range(1, 21)), (name, against)
         statuses.append(got[0])
     assert len(statuses) == 160 and statuses.count("solved") == 12
+
+
+def test_a_per_index_ansatz_takes_at_most_its_stated_window():
+    l1, beta1 = named_cocycle("beta1")
+    ansatz = Ansatz("per-index", -1)
+    at_limit = range(1, PER_INDEX_MAX + 1)
+    unknowns = cohomology._ansatz_cochain(l1, ansatz, at_limit, False).params
+    assert len(unknowns) == PER_INDEX_MAX - 1  # F(v_1) is pinned: v_0 is not in l1
+    for call in (
+        lambda w: solve_coboundary(l1, beta1, ansatz, w),
+        lambda w: compare_classes(l1, beta1, beta1, ansatz, w),
+    ):
+        with pytest.raises(WindowTooLarge):
+            call(range(1, PER_INDEX_MAX + 2))
+        with pytest.raises(WindowTooLarge):
+            call(range(-5, 10**9))  # l1 starts at 1: 10**9 - 1 indices in its domain
+    # the other shapes take no unknown per index
+    assert solve_coboundary(l1, beta1, Ansatz("affine", -1), range(1, 10**9)).solved

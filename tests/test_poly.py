@@ -1,5 +1,6 @@
 """Ring axioms and exact serialization of the polynomial kernel and its keyed sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam.algebra import CENTRAL, LieElement, verify_jacobi
-from liefam.errors import MissingParameter, ParameterMismatch
+from liefam.errors import ExponentOutOfRange, MissingParameter, ParameterMismatch
 from liefam.families import witt
 from liefam.geometry import LaurentPoly, divide_laurent
-from liefam.poly import ParamPoly, rat, rat_str
+from liefam.poly import GUARD, ParamPoly, rat, rat_str
 
 PARAMS = ("e1", "e2")
 
@@ -247,7 +248,7 @@ POINTS = st.fixed_dictionaries(
 def test_coefficients_are_ints_unless_a_denominator_is_real(expr, points):
     p, ref = expr
     assert stored_form(p)
-    top = max((exps[0] for exps in p.terms), default=0)
+    top = max((exps[0] for exps, _ in p.sorted_terms()), default=0)
     parts = [p.coefficient_of("e1", k) for k in range(top + 1)]
     assert all(stored_form(c) for c in parts)
     for pt in points:
@@ -277,6 +278,188 @@ def test_integral_jacobi_check_builds_no_fraction(monkeypatch):
     report = verify_jacobi(witt(), range(-8, 9))
     assert report.status == "PASS"
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against a dense exponent-tuple model
+# ---------------------------------------------------------------------------
+
+
+def model(items) -> dict:
+    """The dense model of a polynomial: exponent tuple -> nonzero Fraction."""
+    out = {}
+    for e, c in items:
+        out[tuple(e)] = out.get(tuple(e), 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def model_product(x: dict, y: dict) -> dict:
+    return model(
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in x.items()
+        for e2, c2 in y.items()
+    )
+
+
+def model_text(params, m: dict) -> str:
+    """`ParamPoly.__str__` of the model: terms by ascending exponent tuple."""
+    parts = []
+    for e, c in sorted(m.items()):
+        factors = [p if k == 1 else f"{p}^{k}" for p, k in zip(params, e) if k]
+        if not factors:
+            parts.append(rat_str(c))
+        else:
+            head = {1: "", -1: "-"}.get(c, rat_str(c) + "*")
+            parts.append(head + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def agrees(p: ParamPoly, params, m: dict) -> None:
+    """p is the model's polynomial over `params`, in every view of it."""
+    zero = (0,) * len(params)
+    assert p.params == params
+    assert p.sorted_terms() == sorted(m.items())
+    assert str(p) == model_text(params, m)
+    assert p.is_constant == (m.keys() <= {zero})
+    expected_json = (
+        rat_str(m.get(zero, Fraction(0)))
+        if m.keys() <= {zero}
+        else [[rat_str(c), list(e)] for e, c in sorted(m.items())]
+    )
+    assert p.to_json() == expected_json
+    assert ParamPoly.from_json(params, expected_json) == p
+    rebuilt = ParamPoly.from_terms(params, reversed(list(m.items())))
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+#: Exponents near a quarter of the guard, so that a product of two monomials
+#: or a cube fills the top of a field without reaching the guard.
+EXPONENTS = st.one_of(st.integers(1, 3), st.integers(GUARD // 4 - 3, GUARD // 4 - 1))
+
+
+@st.composite
+def rings(draw):
+    """(params, items, items): a ring of 0-70 parameters and two term lists."""
+    params = tuple(f"x{i}" for i in range(draw(st.integers(0, 70))))
+
+    def exponent_vector(positions):
+        e = [0] * len(params)
+        for i, k in positions.items():
+            e[i] = k
+        return tuple(e)
+
+    positions = (
+        st.dictionaries(st.integers(0, len(params) - 1), EXPONENTS, max_size=3)
+        if params else st.just({})
+    )
+    term = st.tuples(positions.map(exponent_vector), coefficients())
+    return params, draw(st.lists(term, max_size=4)), draw(st.lists(term, max_size=4))
+
+
+@given(rings(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_packed_ring_operations_match_the_model(ring, k):
+    params, xs, ys = ring
+    x, y = ParamPoly.from_terms(params, xs), ParamPoly.from_terms(params, ys)
+    mx, my = model(xs), model(ys)
+    agrees(x, params, mx)
+    agrees(x + y, params, model([*mx.items(), *my.items()]))
+    agrees(x - y, params, model([*mx.items(), *((e, -c) for e, c in my.items())]))
+    agrees(-x, params, {e: -c for e, c in mx.items()})
+    agrees(x * y, params, model_product(mx, my))
+    power = model([((0,) * len(params), 1)])
+    for _ in range(k):
+        power = model_product(power, mx)
+    agrees(x**k, params, power)
+    assert (x == y) == (mx == my)
+
+
+@given(rings(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_changes_of_ring_match_the_model(ring, data):
+    params, xs, _ = ring
+    x, mx = ParamPoly.from_terms(params, xs), model(xs)
+    wider = params + ("y0", "y1")
+    agrees(x.map_params(wider), wider, {e + (0, 0): c for e, c in mx.items()})
+    moved = tuple(data.draw(st.permutations(params)))
+    agrees(
+        x.map_params(moved), moved,
+        {tuple(e[params.index(p)] for p in moved): c for e, c in mx.items()},
+    )
+    if not params:
+        return
+    fixed = data.draw(st.lists(st.sampled_from(params), unique=True, max_size=3))
+    # 2 and 1/2 only where exponents are small: near the guard their powers
+    # have more digits than `str` converts
+    small = {p for j, p in enumerate(params) if all(e[j] <= 3 for e in mx)}
+    values = {p: [0, 1, -1, 2, Fraction(1, 2)] if p in small else [0, 1, -1] for p in fixed}
+    point = {p: data.draw(st.sampled_from(values[p])) for p in fixed}
+    rest = tuple(p for p in params if p not in point)
+    agrees(
+        x.map_params(rest, point), rest,
+        model(
+            (
+                tuple(k for p, k in zip(params, e) if p not in point),
+                c * math.prod(Fraction(point[p]) ** k for p, k in zip(params, e) if p in point),
+            )
+            for e, c in mx.items()
+        ),
+    )
+    i = data.draw(st.integers(0, len(params) - 1))
+    power = data.draw(st.sampled_from(sorted({0, *(e[i] for e in mx)})))
+    agrees(
+        x.coefficient_of(params[i], power), params[:i] + params[i + 1:],
+        {e[:i] + e[i + 1:]: c for e, c in mx.items() if e[i] == power},
+    )
+
+
+@given(st.integers(1, 70), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_product_reaching_the_guard_raises(arity, data):
+    params = tuple(f"x{i}" for i in range(arity))
+    i = data.draw(st.integers(0, arity - 1))
+    low = st.integers(0, GUARD // 2 - 1)
+    e1 = [data.draw(low) for _ in params]
+    e2 = [data.draw(low) for _ in params]
+    e1[i] = data.draw(st.integers(1, GUARD - 1))
+    x = ParamPoly.from_terms(params, [(e1, 3)])
+    for top in (GUARD - 1, GUARD):  # the field's sum just below the guard, then at it
+        e2[i] = top - e1[i]
+        y = ParamPoly.from_terms(params, [(e2, Fraction(1, 2))])
+        if top < GUARD:
+            agrees(x * y, params, {tuple(a + b for a, b in zip(e1, e2)): Fraction(3, 2)})
+        else:
+            with pytest.raises(ExponentOutOfRange):
+                x * y
+    with pytest.raises(ExponentOutOfRange):
+        ParamPoly.var(params, params[i]) ** GUARD
+
+
+@given(st.integers(1, 70), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_linear_form_reads_each_parameter(arity, data):
+    params = tuple(f"x{i}" for i in range(arity))
+    nonzero = coefficients().filter(bool)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(params), nonzero, max_size=5))
+    const = data.draw(coefficients())
+    p = ParamPoly.const(params, const)
+    for name, c in coeffs.items():
+        p = p + ParamPoly.var(params, name) * c
+    assert p.linear_form() == (coeffs, const)
+    square = ParamPoly.var(params, data.draw(st.sampled_from(params))) ** 2
+    with pytest.raises(ValueError):
+        (p * p + square).linear_form()
+
+
+@pytest.mark.parametrize("exponent", [-1, GUARD, GUARD + 5])
+def test_from_terms_refuses_an_exponent_out_of_range(exponent):
+    with pytest.raises(ExponentOutOfRange):
+        ParamPoly.from_terms(PARAMS, [((1, exponent), 2)])
+    with pytest.raises(ExponentOutOfRange):
+        ParamPoly.from_json(PARAMS, [["2", [exponent, 0]]])
+    assert ParamPoly.from_terms(PARAMS, [((GUARD - 1, 0), 2)]).sorted_terms() == [
+        ((GUARD - 1, 0), 2)
+    ]
 
 
 # ---------------------------------------------------------------------------
