@@ -1016,13 +1016,13 @@ def certify(name, indices, arity: int, prove, value, key) -> CheckReport:
     """The report that value(*tuple) is zero on every `arity`-tuple of the domain.
 
     FAIL carries the first tuple of `nonzero_tuples` under `key`, with
-    its value, or when no evaluated tuple fails, the first stratum whose
-    residual is not zero under "stratum"; PASS carries the walk's
-    certificate.  `checked` counts the tuples evaluated.
+    its value (a dict as it is), else the first stratum whose residual
+    is not zero under "stratum"; PASS carries the walk's certificate.
+    `checked` counts the tuples evaluated.
     """
     walk = nonzero_tuples(indices, arity, prove, value)
     for checked, tup, v in walk:
-        witness = {key: list(tup), "value": v.to_json()}
+        witness = {key: list(tup), "value": v if isinstance(v, dict) else v.to_json()}
         return CheckReport(name, "FAIL", checked, witness=witness)
     if walk.failed:
         return CheckReport(name, "FAIL", walk.evaluated, witness={"stratum": walk.failed[0]})

@@ -6,8 +6,11 @@ adjoint differential uses the deformation-theory coboundary convention
 all other arities use the standard alternating-sum convention; every
 composite of two consecutive differentials vanishes either way.
 
-`_d1_terms` is the one place the d1 convention lives (`_d2_terms` that
-of d2), and `_coboundary_terms`, which extends it, the one statement of
+`_d1_terms` is the one place the d1 convention lives, `_d_terms` the
+one place the alternating sum does, for every arity and both modes: a
+trivial cochain enters the walk with its scalar values on the central
+key, which no index acts on, so the same sum is its differential.
+`_coboundary_terms`, which extends `_d1_terms`, is the one statement of
 d1 F + c * beta = omega.  `algebra._identity` evaluates and proves each
 walk over the algebra's bracket and the cochains (`_source`), for
 `differential`, `is_cocycle` and `coboundary_mismatches`.  The coboundary
@@ -113,14 +116,12 @@ class AffineMapRule:
 
 @dataclass(frozen=True)
 class MapTableRule:
-    """Explicit arity-1 values: index -> LieElement (adjoint) or scalar."""
+    """Explicit arity-1 values: index -> LieElement (adjoint) or ParamPoly (trivial)."""
 
     entries: dict
 
     def to_json(self):
-        out = {}
-        for n, v in sorted(self.entries.items()):
-            out[str(n)] = v.to_json() if isinstance(v, LieElement) else rat_str(v)
+        out = {str(n): v.to_json() for n, v in sorted(self.entries.items())}
         return {"kind": "map-table", "entries": out}
 
 
@@ -132,13 +133,6 @@ class PairRule:
 
     def to_json(self):
         return {"kind": "pair-rule", **self.spec.to_json()}
-
-
-@dataclass(frozen=True)
-class PairTableRule:
-    """Explicit antisymmetric table (n, m) with n < m -> value."""
-
-    entries: dict
 
 
 @dataclass(frozen=True)
@@ -192,8 +186,6 @@ class Cochain:
             return LieElement.from_items(
                 self.params, evaluate_pair_rule(rule.spec, n, m)
             )
-        if isinstance(rule, PairTableRule):
-            return rule.entries.get(idx, self._zero())
         if isinstance(rule, DerivedRule):
             return rule.fn(*idx)
         raise ArityUnsupported(f"no evaluation for rule {type(rule).__name__}")
@@ -221,6 +213,8 @@ def cochain_from_json(data: dict) -> Cochain:
 
     params = tuple(data["params"])
     arity, mode = int(data["arity"]), data["mode"]
+    if mode not in ("trivial", "adjoint"):
+        raise ArityUnsupported(f"unknown coefficient mode {mode!r}")
     payload = data["rule"]
     kind = payload["kind"]
     shapes = {"pair-rule": (2, "adjoint"), "affine-map": (1, "adjoint")}
@@ -267,16 +261,19 @@ def cochain_from_json(data: dict) -> Cochain:
 
 
 def _source(algebra: FamilySpec, c: Cochain):
-    """The adjoint cochain c as a source of `algebra._identity`.
+    """The cochain c as a source of `algebra._identity`.
 
-    Its values are computed once per index tuple.  A pair-rule cochain
-    over the algebra's ring has the index forms of its family's bracket,
-    an affine map those of `algebra._affine_forms`, whether its
-    coefficients are rationals or the unknowns of an ansatz; any other
-    cochain has none.
+    Its values are computed once per index tuple.  An adjoint value gives
+    its components, a trivial one its scalar on the CENTRAL key, which no
+    index acts on.  A pair-rule cochain over the algebra's ring has the
+    index forms of its family's bracket, an affine map those of
+    `algebra._affine_forms`, whether its coefficients are rationals or the
+    unknowns of an ansatz; any other cochain has none.
     """
+    if c.mode == "trivial":
+        return cache(lambda *idx: [(CENTRAL, c.value(*idx))]), None
     forms, rule = None, c.rule
-    if c.mode == "adjoint" and c.params == algebra.params:
+    if c.params == algebra.params:
         if isinstance(rule, PairRule) and rule.spec.params == c.params:
             forms = _bracket_sources(rule.spec)[0][1]
         elif isinstance(rule, AffineMapRule):
@@ -318,26 +315,28 @@ def _coboundary_terms(inner, outer, image, minus_omega, c_beta, n, m):
     yield from c_beta(n, m)
 
 
-def _d2_terms(inner, outer, value, *xs):
-    """The terms of (d2 c)(v_x0, v_x1, v_x2) for an adjoint 2-cochain c.
+def _d_terms(inner, outer, value, *xs):
+    """The terms of (d c)(v_x0, ..., v_xq) for a q-cochain c, as an alternating sum.
 
-    The action of each index on c of the other two, then c on each
-    bracket of two indices and the third, with alternating signs.
-    `value(x, y)` gives the (key, coefficient) terms of c(v_x, v_y), and
-    `inner`, `outer` those of brackets as in `algebra._jacobi_terms`.
+    First each index x_i acts on c of the others, with sign (-1)^i; then
+    c is applied to each bracket [v_xi, v_xj], i < j, and the remaining
+    indices, with sign (-1)^(i+j).  `value(*keys)` gives the (key,
+    coefficient) terms of c, and `inner`, `outer` those of brackets as in
+    `algebra._jacobi_terms`.  Central keys are skipped before an index or
+    c acts on them, so a trivial cochain, whose values are on CENTRAL
+    (`_source`), has only the bracket terms: -c([v_x, v_y]) at arity 1.
     """
-    for i in range(3):
-        rest = [xs[j] for j in range(3) if j != i]
-        for key, coeff in value(*rest):
+    for i, x in enumerate(xs):
+        for key, coeff in value(*xs[:i], *xs[i + 1 :]):
             if key != CENTRAL:
-                for out, acted in outer(xs[i], key):
+                for out, acted in outer(x, key):
                     term = coeff * acted
                     yield out, term if i % 2 == 0 else -term
-    for i, j in itertools.combinations(range(3), 2):
-        (rest,) = [xs[t] for t in range(3) if t not in (i, j)]
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        rest = [xs[t] for t in range(len(xs)) if t not in (i, j)]
         for key, coeff in inner(xs[i], xs[j]):
             if key != CENTRAL:
-                for out, paired in value(key, rest):
+                for out, paired in value(key, *rest):
                     term = coeff * paired
                     yield out, term if (i + j) % 2 == 0 else -term
 
@@ -345,40 +344,20 @@ def _d2_terms(inner, outer, value, *xs):
 def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential of a cochain over the algebra.
 
-    The adjoint d1 and d2 are the walks `_d1_terms` and `_d2_terms`, with
-    the `prove` of `algebra._identity` kept in the derived rule.
+    One walk of `algebra._identity` over the algebra's bracket and c
+    (`_source`): `_d1_terms` for an adjoint 1-cochain, `_d_terms` for
+    every other arity and mode, with its `prove` kept in the derived rule.
+    A trivial d(c) reads its scalar values back off the CENTRAL key.
     """
     if c.params != algebra.params:
         raise ParameterMismatch(
             f"cochain over {c.params} vs algebra over {algebra.params}"
         )
-    if c.mode == "adjoint":
-        if c.arity not in (1, 2):
-            raise ArityUnsupported("adjoint differential implemented for arity <= 2")
-        walk = _d1_terms if c.arity == 1 else _d2_terms
-        sources = (*_bracket_sources(algebra), _source(algebra, c))
-        value, prove = _identity(walk, sources, c.params)
-        rule = DerivedRule(value, f"d{c.arity}", prove)
-        return Cochain(c.arity + 1, "adjoint", None, c.params, rule)
-    if c.mode == "trivial":
-        if c.arity > 3:
-            raise ArityUnsupported("trivial differential implemented for arity <= 3")
-
-        def d_trivial(*xs):
-            total = ParamPoly.const(c.params, 0)
-            q1 = len(xs)
-            for i, j in itertools.combinations(range(q1), 2):
-                rest = tuple(xs[t] for t in range(q1) if t not in (i, j))
-                sign = (-1) ** (i + j)  # (-1)^(i+j) with 1-based arguments
-                for idx, coeff in evaluate_pair_rule(algebra, xs[i], xs[j]):
-                    v = c.value(idx, *rest)
-                    total = total + v * coeff * sign
-            return total
-
-        return Cochain(
-            c.arity + 1, "trivial", None, c.params, DerivedRule(d_trivial, "d")
-        )
-    raise ArityUnsupported(f"unknown coefficient mode {c.mode!r}")
+    walk = _d1_terms if (c.mode, c.arity) == ("adjoint", 1) else _d_terms
+    sources = (*_bracket_sources(algebra), _source(algebra, c))
+    value, prove = _identity(walk, sources, c.params)
+    read = value if c.mode == "adjoint" else lambda *xs: value(*xs).coefficient(CENTRAL)
+    return Cochain(c.arity + 1, c.mode, None, c.params, DerivedRule(read, f"d{c.arity}", prove))
 
 
 def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
@@ -660,6 +639,12 @@ def coboundary_mismatches(
 def _solve(algebra, omega, beta, ansatz, window) -> SolveResult:
     if algebra.params:
         raise MissingParameter("coboundary solving needs a parameter-free algebra")
+    for c in filter(None, (omega, beta)):
+        if (c.arity, c.mode) != (2, "adjoint"):
+            raise ArityUnsupported(
+                "coboundary solving needs an adjoint 2-cochain; the cocycle is a "
+                f"{c.arity}-cochain with {c.mode} coefficients"
+            )
     indices = domain_indices(algebra, window)
     ansatz_map = _ansatz_cochain(algebra, ansatz, indices, beta is not None)
     covered = _covers(algebra, ansatz_map)

@@ -7,10 +7,13 @@ A, B Laurent in u over the fibre's ring, the image of one elliptic field
 over Q[e1, e2].  The field of index 2K + e is u^K times the K = 0 field
 of parity e, so with K symbolic one bracket and one re-expansion check a
 whole parity class: one identity per parity class over Q[params, n, m].
-A PASS holds for every pair of indices: each class is proved, and only
-the pairs at the bound of the basis domain are bracketed at their
-integers; a failing class is bracketed pair by pair on the window.  The
-elliptic PASS holds on every fibre, the nodal and cuspidal ones included.
+One kernel brackets symbolic and integer indices alike, an integer index
+being its parity shape at an integer base exponent.  A PASS holds for
+every pair of indices: each class is proved, and only the pairs at the
+bound of the basis domain are bracketed at their integers; a failing
+class is bracketed pair by pair on the window, and its first failing
+pair is the witness.  The elliptic PASS holds on every fibre, the nodal
+and cuspidal ones included.
 
 The residue pairings of `central` need the genus-zero fields in a global
 coordinate t.  `uniformize` pulls a realization back along the
@@ -27,10 +30,10 @@ from fractions import Fraction
 from .algebra import (
     CheckReport,
     FamilySpec,
+    certify,
     domain_pairs,
     evaluate_pair_rule,
     grading_bounds,
-    nonzero_tuples,
     rule_prover,
 )
 from .errors import ParameterMismatch, UnsupportedFamily
@@ -323,48 +326,19 @@ def expand_in_candidates(target: LaurentPoly, candidates):
     return coeffs, rest
 
 
-def _reexpand(got: CubicField, rest: LaurentPoly, cands):
-    """(coefficients by key, remainders) of the bracket `got` in the candidates.
-
-    `cands` are (key, odd, field) triples.  The Y-free part re-expands in
-    the even fields, the Y part in the odd ones; the remainders are those
-    two and `rest`, the bracket's own division remainder.
-    """
-    coeffs_a, rest_a = expand_in_candidates(got.a, [(i, c.a) for i, odd, c in cands if not odd])
-    coeffs_b, rest_b = expand_in_candidates(got.b, [(i, c.b) for i, odd, c in cands if odd])
-    return {**coeffs_a, **coeffs_b}, [rest_a, rest_b, rest]
-
-
-def _pair_check_cubic(family, n, m, field, bounds):
-    """None when [v_n, v_m] re-expands exactly to the rule, else a witness.
-
-    The candidates are the domain's indices n + m + j, j within the
-    grading bounds.
-    """
-    got, rest = vf_bracket_cubic(field(n), field(m))
-    span = range(n + m + bounds.lower, n + m + bounds.upper + 1)
-    coeffs, remainders = _reexpand(
-        got, rest, [(i, i % 2, field(i)) for i in span if family.in_domain(i)]
-    )
-    if any(not r.is_zero for r in remainders):
-        return {"pair": [n, m], "unexpanded_remainder": " | ".join(map(str, remainders))}
-    expected = dict(evaluate_pair_rule(family, n, m))
-    if coeffs == expected:
-        return None
-    return {
-        "pair": [n, m],
-        "geometric": {str(i): c.to_json() for i, c in sorted(coeffs.items())},
-        "algebraic": {str(i): c.to_json() for i, c in sorted(expected.items())},
-    }
-
-
-def _class_bracket(base: str, shifts):
-    """The `bracket` of `algebra.rule_prover`: [v_x, v_y] of symbolic fields.
+def _class_bracket(base: str, params, shifts):
+    """[v_x, v_y] of realized fields, re-expanded in the candidates x + y + j.
 
     The field of index x = 2K + odd is u^K times `realize(base, odd)`, its
-    K = 0 shape, so it is that shape with the base exponent K = (x - odd)/2
-    in the ring of x.  The candidate x + y + j, of parity p, is its
-    shape shifted by (odd_x + odd_y + j - p)/2 from the bracket's base.
+    K = 0 shape, so it is that shape with the base exponent K = (x - odd)/2:
+    an integer over Q[params] for an integer index, an element of the ring
+    of x for a polynomial one, as in a class proof over Q[params, n, m, k].
+    The candidate x + y + j, of parity p, j in `shifts`, is its shape
+    shifted by (odd_x + odd_y + j - p)/2 from the bracket's base.  The
+    Y-free part re-expands in the even candidates, the Y part in the odd
+    ones.  Returns the coefficients by shift j, and the remainders of the
+    two re-expansions and of the bracket's division by f as one string, or
+    None when they all vanish; their degrees are offsets from the base.
     """
 
     @functools.cache
@@ -373,16 +347,22 @@ def _class_bracket(base: str, shifts):
         return CubicField(*(p.map_params(ring) for p in (real.a, real.b, real.f)))
 
     def field(z, odd) -> CubicField:
+        if isinstance(z, int):
+            return replace(shape(odd, params), base=(z - odd) // 2)
         return replace(shape(odd, z.params), base=(z - odd) * Fraction(1, 2))
 
     def bracket(x, y, odd_x, odd_y):
-        got, rest = vf_bracket_cubic(field(x, odd_x), field(y, odd_y))
-        cands = []
+        e = field(x, odd_x)
+        got, rest = vf_bracket_cubic(e, field(y, odd_y))
+        cands = ([], [])
         for j in shifts:
             odd, offset = (odd_x + odd_y + j) % 2, (odd_x + odd_y + j) // 2
-            cands.append((j, odd, shape(odd, x.params).shift(offset)))
-        coeffs, remainders = _reexpand(got, rest, cands)
-        return None if any(not r.is_zero for r in remainders) else coeffs
+            cands[odd].append((j, shape(odd, e.f.params).shift(offset)))
+        coeffs_a, rest_a = expand_in_candidates(got.a, [(j, c.a) for j, c in cands[0]])
+        coeffs_b, rest_b = expand_in_candidates(got.b, [(j, c.b) for j, c in cands[1]])
+        remainders = [rest_a, rest_b, rest]
+        exact = all(r.is_zero for r in remainders)
+        return {**coeffs_a, **coeffs_b}, None if exact else " | ".join(map(str, remainders))
 
     return bracket
 
@@ -390,18 +370,20 @@ def _class_bracket(base: str, shifts):
 def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     """Check that realized vector-field brackets reproduce the family rule.
 
-    One identity per parity class over Q[params, n, m]: the fields of
-    indices n and m of a class are the class's two shapes with symbolic
-    base exponents (`_class_bracket`), and their bracket is re-expanded
-    in the symbolic candidates n + m + j, j within the grading bounds, by
-    an exact triangular solve, then compared with the rule at the index
-    forms (`algebra.rule_prover`).  A PASS holds for every pair of the
-    domain: each class is proved where its keys and candidates are in the
-    basis domain and off the exceptional rows, and the finitely many pairs
-    where they are not are bracketed at their integers (`nonzero_tuples`).
-    A failing class is walked over the window, and the witness lists its
-    first five failing pairs.  Both sides are symbolic in the parameters,
-    so a PASS holds on every fibre, singular ones included.
+    One kernel, `_class_bracket`, brackets the fields of two indices and
+    re-expands the bracket in the candidates n + m + j, j within the
+    grading bounds, by an exact triangular solve.  Over Q[params, n, m]
+    the indices of a parity class are symbolic, so one bracket compared
+    with the rule at the index forms (`algebra.rule_prover`) proves the
+    class.  `algebra.certify` reports: a PASS holds for every pair of the
+    domain, each class proved where its keys and candidates are in the
+    basis domain and off the exceptional rows, and the finitely many
+    pairs where they are not bracketed at their integers by the same
+    kernel.  A failing class is walked over the window in
+    `itertools.combinations` order, and the first pair whose bracket
+    leaves a remainder or differs from the rule is the witness.  Both
+    sides are symbolic in the parameters, so a PASS holds on every fibre,
+    singular ones included.
     """
     base = family.name.split("|")[0]
     if base not in FIBRES:
@@ -416,19 +398,27 @@ def verify_against_geometry(family: FamilySpec, window) -> CheckReport:
     indices = domain_pairs(family, window)
     bounds = grading_bounds(family)
     shifts = range(bounds.lower, bounds.upper + 1)
-    field = functools.cache(functools.partial(realize, base))
-    value = functools.partial(_pair_check_cubic, family, field=field, bounds=bounds)
-    prove = rule_prover(family, shifts, _class_bracket(base, shifts))
-    walk = nonzero_tuples(indices, 2, prove, value)
-    witnesses = [bad for _, _, bad in walk]
-    witness = {"mismatches": witnesses[:5]} if witnesses else None
-    if walk.failed and not witnesses:
-        witness = {"stratum": walk.failed[0]}
-    certificate = {"candidates": [bounds.lower, bounds.upper], **walk.certificate()}
-    return CheckReport(
-        name=f"geometry:{family.name}",
-        status="FAIL" if witness else "PASS",
-        checked=walk.evaluated,
-        witness=witness,
-        certificate=None if witness else certificate,
-    )
+    bracket = _class_bracket(base, family.params, shifts)
+
+    def exact(*args):
+        coeffs, rest = bracket(*args)
+        return None if rest else coeffs
+
+    def mismatch(n, m):
+        coeffs, rest = bracket(n, m, n % 2, m % 2)
+        if rest:
+            return {"unexpanded_remainder": rest}
+        geometric = {n + m + j: c for j, c in coeffs.items()}
+        expected = dict(evaluate_pair_rule(family, n, m))
+        if geometric == expected:
+            return None
+        return {
+            "geometric": {str(i): c.to_json() for i, c in sorted(geometric.items())},
+            "algebraic": {str(i): c.to_json() for i, c in sorted(expected.items())},
+        }
+
+    prove = rule_prover(family, shifts, exact)
+    report = certify(f"geometry:{family.name}", indices, 2, prove, mismatch, "pair")
+    if report.passed:
+        report.certificate = {"candidates": [bounds.lower, bounds.upper], **report.certificate}
+    return report

@@ -50,9 +50,9 @@ from liefam.cohomology import (
     AffineMapRule,
     Ansatz,
     Cochain,
+    DerivedRule,
     MapTableRule,
     PairRule,
-    PairTableRule,
     _coboundary_identity,
     coboundary_mismatches,
     compare_classes,
@@ -826,7 +826,7 @@ def test_coboundary_witnesses_are_proved_per_parity_pattern():
     # a table-valued beta has no symbolic form
     _, omega = named_cocycle("ds-order1")
     phi = Cochain(1, "adjoint", -2, (), AffineMapRule(-2, (0, -3), (0, Fraction(-3, 2))))
-    table = Cochain(2, "adjoint", -2, (), PairTableRule({}))
+    table = Cochain(2, "adjoint", -2, (), DerivedRule(lambda n, m: LieElement.zero()))
     assert _coboundary_identity(witt(), phi, omega, table, Fraction(1))[1] is None
 
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic JSON."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefam.cli import main, parse_laurent, parse_window
+from liefam.cli import build_parser, main, parse_laurent, parse_window
 from liefam.cohomology import PER_INDEX_MAX
 from liefam.families import CATALOG, FIBRES
 from liefam.geometry import PARAMETRIZATIONS
@@ -796,6 +797,7 @@ _AFFINE_MAP = {"arity": 1, "mode": "adjoint", "weight": -2, "params": [], "rule"
     "kind": "affine-map", "weight": -2, "even": ["0", "1"], "odd": ["0", "1"], "pins": {}}}
 _ELEMENT_TABLE = {"arity": 1, "mode": "trivial", "weight": None, "params": [], "rule": {
     "kind": "map-table", "entries": {"1": {"components": [[-1, [["1", []]]]]}}}}
+_TRIVIAL_ZERO = {"kind": "map-table", "entries": {}}
 
 
 @pytest.mark.parametrize(
@@ -834,6 +836,45 @@ def test_malformed_cocycle_files_exit_2(tmp_path, capsys, text, command):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "cochain, mode",
+    [(_AFFINE_MAP, "adjoint"), ({**_ELEMENT_TABLE, "rule": _TRIVIAL_ZERO}, "trivial")],
+    ids=["affine-map", "trivial-map-table"],
+)
+@pytest.mark.parametrize("command", [["solve", "--weight", "-2"],
+                                     ["compare", "--weight", "-2", "--against", "ds-order1"]])
+def test_solving_refuses_a_cochain_that_is_not_an_adjoint_2_cochain(
+    tmp_path, capsys, cochain, mode, command
+):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"algebra": "witt", "cochain": cochain}))
+    assert main(["--json", "cohomology", command[0], "--cocycle", str(path),
+                 *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coboundary solving needs an adjoint 2-cochain; the cocycle is a "
+        f"1-cochain with {mode} coefficients\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra, entries, code, witness",
+    [("l1", {"1": "1"}, 0, None), ("witt", {"0": "1"}, 1, {"tuple": [-8, 8], "value": "-16"})],
+)
+def test_a_trivial_map_table_file_is_checked(tmp_path, capsys, algebra, entries, code, witness):
+    """d of the dual of v_1 vanishes on l1, where no bracket reaches v_1; d of
+    the dual of v_0 on witt is -(m - n) at n + m = 0.  The cochain round-trips."""
+    cochain = {**_ELEMENT_TABLE, "rule": {"kind": "map-table", "entries": entries}}
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"algebra": algebra, "cochain": cochain}))
+    got, out = run(capsys, "--json", "cohomology", "check", "--cocycle", str(path))
+    payload = json.loads(out)
+    assert got == code and payload["cochain"] == cochain
+    assert payload["report"]["status"] == ("FAIL" if code else "PASS")
+    assert payload["report"].get("witness") == witness
+
+
 def _elliptic_pair_rule(exponent):
     """A cocycle file: a pair rule over elliptic whose coefficients are +-3*e1^exponent."""
     a, b = ([[c, [exponent, 0]]] for c in ("-3", "3"))
@@ -868,6 +909,14 @@ def _yardstick():
     return module
 
 
+def _commands(parser, head=()):
+    """The words of every subcommand of the parser, as tuples."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [head]
+    return [c for name, sub in subs[0].choices.items() for c in _commands(sub, (*head, name))]
+
+
 def test_the_yardstick_covers_every_family_and_named_cocycle():
     yardstick = _yardstick()
     argvs = yardstick.yardstick_argvs()
@@ -897,6 +946,8 @@ def test_the_yardstick_covers_every_family_and_named_cocycle():
     }
     assert len([a for a in argvs if a[0] == "central"]) == len(paired) + 4
     assert len(argvs) == len(set(map(tuple, argvs)))
+    for command in _commands(build_parser()):
+        assert any(tuple(a[: len(command)]) == command for a in argvs), command
     # its digest is the one the tests pin
     entry = "moduli j-line --s 0"
     assert yardstick.digest(entry.split()) == YARDSTICK_SHA256[entry]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam import cohomology
-from liefam.algebra import CENTRAL, LieElement, basis_bracket
+from liefam.algebra import CENTRAL, LieElement, basis_bracket, evaluate_pair_rule
 from liefam.cohomology import (
     ANSATZ_SHAPES,
     PER_INDEX_MAX,
@@ -18,7 +18,6 @@ from liefam.cohomology import (
     Cochain,
     DerivedRule,
     MapTableRule,
-    PairTableRule,
     coboundary_mismatches,
     compare_classes,
     deformation_differential,
@@ -102,10 +101,65 @@ def test_trivial_d_squared_vanishes():
         for n in range(1, 7)
         for m in range(n + 1, 8)
     }
-    c = Cochain(2, "trivial", None, (), PairTableRule(entries))
+    zero = ParamPoly.const((), 0)
+    c = Cochain(2, "trivial", None, (), DerivedRule(lambda n, m: entries.get((n, m), zero)))
     dd = differential(l1_subalgebra(), differential(l1_subalgebra(), c))
     for tup in [(1, 2, 3, 4), (1, 3, 5, 7), (2, 3, 4, 6)]:
         assert dd.value(*tup).is_zero
+
+
+def trivial_d_reference(algebra, c, *xs):
+    """(d c)(v_x0, ..., v_xq) for a trivial cochain c, summed directly.
+
+    The alternating sum of c on each bracket [v_xi, v_xj], i < j, its
+    central term dropped, and the other indices, with sign (-1)^(i+j):
+    the trivial differential as it was written before it became a walk.
+    """
+    total = ParamPoly.const(c.params, 0)
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        rest = tuple(xs[t] for t in range(len(xs)) if t not in (i, j))
+        for idx, coeff in evaluate_pair_rule(algebra, xs[i], xs[j]):
+            total = total + c.value(idx, *rest) * coeff * (-1) ** (i + j)
+    return total
+
+
+def _random_trivial(arity):
+    """A trivial cochain with pseudo-random integer values on every sorted tuple."""
+
+    def value(*idx):
+        return ParamPoly.const((), random.Random(repr(idx)).randint(-5, 5))
+
+    return Cochain(arity, "trivial", None, (), DerivedRule(value))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("name", ["witt", "virasoro", "l1"])
+def test_the_trivial_walk_is_the_alternating_sum(name, arity):
+    """d of a trivial cochain walks `_d_terms` with its values on CENTRAL;
+    on virasoro the walk must drop the central term of every bracket."""
+    algebra = ALGEBRAS[name]()
+    window = range(1, 9) if algebra.lower_bound else range(-4, 5)
+    c = _random_trivial(arity)
+    d = differential(algebra, c)
+    assert d.mode == "trivial" and d.arity == arity + 1
+    values = [d.value(*tup) for tup in itertools.combinations(window, arity + 1)]
+    assert values == [
+        trivial_d_reference(algebra, c, *tup) for tup in itertools.combinations(window, arity + 1)
+    ]
+    assert any(not v.is_zero for v in values)
+
+
+@pytest.mark.parametrize("name", ["witt", "virasoro"])
+def test_adjoint_d_squared_vanishes_on_a_pair_rule(name):
+    """d of d of an adjoint 2-cochain walks the alternating sum at arity 3."""
+    algebra = ALGEBRAS[name]()
+    c = sign_flipped(named_cocycle("ds-order1")[1])
+    d = differential(algebra, c)
+    dd = differential(algebra, d)
+    assert (d.arity, dd.arity, dd.mode) == (3, 4, "adjoint")
+    assert not is_cocycle(algebra, c, range(-4, 5)).passed
+    for tup in itertools.combinations(range(-3, 4), 4):
+        assert dd.value(*tup).is_zero, tup
 
 
 def test_deformation_differentials_are_cocycles():
@@ -247,7 +301,7 @@ def test_compare_classes_self_is_identity():
 def test_compare_against_zero_reduces_to_coboundary():
     w = witt()
     _, omega1 = named_cocycle("ds-order1")
-    zero = Cochain(2, "adjoint", -2, (), PairTableRule({}))
+    zero = Cochain(2, "adjoint", -2, (), DerivedRule(lambda n, m: LieElement.zero()))
     res = compare_classes(
         w, omega1, zero, Ansatz("parity-constant", -2), range(-10, 11)
     )

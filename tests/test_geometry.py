@@ -1,7 +1,12 @@
 """The vector-field oracle: realizations, brackets, basis re-expansion."""
 
-import functools
 import itertools
+import json
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -22,7 +27,6 @@ from liefam.geometry import (
     CubicField,
     FactoredLaurent,
     LaurentPoly,
-    _pair_check_cubic,
     divide_laurent,
     expand_in_candidates,
     realize,
@@ -102,21 +106,42 @@ def test_corrupted_rule_fails_with_witness(name, shift):
     bad = FamilySpec(name=f"{name}|bad", params=fam.params, rule=rule)
     report = verify_against_geometry(bad, range(-4, 5))
     assert not report.passed
-    assert report.witness["mismatches"]
+    assert report.checked == 1  # the walk stops at its first failing pair
+    value = report.witness["value"]
+    assert report.witness["pair"] == [-4, -2] and value["geometric"] != value["algebraic"]
 
 
-def enumerated(family, window) -> dict:
-    """The verdict of `verify_against_geometry`, every pair bracketed at its integers."""
-    indices = domain_pairs(family, window)
+def enumerated(family, window):
+    """The first failing pair of the window for the oracle, found by brute force.
+
+    Each field is `realize`d at its integer index, each pair of the window
+    is bracketed by `vf_bracket_cubic` in `itertools.combinations` order,
+    and the bracket is re-expanded by `expand_in_candidates` in the fields
+    n + m + j, j within the grading bounds.  Returns the `verify_against_
+    geometry` witness of the first pair whose bracket leaves a remainder or
+    differs from the rule, with "remainder" for the value of a remainder,
+    or None when every pair matches.
+    """
+    base = family.name.split("|")[0]
     bounds = grading_bounds(family)
-    field = functools.partial(realize, family.name.split("|")[0])
-    witnesses = []
-    for n, m in itertools.combinations(indices, 2):
-        bad = _pair_check_cubic(family, n, m, field, bounds)
-        if bad is not None:
-            witnesses.append(bad)
-    data = {"check": f"geometry:{family.name}", "status": "FAIL" if witnesses else "PASS"}
-    return {**data, "witness": {"mismatches": witnesses[:5]}} if witnesses else data
+    for n, m in itertools.combinations(domain_pairs(family, window), 2):
+        got, rest = vf_bracket_cubic(realize(base, n), realize(base, m))
+        span = range(n + m + bounds.lower, n + m + bounds.upper + 1)
+        geometric, remainders = {}, [rest]
+        for part, odd in (("a", 0), ("b", 1)):
+            cands = [(i, getattr(realize(base, i), part)) for i in span if i % 2 == odd]
+            coeffs, left = expand_in_candidates(getattr(got, part), cands)
+            geometric.update(coeffs)
+            remainders.append(left)
+        if not all(r.is_zero for r in remainders):
+            return {"pair": [n, m], "value": "remainder"}
+        expected = dict(evaluate_pair_rule(family, n, m))
+        if geometric != expected:
+            return {"pair": [n, m], "value": {
+                "geometric": {str(i): c.to_json() for i, c in sorted(geometric.items())},
+                "algebraic": {str(i): c.to_json() for i, c in sorted(expected.items())},
+            }}
+    return None
 
 
 def oracle_families():
@@ -140,7 +165,7 @@ def oracle_families():
 def test_class_proofs_match_plain_enumeration(family, window):
     report = verify_against_geometry(family, window).to_json()
     certificate = report.pop("certificate", None)
-    assert {k: v for k, v in report.items() if k != "checked"} == enumerated(family, window)
+    assert report.get("witness") == enumerated(family, window)
     assert report["status"] == ("PASS" if family.name in FIBRES else "FAIL")
     if certificate is not None:  # a PASS proves every class and evaluates no pair
         assert report["checked"] == 0 and certificate["evaluated"] == []
@@ -169,10 +194,43 @@ def test_an_elliptic_pass_brackets_once_per_parity_class(monkeypatch, window):
 
 
 def test_a_failing_class_is_evaluated_pair_by_pair(monkeypatch):
-    # criterion 9: the even-even class fails, so its 10 pairs of -4..4 are bracketed
+    # criterion 9: the even-even class fails, so its pairs of -4..4 are bracketed
+    # until the first, (-4, -2), fails
     calls = counted_brackets(monkeypatch)
-    assert not verify_against_geometry(corrupted_elliptic(), range(-4, 5)).passed
-    assert len(calls) == 3 + 10
+    report = verify_against_geometry(corrupted_elliptic(), range(-4, 5))
+    assert not report.passed and report.checked == 1
+    assert len(calls) == 3 + 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_failing_oracle_stops_at_its_first_pair():
+    """The walk of a failing class stops at its first witness, so a window of
+    2 * 10^9 indices FAILs in 1 GiB of address space after one bracket."""
+    code = textwrap.dedent("""
+        import json
+        from liefam.geometry import verify_against_geometry
+        from liefam.suite import corrupted_elliptic
+        windows = (range(-10**9, 10**9), range(-10**9, -10**9 + 3))
+        print(json.dumps([verify_against_geometry(corrupted_elliptic(), w).to_json()
+                          for w in windows]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    huge, small = json.loads(proc.stdout)
+    assert huge == small
+    assert huge["status"] == "FAIL" and huge["checked"] == 1
+    assert huge["witness"]["pair"] == [-10**9, -10**9 + 2]
 
 
 def test_expansion_is_triangular_and_unique():
@@ -213,7 +271,8 @@ def test_division_remainder_is_reported_as_witness(monkeypatch):
     monkeypatch.setattr(geometry, "vf_bracket_cubic", off_by_u)
     report = verify_against_geometry(elliptic(), range(0, 3))
     assert not report.passed
-    assert "unexpanded_remainder" in report.witness["mismatches"][0]
+    assert report.witness["pair"] == [0, 1]
+    assert "unexpanded_remainder" in report.witness["value"]
 
 
 def test_realize_rejects_unknown():

@@ -14,13 +14,18 @@ or that OLD lacks, is printed with `verdict` when its verdict digest
 differs too (or OLD lacks it) and `certificate` when only the certificate
 changed, and the exit code is 1 if there are any.
 
-The argvs are `families dump` for every catalog family, `paper-suite` at
-seeds 1 and 7, `cohomology goncharova` at qmax 1-3 with smax 8 and 20,
-`verify-jacobi` for every catalog family (d-line at the slopes 3, 0, 1,
--2 and -1/2 of criterion 1: a line through the origin, the degenerate
-lines and the IIa node) on its default window and on -9..12 (1..23 when
-the basis starts at 1), `cohomology check` for every named cocycle on
-its default window,
+The argvs reach every subcommand of `liefam.cli.build_parser()`.  They are
+`families list`, `families dump` for every catalog family, `bracket` on
+witt, on virasoro at (2, -2), its central pair, and on elliptic, `moduli
+classify` at the cusp, at both nodes (IIb at e1 = e2, IIa at e2 = e3) and
+at one smooth point, `moduli j-line` at the slopes 0 and inf and at the
+degenerate slope 1, which exits 2, `moduli rescale` of witt, elliptic and
+virasoro at lambda^2 = 4, `paper-suite` at seeds 1 and 7, `cohomology
+goncharova` at qmax 1-3 with smax 8 and 20, `verify-jacobi` for every
+catalog family (d-line at the slopes 3, 0, 1, -2 and -1/2 of criterion 1:
+a line through the origin, the degenerate lines and the IIa node) on its
+default window and on -9..12 (1..23 when the basis starts at 1),
+`cohomology check` for every named cocycle on its default window,
 `verify-geometry` for every family with a geometric oracle on the windows
 -6..6, 1..9 and 3..11, the residue pairings: `central cocycle` for every
 genus-zero fibre on -10..10 (1..12 when the basis starts at 1), with no
@@ -64,10 +69,17 @@ def _solve_matrix(head):
 
 def yardstick_argvs() -> list:
     """The yardstick argvs, each a list of strings without the leading --json."""
-    argvs = []
+    argvs = [["families", "list"]]
     for name in CATALOG:
         slope = ["--s", "3"] if name == "d-line" else []
         argvs.append(["families", "dump", "--family", name, *slope])
+    for name, n, m in (("witt", "-3", "5"), ("virasoro", "2", "-2"), ("elliptic", "2", "4")):
+        argvs.append(["bracket", "--family", name, "--n", n, "--m", m])
+    for e1, e2 in (("0", "0"), ("1", "1"), ("1", "-1/2"), ("1", "2")):
+        argvs.append(["moduli", "classify", "--e1", e1, "--e2", e2])
+    argvs += [["moduli", "j-line", "--s", s] for s in ("0", "inf", "1")]
+    for name in ("witt", "elliptic", "virasoro"):
+        argvs.append(["moduli", "rescale", "--family", name, "--lambda2", "4"])
     argvs += [["paper-suite", "--seed", seed] for seed in ("1", "7")]
     for q, s in itertools.product("123", ("8", "20")):
         argvs.append(["cohomology", "goncharova", "--qmax", q, "--smax", s])
