@@ -415,6 +415,10 @@ ANSATZ_SHAPES = ("parity-constant", "affine", "per-index")
 #: The most window indices a per-index ansatz takes, one unknown each; its
 #: solve evaluates every pair of the window, half a million at this size.
 PER_INDEX_MAX = 1000
+#: The largest smax a Goncharova table takes.  Its cost grows steeply with
+#: s: at qmax 5 a table took 0.2 s at smax 35, 6-9 s at 48 and 51 s at 56
+#: (2 shared cores, Python 3.11.7).
+GONCHAROVA_SMAX = 48
 
 
 @dataclass(frozen=True)
@@ -708,8 +712,8 @@ def compare_classes(
 
 def graded_tuples(q: int, s: int):
     """Strictly increasing q-tuples of indices >= 1 with sum s."""
-    if q == 0:
-        return [()] if s == 0 else []
+    if q <= 0:
+        return [()] if (q, s) == (0, 0) else []
     out = []
 
     def rec(prefix, start, remaining, slots):
@@ -717,10 +721,8 @@ def graded_tuples(q: int, s: int):
             if remaining >= start:
                 out.append(prefix + (remaining,))
             return
-        total_min = slots * start + slots * (slots - 1) // 2
-        if remaining < total_min:
-            return
-        for v in range(start, remaining):
+        # The largest v that leaves room for slots - 1 larger indices.
+        for v in range(start, (remaining - slots * (slots - 1) // 2) // slots + 1):
             rec(prefix + (v,), v + 1, remaining - v, slots - 1)
 
     rec((), 1, s, q)
@@ -744,9 +746,9 @@ def graded_differential_columns(q: int, s: int):
             p = bisect_left(rest, merged)
             if p < len(rest) and rest[p] == merged:
                 continue
-            vec = cols[rest[:p] + (merged,) + rest[p:]]
-            value = b - a if (i + j + p) % 2 == 0 else a - b
-            vec[row] = vec.get(row, 0) + value
+            # No other merge of `row` gives this column, so each entry is
+            # written once.
+            cols[rest[:p] + (merged,) + rest[p:]][row] = b - a if (i + j + p) % 2 == 0 else a - b
     return cols
 
 
@@ -771,12 +773,15 @@ def goncharova_table(q_max: int, s_max: int) -> dict:
 
     The rank of d_q enters dim H^q and dim H^(q+1), so each is computed
     once per call; nothing is kept between calls.  A q_max or s_max below
-    1 would give an empty table and raises WindowTooSmall.
+    1 would give an empty table and raises WindowTooSmall; an s_max above
+    GONCHAROVA_SMAX raises WindowTooLarge.
     """
     if q_max < 1 or s_max < 1:
         raise WindowTooSmall(
             f"the table needs qmax >= 1 and smax >= 1, got qmax {q_max} and smax {s_max}"
         )
+    if s_max > GONCHAROVA_SMAX:
+        raise WindowTooLarge(f"the table takes smax <= {GONCHAROVA_SMAX}, got smax {s_max}")
     rank = cache(_graded_rank)
     return {
         (q, s): goncharova_dim(q, s, rank)

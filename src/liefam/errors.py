@@ -22,7 +22,7 @@ class WindowTooSmall(LiefamError):
 
 
 class WindowTooLarge(LiefamError):
-    """The index window holds more indices than the requested solve can take."""
+    """The index window holds more indices than the requested computation can take."""
 
 
 class UnsupportedFamily(LiefamError):

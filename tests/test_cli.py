@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam.cli import build_parser, main, parse_laurent, parse_window
-from liefam.cohomology import PER_INDEX_MAX
+from liefam.cohomology import GONCHAROVA_SMAX, PER_INDEX_MAX
 from liefam.families import CATALOG, FIBRES
 from liefam.geometry import PARAMETRIZATIONS
 from liefam.poly import GUARD
@@ -573,6 +573,10 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
         (
             ["cohomology", "goncharova", "--smax", "-1"],
             "the table needs qmax >= 1 and smax >= 1, got qmax 3 and smax -1",
+        ),
+        (
+            ["cohomology", "goncharova", "--qmax", "2", "--smax", "100000000"],
+            f"the table takes smax <= {GONCHAROVA_SMAX}, got smax 100000000",
         ),
     ],
 )

@@ -12,6 +12,7 @@ from liefam import cohomology
 from liefam.algebra import CENTRAL, LieElement, basis_bracket, evaluate_pair_rule
 from liefam.cohomology import (
     ANSATZ_SHAPES,
+    GONCHAROVA_SMAX,
     PER_INDEX_MAX,
     AffineMapRule,
     Ansatz,
@@ -487,6 +488,14 @@ def test_goncharova_known_answers_past_q3():
         assert goncharova_dim(4, s) == expected_goncharova(4, s), s
     for s, want in ((34, 0), (35, 1), (40, 1)):
         assert goncharova_dim(5, s) == expected_goncharova(5, s) == want, s
+
+
+def test_goncharova_table_takes_at_most_its_stated_smax():
+    table = goncharova_table(1, GONCHAROVA_SMAX)
+    assert [s for s in range(1, GONCHAROVA_SMAX + 1) if table[(1, s)]] == [1, 2]
+    for s_max in (GONCHAROVA_SMAX + 1, 10**8):
+        with pytest.raises(WindowTooLarge, match=f"smax <= {GONCHAROVA_SMAX}, got smax {s_max}"):
+            goncharova_table(1, s_max)
 
 
 def test_goncharova_table_computes_each_rank_once(monkeypatch):

@@ -5,16 +5,24 @@ be those of plain Fraction Gauss-Jordan elimination with the same pivot
 rule (the least key of the reduced row by `repr`), which `GaussJordan`
 below keeps as the reference, and its ranks must agree with sympy.
 `rank_of_vectors` pivots on the key it saw last instead, and must give
-the rank of the `repr` rule.
+the rank of the `repr` rule.  `LinearSystem` numbers its unknowns and
+visits only the stored pivots a row holds; `ScanEveryRow` keeps the scan
+over every stored row that it replaced, and under either pivot rule the
+two must store the same rows and give the same witness and solution.
 """
 
+import gc
+import weakref
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefam import linalg
 from liefam.cohomology import Ansatz, compare_classes, graded_differential_columns
 from liefam.linalg import LinearSystem, rank_of_vectors
 from liefam.suite import named_cocycle
@@ -58,6 +66,64 @@ class GaussJordan:
         return values
 
 
+class ScanEveryRow:
+    """Reference: fraction-free elimination keyed by unknown ids.
+
+    Each equation visits every stored row in insertion order and reduces
+    by those whose pivot it holds.  `pivot(row)` picks the pivot of a
+    reduced row by id.
+    """
+
+    def __init__(self, pivot=partial(min, key=repr)):
+        self.pivot = pivot
+        self.rows = {}  # pivot id -> (integer row without the pivot, p > 0, rhs)
+        self.inconsistency = None
+
+    def add(self, coeffs, rhs, tag=None):
+        terms = [(k, Fraction(v)) for k, v in coeffs.items() if v != 0]
+        rhs = Fraction(rhs)
+        scale = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+        row = {k: v.numerator * (scale // v.denominator) for k, v in terms}
+        b = rhs.numerator * (scale // rhs.denominator)
+        for pivot, (prow, p, pb) in self.rows.items():
+            c = row.pop(pivot, None)
+            if c is None:
+                continue
+            g = gcd(p, c)
+            a, c = p // g, c // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+                b *= a
+                scale *= a
+            for k, v in prow.items():
+                s = row.get(k, 0) - c * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            b -= c * pb
+        if not row:
+            if b and self.inconsistency is None:
+                self.inconsistency = (tag, Fraction(b, scale))
+            return
+        pivot = self.pivot(row)
+        g = gcd(b, *row.values())
+        if row[pivot] < 0:
+            g = -g
+        row = {k: v // g for k, v in row.items()}
+        p = row.pop(pivot)
+        self.rows[pivot] = (row, p, b // g)
+
+    def solution(self, unknowns):
+        values = {u: Fraction(0) for u in unknowns if u not in self.rows}
+        known = dict(values)
+        for pivot, (row, p, b) in reversed(self.rows.items()):
+            known[pivot] = Fraction(b - sum(v * known.get(k, 0) for k, v in row.items()), p)
+        values.update((pivot, known[pivot]) for pivot in self.rows)
+        return values
+
+
 # Mixed key types whose repr order differs from any numeric order
 # ("-3" < "0" < "10" < "2" < "(" < "'").
 KEYS = [0, 2, 10, -3, ("idx", 1), ("idx", -2), ("even", "a"), "x"]
@@ -88,6 +154,24 @@ def equations(draw):
             row = draw(st.dictionaries(st.sampled_from(KEYS), COEFF, max_size=5))
             rhs = draw(COEFF)
         eqs.append((row, rhs))
+    return eqs
+
+
+@st.composite
+def graded_equations(draw):
+    """Columns of a graded differential, shuffled, with small right-hand sides.
+
+    They are long and fill in, so a reduction often brings in the pivot
+    of a later row, or cancels one that an earlier reduction brought in.
+    """
+    q, s = draw(st.integers(1, 3)), draw(st.integers(1, 14))
+    rnd = draw(st.randoms(use_true_random=False))
+    eqs = []
+    for vec in graded_differential_columns(q, s).values():
+        items = list(vec.items())
+        rnd.shuffle(items)
+        eqs.append((dict(items), rnd.choice([0, 0, 0, 1, -2])))
+    rnd.shuffle(eqs)
     return eqs
 
 
@@ -161,6 +245,49 @@ def test_same_pivots_witness_and_solution_as_gauss_jordan(eqs, unknowns):
         )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(equations(), graded_equations()),
+    st.lists(st.sampled_from(KEYS), unique=True),
+    st.booleans(),
+)
+def test_the_kernel_reduces_as_the_scan_over_every_stored_row(eqs, unknowns, last_seen):
+    """Both pivot rules: the least id by repr, and `rank_of_vectors`' rule,
+    the id seen last, which the kernel reads as the largest number."""
+    seen = {}
+    reference = ScanEveryRow(partial(max, key=seen.__getitem__)) if last_seen else ScanEveryRow()
+    system = LinearSystem(pivot=max) if last_seen else LinearSystem()
+    for i, (row, rhs) in enumerate(eqs):
+        for k in row:
+            seen.setdefault(k, len(seen))
+        reference.add(row, rhs, tag=i)
+        system.add(row, rhs, tag=i)
+    assert list(system.rows.items()) == list(reference.rows.items())
+    assert len(system.rows) == system.rank == len(reference.rows)
+    assert system.inconsistency == reference.inconsistency
+    if system.consistent:
+        unknowns += [k for row, _ in eqs for k in row]
+        assert list(system.solution(unknowns).items()) == list(
+            reference.solution(unknowns).items()
+        )
+
+
+@pytest.mark.parametrize("pivot, pivots", [(None, ["a", "b"]), (max, ["b", "c"])])
+def test_a_system_is_freed_by_reference_counting(pivot, pivots):
+    system = LinearSystem(pivot)
+    system.add({"a": 1, "b": 2}, 1)
+    system.add({"b": Fraction(1, 2), "c": 1}, 0)
+    assert list(system.rows) == pivots and len(system.rows) == 2
+    assert all(u in system.rows for u in pivots) and "z" not in system.rows
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 20), st.randoms(use_true_random=False))
 def test_last_seen_pivots_give_the_repr_rank_on_graded_columns(q, s, rnd):
@@ -174,6 +301,19 @@ def test_last_seen_pivots_give_the_repr_rank_on_graded_columns(q, s, rnd):
     for vec in vectors:
         system.add(vec, 0)
     assert rank_of_vectors(vectors) == system.rank
+
+
+def test_rank_of_vectors_pivots_on_the_key_seen_last(monkeypatch):
+    systems = []
+
+    class Recorded(LinearSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    monkeypatch.setattr(linalg, "LinearSystem", Recorded)
+    assert rank_of_vectors([{"a": 1, "b": 1}, {"b": 1, "c": 2}, {"a": 1, "c": -2}]) == 2
+    assert list(systems[0].rows) == ["b", "c"]
 
 
 def test_default_pivot_is_least_key_by_repr():

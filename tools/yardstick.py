@@ -21,7 +21,9 @@ classify` at the cusp, at both nodes (IIb at e1 = e2, IIa at e2 = e3) and
 at one smooth point, `moduli j-line` at the slopes 0 and inf and at the
 degenerate slope 1, which exits 2, `moduli rescale` of witt, elliptic and
 virasoro at lambda^2 = 4, `paper-suite` at seeds 1 and 7, `cohomology
-goncharova` at qmax 1-3 with smax 8 and 20, `verify-jacobi` for every
+goncharova` at qmax 1-3 with smax 8 and 20 and at qmax 5 with smax 35,
+where the ranks of the graded differentials at q = 4 and 5 are the
+largest eliminations of the set, `verify-jacobi` for every
 catalog family (d-line at the slopes 3, 0, 1, -2 and -1/2 of criterion 1:
 a line through the origin, the degenerate lines and the IIa node) on its
 default window and on -9..12 (1..23 when the basis starts at 1),
@@ -81,7 +83,7 @@ def yardstick_argvs() -> list:
     for name in ("witt", "elliptic", "virasoro"):
         argvs.append(["moduli", "rescale", "--family", name, "--lambda2", "4"])
     argvs += [["paper-suite", "--seed", seed] for seed in ("1", "7")]
-    for q, s in itertools.product("123", ("8", "20")):
+    for q, s in [*itertools.product("123", ("8", "20")), ("5", "35")]:
         argvs.append(["cohomology", "goncharova", "--qmax", q, "--smax", s])
     for name in CATALOG:
         wide = "1..23" if by_name(name, s=3).lower_bound else "-9..12"
