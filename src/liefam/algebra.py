@@ -23,7 +23,7 @@ from .errors import (
     ParameterMismatch,
     WindowTooSmall,
 )
-from .linalg import rank_of_vectors
+from .linalg import LinearSystem
 from .poly import KeyedSum, ParamPoly, accumulate, pack, rat, rat_str, split
 
 #: Basis key of the central element (degree 0 by convention).
@@ -562,6 +562,7 @@ class _Plan:
     def __init__(self, indices, arity, prove, value):
         self.indices, self.arity, self.prove, self.value = indices, arity, prove, value
         self.proofs, self.strata, self.points, self.evaluated = {}, {}, set(), 0
+        self.reached = []  # the points evaluated, in walk order
         pad = (0,) * (3 - arity)
         classes = [(INDEX_FORMS[:arity], p + pad) for p in itertools.product((0, 1), repeat=arity)]
         lows = [low for c in classes for *_, low in self._status(*c) or () if low is not None]
@@ -646,7 +647,7 @@ class _Plan:
 
     def __iter__(self):
         """(checked, tuple, value) at each nonzero value; see `nonzero_tuples`."""
-        self.evaluated = 0
+        self.evaluated, self.reached = 0, []
         if self.failed or self.open:
             values = _union(self.indices, self.extra, self.lower)
             tuples = (tup for tup in _combinations(values, self.arity) if not self.covered(tup))
@@ -654,18 +655,21 @@ class _Plan:
             tuples = sorted(self.points)
         for tup in tuples:
             self.evaluated += 1
+            if tup in self.points:
+                self.reached.append(tup)
             v = self.value(*tup)
             if v is not None and not getattr(v, "is_zero", False):
                 yield self.evaluated, tup, v
 
     def certificate(self) -> dict:
-        """The strata proved and the points evaluated; with a stratum left
-        without proof, also the window whose tuples were evaluated instead."""
+        """The strata proved and the points evaluated, those a walk that
+        stopped early did not reach left out; with a stratum left without
+        proof, also the window whose tuples were evaluated instead."""
         window = {"window": [self.indices[0], self.indices[-1]]}
         if self.prove is None:
             return window
         proved = [_tag(*k) for k, s in self.strata.items() if isinstance(s, tuple)]
-        data = {"proved": proved, "evaluated": [list(p) for p in sorted(self.points)]}
+        data = {"proved": proved, "evaluated": [list(p) for p in sorted(self.reached)]}
         return {**data, "open": self.open, **window} if self.open else data
 
 
@@ -1220,7 +1224,10 @@ def abelianization_codim(family: FamilySpec, n_max: int) -> tuple[int, bool]:
     Spans all brackets [v_n, v_m] with 1 <= n < m <= N whose full support
     lies inside [1, N - |R|] (R the lower grading shift) and returns the
     codimension of that span there, plus a flag telling whether the value
-    agrees for N and N + 4.
+    agrees for N and N + 4.  The brackets of the window N are among those
+    of N + 4, so one elimination ranks both: each pair of [1, N + 4] is
+    evaluated once, the window N's brackets are added first and the rank
+    is read, then the rest are added and it is read again.
     """
     if family.lower_bound != 1:
         raise ValueError("commutator codimension needs a basis domain n >= 1")
@@ -1232,19 +1239,22 @@ def abelianization_codim(family: FamilySpec, n_max: int) -> tuple[int, bool]:
         raise WindowTooSmall("need N >= 8")
 
     depth = abs(grading_bounds(family).lower)
-
-    def codim(N: int) -> int:
-        top = N - depth
-        vectors = []
-        for n in range(1, N + 1):
-            for m in range(n + 1, N + 1):
-                comps = evaluate_pair_rule(family, n, m)
-                if not comps:
-                    continue
-                if max(idx for idx, _ in comps) > top:
-                    continue
-                vectors.append({idx: c.constant_value() for idx, c in comps})
-        return top - rank_of_vectors(vectors)
-
-    first = codim(n_max)
-    return first, first == codim(n_max + 4)
+    wide = n_max + 4
+    system, later = LinearSystem(pivot=max), []
+    for n in range(1, wide + 1):
+        for m in range(n + 1, wide + 1):
+            comps = evaluate_pair_rule(family, n, m)
+            if not comps:
+                continue
+            top = max(idx for idx, _ in comps)
+            if top > wide - depth:
+                continue
+            vector = {idx: c.constant_value() for idx, c in comps}
+            if m <= n_max and top <= n_max - depth:
+                system.add(vector, 0)
+            else:
+                later.append(vector)
+    first = n_max - depth - system.rank
+    for vector in later:
+        system.add(vector, 0)
+    return first, first == wide - depth - system.rank

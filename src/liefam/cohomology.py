@@ -412,13 +412,21 @@ def deformation_differential(family: FamilySpec, param: str, order: int) -> Coch
 # ---------------------------------------------------------------------------
 
 ANSATZ_SHAPES = ("parity-constant", "affine", "per-index")
-#: The most window indices a per-index ansatz takes, one unknown each; its
-#: solve evaluates every pair of the window, half a million at this size.
+#: The most window indices a per-index ansatz takes, one unknown each; a
+#: solve that stays consistent evaluates every pair of the window, half a
+#: million at this size, and an infeasible one stops at its contradiction.
 PER_INDEX_MAX = 1000
+#: The most indices an ansatz pins to zero because F maps them below the
+#: basis bound, one per unit of -weight.  Each is a stratum of a closed
+#: shape's proof: beta3's affine solve on 1..20 took 0.45 s at weight -64,
+#: 4.2 s at -200 and 18 s at -400 (2 shared cores, Python 3.11.7).
+ZERO_PINS_MAX = 64
 #: The largest smax a Goncharova table takes.  Its cost grows steeply with
 #: s: at qmax 5 a table took 0.2 s at smax 35, 6-9 s at 48 and 51 s at 56
 #: (2 shared cores, Python 3.11.7).
 GONCHAROVA_SMAX = 48
+#: The largest q of a graded dimension, and of a table's qmax.
+GONCHAROVA_QMAX = 5
 
 
 @dataclass(frozen=True)
@@ -471,7 +479,7 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
     pin at each index F maps below the basis bound; a pin at an index
     outside the basis domain, or a nonzero pin that F maps below it,
     raises OutOfDomainIndex.  A per-index window of more than PER_INDEX_MAX
-    indices raises WindowTooLarge.
+    indices, or more than ZERO_PINS_MAX zero pins, raises WindowTooLarge.
     """
     w, lb = ansatz.weight, algebra.lower_bound
     if ansatz.shape == "per-index" and len(indices) > PER_INDEX_MAX:
@@ -488,6 +496,11 @@ def _ansatz_cochain(algebra, ansatz: Ansatz, indices, scaled: bool) -> Cochain:
             )
         if v and lb is not None and i + w < lb:
             raise OutOfDomainIndex(f"pin F(v_{i}) = {v} maps outside the basis domain")
+    if lb is not None and -w > ZERO_PINS_MAX:
+        raise WindowTooLarge(
+            f"an ansatz takes at most {ZERO_PINS_MAX} zero pins, one per index F maps "
+            f"below the basis bound; weight {w} maps {-w} indices of {algebra.name} below v_{lb}"
+        )
     pins.update(dict.fromkeys(range(lb, lb - w) if lb is not None else (), Fraction(0)))
     if ansatz.shape == "per-index":
         unknowns = [("idx", i) for i in indices if i not in pins]
@@ -561,6 +574,13 @@ def _build_system(algebra, omega, beta, ansatz_map, indices, covered):
     `LieElement.support` order (central last): pairs pinned at both
     indices, and the window pairs of an unaccepted stratum, every one when
     the ansatz is per-index or omega or beta has no index forms.
+
+    No pair is pulled from the walk once the system is inconsistent: its
+    first inconsistent equation is its witness, and no later equation can
+    make it consistent again.  So an infeasible system counts the equations
+    read up to the pair that holds its contradiction, and reads no pair
+    when a class equation holds it; `walk.certificate()` names only the
+    points the walk reached.
     """
     ring = ansatz_map.params
     scale = None if beta is None else ParamPoly.var(ring, ("scale",))
@@ -578,7 +598,9 @@ def _build_system(algebra, omega, beta, ansatz_map, indices, covered):
         lifted, ansatz_map, _over(omega, ring), _over(beta, ring), scale, indices,
         covered, settle=settle,
     )
-    for _, (n, m), difference in walk:
+    pairs = iter(walk)
+    while system.consistent and (item := next(pairs, None)):
+        _, (n, m), difference = item
         for idx in difference.support():
             _add_equation(system, difference.components[idx], {"pair": [n, m], "index": idx})
     return system, walk
@@ -681,10 +703,19 @@ def solve_coboundary(
     pinned, whatever the window.  An inconsistent system is a global
     non-coboundary certificate for the ansatz shape, and a solution
     satisfies every equation, so it is a global one; the certificate
-    lists the strata and pairs the equations came from and counts them.
-    A per-index ansatz reads the equations of every window pair it covers
-    (a window with none raises WindowTooSmall), and its certificate names
-    the window its solution holds on.
+    lists the strata proved and the pinned pairs evaluated, and counts the
+    equations read.  A per-index ansatz reads the equations of the window
+    pairs it covers (a window with none raises WindowTooSmall), and its
+    certificate names the window.  A solution holds on that window.  An
+    inconsistent per-index system is a global certificate too: any map of
+    the shape on the whole basis, with the same pins, would satisfy the
+    window's equations, since each involves F only where the ansatz models
+    it.
+
+    The solve stops at the first contradiction (`_build_system`): an
+    infeasible certificate counts the equations read up to it, and its
+    contradiction, residual, strata and window are those of reading every
+    pair.
     """
     return _solve(algebra, omega, None, ansatz, window)
 
@@ -762,8 +793,8 @@ def goncharova_dim(q: int, s: int, rank=_graded_rank) -> int:
 
     `rank(q, s)` gives the rank of the differential leaving C^q_(s).
     """
-    if q < 0 or q > 5:
-        raise ArityUnsupported("graded dimensions implemented for q <= 5")
+    if q < 0 or q > GONCHAROVA_QMAX:
+        raise ArityUnsupported(f"graded dimensions implemented for q <= {GONCHAROVA_QMAX}")
     rank_prev = rank(q - 1, s) if q >= 1 else 0
     return len(graded_tuples(q, s)) - rank(q, s) - rank_prev
 
@@ -774,7 +805,8 @@ def goncharova_table(q_max: int, s_max: int) -> dict:
     The rank of d_q enters dim H^q and dim H^(q+1), so each is computed
     once per call; nothing is kept between calls.  A q_max or s_max below
     1 would give an empty table and raises WindowTooSmall; an s_max above
-    GONCHAROVA_SMAX raises WindowTooLarge.
+    GONCHAROVA_SMAX raises WindowTooLarge, and a q_max above
+    GONCHAROVA_QMAX raises ArityUnsupported, before any rank is computed.
     """
     if q_max < 1 or s_max < 1:
         raise WindowTooSmall(
@@ -782,6 +814,8 @@ def goncharova_table(q_max: int, s_max: int) -> dict:
         )
     if s_max > GONCHAROVA_SMAX:
         raise WindowTooLarge(f"the table takes smax <= {GONCHAROVA_SMAX}, got smax {s_max}")
+    if q_max > GONCHAROVA_QMAX:
+        raise ArityUnsupported(f"graded dimensions implemented for q <= {GONCHAROVA_QMAX}")
     rank = cache(_graded_rank)
     return {
         (q, s): goncharova_dim(q, s, rank)

@@ -345,6 +345,12 @@ def criterion_5() -> CriterionResult:
     Read as a map into the Witt algebra W, the formula gives
     F(v_1) = -v_{-1}, and with F(v_2) = -(4/3) v_0 in place of its
     -(5/3) v_0 it satisfies the identity on every pair of the window.
+
+    Last, beta3 is certified not a coboundary of a map of weight -2 or 0:
+    each per-index system on 1..24 is inconsistent, which holds for every
+    such map on the whole basis (`solve_coboundary`).  Each solve stops at
+    its first contradiction, so its certificate counts the equations read
+    up to it: 23 at weight -2, 2 at weight 0.
     """
     algebra, omega = named_cocycle("w1-order1")
     _, beta3 = named_cocycle("beta3")
@@ -469,7 +475,11 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Commutator-span codimensions with stabilization at N=16 vs N=20."""
+    """Commutator-span codimensions with stabilization at N=16 vs N=20.
+
+    `abelianization_codim` ranks both windows in one elimination; N = 20
+    is still a window, not a proof that the codimension stays put.
+    """
     cases = {
         "w1(alpha2=1)": (specialize(w1_subalgebra(), {"alpha2": 1}), 2),
         "l1": (l1_subalgebra(), 2),

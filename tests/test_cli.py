@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam.cli import build_parser, main, parse_laurent, parse_window
-from liefam.cohomology import GONCHAROVA_SMAX, PER_INDEX_MAX
+from liefam.cohomology import GONCHAROVA_QMAX, GONCHAROVA_SMAX, PER_INDEX_MAX, ZERO_PINS_MAX
 from liefam.families import CATALOG, FIBRES
 from liefam.geometry import PARAMETRIZATIONS
 from liefam.poly import GUARD
@@ -121,6 +121,21 @@ def test_a_per_index_window_past_its_limit_exits_2():
     assert proc.stderr == (
         f"error: a per-index ansatz takes at most {PER_INDEX_MAX} window indices, one "
         "unknown each; the window has 1000000000 in the domain of l1\n"
+    )
+
+
+def test_an_ansatz_weight_past_its_limit_exits_2():
+    """An ansatz pins F(v_n) = 0 at each index n that F maps below the basis
+    bound, so a weight of -10^14 is refused before any pin is built, in 1 GiB
+    of address space."""
+    proc = _run_in_1_gib(["cohomology", "solve", "--cocycle", "beta3", "--ansatz", "affine",
+                          "--weight", "-99999999999999", "--window", "1..20"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: an ansatz takes at most {ZERO_PINS_MAX} zero pins, one per index F maps "
+        "below the basis bound; weight -99999999999999 maps 99999999999999 indices of l1 "
+        "below v_1\n"
     )
 
 
@@ -257,26 +272,30 @@ def test_central_and_geometry_outputs_are_pinned(capsys, entry):
 #: strata proved and the pairs evaluated, and names the window where a per-index
 #: ansatz holds; status, map and scalar are unchanged, except that the affine
 #: beta3 solve on 3..24, which stopped with "the solution does not extend", is
-#: now infeasible, as it is on 1..20.
+#: now infeasible, as it is on 1..20.  The six infeasible entries re-pinned when
+#: a solve came to stop at its first contradiction: their certificates count only
+#: the equations read up to it (beta3 per-index at weight 0: 153 -> 2), and the
+#: closed shapes whose contradiction is a class equation no longer list the pair
+#: [1, 2] as evaluated, since the walk never reaches it.
 SOLVE_SHA256 = {
     "cohomology solve --cocycle ds-order1 --ansatz parity-constant --weight -2": "40cd744713c54a5c0a6bdd0ad9b23edf45bb0b318540d7e90f8db780c443d29f",
     "cohomology solve --cocycle dinf-order2 --ansatz parity-constant --weight -4": "d8be1deaa60caa50a5cdc14052b477f09ff35664e392e14c989f9b3892ca9b94",
     "cohomology solve --cocycle ds-order1 --ansatz affine --weight -2": "92f664ba06138c6c65f3eac1bdfbed81facc356efd2a45d5044fb369b7719b44",
     "cohomology solve --cocycle beta1 --ansatz affine --weight -1 --window 1..20": "9e8cc541e3b941b8ea18db7839f3c5d7ab67d383f39040a85ff501f1c3675925",
     "cohomology solve --cocycle beta2 --ansatz affine --weight -1 --window 1..20": "61f1d15fed4a76e6212c6891977c93bc55ca20e0c1af1ee746a4121ae27426cb",
-    "cohomology solve --cocycle beta3 --ansatz per-index --weight -2 --window 1..20": "d0f674092931614599f70371eb8115e2c04533fc60238543528e541e37ac9f1f",
-    "cohomology solve --cocycle beta3 --ansatz affine --weight -2 --window 3..24": "ca5efaea3d720d9fa66e09450585a2ad46892fde5e407bed0722c54373bf3f8a",
-    "cohomology solve --cocycle w1-order1 --ansatz affine --weight -2 --window 1..24": "23cf335223963cfc65ec127260f94b4a1d4f5ae79e504eddd22dda4cc18ab3b1",
+    "cohomology solve --cocycle beta3 --ansatz per-index --weight -2 --window 1..20": "28963523851d6b25d186f47d12f55249e3e3386665419e594928287d4421eb47",
+    "cohomology solve --cocycle beta3 --ansatz affine --weight -2 --window 3..24": "caaf6c003139397f2d40ab5cd533e70bc34fc71509093fd59b45fe5d3b21cdc7",
+    "cohomology solve --cocycle w1-order1 --ansatz affine --weight -2 --window 1..24": "3692565c940721698e67a3d3b21e840bc9e701ddc175212279b1c64b997095f7",
     "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6": "8c04adfb0e932aaa2efd7f1b607a1b96321208a5dd909ce2436b1508578a550b",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 1=0,2=0": "47416fe740bb14556aa23c499b597fc20659efdd45bad9b832d16a7a7f0a7a04",
-    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz parity-constant --weight -2 --window 1..24": "71514722d95aeda5f2513a8837c21fc47a4577ab294d482d07e57077e38631e6",
+    "cohomology compare --cocycle w1-order1 --against beta3 --ansatz parity-constant --weight -2 --window 1..24": "a18f183949b8117d35c35f630b8c0c0111af0905a2f9ba2006f061f6b979eb67",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz affine --weight -2 --window 1..24 --pin 2=-4/3": "564f57f0018675b351989b4551f07ae07cf78af2dcd232529d2586cd420b9fbc",
     "cohomology compare --cocycle w1-order1 --against beta3 --ansatz per-index --weight -2 --window 1..16": "61879e0ea6c7cf679494263b6290f1ff11d06fd03ddb925040f3d7efb81cb749",
     "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz affine --weight -2": "664cdc3a702a18e64e7472cf0e105dd9de070ac3c0463c56606e7ee5c8b26a5a",
-    "cohomology solve --cocycle beta3 --ansatz per-index --weight 0 --window 1..24": "f35405b50839616eb9a962db4fb7455dd294298c878e1a11b285b99e07fb73d5",
+    "cohomology solve --cocycle beta3 --ansatz per-index --weight 0 --window 1..24": "229821a07d61bdd867780c9153a95d405d3eea26ed940b13a3ca60b6be2e2f88",
     "cohomology solve --cocycle ds-order1 --ansatz per-index --weight -2 --window -6..6 --pin 0=-3": "dae1764d92c552fe1a89274a80eebe2d47bbe52d9cba39cd1a9eb6283ea38b8d",
     "cohomology compare --cocycle ds-order1 --against dinf-order2 --ansatz per-index --weight -2 --window -5..5": "935d4b4bf43ece94b8282b523c3117d8789850c3ece5eb452c78ebc6cb9742ab",
-    "cohomology solve --cocycle w1-order1 --ansatz parity-constant --weight -2 --window 1..16": "ab4098daa0e29855f9b67d0cb238c976fb161dffa31d32b8832da251cbf38843",
+    "cohomology solve --cocycle w1-order1 --ansatz parity-constant --weight -2 --window 1..16": "38c2a0d02d65dfa1e5bad7bbf12d99e2d4a8ae17b049806df9cd23075826f395",
 }
 
 
@@ -331,9 +350,11 @@ def test_per_index_pin_outside_the_window_stays_in_the_solved_map(capsys):
 #: catalog and the j-line were derived from elliptic() by one ring map.  The
 #: paper suite was re-pinned when criterion 5's per-index infeasibility
 #: certificate came to name the window 1..24 it holds on, and again when
-#: criterion 5 nested that certificate as {"certificate": ...}.
+#: criterion 5 nested that certificate as {"certificate": ...}, and again when
+#: that per-index solve came to stop at its first contradiction: its certificate
+#: counts 23 equations read, not 132.
 YARDSTICK_SHA256 = {
-    "paper-suite --seed 1": "600abc8c4aa5e4a7f5ab7b2145ffcab79b337442453ef3f35cb538a7ced6a42f",
+    "paper-suite --seed 1": "3cb3bf6e648ed750475b2cbba14897b4ea880529e45cea22b3802af29121a188",
     "moduli j-line --s 0": "f4f4ce2ca70641989584f76814e184982547c69ff9a9defc74698cc161ab146a",
     "moduli j-line --s 3": "9c56aa23ca3c725307e12d3de17bf76612e6fa8d801ca2d92e47a61843c55bb0",
     "moduli j-line --s 5/7": "db10cff12a8f107519e6ea115f0ba6474685a2401b5a7c6b68296851cdf00e46",
@@ -577,6 +598,17 @@ def test_bare_double_dash_is_not_a_flag_value(capsys, argv, flag):
         (
             ["cohomology", "goncharova", "--qmax", "2", "--smax", "100000000"],
             f"the table takes smax <= {GONCHAROVA_SMAX}, got smax 100000000",
+        ),
+        (
+            ["cohomology", "goncharova", "--qmax", str(GONCHAROVA_QMAX + 1), "--smax", "44"],
+            f"graded dimensions implemented for q <= {GONCHAROVA_QMAX}",
+        ),
+        (
+            ["cohomology", "solve", "--cocycle", "beta3", "--ansatz", "affine",
+             "--weight", str(-ZERO_PINS_MAX - 1), "--window", "1..20"],
+            f"an ansatz takes at most {ZERO_PINS_MAX} zero pins, one per index F maps below "
+            f"the basis bound; weight {-ZERO_PINS_MAX - 1} maps {ZERO_PINS_MAX + 1} indices "
+            "of l1 below v_1",
         ),
     ],
 )

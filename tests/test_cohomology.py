@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefam import cohomology
-from liefam.algebra import CENTRAL, LieElement, basis_bracket, evaluate_pair_rule
+from liefam.algebra import (
+    CENTRAL,
+    LieElement,
+    basis_bracket,
+    class_coefficients,
+    evaluate_pair_rule,
+    pullback,
+)
 from liefam.cohomology import (
     ANSATZ_SHAPES,
+    GONCHAROVA_QMAX,
     GONCHAROVA_SMAX,
     PER_INDEX_MAX,
+    ZERO_PINS_MAX,
     AffineMapRule,
     Ansatz,
     Cochain,
@@ -42,7 +52,7 @@ from liefam.families import (
     w1_subalgebra,
     witt,
 )
-from liefam.linalg import rank_of_vectors
+from liefam.linalg import LinearSystem, rank_of_vectors
 from liefam.poly import ParamPoly
 from liefam.suite import NAMED_COCYCLES, named_cocycle, sign_flipped
 
@@ -428,6 +438,103 @@ def test_class_residuals_solve_as_the_pair_walk(name, beta, shape):
         assert _solved(algebra, omega, beta, ansatz, window) == walked, weight
 
 
+def full_walk_system(algebra, omega, beta, ansatz_map, indices, covered):
+    """Reference: `_build_system` reading the equations of every pair of the walk.
+
+    The solver stops pulling pairs at its first contradiction; this keeps the
+    walk it replaced, which reads every class residual and every pair.
+    """
+    ring = ansatz_map.params
+    scale = None if beta is None else ParamPoly.var(ring, ("scale",))
+    system = LinearSystem()
+
+    def settle(residual, keys, parity, boundary):
+        if boundary.failed:
+            return None
+        for tag, linear in class_coefficients(residual, keys, parity):
+            cohomology._add_equation(system, linear, tag)
+        return True
+
+    walk = coboundary_mismatches(
+        pullback(algebra, ring, None, algebra.name), ansatz_map, cohomology._over(omega, ring),
+        cohomology._over(beta, ring), scale, indices, covered, settle=settle,
+    )
+    for _, (n, m), difference in walk:
+        for idx in difference.support():
+            cohomology._add_equation(
+                system, difference.components[idx], {"pair": [n, m], "index": idx}
+            )
+    return system, walk
+
+
+def _yardstick_solves():
+    """(algebra, omega, beta, ansatz, window) of the yardstick's solve/compare matrix:
+    every named cocycle, and every ordered pair of distinct named cocycles of one
+    algebra, under every shape at weights -4..0 on -12..12, 1..20 and 3..11."""
+    named = {name: named_cocycle(name) for name in NAMED_COCYCLES}
+    pairs = [(name, None) for name in NAMED_COCYCLES] + [
+        (omega, beta) for omega, beta in itertools.permutations(NAMED_COCYCLES, 2)
+        if named[omega][0].name == named[beta][0].name
+    ]
+    windows = (range(-12, 13), range(1, 21), range(3, 12))
+    for (omega, beta), shape, weight, window in itertools.product(
+        pairs, ANSATZ_SHAPES, range(-4, 1), windows
+    ):
+        algebra, omega = named[omega]
+        yield algebra, omega, beta and named[beta][1], Ansatz(shape, weight), window
+
+
+def _solve_json(algebra, omega, beta, ansatz, window):
+    """The solve's JSON, or the class and message of the error it raises."""
+    try:
+        if beta is None:
+            return solve_coboundary(algebra, omega, ansatz, window).to_json()
+        return compare_classes(algebra, omega, beta, ansatz, window).to_json()
+    except LiefamError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_a_solve_stops_at_its_first_contradiction(monkeypatch):
+    """Over the yardstick's solve/compare matrix, the solver gives the verdict of
+    the full walk: a solved or refused system the same JSON, an infeasible one the
+    same certificate but for no more equations and the points it did not reach.  An
+    infeasible solve evaluates no pair after the one that holds its contradiction,
+    and none at all when a class equation holds it, and each point its certificate
+    names as evaluated was evaluated."""
+    cases = list(_yardstick_solves())
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_build_system", full_walk_system)
+        reference = [_solve_json(*case) for case in cases]
+    evaluated = []
+
+    def recorded(*args, **kwargs):
+        walk = coboundary_mismatches(*args, **kwargs)
+        value = walk.value
+        walk.value = lambda *pair: evaluated.append(pair) or value(*pair)
+        return walk
+
+    monkeypatch.setattr(cohomology, "coboundary_mismatches", recorded)
+    statuses = []
+    for case, full in zip(cases, reference):
+        evaluated.clear()
+        got = _solve_json(*case)
+        statuses.append(got["status"] if isinstance(got, dict) else got[0])
+        if not (isinstance(got, dict) and got["status"] == "infeasible"):
+            assert got == full, case
+            continue
+        cert, full_cert = got["certificate"], full.pop("certificate")
+        assert {**got, "certificate": None} == {**full, "certificate": None}
+        assert cert["equations"] <= full_cert["equations"]
+        reached = [tuple(p) for p in cert.pop("evaluated", [])]
+        assert set(reached) <= set(evaluated)
+        assert set(reached) <= {tuple(p) for p in full_cert.pop("evaluated", [])}
+        del cert["equations"], full_cert["equations"]
+        assert cert == full_cert, case
+        at = cert["contradiction_at"]
+        assert evaluated[-1:] == ([tuple(at["pair"])] if "pair" in at else []), case
+    assert Counter(statuses) == {"infeasible": 760, "solved": 140}
+
+
 # ---------------------------------------------------------------------------
 # graded dimensions
 # ---------------------------------------------------------------------------
@@ -496,6 +603,16 @@ def test_goncharova_table_takes_at_most_its_stated_smax():
     for s_max in (GONCHAROVA_SMAX + 1, 10**8):
         with pytest.raises(WindowTooLarge, match=f"smax <= {GONCHAROVA_SMAX}, got smax {s_max}"):
             goncharova_table(1, s_max)
+
+
+def test_goncharova_table_refuses_a_qmax_past_its_cap_before_any_rank(monkeypatch):
+    def refused(q, s):
+        raise AssertionError(f"rank of d_{q} at s = {s} computed")
+
+    monkeypatch.setattr(cohomology, "_graded_rank", refused)
+    for q_max in (GONCHAROVA_QMAX + 1, 10**8):
+        with pytest.raises(ArityUnsupported, match=f"implemented for q <= {GONCHAROVA_QMAX}$"):
+            goncharova_table(q_max, 44)
 
 
 def test_goncharova_table_computes_each_rank_once(monkeypatch):
@@ -579,3 +696,20 @@ def test_a_per_index_ansatz_takes_at_most_its_stated_window():
             call(range(-5, 10**9))  # l1 starts at 1: 10**9 - 1 indices in its domain
     # the other shapes take no unknown per index
     assert solve_coboundary(l1, beta1, Ansatz("affine", -1), range(1, 10**9)).solved
+
+
+def test_an_ansatz_takes_at_most_its_stated_zero_pins():
+    """F is pinned to zero at each index it maps below the basis bound, one per
+    unit of -weight, and an ansatz takes at most ZERO_PINS_MAX of them."""
+    l1, beta3 = named_cocycle("beta3")
+    at_limit = Ansatz("per-index", -ZERO_PINS_MAX)
+    entries = cohomology._ansatz_cochain(l1, at_limit, range(1, 21), False).rule.entries
+    assert entries.keys() == set(range(1, ZERO_PINS_MAX + 1))
+    assert all(v.is_zero for v in entries.values())
+    for shape, weight in itertools.product(ANSATZ_SHAPES, (-ZERO_PINS_MAX - 1, -10**14)):
+        with pytest.raises(WindowTooLarge, match=f"at most {ZERO_PINS_MAX} zero pins"):
+            solve_coboundary(l1, beta3, Ansatz(shape, weight), range(1, 21))
+    # witt has no basis bound, so no index is pinned
+    far = Ansatz("per-index", -ZERO_PINS_MAX - 1)
+    entries = cohomology._ansatz_cochain(witt(), far, range(-3, 4), False).rule.entries
+    assert entries.keys() == set(range(-3, 4))

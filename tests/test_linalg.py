@@ -369,9 +369,11 @@ def test_compare_classes_certificates_pinned():
     assert res.to_json() == {
         "status": "infeasible",
         "certificate": {
-            "equations": 16,
+            # the class equations are inconsistent, so the pair (1, 2) is not
+            # evaluated and its equation not read
+            "equations": 15,
             "proved": classes + [{"class": c, "forms": f} for c, f in pinned],
-            "evaluated": [[1, 2]],
+            "evaluated": [],
             "contradiction_at": {
                 "class": "odd-even", "forms": ["1", "m"], "index": "-1 + m", "monomial": "1"
             },
