@@ -24,7 +24,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .linalg import LinearSystem
-from .poly import KeyedSum, ParamPoly, accumulate, pack, rat, rat_str, split
+from .poly import KeyedSum, ParamPoly, accumulate, pack, rat, rat_str, ring_map, split
 
 #: Basis key of the central element (degree 0 by convention).
 CENTRAL = "c"
@@ -47,12 +47,17 @@ class RuleTerm:
     d: ParamPoly
 
     def coefficient(self, n, m, sign: int = 1) -> ParamPoly:
-        """sign * (a*n + b*m + d), sign +-1; at integers n and m in one pass."""
-        if type(n) is int and type(m) is int:
-            pairs = ((self.a, sign * n), (self.b, sign * m), (self.d, sign))
-            return ParamPoly.combination(self.d.params, pairs)
-        coeff = self.a * n + self.b * m + self.d
-        return coeff if sign > 0 else -coeff
+        """sign * (a*n + b*m + d), sign +-1, built in one pass by `ParamPoly.combination`.
+
+        n and m are integers, or index forms over a ring that ends with
+        INDEX_VARS, whose entries scale the terms of a and b moved by the
+        monomials n, m, k and 1: no product of polynomials is formed.
+        """
+        if type(n) is tuple:
+            items = _form_items(sign, (self.a, n), (self.b, m), (self.d, (0, 0, 0, 1)))
+        else:
+            items = ((self.a, 0, sign * n), (self.b, 0, sign * m), (self.d, 0, sign))
+        return ParamPoly.combination(self.d.params, items)
 
     @property
     def is_zero(self) -> bool:
@@ -311,24 +316,27 @@ def evaluate_pair_rule(family: FamilySpec, n: int, m: int):
 #: form (cn, cm, ck, c), standing for cn*n + cm*m + ck*k + c.
 INDEX_VARS = ("n", "m", "k")
 INDEX_FORMS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-#: The packed monomials n, m and k of a ring that ends with INDEX_VARS.
-_INDEX_KEYS = tuple(pack(form[:3]) for form in INDEX_FORMS)
+#: The packed monomials n, m, k and 1 of a ring that ends with INDEX_VARS,
+#: one per entry of an index form.
+_FORM_KEYS = (*(pack(form[:3]) for form in INDEX_FORMS), 0)
+
+
+def _form_items(sign, *pairs):
+    """The `ParamPoly.combination` items of the sum of sign * poly * form
+    over (poly, form) pairs."""
+    return [(poly, key, sign * c) for poly, form in pairs for key, c in zip(_FORM_KEYS, form) if c]
 
 
 def _form_parity(form, parity) -> bool:
-    """Whether the form is odd when (n, m, k) has the parities `parity` (1 = odd)."""
-    return (sum(c * p for c, p in zip(form, parity)) + form[3]) % 2 == 1
+    """Whether the form is odd when (n, m, k) has the parities `parity` (1 = odd);
+    the parity of k is read only when the form holds k."""
+    odd = form[0] * parity[0] + form[1] * parity[1] + form[3]
+    return (odd + form[2] * parity[2] if form[2] else odd) % 2 == 1
 
 
 def _form_poly(ring, form) -> ParamPoly:
     """The form as a polynomial over `ring`, whose last variables are n, m, k."""
-    terms = {}
-    for i, c in enumerate(form[:3]):
-        if c:
-            terms[_INDEX_KEYS[i]] = c
-    if form[3]:
-        terms[0] = form[3]
-    return ParamPoly(ring, terms)
+    return ParamPoly(ring, {key: c for key, c in zip(_FORM_KEYS, form) if c})
 
 
 def _form_sum(x, y, shift=0):
@@ -353,15 +361,13 @@ def symbolic_pair_rule(family: FamilySpec, x, y, parity):
     on both sides of x = y exactly when the row is antisymmetric (a = -b,
     d = 0).  Returns one (x + y + shift, coefficient in Q[params, n, m,
     k]) pair per term of the row, zero coefficients included, so that a
-    caller sees every index the row can reach.
+    caller sees every index the row can reach.  Each coefficient is built
+    in one pass from the forms (`RuleTerm.coefficient`).
     """
     keys = (f[3] if _constant(f) else f for f in (x, y))  # a constant is its integer
-    sign, terms, _ = _pair_row(family, *keys, *(_form_parity(f, parity) for f in (x, y)), True)
-    first, second = (_form_poly(family.params, f) for f in ((x, y) if sign > 0 else (y, x)))
-    out = []
-    for t in terms:
-        out.append((_form_sum(x, y, t.shift), t.coefficient(first, second, sign)))
-    return out
+    sign, terms, _ = _pair_row(family, *keys, _form_parity(x, parity), _form_parity(y, parity), True)
+    first, second = (x, y) if sign > 0 else (y, x)
+    return [(_form_sum(x, y, t.shift), t.coefficient(first, second, sign)) for t in terms]
 
 
 def index_family(family: FamilySpec) -> FamilySpec | None:
@@ -408,9 +414,13 @@ class _Boundary:
         elif form[3] in forbidden or (lower is not None and form[3] < lower):
             self.failed = True
 
-    def key(self, family: FamilySpec, form):
-        """The form is a basis key of `family`; a constant takes its exceptional row."""
-        self.add(form, () if _constant(form) else family.exceptional, family.lower_bound)
+    def key(self, family: FamilySpec, *forms):
+        """The forms are basis keys of `family`: one forbidden set, its
+        exceptional indices, for them all; a constant takes its exceptional
+        row and is checked only against the basis bound."""
+        forbidden = frozenset(family.exceptional)
+        for form in forms:
+            self.add(form, () if _constant(form) else forbidden, family.lower_bound)
 
     def pair(self, family: FamilySpec, x, y, parity, outer=False):
         """`symbolic_pair_rule` with its keys recorded and zero terms dropped;
@@ -427,13 +437,9 @@ class _Boundary:
                 out.append((CENTRAL, value))
             else:
                 self.add(total, (0,))
-        self.key(family, x)
-        self.key(family, y)
-        for key, coeff in symbolic_pair_rule(family, x, y, parity):
-            if not coeff.is_zero:
-                self.key(family, key)
-                out.append((key, coeff))
-        return out
+        terms = [(key, c) for key, c in symbolic_pair_rule(family, x, y, parity) if not c.is_zero]
+        self.key(family, x, y, *(key for key, _ in terms))
+        return out + terms
 
 
 @lru_cache(maxsize=4096)
@@ -593,16 +599,16 @@ class _Plan:
         """(value, point) for each violation of the entry, point None over Z."""
         if self.lower is None:
             return [(e, None) for e in sorted(forbidden)]
-        involved = [j for j in range(3) if form[j]]
-        top = max([*forbidden, *([] if lower is None else [lower - 1])])
-        slack = top - form[3] - self.lower * sum(form[j] for j in involved)
-        if slack < 0 <= min(form[j] for j in involved):
+        top = max(forbidden) if lower is None else max((*forbidden, lower - 1))
+        slack = top - form[3] - self.lower * (form[0] + form[1] + form[2])
+        if slack < 0 <= min(form[:3]):  # its least value, at the bound, is above top
             return []
+        involved = [j for j in range(3) if form[j]]
         ranges = [
             range(self.lower + (parity[j] - self.lower) % 2, self.lower + slack // form[j] + 1, 2)
             for j in involved
         ]
-        if min(form[j] for j in involved) < 0 or math.prod(map(len, ranges)) > 20_000:
+        if min(form[:3]) < 0 or math.prod(map(len, ranges)) > 20_000:
             return None  # a weight or pin far beyond any window: left to the window
         out = []
         for xs in itertools.product(*ranges):
@@ -876,7 +882,7 @@ def _affine_forms(algebra: FamilySpec, rule):
                 boundary.add(form, pins)
                 boundary.add(_form_sum(form, (0, 0, 0, w)), (), algebra.lower_bound)
                 a, d = odd if _form_parity(form, parity) else even
-                f = _form_poly(ring, form) * a + d
+                f = ParamPoly.combination(ring, _form_items(1, (a, form), (d, (0, 0, 0, 1))))
             return [] if f.is_zero else [(_form_sum(form, (0, 0, 0, w)), f)]
 
         return image
@@ -959,8 +965,7 @@ def rule_prover(family: FamilySpec, shifts, bracket):
     def prove(forms, parity, boundary) -> bool:
         x, y = forms
         expected = accumulate(boundary.pair(lifted, x, y, parity))
-        for j in shifts:
-            boundary.key(lifted, _form_sum(x, y, j))
+        boundary.key(lifted, *(_form_sum(x, y, j) for j in shifts))
         polys = (_form_poly(lifted.params, f) for f in forms)
         got = bracket(*polys, *(_form_parity(f, parity) for f in forms))
         return got is not None and {_form_sum(x, y, j): c for j, c in got.items()} == expected
@@ -1146,25 +1151,22 @@ def map_coefficients(family: FamilySpec, fn, params, name: str) -> FamilySpec:
 
 
 def pullback(family: FamilySpec, params, images, name: str) -> FamilySpec:
-    """The family with every coefficient mapped by `ParamPoly.map_params`.
+    """The family with every coefficient mapped by one `ring_map`.
 
     A parameter named in `images` goes to its image in Q[params], any
     other to its namesake; terms that map to zero are dropped.  The `origin`
     is the family's root, or the family, and the composite map (None if a
     root parameter unused on the way has no image): see `verify_jacobi`.
     """
-    root, ring, maps = family.origin or (family, family.params, None)
+    root, _, maps = family.origin or (family, family.params, None)
     params = tuple(params)
+    image = ring_map(family.params, params, images)
     try:
-        origin = root, params, {
-            r: ParamPoly.var(root.params, r).map_params(ring, maps).map_params(params, images)
-            for r in root.params
-        }
+        up = ring_map(root.params, family.params, maps)
+        origin = root, params, {r: image(up(ParamPoly.var(root.params, r))) for r in root.params}
     except ParameterMismatch:
         origin = None
-    mapped = map_coefficients(
-        family, lambda key, shift, p: p.map_params(params, images), params, name
-    )
+    mapped = map_coefficients(family, lambda key, shift, p: image(p), params, name)
     return replace(mapped, origin=origin)
 
 

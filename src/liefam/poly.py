@@ -11,7 +11,10 @@ and a product that reaches the guard raises `ExponentOutOfRange`.  A
 stored coefficient is a Python `int` when it is integral and a
 `fractions.Fraction` only when its denominator is greater than 1, so
 integral structure constants never build a Fraction; zero coefficients
-are never stored.
+are never stored.  `ParamPoly.combination` builds every sum of moved and
+scaled terms in one pass: a product, a rule coefficient at integers or
+index forms, and each image of a `ring_map`, which works out the image of
+each monomial once per map.
 
 `KeyedSum` is a finite sum of keyed terms with `ParamPoly` coefficients,
 with `accumulate` its one zero-dropping summation: `algebra.LieElement`
@@ -157,14 +160,29 @@ class ParamPoly:
         return cls(params, terms)
 
     @classmethod
-    def combination(cls, params: tuple[str, ...], pairs) -> "ParamPoly":
-        """The sum of factor * poly over (poly, factor) pairs, `factor` an
-        int, built in one pass: the terms of a*n + b*m + d at integers."""
-        terms = {}
-        for poly, factor in pairs:
-            if factor:
-                for e, c in poly.terms.items():
-                    _add_into(terms, e, c * factor)
+    def combination(cls, params: tuple[str, ...], items) -> "ParamPoly":
+        """The sum of factor * x * poly over (poly, x, factor) items, built in
+        one pass: `x` a packed monomial (0 for 1), `factor` a stored-form
+        rational.  Each term of `poly` is moved by `x` and scaled, so a rule
+        coefficient a*n + b*m + d at integers or index forms, a product and
+        a ring map's image are sums of moved terms; a moved exponent that
+        reaches GUARD raises ExponentOutOfRange."""
+        terms, guards = {}, _guards(len(params))
+        for poly, x, factor in items:
+            if not factor:
+                continue
+            for e, c in poly.terms.items():
+                e, c = e + x, c * factor
+                if x and e & guards:
+                    raise ExponentOutOfRange(f"a moved exponent over {params} reaches {GUARD}")
+                if e in terms:
+                    c += terms[e]
+                    if not c:
+                        del terms[e]
+                        continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[e] = c
         return cls(params, terms)
 
     # -- predicates --------------------------------------------------------
@@ -233,33 +251,11 @@ class ParamPoly:
 
     def _scaled(self, factor) -> "ParamPoly":
         """self * factor for a stored-form scalar `factor`."""
-        if not factor:
-            return ParamPoly(self.params, {})
-        terms = {}
-        for e, c in self.terms.items():
-            c *= factor
-            terms[e] = c if type(c) is int or c.denominator != 1 else c.numerator
-        return ParamPoly(self.params, terms)
+        return ParamPoly.combination(self.params, ((self, 0, factor),))
 
     def _times(self, other: "ParamPoly") -> "ParamPoly":
-        """The product; no field carries, as both sides' exponents are below GUARD."""
-        terms = {}
-        pairs = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in pairs:
-                e, c = e1 + e2, c1 * c2
-                if e in terms:
-                    c += terms[e]
-                    if not c:
-                        del terms[e]
-                        continue
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                terms[e] = c
-        guards = _guards(len(self.params))
-        if any(e & guards for e in terms):
-            raise ExponentOutOfRange(f"an exponent of ({self}) * ({other}) reaches {GUARD}")
-        return ParamPoly(self.params, terms)
+        """The product: `other` moved by each term of self, in one combination."""
+        return ParamPoly.combination(self.params, ((other, e, c) for e, c in self.terms.items()))
 
     def __pow__(self, exponent: int) -> "ParamPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -289,48 +285,8 @@ class ParamPoly:
     # -- changes of ring -----------------------------------------------------
 
     def map_params(self, params, images=None) -> "ParamPoly":
-        """The ring map Q[self.params] -> Q[params].
-
-        A parameter named in `images` goes to its image there, a ParamPoly
-        over `params` or a rational; any other goes to its namesake in
-        `params`.  A parameter that occurs with neither raises
-        ParameterMismatch.  Evaluation at a point is the map into Q[()].
-        """
-        params = tuple(params)
-        images = images or {}
-        arity = len(self.params)
-        if not images and params[:arity] == self.params:
-            shift = FIELD_BITS * (len(params) - arity)  # params extends the ring
-            return ParamPoly(params, {e << shift: c for e, c in self.terms.items()})
-        width = len(params)
-        moves, scalars, powers = [], [], []
-        for j, name in enumerate(self.params):
-            if name in images:
-                image = images[name]
-                if isinstance(image, ParamPoly):
-                    powers.append((j, image))
-                else:
-                    scalars.append((j, _coeff(image)))
-            elif name in params:
-                moves.append((j, FIELD_BITS * (width - 1 - params.index(name))))
-            elif any(unpack(key, arity)[j] for key in self.terms):
-                raise ParameterMismatch(f"parameter {name!r} has no image in {params}")
-        terms = {}
-        for key, coeff in self.terms.items():
-            exps = unpack(key, arity)
-            for j, value in scalars:
-                if exps[j]:
-                    coeff = coeff * value ** exps[j]
-            new = 0
-            for j, shift in moves:
-                new |= exps[j] << shift
-            term = ParamPoly(params, {new: _coeff(coeff)} if coeff else {})
-            for j, image in powers:
-                if exps[j]:
-                    term = term * image ** exps[j]
-            for e, c in term.terms.items():
-                _add_into(terms, e, c)
-        return ParamPoly(params, terms)
+        """The image of the polynomial under `ring_map(self.params, params, images)`."""
+        return ring_map(self.params, params, images)(self)
 
     def coefficient_of(self, name: str, power: int) -> "ParamPoly":
         """Coefficient of name**power, as a polynomial with name removed."""
@@ -398,6 +354,68 @@ class ParamPoly:
         if isinstance(data, (str, int)):
             return cls.const(params, data)
         return cls.from_terms(params, ((tuple(e), c) for c, e in data))
+
+
+def ring_map(source, params, images=None):
+    """The ring map Q[source] -> Q[params], compiled once: a function of ParamPoly.
+
+    A parameter named in `images` goes to its image there, a ParamPoly
+    over `params` or a rational; any other goes to its namesake in
+    `params`.  The image of each monomial is worked out once, the first
+    time a mapped polynomial holds it, and a polynomial's image is the
+    combination of those images by its coefficients, built in one pass.  A
+    parameter that occurs with neither an image nor a namesake raises
+    ParameterMismatch, as does a polynomial over another ring than
+    `source`.  Evaluation at a point is the map into Q[()].
+    """
+    source, params = tuple(source), tuple(params)
+    images = images or {}
+    arity, width = len(source), len(params)
+    moves, scalars, powers, missing = [], [], [], []
+    for j, name in enumerate(source):
+        if name in images:
+            image = images[name]
+            if isinstance(image, ParamPoly):
+                powers.append((j, image))
+            else:
+                scalars.append((j, _coeff(image)))
+        elif name in params:
+            moves.append((j, FIELD_BITS * (width - 1 - params.index(name))))
+        else:
+            missing.append((j, name))
+    extends, shift = not images and params[:arity] == source, FIELD_BITS * (width - arity)
+    done = {}  # packed monomial of Q[source] -> its image
+
+    def monomial(key) -> ParamPoly:
+        exps = unpack(key, arity)
+        for j, name in missing:
+            if exps[j]:
+                raise ParameterMismatch(f"parameter {name!r} has no image in {params}")
+        coeff = 1
+        for j, value in scalars:
+            if exps[j]:
+                coeff = coeff * value ** exps[j]
+        new = 0
+        for j, at in moves:
+            new |= exps[j] << at
+        image = ParamPoly(params, {new: _coeff(coeff)} if coeff else {})
+        for j, poly in powers:
+            if exps[j]:
+                image = image * poly ** exps[j]
+        done[key] = image
+        return image
+
+    def apply(poly: ParamPoly) -> ParamPoly:
+        if poly.params != source:
+            raise ParameterMismatch(f"a map from {source} applied over {poly.params}")
+        items = poly.terms.items()
+        if extends:  # params extends the ring: every monomial keeps its fields
+            return ParamPoly(params, {e << shift: c for e, c in items})
+        return ParamPoly.combination(
+            params, ((done[key] if key in done else monomial(key), 0, c) for key, c in items)
+        )
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +506,11 @@ class KeyedSum:
         )
 
     def map_params(self, params, images=None):
-        """Each coefficient under `ParamPoly.map_params`; zero images are dropped."""
+        """Each coefficient under one `ring_map`; zero images are dropped."""
         params = tuple(params)
+        image = ring_map(self.params, params, images)
         items = self.components.items()
-        return type(self)(
-            params, accumulate((k, c.map_params(params, images)) for k, c in items)
-        )
+        return type(self)(params, accumulate((k, image(c)) for k, c in items))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

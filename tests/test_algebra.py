@@ -21,10 +21,12 @@ from liefam import cohomology as cohomology_module
 from liefam.algebra import (
     CENTRAL,
     INDEX_FORMS,
+    INDEX_VARS,
     PARITY_CLASSES,
     CentralDelta,
     CentralTable,
     FamilySpec,
+    _affine_forms,
     _Boundary,
     LieElement,
     RuleTerm,
@@ -47,6 +49,7 @@ from liefam.algebra import (
     nonzero_tuples,
     restricted,
     specialize,
+    symbolic_pair_rule,
     verify_jacobi,
 )
 from liefam.cohomology import (
@@ -84,7 +87,7 @@ from liefam.families import (
     witt,
 )
 from liefam.linalg import rank_of_vectors
-from liefam.poly import ParamPoly
+from liefam.poly import ParamPoly, split
 from liefam.suite import (
     NAMED_COCYCLES,
     SMOOTH_POINTS,
@@ -650,6 +653,74 @@ def test_index_family_preconditions():
         verify_jacobi(restricted(shifted_witt(-3), 1), range(1, 17))
 
 
+def index_forms():
+    """An index form (cn, cm, ck, c): small coefficients of n, m, k and a constant."""
+    return st.tuples(*(st.integers(-2, 2) for _ in range(3)), st.integers(-6, 6))
+
+
+def form_value(form, point):
+    return form[3] + sum(c * v for c, v in zip(form, point))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_coefficient_at_index_forms_is_its_value_at_the_integers(data):
+    """A rule coefficient at index forms, and an affine map's image of a form, both
+    built in one pass, are at integers (n, m, k) of the forms' parity pattern the
+    values at the integers the forms take there."""
+    draw = data.draw
+    parity = draw(st.tuples(*[st.integers(0, 1)] * 3))
+    point = tuple(2 * draw(st.integers(-4, 4)) + p for p in parity)
+    x, y = draw(index_forms()), draw(index_forms())
+    at = dict(zip(INDEX_VARS, point))
+    params = draw(st.sampled_from(((), ("t",), ("e1", "e2"))))
+    sign = draw(st.sampled_from((1, -1)))
+    for t in draw(rows(params, draw(st.booleans()))):
+        lifted = RuleTerm(t.shift, *(p.map_params(params + INDEX_VARS) for p in (t.a, t.b, t.d)))
+        got = lifted.coefficient(x, y, sign).map_params(params, at)
+        assert got == t.coefficient(form_value(x, point), form_value(y, point), sign)
+    # F(v_x) = (a*x + d) v_{x + weight}: a generic form where its value is no pin,
+    # a constant form at its integer, its pin included
+    algebra = draw(st.sampled_from((witt, elliptic, l1_subalgebra)))()
+    pair = st.tuples(coefficients(algebra.params), st.one_of(st.just(Fraction(0)), _RATIONALS))
+    weight, even, odd = draw(st.integers(-3, 3)), draw(pair), draw(pair)
+    pins = draw(st.dictionaries(st.integers(-6, 6), _RATIONALS, max_size=2))
+    rule = AffineMapRule(weight, even, odd, pins)
+    image = _affine_forms(algebra, rule)(parity, _Boundary())
+    for form in (x, (0, 0, 0, x[3])):
+        value = form_value(form, point)
+        if value in pins and any(form[:3]):
+            continue
+        got = image(form)
+        assert all(form_value(key, point) == value + weight for key, _ in got)
+        expected = rule.coefficient(value)
+        assert sum((c.map_params(algebra.params, at) for _, c in got), Fraction(0)) == expected
+
+
+def test_rule_coefficients_at_forms_multiply_no_polynomials(monkeypatch):
+    """symbolic_pair_rule and an affine map's image of a form build each coefficient
+    by one combination of moved terms, at every parity pattern: no product of
+    polynomials, which the patched ParamPoly._times would refuse."""
+    families = [index_family(f()) for f in (elliptic, virasoro, lambda: formal_family(2))]
+    forms = (*INDEX_FORMS, (0, 0, 0, 1), (1, 1, 0, 2), (0, -1, 1, -3))
+    e1, e2 = (ParamPoly.var(elliptic().params, name) for name in ("e1", "e2"))
+    rule = AffineMapRule(-2, (e1, Fraction(-3)), (e2 + Fraction(1, 2), e1), {0: Fraction(1)})
+    images = _affine_forms(elliptic(), rule)
+
+    def refuse(self, other):
+        raise AssertionError("a product of polynomials while building a coefficient")
+
+    monkeypatch.setattr(ParamPoly, "_times", refuse)
+    in_the_indices = 0
+    for parity in itertools.product((0, 1), repeat=3):
+        terms = [t for family in families for x, y in itertools.permutations(forms, 2)
+                 for t in symbolic_pair_rule(family, x, y, parity)]
+        image = images(parity, _Boundary())
+        terms += [t for form in forms for t in image(form)]
+        in_the_indices += sum(any(split(e, 3)[1] for e in c.terms) for _, c in terms)
+    assert in_the_indices  # the forms reach coefficients that hold n, m or k
+
+
 def walked_domain(family, window, arity, prove, value):
     """The window and the pinned values `nonzero_tuples` walks besides it, in the
     family's domain: what plain enumeration reads to find the walk's first
@@ -718,15 +789,24 @@ def test_boundary_triples_are_evaluated():
 
 @st.composite
 def pair_rule_cocycles(draw):
-    """(algebra, adjoint PairRule 2-cochain): a named cocycle or the bracket, edited."""
+    """(algebra, adjoint PairRule 2-cochain): a named cocycle or the bracket, edited.
+
+    The algebra may carry an exceptional row of its own, so that strata
+    pinned through the algebra's rows are walked; the bracket is then
+    the edited algebra's own bracket.
+    """
     if draw(st.booleans()):
         algebra, cochain = named_cocycle(draw(st.sampled_from(NAMED_COCYCLES)))
         spec = cochain.rule.spec
         if algebra.lower_bound is None and draw(st.booleans()):
             algebra = virasoro()  # its central delta touches d2
     else:
-        algebra = draw(st.sampled_from((witt, virasoro, three_point, l1_subalgebra,
+        algebra = draw(st.sampled_from((witt, virasoro, three_point, nodal, l1_subalgebra,
                                         w1_subalgebra, lambda: formal_family(2))))()
+        spec = None
+    if draw(st.booleans()):
+        algebra = _exceptional_row(draw, algebra)
+    if spec is None:
         spec = replace(algebra, central=None, name=algebra.name + "|bracket")
     edits = (_scale_one_term, _shift_constant, _random_row, _exceptional_row)
     spec = edited(draw, spec, edits)
@@ -740,9 +820,12 @@ def affine_cochains(draw):
 
     F(v_n) = (n - w) v_{n+w} is a cocycle of witt and of l1 (for w >= 1),
     and fails on virasoro only where the central delta contributes.  An
-    edited odd row may take a coefficient in the algebra's ring.
+    edited odd row may take a coefficient in the algebra's ring, and the
+    algebra may carry an exceptional row of its own.
     """
-    algebra = draw(st.sampled_from((witt, virasoro, l1_subalgebra, three_point)))()
+    algebra = draw(st.sampled_from((witt, virasoro, l1_subalgebra, three_point, nodal)))()
+    if draw(st.booleans()):
+        algebra = _exceptional_row(draw, algebra)
     weight = draw(st.integers(-2, 3))
     even = odd = (Fraction(1), Fraction(-weight))
     if draw(st.booleans()):

@@ -92,6 +92,8 @@ def test_every_private_definition_is_read():
 INDEX_FORM_NAMES = {
     "INDEX_FORMS",
     "INDEX_VARS",
+    "_FORM_KEYS",
+    "_form_items",
     "_form_parity",
     "_form_poly",
     "_form_sum",

@@ -11,7 +11,7 @@ from liefam.algebra import CENTRAL, LieElement, verify_jacobi
 from liefam.errors import ExponentOutOfRange, MissingParameter, ParameterMismatch
 from liefam.families import witt
 from liefam.geometry import LaurentPoly, divide_laurent
-from liefam.poly import GUARD, ParamPoly, rat, rat_str
+from liefam.poly import GUARD, ParamPoly, rat, rat_str, ring_map
 
 PARAMS = ("e1", "e2")
 
@@ -138,20 +138,47 @@ def small_polys(params):
     )
 
 
-@given(polys(), polys(), small_polys(("s", "t")), small_polys(("s", "t")))
-@settings(max_examples=40, deadline=None)
-def test_map_params_is_a_ring_map(p, q, image1, image2):
-    # Q[e1, e2] -> Q[s, t] along e1 -> image1, e2 -> image2, then at a point
-    ring, point = ("s", "t"), {"s": Fraction(-1, 2), "t": Fraction(3)}
-    images = {"e1": image1, "e2": image2}
+def images_over(ring):
+    """The image of a parameter: a rational, or a small polynomial over `ring`."""
+    return st.one_of(coefficients(), small_polys(ring))
 
-    def f(x):
-        return x.map_params(ring, images)
 
-    assert f(p + q) == f(p) + f(q)
-    assert f(p * q) == f(p) * f(q)
-    composed = {name: image.map_params((), point) for name, image in images.items()}
-    assert f(p).map_params((), point) == p.map_params((), composed)
+@given(polys(), polys(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_map_params_is_a_ring_map(p, q, data):
+    """One compiled map respects sums and products; mapping along A and then B is
+    mapping along the composite images, as `pullback` composes a fibre's origin;
+    and a parameter with neither an image nor a namesake raises exactly when a
+    term of the mapped polynomial holds it."""
+    mid, low = ("e2", "s"), ("s",)  # e2 and s may go to their namesakes
+
+    def some_images(names, ring):
+        return {name: data.draw(images_over(ring)) for name in names if data.draw(st.booleans())}
+
+    a = ring_map(PARAMS, mid, {"e1": data.draw(images_over(mid)), **some_images(["e2"], mid)})
+    b = ring_map(mid, low, {"e2": data.draw(images_over(low)), **some_images(["s"], low)})
+    assert a(p + q) == a(p) + a(q)
+    assert a(p * q) == a(p) * a(q)
+    composite = {r: b(a(ParamPoly.var(PARAMS, r))) for r in PARAMS}
+    assert b(a(p)) == ring_map(PARAMS, low, composite)(p) == p.map_params(low, composite)
+    # Q[e1, e2] -> Q[s] with some images: no parameter has a namesake there
+    images = some_images(PARAMS, low)
+    held = {name for e, _ in p.sorted_terms() for name, x in zip(PARAMS, e) if x}
+    c = ring_map(PARAMS, low, images)
+    if held <= images.keys():
+        expected = ParamPoly.const(low, 0)
+        for exps, coeff in p.sorted_terms():
+            term = ParamPoly.const(low, coeff)
+            for name, x in zip(PARAMS, exps):
+                image = images[name] if x else 1
+                term = term * (image if isinstance(image, ParamPoly) else ParamPoly.const(low, image)) ** x
+            expected = expected + term
+        assert c(p) == expected
+    else:
+        with pytest.raises(ParameterMismatch):
+            c(p)
+    with pytest.raises(ParameterMismatch):
+        c(ParamPoly.const(low, 1))  # a polynomial over another ring
 
 
 def test_json_round_trip():
