@@ -568,6 +568,7 @@ class _Plan:
     def __init__(self, indices, arity, prove, value):
         self.indices, self.arity, self.prove, self.value = indices, arity, prove, value
         self.proofs, self.strata, self.points, self.evaluated = {}, {}, set(), 0
+        self.violations = {}  # _violations(*key) by key, for the strata several cuts reach
         self.reached = []  # the points evaluated, in walk order
         pad = (0,) * (3 - arity)
         classes = [(INDEX_FORMS[:arity], p + pad) for p in itertools.product((0, 1), repeat=arity)]
@@ -619,7 +620,10 @@ class _Plan:
 
     def _expand(self, forms, parity):
         for form, forbidden, lower in self._status(forms, parity) or ():
-            found = self._violations(parity, form, forbidden, lower)
+            key = parity, form, forbidden, lower
+            if key not in self.violations:
+                self.violations[key] = self._violations(*key)
+            found = self.violations[key]
             subs = [_cut(forms, parity, form, *v) for v in found or ()]
             if found is None or None in subs:
                 self.strata[forms, parity] = None  # an entry that no cut resolves
@@ -1113,7 +1117,12 @@ def _root_pass(family: FamilySpec) -> CheckReport | None:
         return None
     root, params, images = family.origin
     proved = _ROOT_PASSES.get(root.rule_signature())
-    same = proved and pullback(root, params, images, "").rule_signature() == family.rule_signature()
+    if proved is None:
+        return None
+    pulled = pullback(root, params, images, "")
+    same = (pulled.params, pulled.rule, pulled.exceptional) == (
+        family.params, family.rule, family.exceptional
+    )
     return proved if same else None
 
 

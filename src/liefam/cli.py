@@ -444,7 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--text", dest="json", action="store_false")
-    parser.add_argument("--timings", action="store_true", help="include wall-clock times")
+    parser.add_argument(
+        "--timings",
+        action="store_true",
+        help="include wall-clock times; paper-suite may run its criteria in two processes and "
+        "gives each criterion's own seconds, which can add up to more than the run took",
+    )
     parser.set_defaults(json=False)
     sub = parser.add_subparsers(dest="command", required=True)
     window = checked(parse_window, "window")

@@ -8,14 +8,18 @@ import os
 import resource
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefam import suite
 from liefam.cli import build_parser, main, parse_laurent, parse_window
 from liefam.cohomology import GONCHAROVA_QMAX, GONCHAROVA_SMAX, PER_INDEX_MAX, ZERO_PINS_MAX
+from liefam.errors import WindowTooSmall
 from liefam.families import CATALOG, FIBRES
 from liefam.geometry import PARAMETRIZATIONS
 from liefam.poly import GUARD
@@ -987,3 +991,159 @@ def test_the_yardstick_covers_every_family_and_named_cocycle():
     # its digest is the one the tests pin
     entry = "moduli j-line --s 0"
     assert yardstick.digest(entry.split()) == YARDSTICK_SHA256[entry]
+
+
+# ---------------------------------------------------------------------------
+# paper-suite on two processes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """[the number of os.fork calls made since], os.fork still forking."""
+    count, fork = [0], os.fork
+
+    def counted():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def one_process(monkeypatch, how):
+    """Make run_suite run every criterion in this process, as it does with
+    one usable CPU or without os.fork."""
+    if how == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "fork")
+
+
+def raising(exc):
+    def criterion():
+        raise exc
+
+    return criterion
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+SUITE_ARGVS = [
+    ["paper-suite", "--seed", "1"],
+    ["paper-suite", "--seed", "7"],
+    ["paper-suite", "--only", "1", "3", "5"],
+    ["paper-suite", "--only", "2", "4", "8", "9"],
+]
+
+
+@pytest.mark.parametrize("how", ["one cpu", "no fork"])
+@pytest.mark.parametrize("argv", SUITE_ARGVS, ids=" ".join)
+def test_paper_suite_prints_the_same_on_one_and_two_processes(capfd, monkeypatch, forks, argv, how):
+    two = main(["--json", *argv]), capfd.readouterr()
+    assert forks == [1] and no_child_left()
+    one_process(monkeypatch, how)
+    one = main(["--json", *argv]), capfd.readouterr()
+    assert forks == [1]
+    assert two == one
+
+
+def test_paper_suite_writes_one_json_document_to_fd_1(capfd, forks):
+    code = main(["--json", "paper-suite"])
+    captured = capfd.readouterr()
+    assert forks == [1] and no_child_left()
+    (line,) = captured.out.splitlines()
+    assert json.loads(line)["overall"] == "FAIL" and code == 1 and captured.err == ""
+
+
+@pytest.mark.parametrize("how", ["one cpu", "no fork"])
+def test_a_criterion_raising_in_the_child_exits_as_on_one_process(capfd, monkeypatch, forks, how):
+    assert 4 in suite.CHILD_CRITERIA
+    monkeypatch.setitem(suite.CRITERIA, 4, raising(WindowTooSmall("criterion 4 broke")))
+    two = main(["--json", "paper-suite"]), capfd.readouterr()
+    assert forks == [1] and no_child_left()
+    one_process(monkeypatch, how)
+    one = main(["--json", "paper-suite"]), capfd.readouterr()
+    assert two == one == (2, ("", "error: criterion 4 broke\n"))
+
+
+@pytest.mark.parametrize("first, later", [(2, 3), (3, 4)])
+def test_the_first_criterion_in_order_that_raises_reaches_the_caller(monkeypatch, forks, first, later):
+    """One of the two criteria runs in the child and one here; a serial
+    run would raise the first's error and never run the later one."""
+    assert (first in suite.CHILD_CRITERIA) != (later in suite.CHILD_CRITERIA)
+    monkeypatch.setitem(suite.CRITERIA, first, raising(ZeroDivisionError(f"criterion {first}")))
+    monkeypatch.setitem(suite.CRITERIA, later, raising(KeyError(f"criterion {later}")))
+    with pytest.raises(ZeroDivisionError, match=f"criterion {first}"):
+        suite.run_suite()
+    assert forks == [1] and no_child_left()
+
+
+def test_no_child_outlives_run_suite(monkeypatch, forks):
+    assert no_child_left()
+    assert [r.number for r in suite.run_suite()] == sorted(suite.CRITERIA)
+    assert no_child_left()
+    monkeypatch.setitem(suite.CRITERIA, 6, raising(RuntimeError("criterion 6 broke")))
+    with pytest.raises(RuntimeError, match="criterion 6 broke"):
+        suite.run_suite()
+    assert no_child_left()
+    monkeypatch.setitem(suite.CRITERIA, 8, raising(RuntimeError("criterion 8 broke")))
+    with pytest.raises(RuntimeError, match="criterion 6 broke"):
+        suite.run_suite()
+    assert forks == [3] and no_child_left()
+
+
+def test_a_child_that_sends_no_results_has_its_share_run_here(monkeypatch, forks):
+    """Details that marshal cannot send end the child without results."""
+    assert 6 in suite.CHILD_CRITERIA
+    unsent = suite.CriterionResult(6, "unsent", True, {"x": Fraction(1, 3)})
+    monkeypatch.setitem(suite.CRITERIA, 6, lambda: unsent)
+    results = suite.run_suite(only={3, 6})
+    assert forks == [1] and no_child_left()
+    assert [r.number for r in results] == [3, 6] and results[1] is unsent
+
+
+def test_a_fork_that_fails_leaves_the_share_to_this_process(monkeypatch):
+    def fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert [r.number for r in suite.run_suite(only={3, 6})] == [3, 6]
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs Linux /proc and two usable CPUs",
+)
+def test_the_child_keeps_off_its_parents_cpu(monkeypatch, forks):
+    usable = os.sched_getaffinity(0)
+    assert 1 in suite.CHILD_CRITERIA
+    monkeypatch.setitem(suite.CRITERIA, 1, lambda: suite.CriterionResult(
+        1, "affinity", True, {"cpus": sorted(os.sched_getaffinity(0))}
+    ))
+    first = suite.run_suite(only={1, 3})[0]
+    assert forks == [1] and no_child_left()
+    assert set(first.details["cpus"]) < usable and len(first.details["cpus"]) == len(usable) - 1
+    assert os.sched_getaffinity(0) == usable
+
+
+@pytest.mark.parametrize("only", [{3, 5}, {1, 2}])
+def test_an_empty_share_keeps_the_suite_in_one_process(forks, only):
+    assert [r.number for r in suite.run_suite(only=only)] == sorted(only)
+    assert forks == [0]
+
+
+def test_a_second_thread_keeps_the_suite_in_one_process(forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        results = suite.run_suite(only={1, 3})
+    finally:
+        stop.set()
+        thread.join()
+    assert [r.number for r in results] == [1, 3] and forks == [0]
