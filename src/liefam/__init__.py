@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebra import (
     CENTRAL,
     CentralDelta,
-    CentralTable,
     CheckReport,
     FamilySpec,
     GradingBounds,
@@ -44,7 +43,6 @@ __all__ = [
     "CENTRAL",
     "Ansatz",
     "CentralDelta",
-    "CentralTable",
     "CheckReport",
     "Cochain",
     "FamilySpec",

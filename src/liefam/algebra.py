@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 
 from .errors import (
+    LiefamError,
     MissingParameter,
     OutOfDomainIndex,
     ParameterMismatch,
@@ -110,41 +111,6 @@ class CentralDelta:
         return {"kind": "delta", "poly": [rat_str(c) for c in self.poly]}
 
 
-@dataclass(frozen=True)
-class CentralTable:
-    """Explicit antisymmetric pairing table, valid on a finite index range."""
-
-    entries: dict  # (n, m) with n < m -> Fraction | ParamPoly
-    lo: int
-    hi: int
-
-    def value(self, n: int, m: int):
-        if n == m:
-            return Fraction(0)
-        if not (self.lo <= n <= self.hi and self.lo <= m <= self.hi):
-            raise OutOfDomainIndex(
-                f"central table only covers [{self.lo}, {self.hi}], got ({n}, {m})"
-            )
-        if n < m:
-            return self.entries.get((n, m), Fraction(0))
-        return -self.entries.get((m, n), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
-
-    def to_json(self):
-        return {
-            "kind": "table",
-            "range": [self.lo, self.hi],
-            "entries": [
-                [n, m, v.to_json() if isinstance(v, ParamPoly) else rat_str(v)]
-                for (n, m), v in sorted(self.entries.items())
-                if v != 0
-            ],
-        }
-
-
 # ---------------------------------------------------------------------------
 # family specification
 # ---------------------------------------------------------------------------
@@ -158,6 +124,11 @@ class FamilySpec:
     that of pullback(root, params, images), for a root with no origin.  It
     is left out of comparison and JSON, and `replace` keeps it, so
     `verify_jacobi` checks it before it transports the root's PASS.
+
+    `central` is the one closed-form central rule, a `CentralDelta`.  A
+    residue pairing is not a rule of the family: it is a trivial
+    2-cochain (`central.residue_cochain`), and its extension satisfies
+    the Jacobi identity exactly when `cohomology.is_cocycle` passes it.
     """
 
     name: str
@@ -165,7 +136,7 @@ class FamilySpec:
     rule: dict  # parity class -> tuple[RuleTerm, ...]
     exceptional: dict = field(default_factory=dict)  # first index -> terms
     lower_bound: int | None = None
-    central: CentralDelta | CentralTable | None = None
+    central: CentralDelta | None = None
     origin: tuple | None = field(default=None, compare=False, repr=False)
 
     def in_domain(self, n: int) -> bool:
@@ -233,21 +204,9 @@ def family_from_json(data: dict) -> FamilySpec:
     central = None
     payload = data.get("central")
     if payload is not None:
-        if payload["kind"] == "delta":
-            central = CentralDelta(tuple(rat(c) for c in payload["poly"]))
-        else:
-            central = CentralTable(
-                entries={
-                    (int(n), int(m)): (
-                        ParamPoly.from_json(params, v)
-                        if isinstance(v, list)
-                        else rat(v)
-                    )
-                    for n, m, v in payload["entries"]
-                },
-                lo=payload["range"][0],
-                hi=payload["range"][1],
-            )
+        if payload["kind"] != "delta":
+            raise LiefamError(f"unknown central rule kind {payload['kind']!r}; known: delta")
+        central = CentralDelta(tuple(rat(c) for c in payload["poly"]))
     return FamilySpec(
         name=data["family"],
         params=params,
@@ -375,15 +334,11 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
 
     Index-symbolic proofs need every same-parity row to be antisymmetric
     as a polynomial (a = -b, d = 0), parameter names apart from the
-    index variables, no central table (its values are not polynomial in
-    the indices, and it raises outside its range) and no central delta
-    whose p is not odd: on n + m = 0 a delta's value is p(m) exactly when
-    p is odd.
+    index variables and no central delta whose p is not odd: on n + m = 0
+    a delta's value is p(m) exactly when p is odd.
     """
-    central = family.central
-    if set(INDEX_VARS) & set(family.params) or isinstance(central, CentralTable):
-        return None
-    if central is not None and any(central.poly[0::2]):
+    odd = family.central is None or not any(family.central.poly[0::2])
+    if set(INDEX_VARS) & set(family.params) or not odd:
         return None
     for cls in ("odd-odd", "even-even"):
         for t in family.rule.get(cls, ()):
@@ -780,9 +735,7 @@ def basis_bracket(family: FamilySpec, n: int, m: int) -> LieElement:
             )
     items = list(evaluate_pair_rule(family, n, m))
     if family.central is not None and n != m:
-        v = family.central.value(n, m)
-        if not isinstance(v, ParamPoly):
-            v = ParamPoly.const(family.params, v)
+        v = ParamPoly.const(family.params, family.central.value(n, m))
         if not v.is_zero:
             items.append((CENTRAL, v))
     return LieElement.from_items(family.params, items)
@@ -1211,12 +1164,7 @@ def grading_bounds(family: FamilySpec) -> GradingBounds:
     for terms in list(family.rule.values()) + list(family.exceptional.values()):
         shifts.update(t.shift for t in terms if not t.is_zero)
     if family.central is not None and not family.central.is_zero:
-        if isinstance(family.central, CentralDelta):
-            shifts.add(0)  # supported on n + m = 0, central degree 0
-        else:
-            shifts.update(
-                -(n + m) for (n, m), v in family.central.entries.items() if v != 0
-            )
+        shifts.add(0)  # supported on n + m = 0, central degree 0
     if not shifts:
         return GradingBounds(0, 0)
     return GradingBounds(min(shifts), max(shifts))

@@ -1,5 +1,12 @@
 """Residue-based pairings on genus-zero vector fields.
 
+A residue pairing has one representation: `residue_cochain` gives it as
+a trivial 2-cochain of the family, whose values are computed on demand
+and never stored in a window.  The central extension by it satisfies the
+Jacobi identity exactly when the cochain is a 2-cocycle, which
+`cohomology.is_cocycle` checks; `pairing_table`, `locality_bound` and
+`class_independence` read its values.
+
 The pairing of two fields e, f (written as functions of the quasi-global
 coordinate) is the sum of the residues at all finite poles of
     (1/2)(e''' f - e f''') - R (e' f - e f')
@@ -15,16 +22,12 @@ reported, not fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 from math import comb, inf
 
-from .algebra import (
-    CentralTable,
-    CheckReport,
-    FamilySpec,
-    domain_pairs,
-    evaluate_pair_rule,
-)
+from .algebra import CheckReport, FamilySpec, domain_pairs, evaluate_pair_rule
+from .cohomology import Cochain, DerivedRule
 from .errors import UnsupportedFamily, UpperBoundViolated
 from .families import CATALOG, by_name, witt
 from .geometry import PARAMETRIZATIONS, FactoredLaurent, LaurentPoly, uniformize
@@ -89,34 +92,64 @@ def kn_cocycle(e: FactoredLaurent, f: FactoredLaurent, connection: LaurentPoly |
     return _residue(op.poly, f.poly, f.beta, op.exp + f.exp)
 
 
-def pairing_table(family: str, window, connection: LaurentPoly | None = None) -> dict:
-    """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
+def _residue_cochain(family: str, connection: LaurentPoly | None) -> tuple[FamilySpec, Cochain]:
+    """(spec, gamma_R): the catalog family and `residue_cochain(family, connection)`.
 
     The field of index 2k + e is u^k = t^(pk) (t^2 - beta)^(qk) times
-    `uniformize(family, e)`; each index gets its L_R once and each pair
-    one residue coefficient.  Zero values are omitted.  A window with no
-    pair in the domain raises WindowTooSmall (its empty table would claim
-    a vacuous support), and a family built from arguments (d-line) has
-    no realization.
+    `uniformize(family, e)`.  Each index gets its field and L_R once, the
+    first time a pair reads them, and each pair one residue coefficient;
+    the rule's `fn` is that kernel, for n < m.  A family built from
+    arguments (d-line) has no realization; a family with no genus-zero
+    realization raises at the first value, not here.
     """
     if CATALOG.get(family, (None, ()))[1]:
         raise UnsupportedFamily(f"no realization for family {family!r}")
-    indices = domain_pairs(by_name(family), window)
-    shapes = [uniformize(family, odd) for odd in (0, 1)]
-    p, q, _ = PARAMETRIZATIONS[family]
-    fields = {}
-    for n in indices:
-        k, shape = n // 2, shapes[n % 2]
-        fields[n] = FactoredLaurent(shape.poly.shift(p * k), shape.beta, shape.exp + q * k)
-    ops = {n: _operator(field, connection) for n, field in fields.items()}
-    table = {}
-    for i, n in enumerate(indices):
-        for m in indices[i + 1 :]:
-            f = fields[m]
-            value = _residue(ops[n].poly, f.poly, f.beta, ops[n].exp + f.exp)
-            if not value.is_zero:
-                table[(n, m)] = value
-    return table
+    spec = by_name(family)
+    shape = cache(lambda odd: uniformize(family, odd))
+
+    @cache
+    def field(n: int) -> FactoredLaurent:
+        k, odd = divmod(n, 2)
+        base = shape(odd)
+        p, q, _ = PARAMETRIZATIONS[family]
+        return FactoredLaurent(base.poly.shift(p * k), base.beta, base.exp + q * k)
+
+    operator = cache(lambda n: _operator(field(n), connection))
+
+    def value(n: int, m: int) -> ParamPoly:
+        e, f = operator(n), field(m)
+        return _residue(e.poly, f.poly, f.beta, e.exp + f.exp)
+
+    rule = DerivedRule(value, "residue pairing")
+    return spec, Cochain(2, "trivial", None, spec.params, rule, label=f"residue:{family}")
+
+
+def residue_cochain(family: str, connection: LaurentPoly | None = None) -> Cochain:
+    """gamma_R(v_n, v_m) = Res[L_R(v_n) v_m] on the family's fields, as a trivial 2-cochain.
+
+    The extension of the family by a center c with [v_n, v_m] gaining
+    gamma_R(v_n, v_m) c satisfies the Jacobi identity exactly when
+    d(gamma_R) = 0, given that the family does: the extension's
+    Jacobiator is the family's plus d(gamma_R), up to sign, times c.  So
+    `is_cocycle(by_name(family), residue_cochain(family), window)` checks
+    the extension on every triple of the window, with no table range.
+    """
+    return _residue_cochain(family, connection)[1]
+
+
+def pairing_table(family: str, window, connection: LaurentPoly | None = None) -> dict:
+    """gamma(v_n, v_m) for all n < m in the window's part of the family's domain.
+
+    The values are those of `residue_cochain`, read from its kernel.
+    Zero values are omitted.  A window with no pair in the domain raises
+    WindowTooSmall (its empty table would claim a vacuous support), and a
+    family built from arguments (d-line) has no realization.
+    """
+    spec, gamma = _residue_cochain(family, connection)
+    indices = domain_pairs(spec, window)
+    value = gamma.rule.fn
+    pairs = ((n, m, value(n, m)) for i, n in enumerate(indices) for m in indices[i + 1 :])
+    return {(n, m): v for n, m, v in pairs if not v.is_zero}
 
 
 @dataclass
@@ -168,13 +201,12 @@ def class_independence(
     """
     spec = witt()
     indices = domain_pairs(spec, window)
-    tables = [pairing_table(spec.name, indices, r) for r in (r1, r2)]
-    zero = ParamPoly.const((), 0)
+    gammas = [residue_cochain(spec.name, r).rule.fn for r in (r1, r2)]
     system = LinearSystem()
     pairs = 0
     for i, n in enumerate(indices):
         for m in indices[i + 1 :]:
-            delta = tables[0].get((n, m), zero) - tables[1].get((n, m), zero)
+            delta = gammas[0](n, m) - gammas[1](n, m)
             coeffs = {
                 ("lam", idx): c.constant_value()
                 for idx, c in evaluate_pair_rule(spec, n, m)
@@ -197,20 +229,3 @@ def class_independence(
         checked=pairs,
         certificate={"lambda_support": sorted(lam)},
     )
-
-
-def central_table_from_residues(
-    family: str,
-    lo: int,
-    hi: int,
-    connection: LaurentPoly | None = None,
-) -> CentralTable:
-    """Explicit central rule computed from the residue pairing."""
-    table = pairing_table(family, range(lo, hi + 1), connection)
-    entries = {key: v.constant_value() if v.is_constant else v for key, v in table.items()}
-    return CentralTable(entries=entries, lo=lo, hi=hi)
-
-
-def attach_central(spec: FamilySpec, table: CentralTable, name=None) -> FamilySpec:
-    """Extend a family by a one-dimensional center with the given pairing."""
-    return replace(spec, name=name or f"{spec.name}+center", central=table)

@@ -129,7 +129,7 @@ class MapTableRule:
 class PairRule:
     """Closed-form alternating 2-cochain in the family normal form."""
 
-    spec: FamilySpec  # rule/exceptional reused; central ignored
+    spec: FamilySpec  # rule/exceptional reused; central ignored, in values and forms
 
     def to_json(self):
         return {"kind": "pair-rule", **self.spec.to_json()}
@@ -266,7 +266,8 @@ def _source(algebra: FamilySpec, c: Cochain):
     Its values are computed once per index tuple.  An adjoint value gives
     its components, a trivial one its scalar on the CENTRAL key, which no
     index acts on.  A pair-rule cochain over the algebra's ring has the
-    index forms of its family's bracket, an affine map those of
+    index forms of its family's bracket without the central rule, which
+    its values ignore too; an affine map has those of
     `algebra._affine_forms`, whether its coefficients are rationals or the
     unknowns of an ansatz; any other cochain has none.
     """
@@ -275,7 +276,7 @@ def _source(algebra: FamilySpec, c: Cochain):
     forms, rule = None, c.rule
     if c.params == algebra.params:
         if isinstance(rule, PairRule) and rule.spec.params == c.params:
-            forms = _bracket_sources(rule.spec)[0][1]
+            forms = _bracket_sources(replace(rule.spec, central=None))[0][1]
         elif isinstance(rule, AffineMapRule):
             forms = _affine_forms(algebra, rule)
     return cache(lambda *idx: c.value(*idx).components.items()), forms

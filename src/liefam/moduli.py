@@ -7,10 +7,10 @@ with s in {1, -2, -1/2} (node) and at the origin (cusp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CentralTable, FamilySpec, map_coefficients
+from .algebra import FamilySpec, map_coefficients
 from .errors import DegenerateLine, LiefamError, OddShiftNotRescalable
 from .poly import ParamPoly, rat, rat_str
 
@@ -133,7 +133,8 @@ def rescale(family: FamilySpec, lam2) -> FamilySpec:
     """Conjugate by v_n -> (lam^-n) v_n at the rule level.
 
     The coefficient at degree shift w picks up the factor lam2^(-w/2);
-    only even shifts are reachable without a square root of lam2.
+    only even shifts are reachable without a square root of lam2.  A
+    central delta sits at total degree 0 and is kept unchanged.
     """
     lam2 = rat(lam2)
     if lam2 == 0:
@@ -146,17 +147,5 @@ def rescale(family: FamilySpec, lam2) -> FamilySpec:
             )
         return p * lam2 ** (-shift // 2)
 
-    central = family.central
-    if isinstance(central, CentralTable) and not central.is_zero:
-        entries = {}
-        for (n, m), v in central.entries.items():
-            if (n + m) % 2:
-                raise OddShiftNotRescalable(
-                    f"central support at odd total degree {n + m}"
-                )
-            entries[(n, m)] = v * lam2 ** ((n + m) // 2)
-        central = CentralTable(entries, central.lo, central.hi)
-    # a delta rule sits at total degree 0 and is unchanged
-
     name = f"{family.name}~lam2={rat_str(lam2)}"
-    return replace(map_coefficients(family, scale, family.params, name), central=central)
+    return map_coefficients(family, scale, family.params, name)

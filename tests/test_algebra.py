@@ -24,7 +24,6 @@ from liefam.algebra import (
     INDEX_VARS,
     PARITY_CLASSES,
     CentralDelta,
-    CentralTable,
     FamilySpec,
     _affine_forms,
     _Boundary,
@@ -404,18 +403,10 @@ def test_element_json():
 
 
 def test_family_json_round_trip():
-    from liefam.algebra import family_from_json
-    from liefam.central import attach_central, central_table_from_residues
-
     for fam in [witt(), virasoro(), elliptic(), formal_family(2)]:
         back = family_from_json(fam.to_json())
         assert back.rule_signature() == fam.rule_signature()
         assert back.central == fam.central
-    extended = attach_central(witt(), central_table_from_residues("witt", -6, 6))
-    back = family_from_json(extended.to_json())
-    for n in range(-6, 7):
-        for m in range(-6, 7):
-            assert back.central.value(n, m) == extended.central.value(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +588,6 @@ def _central_delta(draw, fam):
     return replace(fam, central=central, name=fam.name + "|c")
 
 
-def _central_table(draw, fam):
-    """A table off the central delta's support, over a range that may be too short."""
-    lo, hi = draw(st.sampled_from([(-60, 60), (-4, 20)]))
-    pairs = st.tuples(st.integers(-3, 6), st.integers(1, 4)).map(lambda p: (p[0], sum(p)))
-    entries = {pair: draw(_RATIONALS) for pair in draw(st.lists(pairs, max_size=2))}
-    return replace(fam, central=CentralTable(entries, lo, hi), name=fam.name + "|table")
-
-
 def shifted_witt(shift):
     """(m - n)(v_{n+m} + t v_{n+m+shift}): the fields z^(n+1) (1 + t z^shift) d/dz."""
     params = ("t",)
@@ -616,7 +599,7 @@ def shifted_witt(shift):
 
 
 EDITS = (_scale_one_term, _shift_constant, _random_row, _exceptional_row, _lower_bound_1,
-         _central_delta, _central_table)
+         _central_delta)
 BASES = (witt, virasoro, three_point, nodal, l1_subalgebra, w1_subalgebra,
          lambda: formal_family(2), lambda: formal_family(3), lambda: shifted_witt(-3))
 
@@ -644,8 +627,6 @@ def test_index_family_preconditions():
     assert index_family(bumped) is None
     skewed = replace(w, rule={**w.rule, "odd-odd": (RuleTerm(t.shift, t.a, t.b * 2, t.d),)})
     assert index_family(skewed) is None
-    table = CentralTable({(1, 2): Fraction(1)}, -9, 9)
-    assert index_family(replace(w, central=table)) is None
     clash = FamilySpec("clash", ("n",), {cls: () for cls in PARITY_CLASSES})
     assert index_family(clash) is None
     assert verify_jacobi(shifted_witt(-3), range(-8, 9)).passed

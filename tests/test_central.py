@@ -1,24 +1,25 @@
 """Residue pairings: values, bilinearity, cocycle law, extensions."""
 
+import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from liefam.algebra import verify_jacobi
 from liefam.central import (
-    attach_central,
-    central_table_from_residues,
     class_independence,
     finite_residue_sum,
     kn_cocycle,
     locality_bound,
     pairing_table,
+    residue_cochain,
 )
+from liefam.cohomology import DerivedRule, is_cocycle
 from liefam.errors import UpperBoundViolated
-from liefam.families import three_point, virasoro, witt
+from liefam.families import by_name, virasoro, witt
 from liefam.geometry import PARAMETRIZATIONS, FactoredLaurent, LaurentPoly, uniformize
 from liefam.poly import ParamPoly
 
@@ -83,6 +84,8 @@ def test_pairing_table_equals_the_product_formula(family, connection):
     want = {(n, m): _product_pairing(fields[n], fields[m], r) for n, m in pairs}
     assert pairing_table(family, window, r) == {k: v for k, v in want.items() if not v.is_zero}
     assert all(kn_cocycle(fields[n], fields[m], r) == v for (n, m), v in want.items())
+    gamma = residue_cochain(family, r)
+    assert all(gamma.value(m, n) == -v for (n, m), v in want.items())
 
 
 @pytest.mark.parametrize("connection", [None, LaurentPoly.monomial((), 0)])
@@ -236,18 +239,27 @@ def test_class_independence_witnesses():
     assert report.passed and lam == {-1: 1}
 
 
-def test_central_extension_assembly_preserves_jacobi():
-    table = central_table_from_residues("witt", -20, 20)
-    extended = attach_central(witt(), table)
-    assert verify_jacobi(extended, range(-8, 9)).passed
-    # symbolic three-point extension
-    table3 = central_table_from_residues("three-point", -18, 18)
-    extended3 = attach_central(three_point(), table3)
-    assert verify_jacobi(extended3, range(-8, 9)).passed
+@pytest.mark.parametrize("connection", [None, (1, -2)])
+@pytest.mark.parametrize("family", ["witt", "three-point", "nodal", "l1", "w1"])
+def test_residue_cochain_is_a_two_cocycle(family, connection):
+    """The extension by gamma_R satisfies the Jacobi identity exactly when
+    d(gamma_R) = 0, given that the family does: `is_cocycle` checks it on every
+    triple of the family's default window, with no table range to outrun."""
+    from liefam.suite import default_window
+
+    r = None if connection is None else LaurentPoly.monomial((), connection[1], connection[0])
+    spec = by_name(family)
+    window = default_window(spec)
+    report = is_cocycle(spec, residue_cochain(family, r), window)
+    assert report.passed, report.to_json()
+    assert report.checked == len(list(itertools.combinations(window, 3)))
 
 
-def test_central_table_serialization():
-    table = central_table_from_residues("witt", -4, 4)
-    data = table.to_json()
-    assert data["kind"] == "table"
-    assert [-4, 4, "-60"] in data["entries"]
+def test_a_pairing_that_is_not_a_cocycle_fails():
+    """Witt's pairing plus m^2 on n + m = 0 is not a 2-cocycle, so the extension
+    by it breaks the Jacobi identity; the first failing triple is the witness."""
+    gamma = residue_cochain("witt")
+    bump = DerivedRule(lambda n, m: gamma.value(n, m) + m * m * (n + m == 0))
+    report = is_cocycle(witt(), replace(gamma, rule=bump), range(-8, 9))
+    assert report.status == "FAIL"
+    assert report.witness == {"tuple": [-8, 1, 7], "value": "-42"}

@@ -798,6 +798,26 @@ def test_cocycle_from_json_file(tmp_path, capsys):
     assert json.loads(out)["report"]["status"] == "PASS"
 
 
+def test_a_pair_rules_central_key_leaves_its_proof_alone(tmp_path, capsys):
+    """A pair rule's values ignore its central rule, and so do its index forms: with
+    a central m^2, which has no odd p, ds-order1 is still proved on every stratum."""
+    from liefam.suite import named_cocycle
+
+    _, omega = named_cocycle("ds-order1")
+    reports = []
+    for central in (None, {"kind": "delta", "poly": ["0", "0", "1"]}):
+        cochain = omega.to_json()
+        if central is not None:
+            cochain["rule"]["central"] = central
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps({"algebra": "witt", "cochain": cochain}))
+        code, out = run(capsys, "--json", "cohomology", "check", "--cocycle", str(path))
+        assert code == 0
+        reports.append(json.loads(out)["report"])
+    assert reports[1] == reports[0]
+    assert reports[0]["status"] == "PASS" and reports[0]["checked"] == 0
+
+
 _HYPERPLANE = {"class": "even-even", "forms": ["2 - m", "m"], "index": "c"}
 
 
@@ -838,6 +858,8 @@ _AFFINE_MAP = {"arity": 1, "mode": "adjoint", "weight": -2, "params": [], "rule"
 _ELEMENT_TABLE = {"arity": 1, "mode": "trivial", "weight": None, "params": [], "rule": {
     "kind": "map-table", "entries": {"1": {"components": [[-1, [["1", []]]]]}}}}
 _TRIVIAL_ZERO = {"kind": "map-table", "entries": {}}
+#: A well-formed central table: a kind that a family's JSON no longer has.
+_TABLE_CENTRAL = {"kind": "table", "range": [-20, 20], "entries": [[-1, 1, "1"]]}
 
 
 @pytest.mark.parametrize(
@@ -858,11 +880,13 @@ _TRIVIAL_ZERO = {"kind": "map-table", "entries": {}}
             **_AFFINE_MAP, "rule": {**_AFFINE_MAP["rule"], "even": ["1"]}}}),
         json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "rule": {
             **_PAIR_RULE["rule"], "central": {"kind": "table", "range": [0], "entries": []}}}}),
+        json.dumps({"algebra": "witt", "cochain": {**_PAIR_RULE, "rule": {
+            **_PAIR_RULE["rule"], "central": _TABLE_CENTRAL}}}),
     ],
     ids=["not-json", "no-cochain", "top-level-list", "map-table-arity-2",
          "affine-map-arity-2", "pair-rule-arity-1", "trivial-pair-rule",
          "trivial-element-table", "pair-rule-rule-string", "affine-map-short-even",
-         "pair-rule-short-central-range"],
+         "pair-rule-short-central-range", "pair-rule-table-central"],
 )
 @pytest.mark.parametrize("command", [["check"], ["solve", "--weight", "-2"],
                                      ["compare", "--weight", "-2", "--against", "ds-order1"]])
@@ -874,6 +898,8 @@ def test_malformed_cocycle_files_exit_2(tmp_path, capsys, text, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if '"kind": "table"' in text:
+        assert captured.err == "error: unknown central rule kind 'table'; known: delta\n"
 
 
 @pytest.mark.parametrize(

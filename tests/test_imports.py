@@ -50,6 +50,30 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def read_names(trees) -> set:
+    """Names that appear as a loaded name or as a loaded attribute in any tree."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def unread_definitions(trees: dict, read: set, private: bool) -> list:
+    """(module, name) of each private, or public, top-level def or class not in `read`."""
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") == private
+        and node.name not in read
+    ]
+
+
 def unread_private_definitions(sources: dict) -> list:
     """(module, name) of each private top-level def or class that no source reads.
 
@@ -58,21 +82,7 @@ def unread_private_definitions(sources: dict) -> list:
     the sources; being imported is not a read.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return [
-        (module, node.name)
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and node.name not in read
-    ]
+    return unread_definitions(trees, read_names(trees.values()), private=True)
 
 
 def test_the_check_finds_an_unread_private_definition():
@@ -124,3 +134,35 @@ def test_the_check_finds_an_index_form_use():
 )
 def test_the_index_form_format_stays_in_algebra(path):
     assert index_form_uses(path.read_text()) == []
+
+
+#: Public definitions that no module reads and `__all__` does not list: the
+#: references that tests compare `central.pairing_table` and `central._residue` against.
+UNREAD_REFERENCES = {("central", "kn_cocycle"), ("central", "finite_residue_sum")}
+
+
+def unread_public_definitions(sources: dict) -> list:
+    """(module, name) of each public top-level def or class that no source reads,
+    as `unread_private_definitions` counts reads, and no `__all__` lists."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = read_names(trees.values())
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= {elt.value for elt in node.value.elts}
+    return unread_definitions(trees, read, private=False)
+
+
+def test_the_check_finds_an_unread_public_definition():
+    sources = {
+        "a": "def used():\n    pass\n\ndef left():\n    pass\n\nclass Shape:\n    pass\n",
+        "b": "from a import used\nused()\n__all__ = ['Shape']\ndef _private():\n    pass\n",
+    }
+    assert unread_public_definitions(sources) == [("a", "left")]
+
+
+def test_every_public_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert set(unread_public_definitions(sources)) == UNREAD_REFERENCES
