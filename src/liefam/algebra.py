@@ -10,7 +10,6 @@ is the only identity that needs certification.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -121,9 +120,13 @@ class FamilySpec:
     """Closed-form bracket rule for an almost-graded Lie algebra family.
 
     `origin`, set by `pullback`, is (root, params, images): the rule is
-    that of pullback(root, params, images), for a root with no origin.  It
-    is left out of comparison and JSON, and `replace` keeps it, so
-    `verify_jacobi` checks it before it transports the root's PASS.
+    that of pullback(root, params, images), for a root with no origin.
+    `record`, set with it, is (key, rows): the root's `rule_signature()`
+    and a copy of the (params, rule, exceptional) the pullback built, both
+    taken when it was made, so no later in-place change of the root or of
+    this family moves them.  Both are left out of comparison and JSON, and
+    `replace` keeps them, so `verify_jacobi` compares the rows with the
+    record before it transports the root's PASS.
 
     `central` is the one closed-form central rule, a `CentralDelta`.  A
     residue pairing is not a rule of the family: it is a trivial
@@ -138,17 +141,22 @@ class FamilySpec:
     lower_bound: int | None = None
     central: CentralDelta | None = None
     origin: tuple | None = field(default=None, compare=False, repr=False)
+    record: tuple | None = field(default=None, compare=False, repr=False)
 
     def in_domain(self, n: int) -> bool:
         return self.lower_bound is None or n >= self.lower_bound
 
     def rule_signature(self):
-        """Canonical content of the rule, for structural comparison."""
+        """Canonical content of the rule, for structural comparison.
+
+        Coefficients are read as packed monomials, which sort as their
+        exponent tuples do, so two signatures are comparable within one ring.
+        """
 
         def sig(terms):
             return tuple(
                 sorted(
-                    (t.shift, *(tuple(p.sorted_terms()) for p in (t.a, t.b, t.d)))
+                    (t.shift, *(tuple(sorted(p.terms.items())) for p in (t.a, t.b, t.d)))
                     for t in terms
                     if not t.is_zero
                 )
@@ -335,7 +343,8 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
     Index-symbolic proofs need every same-parity row to be antisymmetric
     as a polynomial (a = -b, d = 0), parameter names apart from the
     index variables and no central delta whose p is not odd: on n + m = 0
-    a delta's value is p(m) exactly when p is odd.
+    a delta's value is p(m) exactly when p is odd.  The lift (`_extend`)
+    has no origin: no report is transported over a ring with n, m or k.
     """
     odd = family.central is None or not any(family.central.poly[0::2])
     if set(INDEX_VARS) & set(family.params) or not odd:
@@ -344,7 +353,7 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
         for t in family.rule.get(cls, ()):
             if not (t.d.is_zero and (t.a + t.b).is_zero):
                 return None
-    return pullback(family, family.params + INDEX_VARS, None, family.name)
+    return _extend(family, family.params + INDEX_VARS)
 
 
 class _Boundary:
@@ -1038,21 +1047,25 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     triples, and its PASS holds there.
 
     A fibre is not walked if it has no exceptional row, basis bound or
-    central rule, its rule is that of pullback(*origin), and a family with
-    no origin and the root's rule was proved a PASS on its whole domain in
-    this process.  A zero Jacobiator over Q[params, n, m, k] stays zero
-    under every ring map, on the same strata, so the fibre gets the root's
-    report under its own name, as a direct proof would give it.
+    central rule, its rows are still those its `record` copied when
+    `pullback` built it, and a family with no origin and the rule whose
+    signature the record keys was proved a PASS on its whole domain in
+    this process.  That costs one comparison of rows and one lookup.  A
+    zero Jacobiator over Q[params, n, m, k] stays zero under every ring
+    map, on the same strata, so the fibre gets the root's report under
+    its own name, as a direct proof would give it.  Reports are stored
+    and handed out as copies (`_copied`), so no caller's edit reaches
+    another's report.
     """
     indices = domain_indices(family, window)
     if (proved := _root_pass(family)) is not None:
-        return replace(copy.deepcopy(proved), name=f"jacobi:{family.name}")
+        return _copied(proved, f"jacobi:{family.name}")
     value, prove = _identity(_jacobi_terms, _bracket_sources(family), family.params)
     report = certify(f"jacobi:{family.name}", indices, 3, prove, value, "triple")
     if family.origin is None and _plain(family) and report.passed and "window" not in report.certificate:
         if len(_ROOT_PASSES) >= 32:
             _ROOT_PASSES.pop(next(iter(_ROOT_PASSES)))
-        _ROOT_PASSES[family.rule_signature()] = copy.deepcopy(report)
+        _ROOT_PASSES[family.rule_signature()] = _copied(report, report.name)
     return report
 
 
@@ -1064,19 +1077,31 @@ def _plain(family: FamilySpec) -> bool:
     return not family.exceptional and family.lower_bound is None and family.central is None
 
 
+def _rows(family: FamilySpec) -> tuple:
+    return family.params, family.rule, family.exceptional
+
+
 def _root_pass(family: FamilySpec) -> CheckReport | None:
     """The report of the proved root of a fibre, if any; see `verify_jacobi`."""
-    if family.origin is None or not _plain(family) or set(INDEX_VARS) & set(family.params):
+    if family.record is None or not _plain(family) or set(INDEX_VARS) & set(family.params):
         return None
-    root, params, images = family.origin
-    proved = _ROOT_PASSES.get(root.rule_signature())
-    if proved is None:
-        return None
-    pulled = pullback(root, params, images, "")
-    same = (pulled.params, pulled.rule, pulled.exceptional) == (
-        family.params, family.rule, family.exceptional
-    )
-    return proved if same else None
+    key, rows = family.record
+    proved = _ROOT_PASSES.get(key)
+    return proved if proved is not None and _rows(family) == rows else None
+
+
+def _json_copy(data):
+    """A structural copy of JSON-like data: dicts and lists copied, scalars shared."""
+    if isinstance(data, dict):
+        return {k: _json_copy(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_json_copy(v) for v in data]
+    return data
+
+
+def _copied(report: CheckReport, name: str) -> CheckReport:
+    """The report under `name`, its certificate copied (`_json_copy`)."""
+    return replace(report, name=name, certificate=_json_copy(report.certificate))
 
 
 # ---------------------------------------------------------------------------
@@ -1112,13 +1137,34 @@ def map_coefficients(family: FamilySpec, fn, params, name: str) -> FamilySpec:
     )
 
 
+def _extend(family: FamilySpec, ring) -> FamilySpec:
+    """The family over Q[ring], which extends Q[family.params], with no
+    origin or record: no report is transported to or from the lift."""
+    image = ring_map(family.params, ring)
+    lifted = map_coefficients(family, lambda key, shift, p: image(p), ring, family.name)
+    return replace(lifted, origin=None, record=None)
+
+
+def _root_key(family: FamilySpec):
+    """The key of the root a pullback of `family` comes from: its own
+    signature if it has no origin, its record's key while its rows are
+    still those recorded, else None."""
+    if family.origin is None:
+        return family.rule_signature()
+    if family.record is not None and _rows(family) == family.record[1]:
+        return family.record[0]
+    return None
+
+
 def pullback(family: FamilySpec, params, images, name: str) -> FamilySpec:
     """The family with every coefficient mapped by one `ring_map`.
 
     A parameter named in `images` goes to its image in Q[params], any
     other to its namesake; terms that map to zero are dropped.  The `origin`
     is the family's root, or the family, and the composite map (None if a
-    root parameter unused on the way has no image): see `verify_jacobi`.
+    root parameter unused on the way has no image).  The `record` is the
+    root's key (`_root_key`) and a copy of the rows built, or None with no
+    origin or key: see `verify_jacobi`.
     """
     root, _, maps = family.origin or (family, family.params, None)
     params = tuple(params)
@@ -1129,7 +1175,9 @@ def pullback(family: FamilySpec, params, images, name: str) -> FamilySpec:
     except ParameterMismatch:
         origin = None
     mapped = map_coefficients(family, lambda key, shift, p: image(p), params, name)
-    return replace(mapped, origin=origin)
+    key = None if origin is None else _root_key(family)
+    record = None if key is None else (key, (params, dict(mapped.rule), dict(mapped.exceptional)))
+    return replace(mapped, origin=origin, record=record)
 
 
 def specialize(

@@ -38,6 +38,7 @@ from .algebra import (
     LieElement,
     _affine_forms,
     _bracket_sources,
+    _extend,
     _identity,
     _scaled_source,
     _vanishes,
@@ -48,7 +49,6 @@ from .algebra import (
     evaluate_pair_rule,
     map_coefficients,
     nonzero_tuples,
-    pullback,
 )
 from .errors import (
     ArityUnsupported,
@@ -541,13 +541,14 @@ def _covers(algebra, ansatz: Cochain):
 
 
 def _over(c: Cochain | None, ring) -> Cochain | None:
-    """c over Q[ring]: a pair rule by `pullback`, which keeps its index forms,
-    any other cochain re-embedded value by value, with no symbolic form."""
+    """c over Q[ring]: a pair rule lifted whole (`_extend`), which keeps its
+    index forms, any other cochain re-embedded value by value, with no
+    symbolic form."""
     if c is None:
         return None
     if isinstance(c.rule, PairRule):
         spec = c.rule.spec
-        rule = PairRule(pullback(spec, ring, None, spec.name))
+        rule = PairRule(_extend(spec, ring))
     else:
         rule = DerivedRule(lambda *idx: c.value(*idx).map_params(ring))
     return Cochain(c.arity, c.mode, c.weight, ring, rule)
@@ -585,7 +586,7 @@ def _build_system(algebra, omega, beta, ansatz_map, indices, covered):
     """
     ring = ansatz_map.params
     scale = None if beta is None else ParamPoly.var(ring, ("scale",))
-    lifted = pullback(algebra, ring, None, algebra.name)
+    lifted = _extend(algebra, ring)
     system = LinearSystem()
 
     def settle(residual, keys, parity, boundary) -> bool:

@@ -20,8 +20,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from liefam.algebra import LieElement, abelianization_codim, specialize, verify_jacobi
 from liefam.central import locality_bound, pairing_table
 from liefam.cohomology import (

@@ -1,5 +1,6 @@
 """Bracket engine: antisymmetry, Jacobi certification, specialization."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -91,6 +92,8 @@ from liefam.suite import (
     NAMED_COCYCLES,
     SMOOTH_POINTS,
     corrupted_elliptic,
+    criterion_1,
+    default_window,
     named_cocycle,
     sign_flipped,
 )
@@ -1264,6 +1267,144 @@ def test_a_stale_origin_is_proved_directly(walked):
     assert verify_jacobi(bad, range(-10, 11)).to_json() == cold
     assert cold["status"] == "FAIL" and cold["witness"]["triple"] == [-10, -9, -8]
     assert walked == ["jacobi:witt", "jacobi:elliptic", "jacobi:witt"]
+
+
+def _doubled(rows):
+    return tuple(RuleTerm(t.shift, t.a * 2, t.b * 2, t.d * 2) for t in rows)
+
+
+def test_an_in_place_change_is_proved_directly(walked):
+    """A fibre whose rows were changed in place after its pullback no longer
+    matches its record: it is walked and FAILs as the stale origin does, and
+    so is a pullback of it, which keeps no key."""
+    verify_jacobi(elliptic(), range(-1, 2))
+    w = witt()
+    w.rule["odd-even"] = _doubled(w.rule["odd-even"])
+    report = verify_jacobi(w, range(-10, 11)).to_json()
+    assert report["status"] == "FAIL" and report["witness"]["triple"] == [-10, -9, -8]
+    line = d_line(3)
+    line.rule["odd-even"] = _doubled(line.rule["odd-even"])
+    point = specialize(line, {"e1": 2})
+    assert point.origin is not None and point.record is None
+    direct = verify_jacobi(family_from_json(point.to_json()), range(-10, 11)).to_json()
+    assert verify_jacobi(point, range(-10, 11)).to_json() == direct
+    assert direct["status"] == "FAIL"
+    assert walked == ["jacobi:elliptic", "jacobi:witt", f"jacobi:{point.name}", f"jacobi:{point.name}"]
+
+
+def test_an_in_place_change_of_the_root_moves_no_record(walked):
+    """The key is the root's signature when the pullback was made: a fibre
+    taken before the root changed is still transported from an honest proof,
+    one taken after is walked."""
+    root = elliptic()
+    before = specialize(root, {"e1": 0, "e2": 0})
+    root.rule["odd-even"] = _doubled(root.rule["odd-even"])
+    after = specialize(root, {"e1": 0, "e2": 0})
+    assert not verify_jacobi(root, range(-10, 11)).passed
+    assert verify_jacobi(before, range(-10, 11)).passed  # no proved root yet: walked
+    verify_jacobi(elliptic(), range(-1, 2))
+    assert verify_jacobi(before, range(-10, 11)).passed
+    direct = verify_jacobi(family_from_json(after.to_json()), range(-10, 11)).to_json()
+    assert verify_jacobi(after, range(-10, 11)).to_json() == direct
+    name = before.name
+    assert walked == ["jacobi:elliptic", f"jacobi:{name}", "jacobi:elliptic"] + [f"jacobi:{name}"] * 2
+
+
+def test_a_transported_report_is_a_copy(walked):
+    """Editing a returned report, the root's or a fibre's, changes no later report."""
+    root = verify_jacobi(elliptic(), range(-1, 2))
+    first = verify_jacobi(witt(), range(-10, 11))
+    expected = copy.deepcopy(first.to_json())
+    first.certificate["proved"].clear()
+    first.certificate["evaluated"] = None
+    root.certificate["proved"].append({"class": "edited"})
+    assert verify_jacobi(witt(), range(-10, 11)).to_json() == expected
+    assert walked == ["jacobi:elliptic"]
+
+
+@pytest.mark.parametrize("make", TRANSPORTED.values(), ids=TRANSPORTED.keys())
+def test_a_transport_builds_nothing(walked, monkeypatch, make):
+    """With the root proved, a fibre's report is a comparison and a lookup: no
+    pullback, ring map, signature or deep copy, and the JSON a direct proof gives."""
+    fibre = make()
+    verify_jacobi(elliptic(), range(-1, 2))
+    expected = [
+        verify_jacobi(family_from_json(fibre.to_json()), window).to_json()
+        for window in TRANSPORT_WINDOWS
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transport builds nothing")
+
+    monkeypatch.setattr(algebra_module, "pullback", refuse)
+    monkeypatch.setattr(algebra_module, "ring_map", refuse)
+    monkeypatch.setattr(FamilySpec, "rule_signature", refuse)
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+    assert [verify_jacobi(fibre, window).to_json() for window in TRANSPORT_WINDOWS] == expected
+    assert walked == ["jacobi:elliptic"] + [f"jacobi:{fibre.name}"] * 3
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_a_lift_has_no_origin(name):
+    """The lift to Q[params, n, m, k] has the rows of the pullback that
+    `index_family` used to build, and neither origin nor record."""
+    fam = by_name(name, s=3)
+    ring = fam.params + INDEX_VARS
+    lift = algebra_module._extend(fam, ring)
+    old = algebra_module.pullback(fam, ring, None, fam.name)
+    assert lift == old and (lift.origin, lift.record) == (None, None)
+    assert index_family(fam) in (None, lift)
+
+
+def test_criterion_1_walks_only_what_is_not_a_fibre(walked):
+    """elliptic() first: every other plain fibre takes its PASS by transport."""
+    assert criterion_1().passed
+    names = ["elliptic", "virasoro", "formal-1", "formal-2", "formal-3"]
+    assert walked == [f"jacobi:{name}" for name in names]
+
+
+def test_warm_passes_make_equal_calls(monkeypatch):
+    """After one warm-up pass of the Jacobi and cocycle checks, two further
+    passes call pullback, index_family, certify and ParamPoly.combination
+    equally often: no memo is filled or consulted differently by pass."""
+    families = [by_name(name, s=3) for name in CATALOG] + [d_line(Fraction(-1, 2))]
+    families.append(specialize(elliptic(), dict(zip(("e1", "e2"), SMOOTH_POINTS[0]))))
+    families.append(corrupted_elliptic())
+    cocycles = [named_cocycle(name) for name in NAMED_COCYCLES]
+    witt_algebra, ds1 = named_cocycle("ds-order1")
+    cocycles.append((witt_algebra, sign_flipped(ds1)))
+
+    def run():
+        for fam in families:
+            verify_jacobi(fam, default_window(fam))
+        for algebra, cochain in cocycles:
+            is_cocycle(algebra, cochain, default_window(algebra))
+
+    run()
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("pullback", "index_family", "certify"):
+        real = getattr(algebra_module, name)
+        for module in (algebra_module, cohomology_module):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    combination = ParamPoly.combination
+    monkeypatch.setattr(ParamPoly, "combination", staticmethod(counted("combination", combination)))
+    passes = []
+    for _ in range(2):
+        counts.clear()
+        run()
+        passes.append(dict(counts))
+    assert passes[0] == passes[1]
+    assert passes[0]["index_family"] and passes[0]["combination"]
+    assert 0 < passes[0]["certify"] < len(families) + len(cocycles)  # fibres are transported
 
 
 def test_a_fibre_over_index_named_parameters_is_proved_directly(walked):

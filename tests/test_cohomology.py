@@ -45,7 +45,6 @@ from liefam.errors import ArityUnsupported, LiefamError, MissingParameter, Windo
 from liefam.families import (
     d_infinity,
     d_line,
-    elliptic,
     formal_family,
     l1_subalgebra,
     virasoro,

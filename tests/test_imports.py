@@ -1,11 +1,13 @@
-"""Source hygiene: every name a liefam module imports is used in it."""
+"""Source hygiene: every name a liefam module or a test module imports is used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "liefam").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "liefam").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -45,7 +47,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports("import os  # noqa: F401\nimport re\n") == ["re"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
