@@ -20,6 +20,8 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from liefam.algebra import LieElement, abelianization_codim, specialize, verify_jacobi
 from liefam.central import locality_bound, pairing_table
 from liefam.cohomology import (
@@ -192,6 +194,42 @@ def test_suite_residuals_equal_enumeration():
         got = suite._residuals(suite._stated_map(pins), omega, beta3, third, window)
         assert len(want) == failing
         assert got == want
+
+
+@pytest.mark.parametrize("window", [range(1, 25), range(1, 31), range(4, 21)], ids=str)
+@pytest.mark.parametrize(
+    "pins", [{1: 0, 2: 0}, {3: Fraction(7, 2), 5: Fraction(-3)}], ids=str
+)
+def test_residuals_by_linearity_equal_enumeration(pins, window):
+    """The stated map's residuals, from the corrected map's by linearity of d1,
+    equal the enumerated ones.  With pins at 3 and 5, (1, 4) and (2, 3) have
+    n + m = 5, and (1, 4) reaches the pins only through n + m."""
+    from liefam import suite
+
+    _, omega = named_cocycle("w1-order1")
+    _, beta3 = named_cocycle("beta3")
+    third = Fraction(1, 3)
+    corrected = suite._stated_map({2: Fraction(-4, 3)})
+    proved = suite._residuals(corrected, omega, beta3, third, window)
+    got = suite._by_linearity(corrected, proved, suite._stated_map(pins), window)
+    want = _residuals(_stated_map(pins), omega, beta3, third, window)
+    assert got == want
+    if 5 in pins and 1 in window:
+        assert {(1, 4), (2, 3)} <= set(want)
+
+
+def test_criterion_5_walks_the_corrected_map_only(monkeypatch):
+    """The stated map's 276 window pairs are never walked: one residual walk,
+    of the corrected W-valued map, is its proof."""
+    from liefam import suite
+
+    walked = []
+    residuals = suite._residuals
+    monkeypatch.setattr(
+        suite, "_residuals", lambda phi, *args: walked.append(phi) or residuals(phi, *args)
+    )
+    suite.criterion_5()
+    assert walked == [suite._stated_map({2: Fraction(-4, 3)})]
 
 
 def test_criterion_5_noncoboundary_certificate():

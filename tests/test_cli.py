@@ -1059,6 +1059,20 @@ def no_child_left():
     return True
 
 
+#: The criteria of the forked child's share and those run here, in order.
+CHILD = sorted(suite.CHILD_CRITERIA)
+HERE = sorted(set(suite.CRITERIA) - suite.CHILD_CRITERIA)
+
+
+def _closest(firsts, laters):
+    """The pair (first, later) of criteria closest in order, the earliest of those."""
+    return min(((a, b) for a in firsts for b in laters if a < b), key=lambda p: (p[1] - p[0], p))
+
+
+#: Two criteria run on different sides: the child's first, then this process's.
+MIXED = [_closest(CHILD, HERE), _closest(HERE, CHILD)]
+
+
 SUITE_ARGVS = [
     ["paper-suite", "--seed", "1"],
     ["paper-suite", "--seed", "7"],
@@ -1088,16 +1102,16 @@ def test_paper_suite_writes_one_json_document_to_fd_1(capfd, forks):
 
 @pytest.mark.parametrize("how", ["one cpu", "no fork"])
 def test_a_criterion_raising_in_the_child_exits_as_on_one_process(capfd, monkeypatch, forks, how):
-    assert 4 in suite.CHILD_CRITERIA
-    monkeypatch.setitem(suite.CRITERIA, 4, raising(WindowTooSmall("criterion 4 broke")))
+    number = CHILD[-1]
+    monkeypatch.setitem(suite.CRITERIA, number, raising(WindowTooSmall(f"criterion {number} broke")))
     two = main(["--json", "paper-suite"]), capfd.readouterr()
     assert forks == [1] and no_child_left()
     one_process(monkeypatch, how)
     one = main(["--json", "paper-suite"]), capfd.readouterr()
-    assert two == one == (2, ("", "error: criterion 4 broke\n"))
+    assert two == one == (2, ("", f"error: criterion {number} broke\n"))
 
 
-@pytest.mark.parametrize("first, later", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("first, later", MIXED)
 def test_the_first_criterion_in_order_that_raises_reaches_the_caller(monkeypatch, forks, first, later):
     """One of the two criteria runs in the child and one here; a serial
     run would raise the first's error and never run the later one."""
@@ -1110,27 +1124,28 @@ def test_the_first_criterion_in_order_that_raises_reaches_the_caller(monkeypatch
 
 
 def test_no_child_outlives_run_suite(monkeypatch, forks):
+    first, later = MIXED[0]
     assert no_child_left()
     assert [r.number for r in suite.run_suite()] == sorted(suite.CRITERIA)
     assert no_child_left()
-    monkeypatch.setitem(suite.CRITERIA, 6, raising(RuntimeError("criterion 6 broke")))
-    with pytest.raises(RuntimeError, match="criterion 6 broke"):
+    monkeypatch.setitem(suite.CRITERIA, first, raising(RuntimeError(f"criterion {first} broke")))
+    with pytest.raises(RuntimeError, match=f"criterion {first} broke"):
         suite.run_suite()
     assert no_child_left()
-    monkeypatch.setitem(suite.CRITERIA, 8, raising(RuntimeError("criterion 8 broke")))
-    with pytest.raises(RuntimeError, match="criterion 6 broke"):
+    monkeypatch.setitem(suite.CRITERIA, later, raising(RuntimeError(f"criterion {later} broke")))
+    with pytest.raises(RuntimeError, match=f"criterion {first} broke"):
         suite.run_suite()
     assert forks == [3] and no_child_left()
 
 
 def test_a_child_that_sends_no_results_has_its_share_run_here(monkeypatch, forks):
     """Details that marshal cannot send end the child without results."""
-    assert 6 in suite.CHILD_CRITERIA
-    unsent = suite.CriterionResult(6, "unsent", True, {"x": Fraction(1, 3)})
-    monkeypatch.setitem(suite.CRITERIA, 6, lambda: unsent)
-    results = suite.run_suite(only={3, 6})
+    number, only = CHILD[-1], {HERE[0], CHILD[-1]}
+    unsent = suite.CriterionResult(number, "unsent", True, {"x": Fraction(1, 3)})
+    monkeypatch.setitem(suite.CRITERIA, number, lambda: unsent)
+    results = suite.run_suite(only=only)
     assert forks == [1] and no_child_left()
-    assert [r.number for r in results] == [3, 6] and results[1] is unsent
+    assert [r.number for r in results] == sorted(only) and unsent in results
 
 
 def test_a_fork_that_fails_leaves_the_share_to_this_process(monkeypatch):
@@ -1138,7 +1153,8 @@ def test_a_fork_that_fails_leaves_the_share_to_this_process(monkeypatch):
         raise OSError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fork)
-    assert [r.number for r in suite.run_suite(only={3, 6})] == [3, 6]
+    only = {HERE[0], CHILD[-1]}
+    assert [r.number for r in suite.run_suite(only=only)] == sorted(only)
 
 
 @pytest.mark.skipif(
@@ -1146,18 +1162,17 @@ def test_a_fork_that_fails_leaves_the_share_to_this_process(monkeypatch):
     reason="needs Linux /proc and two usable CPUs",
 )
 def test_the_child_keeps_off_its_parents_cpu(monkeypatch, forks):
-    usable = os.sched_getaffinity(0)
-    assert 1 in suite.CHILD_CRITERIA
-    monkeypatch.setitem(suite.CRITERIA, 1, lambda: suite.CriterionResult(
-        1, "affinity", True, {"cpus": sorted(os.sched_getaffinity(0))}
+    usable, number = os.sched_getaffinity(0), CHILD[0]
+    monkeypatch.setitem(suite.CRITERIA, number, lambda: suite.CriterionResult(
+        number, "affinity", True, {"cpus": sorted(os.sched_getaffinity(0))}
     ))
-    first = suite.run_suite(only={1, 3})[0]
+    (first,) = [r for r in suite.run_suite(only={number, HERE[0]}) if r.number == number]
     assert forks == [1] and no_child_left()
     assert set(first.details["cpus"]) < usable and len(first.details["cpus"]) == len(usable) - 1
     assert os.sched_getaffinity(0) == usable
 
 
-@pytest.mark.parametrize("only", [{3, 5}, {1, 2}])
+@pytest.mark.parametrize("only", [set(HERE[:2]), set(CHILD[:2])])
 def test_an_empty_share_keeps_the_suite_in_one_process(forks, only):
     assert [r.number for r in suite.run_suite(only=only)] == sorted(only)
     assert forks == [0]
@@ -1168,8 +1183,8 @@ def test_a_second_thread_keeps_the_suite_in_one_process(forks):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        results = suite.run_suite(only={1, 3})
+        results = suite.run_suite(only={CHILD[0], HERE[0]})
     finally:
         stop.set()
         thread.join()
-    assert [r.number for r in results] == [1, 3] and forks == [0]
+    assert [r.number for r in results] == sorted({CHILD[0], HERE[0]}) and forks == [0]
