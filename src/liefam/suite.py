@@ -595,14 +595,19 @@ CRITERIA = {
 #: The criteria a forked child runs while the parent runs the rest.  The
 #: criteria share no state.  Warm medians per criterion, 15 serial passes
 #: on a 2-core machine, in ms: c1 9.5, c2 2.7, c3 3.0, c4 3.7, c5 7.5,
-#: c6 1.8, c7 1.0, c8 5.5, c9 5.1, 39.9 in all.  The child's share is
-#: 18.8 ms and the parent's 21.1.  The child starts with cold process
-#: caches on every run: over 30 run_suite passes in each of three
-#: processes, its criterion 1 took a median of 11.0-17.0 ms and its whole
-#: share 20.7-32.4 ms, so the parent's share is no longer the longer one.
-#: Four balanced splits, timed between serial runs in one process, all
-#: took 0.032-0.035 s against 0.050 s serial, so the gain does not rest
-#: on tuning this one.
+#: c6 1.8, c7 1.0, c8 5.5, c9 5.1, 39.9 in all; the child's share is 18.8
+#: and the parent's 21.1.  Measured like for like inside run_suite passes,
+#: where the child starts with cold process caches and both processes
+#: share the cores, the parent's share is still the longer one: over 30
+#: passes in each of three processes, 22.0-22.9 ms against 18.7-20.1, and
+#: longer in 84 of the 90 passes.  Evening the shares out did not shorten
+#: a pass: rotating splits in one process (25 passes each, three
+#: processes), swapping 3 with 6 or with 7, or moving 3 to the child, gave
+#: pass medians of 25.2-29.8 ms against 26.0-26.9 for this split, and none
+#: was shorter in more than one of the three processes.  Four balanced
+#: splits, timed between serial runs in one process, all took
+#: 0.032-0.035 s against 0.050 s serial, so the gain does not rest on
+#: tuning this one.
 CHILD_CRITERIA = frozenset({1, 2, 4, 6, 7})
 
 

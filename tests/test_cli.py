@@ -1064,13 +1064,14 @@ CHILD = sorted(suite.CHILD_CRITERIA)
 HERE = sorted(set(suite.CRITERIA) - suite.CHILD_CRITERIA)
 
 
-def _closest(firsts, laters):
-    """The pair (first, later) of criteria closest in order, the earliest of those."""
-    return min(((a, b) for a in firsts for b in laters if a < b), key=lambda p: (p[1] - p[0], p))
+ORDER = sorted(suite.CRITERIA)
 
-
-#: Two criteria run on different sides: the child's first, then this process's.
-MIXED = [_closest(CHILD, HERE), _closest(HERE, CHILD)]
+#: Two criteria next in order that run on different sides: the first pair
+#: whose earlier one is the child's, then the first whose later one is.
+MIXED = [
+    next((a, b) for a, b in zip(ORDER, ORDER[1:]) if (a in CHILD, b in CHILD) == sides)
+    for sides in [(True, False), (False, True)]
+]
 
 
 SUITE_ARGVS = [
@@ -1145,7 +1146,7 @@ def test_a_child_that_sends_no_results_has_its_share_run_here(monkeypatch, forks
     monkeypatch.setitem(suite.CRITERIA, number, lambda: unsent)
     results = suite.run_suite(only=only)
     assert forks == [1] and no_child_left()
-    assert [r.number for r in results] == sorted(only) and unsent in results
+    assert [r.number for r in results] == sorted(only) and results[sorted(only).index(number)] is unsent
 
 
 def test_a_fork_that_fails_leaves_the_share_to_this_process(monkeypatch):
