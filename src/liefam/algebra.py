@@ -6,6 +6,9 @@ coefficient affine in n and m with polynomial parameter dependence.
 Antisymmetry holds by construction (rules are stated for n < m, or for
 first-argument-odd in the mixed class, and extended by sign), so Jacobi
 is the only identity that needs certification.
+
+An identity is proved per parity pattern of the indices, or once per
+slot pattern when no rule reads the parity (`_parity_blind`).
 """
 
 from __future__ import annotations
@@ -349,11 +352,21 @@ def index_family(family: FamilySpec) -> FamilySpec | None:
     odd = family.central is None or not any(family.central.poly[0::2])
     if set(INDEX_VARS) & set(family.params) or not odd:
         return None
-    for cls in ("odd-odd", "even-even"):
-        for t in family.rule.get(cls, ()):
-            if not (t.d.is_zero and (t.a + t.b).is_zero):
-                return None
+    if not all(_antisymmetric(family.rule.get(cls, ())) for cls in ("odd-odd", "even-even")):
+        return None
     return _extend(family, family.params + INDEX_VARS)
+
+
+def _antisymmetric(terms) -> bool:
+    """Whether a = -b and d = 0 in every term: both orientations agree."""
+    return all(t.d.is_zero and (t.a + t.b).is_zero for t in terms)
+
+
+def _parity_blind(family: FamilySpec) -> bool:
+    """Whether the bracket at index forms reads no parity: the class rows are
+    one `_antisymmetric` row, and an exceptional row is read at constants."""
+    row = family.rule.get(PARITY_CLASSES[0], ())
+    return _antisymmetric(row) and all(family.rule.get(cls, ()) == row for cls in PARITY_CLASSES)
 
 
 class _Boundary:
@@ -430,7 +443,8 @@ def _rename(form, perm):
 @lru_cache(maxsize=4096)
 def _canonical(forms, parity):
     """((forms, parity), perm): the representative of a stratum, and the slot
-    permutation that takes the stratum to it, renaming variable j to perm[j]."""
+    permutation that takes the stratum to it, renaming variable j to perm[j].
+    A blind plan passes parity (0, 0, 0): one representative per slot pattern."""
     best = None
     for perm in itertools.permutations(range(len(forms))):
         moved, par = [None] * len(forms), [0, 0, 0]
@@ -531,6 +545,7 @@ class _Plan:
 
     def __init__(self, indices, arity, prove, value):
         self.indices, self.arity, self.prove, self.value = indices, arity, prove, value
+        self.blind = getattr(prove, "blind", False)
         self.proofs, self.strata, self.points, self.evaluated = {}, {}, set(), 0
         self.violations = {}  # _violations(*key) by key, for the strata several cuts reach
         self.reached = []  # the points evaluated, in walk order
@@ -547,7 +562,7 @@ class _Plan:
 
     def _status(self, forms, parity):
         if (forms, parity) not in self.strata:
-            (rep, par), perm = _canonical(forms, parity)
+            (rep, par), perm = _canonical(forms, (0, 0, 0) if self.blind else parity)
             if (rep, par) not in self.proofs:
                 boundary = _Boundary()
                 proved = self.prove and self.prove(list(rep), par, boundary)
@@ -660,16 +675,17 @@ def nonzero_tuples(indices, arity: int, prove, value) -> _Plan:
     being the integer identity.  The identities alternate in their index
     arguments, and so does their symbolic evaluation (`index_family`,
     `_pair_row`), so a stratum is proved once per representative under
-    slot permutations (`_canonical`).  A stratum is a parity class, or a
-    part of one where slots are affine forms of the others.  Each
-    violation of a proved stratum's entries is a stratum again (`_cut`):
-    over Z one per forbidden value, a pin or a hyperplane; over [lower,
-    oo), for the largest lower bound a class records, one per violating
-    point of the entry's variables, finitely many as every coefficient is
-    nonnegative there.  Each cut frees one variable fewer, so what is left
-    is finitely many tuples with every slot pinned.  When every stratum
-    is proved only those are evaluated, and the identity holds on the
-    whole domain exactly when they vanish.
+    slot permutations (`_canonical`), and once per slot pattern when
+    `prove.blind` says its residual is that of every parity pattern.  A
+    stratum is a parity class, or a part of one where slots are affine
+    forms of the others.  Each violation of a proved stratum's entries is
+    a stratum again (`_cut`): over Z one per forbidden value, a pin or a
+    hyperplane; over [lower, oo), for the largest lower bound a class
+    records, one per violating point of the entry's variables, finitely
+    many as every coefficient is nonnegative there.  Each cut frees one
+    variable fewer, so what is left is finitely many tuples with every
+    slot pinned.  When every stratum is proved only those are evaluated,
+    and the identity holds on the whole domain exactly when they vanish.
 
     Otherwise the tuples over the window `indices` and the pinned values
     of the failed or unproved strata are walked in `itertools.combinations`
@@ -806,12 +822,14 @@ def _bracket_sources(family: FamilySpec):
     """
     at = cache(lambda x, y: basis_bracket(family, x, y).components.items())
     lift = cache(partial(index_family, family))
+    blind = _parity_blind(family)
 
     def source(outer):
         def forms(parity, boundary):
             lifted = lift()
             return lifted and partial(boundary.pair, lifted, parity=parity, outer=outer)
 
+        forms.blind = blind
         return at, forms
 
     return source(False), source(True)
@@ -853,6 +871,7 @@ def _affine_forms(algebra: FamilySpec, rule):
 
         return image
 
+    forms.blind = rule.even == rule.odd
     return forms
 
 
@@ -865,10 +884,15 @@ def _scaled_source(source, scale):
         return terms and (lambda *keys: [(k, scale * c) for k, c in terms(*keys)])
 
     at, forms = source
+    if forms is None:
+        return times(at, scale), None
     lifted = _lift(scale.params + INDEX_VARS, scale) if isinstance(scale, ParamPoly) else scale
-    return times(at, scale), forms and (
-        lambda parity, boundary: times(forms(parity, boundary), lifted)
-    )
+
+    def scaled(parity, boundary):
+        return times(forms(parity, boundary), lifted)
+
+    scaled.blind = forms.blind
+    return times(at, scale), scaled
 
 
 def _vanishes(residual, keys, parity, boundary) -> bool:
@@ -894,6 +918,9 @@ def _identity(walk, sources, params, settle=_vanishes):
     residual is zero.  The coboundary solver's `settle` reads equations
     off the residual instead (`class_coefficients`).  A source whose lift
     fails makes `prove` return None, and `settle` is not called.
+
+    `prove.blind`: every source's forms are `blind`, so the residual is
+    the same at every parity pattern; a coboundary ansatz never is.
     """
     ats = [at for at, _ in sources]
 
@@ -909,6 +936,7 @@ def _identity(walk, sources, params, settle=_vanishes):
             return None
         return settle(accumulate(walk(*terms, *keys)), keys, parity, boundary)
 
+    prove.blind = all(getattr(forms, "blind", False) for _, forms in sources)
     return value, prove
 
 
@@ -1044,7 +1072,9 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
     oo) or Z; a polynomial that is not zero is a FAIL, witnessed by the
     first failing triple over the window and the stratum's pinned values.
     A family with no proof (`index_family`) is evaluated on the window's
-    triples, and its PASS holds there.
+    triples, and its PASS holds there.  When the class rows are one
+    antisymmetric row (`_parity_blind`), no term reads the parity, so the
+    Jacobiator is one polynomial for every parity pattern, proved once.
 
     A fibre is not walked if it has no exceptional row, basis bound or
     central rule, its rows are still those its `record` copied when
@@ -1256,7 +1286,7 @@ def abelianization_codim(family: FamilySpec, n_max: int) -> tuple[int, bool]:
             top = max(idx for idx, _ in comps)
             if top > wide - depth:
                 continue
-            vector = {idx: c.constant_value() for idx, c in comps}
+            vector = {idx: c.terms[0] for idx, c in comps}  # ints where integral
             if m <= n_max and top <= n_max - depth:
                 system.add(vector, 0)
             else:

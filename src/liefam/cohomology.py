@@ -372,6 +372,11 @@ def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
     residual that is not zero is a FAIL, witnessed by the first failing
     tuple over the window and the stratum's pinned values.  Any other
     cochain is evaluated on the window's tuples, and its PASS holds there.
+    When neither the algebra's bracket nor c reads the parity pattern (a
+    blind bracket and pair rule, an affine map with `even == odd`), d(c)
+    is the same polynomial at every pattern and is proved once per slot
+    pattern (`algebra._identity`); the certificate still lists every
+    stratum.
     """
     indices = domain_indices(algebra, window)
     d = differential(algebra, c)

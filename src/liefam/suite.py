@@ -10,13 +10,14 @@ index 1 or 2 (at (1, 3) the residual is 4 v_2).  Its erratum is
 attached to the details: read W-valued, the stated formula is the
 computed witness minus (1/3) ad(v_{-2}) and satisfies the identity once
 F(v_2) = -(4/3) v_0 replaces the formula's -(5/3) v_0.  That corrected
-map is proved on every pair of indices >= 1, and the stated map's
-residuals follow from its proof by linearity of d1: the two maps differ
-only at the pins 1 and 2.  The erratum's pair counts are counts of the
-window; the equality with the computed witness minus (1/3) ad(v_{-2})
-holds on every index.  Criterion 5 also certifies that beta3 is no
-coboundary of a map of weight -2 or 0: each per-index system on 1..24
-is inconsistent, and that is a certificate for the whole basis.
+map satisfies it on every pair of indices >= 1, as the solve's witness
+does, since d1 ad(v_{-2}) = 0; the stated map's residuals follow by
+linearity of d1: the two maps differ only at the pins 1 and 2.  The
+erratum's pair counts are counts of the window; the equality with the
+computed witness minus (1/3) ad(v_{-2}) holds on every index.  Criterion
+5 also certifies that beta3 is no coboundary of a map of weight -2 or 0:
+each per-index system on 1..24 is inconsistent, and that is a
+certificate for the whole basis.
 """
 
 from __future__ import annotations
@@ -340,22 +341,22 @@ def _by_linearity(base: Cochain, residuals: dict, phi: Cochain, window) -> dict:
     return out
 
 
-def _erratum(omega, beta3, computed: Cochain, window) -> dict:
+def _erratum(omega, beta3, computed: Cochain, scalar, window) -> dict:
     """Where the stated witness fails, and the W-valued map that repairs it.
 
-    The corrected W-valued map's residuals come from its proof, which holds
-    on every pair of indices >= 1; the verbatim map's follow from them by
-    linearity of d1 (`_by_linearity`).  The pair counts are those of the
-    window.  The equality of the corrected map with the computed witness
+    The equality of the corrected W-valued map with the computed witness
     minus (1/3) ad(v_{-2}) holds on every index m >= 1: ad(v_{-2})(v_m) =
     (m + 2) v_{m-2} is affine of weight -2, so both sides agree off their
-    pins exactly when their affine coefficients agree per parity.
+    pins exactly when their affine coefficients agree per parity.  When it
+    holds and the solved `scalar` is 1/3, the corrected map has no residual
+    on any pair of indices >= 1: the solve's witness satisfies the identity
+    on all of them (`compare_classes`), and d1 ad(v_{-2}) = 0 by the Jacobi
+    identity of W.  Otherwise its residuals come from its proof
+    (`_residuals`).  The verbatim map's follow from them by linearity of d1
+    (`_by_linearity`).  The pair counts are those of the window.
     """
     third = Fraction(1, 3)
     corrected = _stated_map({2: Fraction(-4, 3)})
-    w_valued = _residuals(corrected, omega, beta3, third, window)
-    verbatim = _by_linearity(corrected, w_valued, _stated_map({1: 0, 2: 0}), window)
-    first = min(verbatim, default=None)
     c, r = corrected.rule, computed.rule
     shifted = tuple((a - third, d - 2 * third) for a, d in (r.even, r.odd))
     ad_shift = (
@@ -363,6 +364,10 @@ def _erratum(omega, beta3, computed: Cochain, window) -> dict:
         and (c.even, c.odd) == shifted
         and all(c.coefficient(m) == r.coefficient(m) - third * (m + 2) for m in {*c.pins, *r.pins})
     )
+    solved = ad_shift and scalar == third
+    w_valued = {} if solved else _residuals(corrected, omega, beta3, third, window)
+    verbatim = _by_linearity(corrected, w_valued, _stated_map({1: 0, 2: 0}), window)
+    first = min(verbatim, default=None)
     return {
         "stated_pins": {
             "pairs": len(window) * (len(window) - 1) // 2,
@@ -394,12 +399,12 @@ def criterion_5() -> CriterionResult:
     Read as a map into the Witt algebra W, the formula gives
     F(v_1) = -v_{-1}, and with F(v_2) = -(4/3) v_0 in place of its
     -(5/3) v_0 it satisfies the identity on every pair of indices >= 1,
-    by the proof of each stratum.  The stated map differs from it only
-    at 1 and 2, so its residuals are the corrected map's minus d1 of that
-    difference, which is zero on every pair without 1 or 2 in n, m or
-    n + m (`_by_linearity`): no pair is walked for them.  The erratum's
-    pair counts are those of the window 1..24; the equality of the
-    corrected map with the computed witness minus (1/3) ad(v_{-2}) is
+    as the solved witness does (`_erratum`): no pair is walked for it.
+    The stated map differs from it only at 1 and 2, so its residuals are
+    the corrected map's minus d1 of that difference, which is zero on
+    every pair without 1 or 2 in n, m or n + m (`_by_linearity`).  The
+    erratum's pair counts are those of the window 1..24; the equality of
+    the corrected map with the computed witness minus (1/3) ad(v_{-2}) is
     proved on every index m >= 1 from the affine coefficients per parity
     and the values at the pins.
 
@@ -435,7 +440,7 @@ def criterion_5() -> CriterionResult:
         checks["stated-map-even"] = rule.even == _STATED_EVEN
         checks["stated-map-odd"] = rule.odd == _STATED_ODD
         checks["pins"] = rule.pins.get(1, None) == 0 and rule.pins.get(2, None) == 0
-        erratum = _erratum(omega, beta3, result.phi, window)
+        erratum = _erratum(omega, beta3, result.phi, result.scalar, window)
 
     infeasible = solve_coboundary(
         algebra, beta3, Ansatz("per-index", -2), window
@@ -594,20 +599,20 @@ CRITERIA = {
 
 #: The criteria a forked child runs while the parent runs the rest.  The
 #: criteria share no state.  Warm medians per criterion, 15 serial passes
-#: on a 2-core machine, in ms: c1 9.5, c2 2.7, c3 3.0, c4 3.7, c5 7.5,
-#: c6 1.8, c7 1.0, c8 5.5, c9 5.1, 39.9 in all; the child's share is 18.8
-#: and the parent's 21.1.  Measured like for like inside run_suite passes,
+#: on a 2-core machine, in ms, three processes: c1 6.6-7.1, c2 2.7-2.8,
+#: c3 2.9-3.0, c4 3.6-3.8, c5 5.8-6.8, c6 1.7-1.8, c7 1.0, c8 4.2-4.3,
+#: c9 4.9-5.3, 33.2-35.2 in all; the child's share is 15.5-16.6 and the
+#: parent's 17.7-18.8.  Measured like for like inside run_suite passes,
 #: where the child starts with cold process caches and both processes
-#: share the cores, the parent's share is still the longer one: over 30
-#: passes in each of three processes, 22.0-22.9 ms against 18.7-20.1, and
-#: longer in 84 of the 90 passes.  Evening the shares out did not shorten
-#: a pass: rotating splits in one process (25 passes each, three
-#: processes), swapping 3 with 6 or with 7, or moving 3 to the child, gave
-#: pass medians of 25.2-29.8 ms against 26.0-26.9 for this split, and none
-#: was shorter in more than one of the three processes.  Four balanced
-#: splits, timed between serial runs in one process, all took
-#: 0.032-0.035 s against 0.050 s serial, so the gain does not rest on
-#: tuning this one.
+#: share the cores, the parent's share is the longer one: over 30 passes
+#: in each of the three processes, medians of 27.3-31.0 ms against
+#: 17.8-18.8, longer in 81 of the 90 passes.  Evening the shares out did
+#: not shorten a pass: rotating splits in one process (25 passes each,
+#: three processes), moving 3, 8 or 9 to the child gave pass medians of
+#: 26.0-29.3 ms against 24.0-29.7 for this split, and none was shorter in
+#: more than one of the three processes.  Four balanced splits, timed
+#: between serial runs in one process, all took 0.032-0.035 s against
+#: 0.050 s serial, so the gain does not rest on tuning this one.
 CHILD_CRITERIA = frozenset({1, 2, 4, 6, 7})
 
 

@@ -218,9 +218,10 @@ def test_residuals_by_linearity_equal_enumeration(pins, window):
         assert {(1, 4), (2, 3)} <= set(want)
 
 
-def test_criterion_5_walks_the_corrected_map_only(monkeypatch):
-    """The stated map's 276 window pairs are never walked: one residual walk,
-    of the corrected W-valued map, is its proof."""
+def test_criterion_5_walks_no_map(monkeypatch):
+    """No residual walk: the corrected W-valued map is the solve's witness minus
+    (1/3) ad(v_{-2}), so its residuals are zero, and the stated map's follow from
+    them by linearity.  Walking the corrected map gives the same erratum."""
     from liefam import suite
 
     walked = []
@@ -228,8 +229,16 @@ def test_criterion_5_walks_the_corrected_map_only(monkeypatch):
     monkeypatch.setattr(
         suite, "_residuals", lambda phi, *args: walked.append(phi) or residuals(phi, *args)
     )
-    suite.criterion_5()
+    result = suite.criterion_5()
+    assert walked == []
+    algebra, omega = named_cocycle("w1-order1")
+    _, beta3 = named_cocycle("beta3")
+    solved = compare_classes(algebra, omega, beta3,
+                             Ansatz("affine", -2, pins={1: Fraction(0), 2: Fraction(0)}),
+                             range(1, 25))
+    walk = suite._erratum(omega, beta3, solved.phi, None, range(1, 25))
     assert walked == [suite._stated_map({2: Fraction(-4, 3)})]
+    assert walk == result.details["erratum"]
 
 
 def test_criterion_5_noncoboundary_certificate():

@@ -387,6 +387,25 @@ def test_abelianization_codim_ranks_both_windows_in_one_system():
             assert abelianization_codim(fam, n) == (first, first == codim_by_rank(fam, n + 4))
 
 
+def test_abelianization_codim_adds_integral_brackets_as_ints(monkeypatch):
+    """Criterion 8's algebras have integral brackets: each enters the elimination
+    with int coefficients, so no denominator is cleared; a rational one still ranks."""
+    seen, add = [], algebra_module.LinearSystem.add
+
+    def recording(self, coeffs, rhs, tag=None):
+        seen.extend(map(type, coeffs.values()))
+        return add(self, coeffs, rhs, tag)
+
+    monkeypatch.setattr(algebra_module.LinearSystem, "add", recording)
+    for fam in (specialize(w1_subalgebra(), {"alpha2": 1}), l1_subalgebra(),
+                specialize(formal_family(2), {"t": 1}), specialize(formal_family(3), {"t": 1})):
+        abelianization_codim(fam, 16)
+    assert seen and set(seen) == {int}
+    fam = specialize(formal_family(2), {"t": Fraction(1, 2)})
+    first = codim_by_rank(fam, 16)
+    assert abelianization_codim(fam, 16) == (first, first == codim_by_rank(fam, 20))
+
+
 def test_family_json_shape():
     data = elliptic().to_json()
     assert data["family"] == "elliptic"
@@ -601,8 +620,19 @@ def shifted_witt(shift):
     return FamilySpec(f"shifted-witt({shift})", params, rule)
 
 
+def _blind_term(draw, fam):
+    """Add f (m - n) at a shift no class row has to every class row: a parity-blind
+    rule stays blind, and an exceptional row that lacks the term now breaks Jacobi."""
+    used = {t.shift for ts in fam.rule.values() for t in ts}
+    shift = draw(st.sampled_from([j for j in range(-1, -7, -1) if j not in used]))
+    f = draw(coefficients(fam.params))
+    new = RuleTerm(shift, -f, f, ParamPoly.const(fam.params, 0))
+    rule = {cls: fam.rule.get(cls, ()) + (new,) for cls in PARITY_CLASSES}
+    return replace(fam, rule=rule, name=fam.name + "|blind")
+
+
 EDITS = (_scale_one_term, _shift_constant, _random_row, _exceptional_row, _lower_bound_1,
-         _central_delta)
+         _central_delta, _blind_term)
 BASES = (witt, virasoro, three_point, nodal, l1_subalgebra, w1_subalgebra,
          lambda: formal_family(2), lambda: formal_family(3), lambda: shifted_witt(-3))
 
@@ -797,7 +827,7 @@ def pair_rule_cocycles(draw):
         algebra = _exceptional_row(draw, algebra)
     if spec is None:
         spec = replace(algebra, central=None, name=algebra.name + "|bracket")
-    edits = (_scale_one_term, _shift_constant, _random_row, _exceptional_row)
+    edits = (_scale_one_term, _shift_constant, _random_row, _exceptional_row, _blind_term)
     spec = edited(draw, spec, edits)
     cochain = Cochain(2, "adjoint", None, algebra.params, PairRule(spec), label=spec.name)
     return algebra, cochain
@@ -1015,6 +1045,94 @@ def test_class_representatives_give_the_direct_entries():
                 direct = boundary.entries if proved else None
                 got = plans[name]._status(forms, parity)
                 assert (None if got is None else set(got)) == direct, (name, forms, parity)
+
+
+def class_proofs(prove, arity) -> int:
+    """How many proofs a plan of `prove` makes of the stratum with every slot free."""
+    plan = _Plan(range(1, 22), arity, prove, None)
+    return sum(rep == INDEX_FORMS[:arity] for rep, _ in plan.proofs)
+
+
+def per_class(monkeypatch):
+    """From now on every identity is proved once per parity class: the `prove` of
+    `_identity` is wrapped, which drops its `blind`."""
+    real = algebra_module._identity
+
+    def unblind(*args, **kwargs):
+        value, prove = real(*args, **kwargs)
+        return value, prove and (lambda *a: prove(*a))
+
+    for module in (algebra_module, cohomology_module):
+        monkeypatch.setattr(module, "_identity", unblind)
+
+
+#: Every catalog family, d-line at criterion 1's slopes.
+ONE_PROOF_FAMILIES = [by_name(name) for name in CATALOG if name != "d-line"] + [
+    d_line(s) for s in (0, 1, -2, Fraction(-1, 2), 3)
+]
+
+
+def one_proof_reports(monkeypatch, window):
+    """The JSON of verify_jacobi on ONE_PROOF_FAMILIES, each proved directly, not
+    transported, and of is_cocycle on every named cocycle; `window(algebra)`."""
+    out = []
+    for fam in ONE_PROOF_FAMILIES:
+        monkeypatch.setattr(algebra_module, "_ROOT_PASSES", {})
+        out.append(verify_jacobi(fam, window(fam)).to_json())
+    for name in NAMED_COCYCLES:
+        algebra, cochain = named_cocycle(name)
+        out.append(is_cocycle(algebra, cochain, window(algebra)).to_json())
+    return out
+
+
+@pytest.mark.parametrize("window", [
+    default_window,
+    lambda fam: range(1, 24) if fam.lower_bound else range(-9, 13),
+], ids=["default", "-9..12"])
+def test_one_proof_per_slot_pattern_gives_the_per_class_reports(monkeypatch, window):
+    """A blind identity proved once per slot pattern reports what proofs of each
+    parity class report, byte for byte: every stratum listed, every witness."""
+    one_proof = one_proof_reports(monkeypatch, window)
+    per_class(monkeypatch)
+    assert one_proof_reports(monkeypatch, window) == one_proof
+
+
+def test_formal_1_takes_one_class_proof():
+    """formal-1's rows are one row of (m - n) terms, so its Jacobi identity reads no
+    parity: one proof with every slot free covers the four classes of (n, m, k) up
+    to permutation, which a per-class plan proves one by one."""
+    fam = formal_family(1)
+    prove = _identity(_jacobi_terms, _bracket_sources(fam), fam.params)[1]
+    assert prove.blind and class_proofs(prove, 3) == 1
+    assert class_proofs(lambda *a: prove(*a), 3) == 4
+
+
+def _parity_read(fam, cls, edit, name):
+    """fam with the terms of the class row `cls` replaced by edit(term)."""
+    return replace(fam, rule={**fam.rule, cls: tuple(map(edit, fam.rule[cls]))}, name=name)
+
+
+_T = ParamPoly.var(("t",), "t")
+#: formal-1 edited so that its bracket reads the parity: d = t on the odd-even row,
+#: and the shift -1 term of the even-even row scaled by 2.
+PARITY_READ = (
+    _parity_read(formal_family(1), "odd-even", lambda t: replace(t, d=t.d + _T), "formal-1|d"),
+    _parity_read(formal_family(1), "even-even",
+                 lambda t: replace(t, a=t.a * 2, b=t.b * 2) if t.shift == -1 else t,
+                 "formal-1|scaled"),
+)
+
+
+@pytest.mark.parametrize("fam", PARITY_READ, ids=lambda f: f.name)
+def test_a_rule_that_reads_the_parity_is_proved_per_class(fam):
+    """Negative controls: neither edit counts as blind, and each is decided as plain
+    enumeration decides it."""
+    prove = _identity(_jacobi_terms, _bracket_sources(fam), fam.params)[1]
+    assert not prove.blind and class_proofs(prove, 3) == 4
+    window = default_window(fam)
+    assert outcome(verify_jacobi, fam, window) == outcome(
+        enumerated_jacobi, fam, jacobi_domain(fam, window)
+    )
 
 
 def evaluated(monkeypatch):
