@@ -124,12 +124,13 @@ class FamilySpec:
 
     `origin`, set by `pullback`, is (root, params, images): the rule is
     that of pullback(root, params, images), for a root with no origin.
-    `record`, set with it, is (key, rows): the root's `rule_signature()`
+    `record`, set with it, is (key, rows): the root's key (`_root_key`)
     and a copy of the (params, rule, exceptional) the pullback built, both
     taken when it was made, so no later in-place change of the root or of
-    this family moves them.  Both are left out of comparison and JSON, and
-    `replace` keeps them, so `verify_jacobi` compares the rows with the
-    record before it transports the root's PASS.
+    this family moves them.  Both are left out of comparison and JSON;
+    `replace` keeps them and `map_coefficients` clears them, so
+    `verify_jacobi` compares the rows with the record before it transports
+    the root's PASS.
 
     `central` is the one closed-form central rule, a `CentralDelta`.  A
     residue pairing is not a rule of the family: it is a trivial
@@ -155,20 +156,10 @@ class FamilySpec:
         Coefficients are read as packed monomials, which sort as their
         exponent tuples do, so two signatures are comparable within one ring.
         """
-
-        def sig(terms):
-            return tuple(
-                sorted(
-                    (t.shift, *(tuple(sorted(p.terms.items())) for p in (t.a, t.b, t.d)))
-                    for t in terms
-                    if not t.is_zero
-                )
-            )
-
         return (
             self.params,
-            tuple((cls, sig(self.rule.get(cls, ()))) for cls in PARITY_CLASSES),
-            tuple(sorted((n, sig(ts)) for n, ts in self.exceptional.items())),
+            tuple((cls, _row_signature(self.rule.get(cls, ()))) for cls in PARITY_CLASSES),
+            tuple(sorted((n, _row_signature(ts)) for n, ts in self.exceptional.items())),
             self.lower_bound,
         )
 
@@ -194,6 +185,17 @@ class FamilySpec:
         if self.central is not None:
             data["central"] = self.central.to_json()
         return data
+
+
+def _row_signature(terms) -> tuple:
+    """The nonzero terms of a row as sorted tuples of shift and packed coefficients."""
+    return tuple(
+        sorted(
+            (t.shift, *(tuple(sorted(p.terms.items())) for p in (t.a, t.b, t.d)))
+            for t in terms
+            if not t.is_zero
+        )
+    )
 
 
 def family_from_json(data: dict) -> FamilySpec:
@@ -1007,11 +1009,13 @@ class CheckReport:
         return self.status == "PASS"
 
     def to_json(self):
+        """The report as JSON; its witness and certificate are copies (`_json_copy`),
+        so no edit of one reaches the other."""
         data = {"check": self.name, "status": self.status, "checked": self.checked}
         if self.witness is not None:
-            data["witness"] = self.witness
+            data["witness"] = _json_copy(self.witness)
         if self.certificate is not None:
-            data["certificate"] = self.certificate
+            data["certificate"] = _json_copy(self.certificate)
         return data
 
 
@@ -1078,29 +1082,55 @@ def verify_jacobi(family: FamilySpec, window) -> CheckReport:
 
     A fibre is not walked if it has no exceptional row, basis bound or
     central rule, its rows are still those its `record` copied when
-    `pullback` built it, and a family with no origin and the rule whose
-    signature the record keys was proved a PASS on its whole domain in
-    this process.  That costs one comparison of rows and one lookup.  A
-    zero Jacobiator over Q[params, n, m, k] stays zero under every ring
-    map, on the same strata, so the fibre gets the root's report under
-    its own name, as a direct proof would give it.  Reports are stored
-    and handed out as copies (`_copied`), so no caller's edit reaches
-    another's report.
+    `pullback` built it, and its root, a family with no origin and none
+    of these, was proved a PASS on its whole domain in this process.
+    That costs one comparison of rows and one lookup.  A zero Jacobiator
+    over Q[params, n, m, k] stays zero under every ring map, on the same
+    strata, so the fibre gets the root's report under its own name, as a
+    direct proof would give it.
+
+    A family with no origin, a root, is always walked.  Its PASS on the
+    whole domain goes into the record of proved roots, plain or not,
+    keyed by its rows and central rule (`_proof_key`): fibres read the
+    plain roots there, and `jacobi_report` reads every one.  Reports are
+    stored and handed out as copies (`_copied`), so no caller's edit
+    reaches another's report.
     """
     indices = domain_indices(family, window)
     if (proved := _root_pass(family)) is not None:
         return _copied(proved, f"jacobi:{family.name}")
     value, prove = _identity(_jacobi_terms, _bracket_sources(family), family.params)
     report = certify(f"jacobi:{family.name}", indices, 3, prove, value, "triple")
-    if family.origin is None and _plain(family) and report.passed and "window" not in report.certificate:
+    if family.origin is None and report.passed and "window" not in report.certificate:
         if len(_ROOT_PASSES) >= 32:
             _ROOT_PASSES.pop(next(iter(_ROOT_PASSES)))
-        _ROOT_PASSES[family.rule_signature()] = _copied(report, report.name)
+        _ROOT_PASSES[_proof_key(family)] = _copied(report, report.name)
     return report
 
 
-#: rule_signature() of a proved root (see `verify_jacobi`) -> its report.
+#: _proof_key() of a root proved on its whole domain (see `verify_jacobi`) -> its report.
 _ROOT_PASSES: dict = {}
+
+
+def _proof_key(family: FamilySpec) -> tuple:
+    """What decides the family's Jacobi report, but for its name: the rows
+    (`rule_signature()`, with the basis bound) and the central rule."""
+    return family.rule_signature(), family.central
+
+
+def jacobi_report(family: FamilySpec, window) -> CheckReport:
+    """The family's Jacobi report: that of a proved root with the family's
+    rows and central rule (`_proof_key`) if the record of `verify_jacobi`
+    holds one, else `verify_jacobi`'s.
+
+    Both are the report a walk of the family gives, under its name, so
+    what ran earlier in the process moves only the cost.
+    """
+    domain_indices(family, window)
+    proved = _ROOT_PASSES.get(_proof_key(family))
+    if proved is not None:
+        return _copied(proved, f"jacobi:{family.name}")
+    return verify_jacobi(family, window)
 
 
 def _plain(family: FamilySpec) -> bool:
@@ -1145,7 +1175,9 @@ def map_coefficients(family: FamilySpec, fn, params, name: str) -> FamilySpec:
     `key` is the parity class of a rule row or the first index of an
     exceptional row, and `params` is the ring the images live in.  Terms
     whose three coefficients all map to zero are dropped; the basis bound
-    and the central rule are kept.
+    and the central rule are kept, and the `origin` and `record` are not:
+    the images are no pullback of the family's root (`pullback` sets its
+    own).
     """
 
     def rows(table):
@@ -1164,6 +1196,8 @@ def map_coefficients(family: FamilySpec, fn, params, name: str) -> FamilySpec:
         params=tuple(params),
         rule=rows(family.rule),
         exceptional=rows(family.exceptional),
+        origin=None,
+        record=None,
     )
 
 
@@ -1171,16 +1205,17 @@ def _extend(family: FamilySpec, ring) -> FamilySpec:
     """The family over Q[ring], which extends Q[family.params], with no
     origin or record: no report is transported to or from the lift."""
     image = ring_map(family.params, ring)
-    lifted = map_coefficients(family, lambda key, shift, p: image(p), ring, family.name)
-    return replace(lifted, origin=None, record=None)
+    return map_coefficients(family, lambda key, shift, p: image(p), ring, family.name)
 
 
 def _root_key(family: FamilySpec):
     """The key of the root a pullback of `family` comes from: its own
-    signature if it has no origin, its record's key while its rows are
-    still those recorded, else None."""
+    `_proof_key` if it is a root with no exceptional row, basis bound or
+    central rule, its record's key while its rows are still those
+    recorded, else None.  A root with any of them keys no pullback: its
+    PASS is not one on Z with no central term, which a plain fibre needs."""
     if family.origin is None:
-        return family.rule_signature()
+        return _proof_key(family) if _plain(family) else None
     if family.record is not None and _rows(family) == family.record[1]:
         return family.record[0]
     return None

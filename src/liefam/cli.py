@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -617,14 +618,26 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None) -> int:
+    """Run one command; a reader that closes standard output early ends it with 1.
+
+    Output is flushed here, so a closed pipe raises BrokenPipeError inside
+    this call; standard output then points at devnull, so the flush at
+    exit writes nowhere instead of failing again (the recipe of Python's
+    `signal` documentation), and no traceback is printed.
+    """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_merge_negative_values(argv))
     try:
-        return args.handler(args)
+        args = parser.parse_args(_merge_negative_values(argv))
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except LiefamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

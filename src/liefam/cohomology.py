@@ -21,6 +21,12 @@ the solved map is the same cochain at the solution.  A proved check is a
 statement about the whole algebra: its window only bounds the search for
 a failing tuple, and holds the unknowns of a per-index ansatz and the
 tuples of cochains with no index forms, whose statements hold on it.
+
+A deformation cocycle is not walked at all when it need not be: the
+t^k coefficient of a family's Jacobiator is -d of its t^k coefficient
+over the fibre t = 0, once the lower orders vanish, so `is_cocycle` takes
+the family's Jacobi PASS (`algebra.jacobi_report`) for a cochain that
+`deformation_differential` built and that still has the rows it recorded.
 """
 
 from __future__ import annotations
@@ -36,10 +42,14 @@ from .algebra import (
     CheckReport,
     FamilySpec,
     LieElement,
+    PARITY_CLASSES,
     _affine_forms,
     _bracket_sources,
     _extend,
     _identity,
+    _parity_blind,
+    _proof_key,
+    _row_signature,
     _scaled_source,
     _vanishes,
     bracket,  # noqa: F401  perfbench's tracer tests check this imported binding
@@ -47,6 +57,7 @@ from .algebra import (
     class_coefficients,
     domain_indices,
     evaluate_pair_rule,
+    jacobi_report,
     map_coefficients,
     nonzero_tuples,
 )
@@ -146,7 +157,12 @@ class DerivedRule:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Alternating multilinear map given by a finite or closed-form table."""
+    """Alternating multilinear map given by a finite or closed-form table.
+
+    `source`, set by `deformation_differential`, records the family the
+    cochain is a coefficient of; like `FamilySpec.record` it is left out
+    of comparison and JSON, and `replace` keeps it.
+    """
 
     arity: int
     mode: str  # "trivial" | "adjoint"
@@ -154,6 +170,7 @@ class Cochain:
     params: tuple[str, ...]
     rule: object
     label: str = ""
+    source: tuple | None = field(default=None, compare=False, repr=False)
 
     def _zero(self):
         if self.mode == "adjoint":
@@ -364,24 +381,72 @@ def differential(algebra: FamilySpec, c: Cochain) -> Cochain:
 def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
     """Certify d(c) = 0 on every index tuple of the algebra's domain.
 
-    `differential` gives d(c) with the proof of `algebra._identity`.  For
-    an adjoint `PairRule` 2-cochain or affine map over the algebra's
-    ring, d(c) is proved once per parity class and per stratum where a
-    slot is pinned to an exceptional row or a pin, or set by a hyperplane
-    (`algebra.nonzero_tuples`), so a PASS holds on the whole domain; a
-    residual that is not zero is a FAIL, witnessed by the first failing
-    tuple over the window and the stratum's pinned values.  Any other
-    cochain is evaluated on the window's tuples, and its PASS holds there.
-    When neither the algebra's bracket nor c reads the parity pattern (a
-    blind bracket and pair rule, an affine map with `even == odd`), d(c)
-    is the same polynomial at every pattern and is proved once per slot
-    pattern (`algebra._identity`); the certificate still lists every
-    stratum.
+    A coefficient mu_k of a family mu_t = mu_0 + t^k mu_k + ... whose
+    Jacobi identity holds for every t is a cocycle of mu_0: the t^k
+    coefficient of the Jacobiator of mu_t is -d(mu_k), once the t^j
+    coefficients vanish for 0 < j < k.  So when c is such a coefficient
+    (`deformation_differential`) and `_family_pass` finds the family's
+    Jacobi PASS on its whole domain for the algebra mu_0, that PASS is
+    c's: the report names the family, the parameter and the order, carries
+    the family's Jacobi certificate and counts its evaluated triples.
+
+    Every other cochain is walked.  `differential` gives d(c) with the
+    proof of `algebra._identity`.  For an adjoint `PairRule` 2-cochain or
+    affine map over the algebra's ring, d(c) is proved once per parity
+    class and per stratum where a slot is pinned to an exceptional row or
+    a pin, or set by a hyperplane (`algebra.nonzero_tuples`), so a PASS
+    holds on the whole domain; a residual that is not zero is a FAIL,
+    witnessed by the first failing tuple over the window and the
+    stratum's pinned values.  Any other cochain is evaluated on the
+    window's tuples, and its PASS holds there.  When neither the
+    algebra's bracket nor c reads the parity pattern (a blind bracket and
+    pair rule, an affine map with `even == odd`), d(c) is the same
+    polynomial at every pattern and is proved once per slot pattern
+    (`algebra._identity`); the certificate still lists every stratum.
     """
     indices = domain_indices(algebra, window)
-    d = differential(algebra, c)
     name = f"cocycle:{c.label or 'cochain'}"
+    if (report := _family_pass(algebra, c, window, name)) is not None:
+        return report
+    d = differential(algebra, c)
     return certify(name, indices, d.arity, d.rule.prove, d.value, "tuple")
+
+
+def _family_pass(algebra: FamilySpec, c: Cochain, window, name) -> CheckReport | None:
+    """c's PASS from the Jacobi PASS of the family it is a coefficient of, or None.
+
+    It applies when c is an adjoint 2-cochain whose rows are still those
+    its `source` recorded, the coefficients of t^j, 0 < j < k, vanish in
+    the recorded family, the algebra's bracket is the family's at t = 0
+    (`_bracket_key`), neither has a central rule, and the family's
+    Jacobi report (`algebra.jacobi_report`) is a PASS on its whole
+    domain.  None sends c to the walk: a report that fails, holds on the
+    window only or raises, rows edited in place, another algebra, or a
+    cochain with no source, such as `cochain_from_json`'s.
+    """
+    if c.source is None or (c.arity, c.mode) != (2, "adjoint") or not isinstance(c.rule, PairRule):
+        return None
+    family, param, order, rows, fibre = c.source
+    spec = c.rule.spec
+    if _pair_rows(spec) != rows or c.params != spec.params:
+        return None
+    if family.central is not None or _bracket_key(algebra) != fibre:  # the key holds the central rule
+        return None
+    terms = (t for table in (family.rule, family.exceptional) for ts in table.values() for t in ts)
+    if any(not p.coefficient_of(param, j).is_zero
+           for t in terms for p in (t.a, t.b, t.d) for j in range(1, order)):
+        return None
+    try:
+        jacobi = jacobi_report(family, window)
+    except LiefamError:
+        return None
+    if not jacobi.passed or "window" in jacobi.certificate:
+        return None
+    certificate = {
+        "coefficient_of": {"family": family.name, "parameter": param, "order": order},
+        "jacobi": jacobi.certificate,
+    }
+    return CheckReport(name, "PASS", jacobi.checked, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -390,27 +455,49 @@ def is_cocycle(algebra: FamilySpec, c: Cochain, window) -> CheckReport:
 
 
 def deformation_differential(family: FamilySpec, param: str, order: int) -> Cochain:
-    """Coefficient of param**order in the family rule, as an adjoint 2-cochain."""
+    """Coefficient of param**order in the family rule, as an adjoint 2-cochain.
+
+    Its `source` records where it came from, for `is_cocycle`: (family,
+    param, order, rows, fibre), with the family's rows copied, the rows
+    the cochain was built with (`_pair_rows`), and the `_bracket_key` of
+    the fibre param = 0, the algebra the cochain deforms.
+    """
     if param not in family.params:
         raise MissingParameter(f"{param!r} is not a parameter of {family.name}")
     reduced = tuple(p for p in family.params if p != param)
 
-    spec = replace(
-        map_coefficients(
-            family,
-            lambda key, shift, p: p.coefficient_of(param, order),
-            reduced,
-            f"{family.name}:d[{param}^{order}]",
-        ),
-        central=None,
-    )
+    def coefficient(power, name):
+        return map_coefficients(
+            family, lambda key, shift, p: p.coefficient_of(param, power), reduced, name
+        )
+
+    spec = replace(coefficient(order, f"{family.name}:d[{param}^{order}]"), central=None)
     shifts = set()
     for ts in list(spec.rule.values()) + list(spec.exceptional.values()):
         shifts.update(t.shift for t in ts)
     weight = shifts.pop() if len(shifts) == 1 else None
-    return Cochain(
-        2, "adjoint", weight, reduced, PairRule(spec), label=spec.name
-    )
+    copied = replace(family, rule=dict(family.rule), exceptional=dict(family.exceptional))
+    fibre = _bracket_key(coefficient(0, f"{family.name}|{param}=0"))
+    source = (copied, param, order, _pair_rows(spec), fibre)
+    return Cochain(2, "adjoint", weight, reduced, PairRule(spec), label=spec.name, source=source)
+
+
+def _pair_rows(spec: FamilySpec) -> tuple:
+    """A copy of the rows a pair-rule cochain's values read."""
+    return spec.params, dict(spec.rule), dict(spec.exceptional), spec.lower_bound, spec.central
+
+
+def _bracket_key(family: FamilySpec) -> tuple:
+    """`algebra._proof_key` of the family's bracket: exceptional rows that only
+    restate the class row are dropped.  A row restates it when the class rows
+    are one antisymmetric row (`_parity_blind`) and it has that row's nonzero
+    terms, so [v_e, v_m] is the class row's at every m; formal-2 and formal-3
+    at t = 0 keep such a row, (m - n) at index 1 and 2."""
+    if family.exceptional and _parity_blind(family):
+        row = _row_signature(family.rule.get(PARITY_CLASSES[0], ()))
+        kept = {e: ts for e, ts in family.exceptional.items() if _row_signature(ts) != row}
+        family = replace(family, exceptional=kept)
+    return _proof_key(family)
 
 
 # ---------------------------------------------------------------------------

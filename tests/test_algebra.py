@@ -62,6 +62,7 @@ from liefam.cohomology import (
     _coboundary_identity,
     coboundary_mismatches,
     compare_classes,
+    deformation_differential,
     differential,
     is_cocycle,
     solve_coboundary,
@@ -87,6 +88,7 @@ from liefam.families import (
     witt,
 )
 from liefam.linalg import rank_of_vectors
+from liefam.moduli import rescale
 from liefam.poly import ParamPoly, split
 from liefam.suite import (
     NAMED_COCYCLES,
@@ -314,6 +316,24 @@ def test_specialize_commutes_with_bracket():
         via_rule = basis_bracket(sp, n, m)
         symbolic = basis_bracket(e, n, m)
         assert via_rule == symbolic.map_params((), point)
+
+
+def test_map_coefficients_keeps_no_origin_or_record():
+    """The images are no pullback of the family's root: a deformation
+    coefficient, its sign flip, a corruption and a rescaling claim no origin,
+    while `pullback` still records its own."""
+    ds1 = deformation_differential(d_line(0), "e1", 1)
+    line = d_line(0)
+    mapped = [
+        ds1.rule.spec,
+        sign_flipped(ds1).rule.spec,
+        corrupted_elliptic(),
+        rescale(witt(), 4),
+        map_coefficients(line, lambda key, shift, p: p, line.params, "copy"),
+    ]
+    assert line.origin is not None and line.record is not None
+    assert all((fam.origin, fam.record) == (None, None) for fam in mapped)
+    assert specialize(line, {"e1": 1}).record is not None
 
 
 def test_map_coefficients_keys_zero_terms_and_kept_fields():
@@ -1074,14 +1094,16 @@ ONE_PROOF_FAMILIES = [by_name(name) for name in CATALOG if name != "d-line"] + [
 
 def one_proof_reports(monkeypatch, window):
     """The JSON of verify_jacobi on ONE_PROOF_FAMILIES, each proved directly, not
-    transported, and of is_cocycle on every named cocycle; `window(algebra)`."""
+    transported, and of is_cocycle on every named cocycle, from its family's
+    PASS and by a walk of d(c) (its `source` dropped); `window(algebra)`."""
     out = []
     for fam in ONE_PROOF_FAMILIES:
         monkeypatch.setattr(algebra_module, "_ROOT_PASSES", {})
         out.append(verify_jacobi(fam, window(fam)).to_json())
     for name in NAMED_COCYCLES:
         algebra, cochain = named_cocycle(name)
-        out.append(is_cocycle(algebra, cochain, window(algebra)).to_json())
+        for c in (cochain, replace(cochain, source=None)):
+            out.append(is_cocycle(algebra, c, window(algebra)).to_json())
     return out
 
 
@@ -1157,8 +1179,10 @@ def test_pinned_strata_leave_no_tuple_to_evaluate(monkeypatch):
         assert {"class": "odd-even-even" if i == 2 else "even-odd-odd",
                 "forms": [str(i - 1), "m", "k"]} in report.certificate["proved"]
     for name in ("beta2", "beta3"):
-        report = is_cocycle(*named_cocycle(name), range(1, 22))
-        assert report.passed and report.checked == 0
+        algebra, cochain = named_cocycle(name)
+        for c in (cochain, replace(cochain, source=None)):  # the family's PASS, a walk
+            report = is_cocycle(algebra, c, range(1, 22))
+            assert report.passed and report.checked == 0
     assert seen == []
 
 
@@ -1246,7 +1270,12 @@ def test_stated_map_fails_on_its_pinned_strata_only(monkeypatch):
 #: SHA-256 of the sorted report JSON; window "a" is -8..8 (1..16 with an
 #: index bound), "b" is -9..12 (1..23).  Recorded when the certificates came
 #: to list the strata proved over the whole domain; every status and witness
-#: is the one recorded when every triple of the window was enumerated.
+#: is the one recorded when every triple of the window was enumerated.  The
+#: twelve "cocycle <named> a/b" entries were pinned again when a deformation
+#: cocycle came to take its family's Jacobi PASS (`is_cocycle`): the status
+#: stays PASS, and the certificate now names the family, the parameter and
+#: the order and carries the family's Jacobi certificate, which holds on the
+#: whole domain, so windows a and b give one digest.
 REPORT_PINS = {
     "jacobi witt a": "9d6683aa70d55ccfe350c8fb45d1ac53d8760da2bdf71ce49484eb369be6b896",
     "jacobi virasoro a": "953c47a1bfc4801c04b53e7ecc9251525ab09716f8d33543c150c7629eabe2a2",
@@ -1265,12 +1294,12 @@ REPORT_PINS = {
     "jacobi d-line(s=-1/2) a": "7a50a2b53788b31e313abdb44d93c491f8bc4486f0e8764a09b5e94dfeed79a9",
     "jacobi d-line(s=3) a": "2654d98e413c675b635bc9be70b64d731428bf9e1a06b7331c1e9077a9b01ed3",
     "jacobi elliptic|corrupted a": "5037b3330606cae6a86b95417f8e6995c70c6d67abc135e71993848fc53ac049",
-    "cocycle ds-order1 a": "62308460a0fe4a99bfce75b61aa3900a38bcba19ffdb15d7e94f3d9d81b5e28f",
-    "cocycle dinf-order2 a": "8dd988df85be54ca6da840682dc7aba0c314492e055deaaca9b4ba73fa5501fc",
-    "cocycle w1-order1 a": "40fc7124d7fdb2792e661b9560db156ada456f1b2729d551ef90eca9448f9804",
-    "cocycle beta1 a": "8e0e7a0e3fe03a313831d67300608a59635a2cb19c3f27d629dfdc701282760b",
-    "cocycle beta2 a": "b935c7b7faaf56c9afb8cdc2301ceb9991a9b908cd5570798f121ecb67e614ed",
-    "cocycle beta3 a": "b76e8c009df4931187f9a3a0cb1cc2c4f50f035a43bc86c875201241e812908e",
+    "cocycle ds-order1 a": "08e925ff992f3337e837fb815142bd05e3dac3b3450110a2123c7b5be1b16811",
+    "cocycle dinf-order2 a": "f123b9505ad2fe8d3009cc36592ef4077661ce507757a1b1a39b3e40bab64a9e",
+    "cocycle w1-order1 a": "539942dfe0a76a61193aae16b41159bf67888bb3498b96404f205df99aa30c88",
+    "cocycle beta1 a": "648ef9effcf93ffa862724c06c58d02ee78852687ec117ba5411ac5256d4cf01",
+    "cocycle beta2 a": "1c9571e83f5e818e640bd796bfd32cfba689ff695b37ad716cdb5dae745cf03e",
+    "cocycle beta3 a": "e00ee8a6e5d847f1d9616854a8caa3f3a4df1c68417b788b18e40957b6480786",
     "cocycle sign-flipped ds-order1 a": "de912db99ecd98ae675e41e2601da6a04964026445cd5eedae40571ec3e3c4de",
     "jacobi witt b": "9d6683aa70d55ccfe350c8fb45d1ac53d8760da2bdf71ce49484eb369be6b896",
     "jacobi virasoro b": "953c47a1bfc4801c04b53e7ecc9251525ab09716f8d33543c150c7629eabe2a2",
@@ -1289,12 +1318,12 @@ REPORT_PINS = {
     "jacobi d-line(s=-1/2) b": "7a50a2b53788b31e313abdb44d93c491f8bc4486f0e8764a09b5e94dfeed79a9",
     "jacobi d-line(s=3) b": "2654d98e413c675b635bc9be70b64d731428bf9e1a06b7331c1e9077a9b01ed3",
     "jacobi elliptic|corrupted b": "a7422d4297267179b68417ba9c640a4972b2b7221875fc0a727a280fdd52fea9",
-    "cocycle ds-order1 b": "62308460a0fe4a99bfce75b61aa3900a38bcba19ffdb15d7e94f3d9d81b5e28f",
-    "cocycle dinf-order2 b": "8dd988df85be54ca6da840682dc7aba0c314492e055deaaca9b4ba73fa5501fc",
-    "cocycle w1-order1 b": "40fc7124d7fdb2792e661b9560db156ada456f1b2729d551ef90eca9448f9804",
-    "cocycle beta1 b": "8e0e7a0e3fe03a313831d67300608a59635a2cb19c3f27d629dfdc701282760b",
-    "cocycle beta2 b": "b935c7b7faaf56c9afb8cdc2301ceb9991a9b908cd5570798f121ecb67e614ed",
-    "cocycle beta3 b": "b76e8c009df4931187f9a3a0cb1cc2c4f50f035a43bc86c875201241e812908e",
+    "cocycle ds-order1 b": "08e925ff992f3337e837fb815142bd05e3dac3b3450110a2123c7b5be1b16811",
+    "cocycle dinf-order2 b": "f123b9505ad2fe8d3009cc36592ef4077661ce507757a1b1a39b3e40bab64a9e",
+    "cocycle w1-order1 b": "539942dfe0a76a61193aae16b41159bf67888bb3498b96404f205df99aa30c88",
+    "cocycle beta1 b": "648ef9effcf93ffa862724c06c58d02ee78852687ec117ba5411ac5256d4cf01",
+    "cocycle beta2 b": "1c9571e83f5e818e640bd796bfd32cfba689ff695b37ad716cdb5dae745cf03e",
+    "cocycle beta3 b": "e00ee8a6e5d847f1d9616854a8caa3f3a4df1c68417b788b18e40957b6480786",
     "cocycle sign-flipped ds-order1 b": "da542ab3172592080992f2cfc64b5afaf1a5f905dbea3137d955d43988bd62d0",
 }
 PIN_WINDOWS = {"a": (range(-8, 9), range(1, 17)), "b": (range(-9, 13), range(1, 24))}
@@ -1359,6 +1388,40 @@ def test_a_fibre_of_a_proved_root_takes_its_report(walked, make):
         direct = verify_jacobi(family_from_json(fibre.to_json()), window)
         assert verify_jacobi(fibre, window).to_json() == direct.to_json()
     assert walked == ["jacobi:elliptic"] + [f"jacobi:{fibre.name}"] * 3
+
+
+def test_a_plain_fibre_takes_no_pass_of_a_root_with_a_bound_or_central_rule(walked):
+    """Roots with a basis bound or a central rule are recorded, but a plain
+    fibre of one keys none of them: it is walked, and reports what a direct
+    proof of its rows reports."""
+    vir = replace(virasoro(), name="virasoro-root", origin=None, record=None)
+    roots = [vir, formal_family(1)]
+    assert all(root.origin is None for root in roots)
+    fibres = [
+        replace(algebra_module.pullback(vir, (), None, "vir-fibre"), central=None),
+        replace(algebra_module.pullback(roots[1], ("t",), None, "f1-fibre"), lower_bound=None),
+        replace(specialize(roots[1], {"t": 2}), lower_bound=None),
+    ]
+    for root in roots:
+        verify_jacobi(root, range(1, 17))
+    assert len(algebra_module._ROOT_PASSES) == 2
+    for fibre in fibres:
+        assert algebra_module._plain(fibre) and fibre.origin is not None and fibre.record is None
+        direct = verify_jacobi(family_from_json(fibre.to_json()), range(-8, 9)).to_json()
+        assert verify_jacobi(fibre, range(-8, 9)).to_json() == direct
+    assert walked[len(roots):] == [f"jacobi:{f.name}" for f in fibres for _ in (0, 1)]
+
+
+def test_jacobi_report_reads_the_record_of_every_proved_root(walked):
+    """A family with the rows and central rule of a proved root, plain or not,
+    takes its report under its own name; any other is verified."""
+    formal = verify_jacobi(formal_family(2), range(1, 17))
+    again = algebra_module.jacobi_report(replace(formal_family(2), name="f2"), range(1, 30))
+    assert again.to_json() == {**formal.to_json(), "check": "jacobi:f2"}
+    w1 = algebra_module.jacobi_report(w1_subalgebra(), range(1, 17))
+    assert w1.passed and walked == ["jacobi:formal-2", "jacobi:w1"]
+    with pytest.raises(WindowTooSmall):
+        algebra_module.jacobi_report(formal_family(2), range(-5, 0))
 
 
 def test_only_a_proved_root_is_transported(walked):
@@ -1426,6 +1489,24 @@ def test_an_in_place_change_of_the_root_moves_no_record(walked):
     assert verify_jacobi(after, range(-10, 11)).to_json() == direct
     name = before.name
     assert walked == ["jacobi:elliptic", f"jacobi:{name}", "jacobi:elliptic"] + [f"jacobi:{name}"] * 2
+
+
+def test_report_json_is_a_copy():
+    """Editing a report's JSON leaves the report as it was, and editing the
+    report leaves JSON taken before as it was."""
+    for report in (verify_jacobi(witt(), range(-8, 9)), verify_jacobi(corrupted_elliptic(), range(-8, 9))):
+        expected = copy.deepcopy(report.to_json())
+        data = report.to_json()
+        for part in ("certificate", "witness"):
+            if part in data:
+                data[part].clear()
+        assert report.to_json() == expected
+        data = report.to_json()
+        if report.certificate is not None:
+            report.certificate["proved"].clear()
+        if report.witness is not None:
+            report.witness["triple"].append(0)
+        assert data == expected
 
 
 def test_a_transported_report_is_a_copy(walked):

@@ -983,6 +983,73 @@ def _commands(parser, head=()):
     return [c for name, sub in subs[0].choices.items() for c in _commands(sub, (*head, name))]
 
 
+#: The yardstick's verdict digests (every certificate and `checked` count
+#: dropped) of `cohomology check` on each named cocycle, taken before a
+#: deformation cocycle came to take its family's Jacobi PASS: that route
+#: changes the certificate only.
+COCYCLE_VERDICTS = {
+    "beta1": "ce8cf629f4e5b54ba2d3b81efa7295c43c33c4dba2ecf41b9d506a4a222130b0",
+    "beta2": "cb976a03e11394a43692214f719878f821d805b5daae0b60abb22fa5b987e23e",
+    "beta3": "42f9db4601ef043345ba8d914636be9b7ebece0d224a6b0d85abd4b55a5488a3",
+    "dinf-order2": "79eac40f3af871c51d82de02ca30cb06bde57a921e23c962509fe27bcc1dfcbe",
+    "ds-order1": "fa965903f8cb1e9e212cb5260e9965ca7a391c96b57a26579c1c6efba3c455b1",
+    "w1-order1": "1e9cd926074885ca2e3446b9f1fe64f3c15434b53dad8b956b05aa7fa23d0be9",
+}
+
+
+@pytest.mark.parametrize("name", NAMED_COCYCLES)
+def test_a_cocycle_check_keeps_its_verdict(name):
+    argv = ["cohomology", "check", "--cocycle", name]
+    assert _yardstick().digests(argv)[1] == COCYCLE_VERDICTS[name]
+
+
+def _liefam_process(*argvs):
+    """The stdout of `liefam --json <argv>` for each argv, in order, in one new process."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from liefam.cli import main\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        main(['--json', *argv])\n"
+        "    outs.append(buf.getvalue())\n"
+        "print(json.dumps(outs))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_cocycle_check_does_not_depend_on_what_ran_before():
+    """beta3's check prints the same bytes in a fresh process and after
+    verify-jacobi proved formal-3, whose PASS it then reads from the record."""
+    check = ["cohomology", "check", "--cocycle", "beta3"]
+    (fresh,) = _liefam_process(check)
+    _, after = _liefam_process(["verify-jacobi", "--family", "formal-3"], check)
+    assert after == fresh and json.loads(fresh)["report"]["status"] == "PASS"
+
+
+def test_a_closed_pipe_prints_no_traceback():
+    """A reader that closes standard output before the report is written
+    ends the command with exit 1 and nothing on standard error."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liefam.cli", "--json", "central", "cocycle", "--family", "witt"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # before the interpreter has started: no reader when it writes
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and err == ""
+
+
 def test_the_yardstick_covers_every_family_and_named_cocycle():
     yardstick = _yardstick()
     argvs = yardstick.yardstick_argvs()

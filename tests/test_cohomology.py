@@ -1,22 +1,29 @@
 """Differentials, cocycle checks, coboundary witnesses, graded dimensions."""
 
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefam import algebra as algebra_module
 from liefam import cohomology
 from liefam.algebra import (
     CENTRAL,
     LieElement,
+    RuleTerm,
     basis_bracket,
     class_coefficients,
     evaluate_pair_rule,
     pullback,
+    restricted,
+    verify_jacobi,
 )
 from liefam.cohomology import (
     ANSATZ_SHAPES,
@@ -41,10 +48,17 @@ from liefam.cohomology import (
     is_cocycle,
     solve_coboundary,
 )
-from liefam.errors import ArityUnsupported, LiefamError, MissingParameter, WindowTooLarge
+from liefam.errors import (
+    ArityUnsupported,
+    LiefamError,
+    MissingParameter,
+    OutOfDomainIndex,
+    WindowTooLarge,
+)
 from liefam.families import (
     d_infinity,
     d_line,
+    elliptic,
     formal_family,
     l1_subalgebra,
     virasoro,
@@ -53,7 +67,7 @@ from liefam.families import (
 )
 from liefam.linalg import LinearSystem, rank_of_vectors
 from liefam.poly import ParamPoly
-from liefam.suite import NAMED_COCYCLES, named_cocycle, sign_flipped
+from liefam.suite import NAMED_COCYCLES, corrupted_elliptic, named_cocycle, sign_flipped
 
 
 def affine_map(weight, even, odd, pins=None):
@@ -712,3 +726,175 @@ def test_an_ansatz_takes_at_most_its_stated_zero_pins():
     far = Ansatz("per-index", -ZERO_PINS_MAX - 1)
     entries = cohomology._ansatz_cochain(witt(), far, range(-3, 4), False).rule.entries
     assert entries.keys() == set(range(-3, 4))
+
+
+# ---------------------------------------------------------------------------
+# a deformation cocycle takes its family's Jacobi PASS
+# ---------------------------------------------------------------------------
+
+#: Windows "a" and "b" of the report pins: (no index bound, index bound 1).
+ROUTE_WINDOWS = {"a": (range(-8, 9), range(1, 17)), "b": (range(-9, 13), range(1, 24))}
+
+
+def walked(cochain):
+    """The cochain with no `source`: `is_cocycle` walks d(c) as for any cochain."""
+    return replace(cochain, source=None)
+
+
+@pytest.fixture
+def no_proved_roots(monkeypatch):
+    """An empty record of proved roots, as in a fresh process."""
+    monkeypatch.setattr(algebra_module, "_ROOT_PASSES", {})
+
+
+@pytest.mark.parametrize("key", ROUTE_WINDOWS)
+@pytest.mark.parametrize("name", NAMED_COCYCLES)
+def test_a_named_cocycle_takes_its_familys_pass(no_proved_roots, name, key):
+    """The route's verdict, status and witness are the walk's; its certificate
+    names the family, the parameter and the order and carries the family's
+    Jacobi certificate, and its count is the family's."""
+    algebra, cochain = named_cocycle(name)
+    window = ROUTE_WINDOWS[key][1 if algebra.lower_bound else 0]
+    family, param, order, *_ = cochain.source
+    route = is_cocycle(algebra, cochain, window).to_json()
+    walk = is_cocycle(algebra, walked(cochain), window).to_json()
+    assert {k: route.get(k) for k in ("check", "status", "witness")} == {
+        k: walk.get(k) for k in ("check", "status", "witness")
+    }
+    assert route["status"] == "PASS" and "window" not in walk["certificate"]
+    jacobi = verify_jacobi(family, window)
+    assert route["certificate"] == {
+        "coefficient_of": {"family": family.name, "parameter": param, "order": order},
+        "jacobi": jacobi.certificate,
+    }
+    assert route["checked"] == jacobi.checked
+
+
+def test_the_route_does_not_depend_on_what_ran_before(no_proved_roots):
+    """A cold record, the roots proved first, or the families proved first: one
+    report per named cocycle."""
+    cocycles = [named_cocycle(name) for name in NAMED_COCYCLES]
+
+    def reports():
+        return [is_cocycle(a, c, range(1, 17) if a.lower_bound else range(-8, 9)).to_json()
+                for a, c in cocycles]
+
+    cold = reports()
+    for fam in (elliptic(), *(formal_family(i) for i in (1, 2, 3))):
+        verify_jacobi(fam, range(1, 5))
+    assert reports() == cold
+    for _, cochain in cocycles:
+        verify_jacobi(cochain.source[0], range(1, 5))
+    assert reports() == cold
+
+
+def _doubled(rows):
+    return tuple(RuleTerm(t.shift, t.a * 2, t.b * 2, t.d * 2) for t in rows)
+
+
+def _edited_in_place():
+    cochain = deformation_differential(d_line(0), "e1", 1)
+    rows = cochain.rule.spec.rule
+    rows["odd-even"] = _doubled(rows["odd-even"])
+    return witt(), cochain
+
+
+def _doubled_witt():
+    w = witt()
+    return replace(w, rule={**w.rule, "odd-even": _doubled(w.rule["odd-even"])}, name="witt|2")
+
+
+def _on_n():
+    """A family over a parameter named n: its Jacobi PASS holds on the window only."""
+    n = ParamPoly.var(("n",), "n")
+    return pullback(elliptic(), ("n",), {"e1": n, "e2": n * 2}, "on-n")
+
+
+#: Cochains that `is_cocycle` walks, and the SHA-256 of the sorted report JSON
+#: they had before the route existed, on -8..8 (1..16 with an index bound).
+FALLBACKS = {
+    "sign-flipped ds-order1": (
+        lambda: (witt(), sign_flipped(named_cocycle("ds-order1")[1])),
+        "FAIL", "de912db99ecd98ae675e41e2601da6a04964026445cd5eedae40571ec3e3c4de",
+    ),
+    "rows edited in place": (
+        _edited_in_place,
+        "FAIL", "dfecdceafa57c3f96aedfc93bc5f5b72f1276215aac73058645895daaa25402f",
+    ),
+    "central algebra": (
+        lambda: (virasoro(), named_cocycle("ds-order1")[1]),
+        "FAIL", "ca117cdc79f3c113eb41f26b73b9aca49dc646258b74cb0d96f3e82b30706b3a",
+    ),
+    "not the fibre": (
+        lambda: (_doubled_witt(), named_cocycle("ds-order1")[1]),
+        "FAIL", "c6842aa395fe361403a47b56bacfe33313bbe7792360b0c5a1d82c6b3f0c7f76",
+    ),
+    "order 2 over a nonzero order 1": (
+        lambda: (witt(), deformation_differential(d_line(0), "e1", 2)),
+        "PASS", "028e583275ea623ce47697fcb2bcfccfe888f4dfc1c80c9485179ef2db8aa10f",
+    ),
+    "corrupted family": (
+        lambda: (d_infinity(), deformation_differential(corrupted_elliptic(), "e1", 1)),
+        "FAIL", "d4d37a13c4c23a4a673a72afdfb2050a6706daeb63d1b7a8968badb1ec4a3252",
+    ),
+    "window-only family": (
+        lambda: (witt(), deformation_differential(_on_n(), "n", 1)),
+        "PASS", "7e9d309cb64c80a74c14e37d9b3ef857ed918040fd9f8746471cb172c9b7fafd",
+    ),
+    "family that leaves its domain": (
+        lambda: (l1_subalgebra(), deformation_differential(restricted(d_line(0), 1), "e1", 1)),
+        "PASS", "8c05672829710c9a3b1553479475c6b2b15524237556cbed88100c2095fb2959",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_the_other_cochains_are_walked_as_before(case):
+    make, status, digest = FALLBACKS[case]
+    algebra, cochain = make()
+    window = range(1, 17) if algebra.lower_bound else range(-8, 9)
+    data = is_cocycle(algebra, cochain, window).to_json()
+    assert data == is_cocycle(algebra, walked(cochain), window).to_json()
+    assert data["status"] == status
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_each_fallback_misses_one_condition():
+    """The family of each fallback that has a source: its Jacobi report fails,
+    holds on the window only or raises, or the cochain is not the first
+    nonzero coefficient; the named cocycles' families all PASS."""
+    assert not verify_jacobi(corrupted_elliptic(), range(-8, 9)).passed
+    assert "window" in verify_jacobi(_on_n(), range(-8, 9)).certificate
+    with pytest.raises(OutOfDomainIndex):
+        verify_jacobi(restricted(d_line(0), 1), range(1, 17))
+    rows = d_line(0).rule["even-even"]
+    assert any(not t.a.coefficient_of("e1", 1).is_zero for t in rows)
+    _, cochain = _edited_in_place()
+    assert cochain.rule.spec.rule != cochain.source[3][1]
+
+
+def test_a_proved_root_leaves_the_cocycle_no_stratum_to_prove(monkeypatch):
+    """After verify_jacobi(formal-3), beta3's report is read off the record:
+    no stratum of any identity is proved and no tuple evaluated."""
+    l1, beta3 = named_cocycle("beta3")
+    verify_jacobi(formal_family(3), range(1, 17))
+    proofs, status = [], algebra_module._Plan._status
+    monkeypatch.setattr(algebra_module._Plan, "_status",
+                        lambda self, *a: proofs.append(a) or status(self, *a))
+    report = is_cocycle(l1, beta3, range(1, 17))
+    assert report.passed and report.certificate["coefficient_of"]["family"] == "formal-3"
+    assert proofs == []
+    assert is_cocycle(l1, walked(beta3), range(1, 17)).passed and proofs
+
+
+def test_the_source_is_a_copy_of_the_family():
+    """An in-place change of the family after the cochain was built reaches
+    neither the cochain's source nor its report."""
+    fam = formal_family(3)
+    l1, beta3 = l1_subalgebra(), deformation_differential(fam, "t", 1)
+    before = is_cocycle(l1, beta3, range(1, 17)).to_json()
+    fam.exceptional[2] = _doubled(fam.exceptional[2])
+    assert beta3.source[0].exceptional[2] != fam.exceptional[2]
+    assert is_cocycle(l1, beta3, range(1, 17)).to_json() == before
+    assert beta3.source[0] == formal_family(3)
+    assert beta3 == deformation_differential(formal_family(3), "t", 1)
